@@ -20,7 +20,8 @@ from pathlib import Path
 from repro.analysis.bench import bench_engines, format_bench
 
 #: The acceptance bar: indexed vs agitated wall-clock on the Figure 2
-#: line workload at the largest swept size (measured ~15x at n=480).
+#: line workload at the largest swept size (measured ~34x at n=480,
+#: 2 trials, on a 2-vCPU host).
 MIN_SPEEDUP = 5.0
 
 OUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_engines.json"

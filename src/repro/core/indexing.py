@@ -22,9 +22,22 @@ and the incremental bookkeeping on :class:`~repro.core.configuration.Configurati
   Sampling a uniformly random effective pair is then: draw a class with
   probability proportional to its pair count, then a uniform pair within
   the class (directly for edge classes, by rejection against the active
-  adjacency for non-edge classes).  Maintenance after an interaction is
-  O(present states) + O(degree of the changed nodes) instead of the O(n)
-  per-node rescans of :class:`~repro.core.simulator.AgitatedSimulator`.
+  adjacency for non-edge classes).
+
+  The index memoizes, per unordered state pair, which of its two classes
+  are effective.  Maintenance after an interaction then costs the
+  effective classes that touch the changed states (pairs with no
+  effective class are skipped before any counting) plus the degree of
+  the changed nodes, instead of the O(n) per-node rescans of
+  :class:`~repro.core.simulator.AgitatedSimulator`.  Active edges of a
+  pair known to have no effective class (say the interior ``q2``–``q2``
+  edges of a line) are not filed at all.
+
+  ``weights`` is a dict walked in insertion order by ``sample_class``,
+  so that order is part of the seeded law, as is the swap-remove order
+  of the node and edge buckets that ``sample_pair`` draws from.  A
+  refresh therefore pops and re-inserts every visited effective class,
+  changed weight or not, in a fixed visit order.
 
 States here are the dense integer ids produced by
 :meth:`repro.core.protocol.Protocol.compile`; the index never looks at raw
@@ -34,11 +47,16 @@ state values.
 from __future__ import annotations
 
 import random
-from typing import Callable, Hashable, Iterator
+from typing import Callable, Hashable, Iterable, Iterator
 
 
 class IndexedSet:
-    """A set with O(1) add/discard/contains and O(1) uniform sampling."""
+    """A set with O(1) add/discard/contains and O(1) uniform sampling.
+
+    :class:`PairClassIndex` inlines ``add``/``discard``/``sample`` on its
+    hot paths, reading ``_items`` and ``_index`` directly; the inlined
+    copies must keep exactly this swap-remove order, which seeded draws
+    depend on."""
 
     __slots__ = ("_items", "_index")
 
@@ -102,17 +120,28 @@ class PairClassIndex:
     is_effective:
         Memoized oracle ``(a_id, b_id, c) -> bool``; only effective
         classes contribute weight (their pair count) to :attr:`total`.
+        It is asked about a state pair once, ``c = 0`` before ``c = 1``,
+        the first time a ``refresh_*`` call visits the pair, and never
+        from edge upkeep: a lazily interning oracle assigns state ids as
+        it resolves rules, so asking earlier would renumber states.
     """
 
-    __slots__ = ("_eff", "nodes", "edges", "weights", "total")
+    __slots__ = ("_eff", "_classes", "nodes", "edges", "weights", "total")
 
     def __init__(self, is_effective: EffectivenessOracle) -> None:
         self._eff = is_effective
+        #: (lo, hi) -> the keys (lo, hi, c) of its effective classes,
+        #: memoized by the first refresh that visits the pair
+        self._classes: dict[tuple[int, int], tuple[tuple[int, int, int], ...]] = {}
         #: state id -> IndexedSet of node ids (present states only)
         self.nodes: dict[int, IndexedSet] = {}
-        #: (lo, hi) state-id pair -> IndexedSet of active edges (u, v), u < v
+        #: (lo, hi) state-id pair -> IndexedSet of active edges (u, v),
+        #: u < v.  Edges of a pair known to have no effective class are
+        #: not filed: nothing samples them or subtracts their count.
         self.edges: dict[tuple[int, int], IndexedSet] = {}
-        #: (lo, hi, c) -> number of candidate pairs, effective classes only
+        #: (lo, hi, c) -> number of candidate pairs, effective classes
+        #: only.  ``sample_class`` walks it in insertion order, so that
+        #: order is part of the seeded law.
         self.weights: dict[tuple[int, int, int], int] = {}
         #: total number of effective pairs
         self.total = 0
@@ -127,11 +156,25 @@ class PairClassIndex:
         bucket.add(u)
 
     def move_node(self, u: int, old: int, new: int) -> None:
-        bucket = self.nodes[old]
-        bucket.discard(u)
-        if not bucket:
-            del self.nodes[old]
-        self.add_node(u, new)
+        nodes = self.nodes
+        bucket = nodes[old]
+        index = bucket._index
+        idx = index.pop(u, None)
+        if idx is not None:
+            items = bucket._items
+            last = items.pop()
+            if idx < len(items):
+                items[idx] = last
+                index[last] = idx
+            elif not items:
+                del nodes[old]
+        bucket = nodes.get(new)
+        if bucket is None:
+            bucket = nodes[new] = IndexedSet()
+        index = bucket._index
+        if u not in index:
+            index[u] = len(bucket._items)
+            bucket._items.append(u)
 
     def remove_node(self, u: int, state: int) -> None:
         """Drop ``u`` from the census entirely (crash-stop faults): the
@@ -145,6 +188,10 @@ class PairClassIndex:
 
     def add_edge(self, u: int, v: int, su: int, sv: int) -> None:
         key = (su, sv) if su <= sv else (sv, su)
+        # File unless the pair is known to have no effective class (an
+        # empty tuple); a pair no refresh has visited yet is filed.
+        if not self._classes.get(key, True):
+            return
         bucket = self.edges.get(key)
         if bucket is None:
             bucket = self.edges[key] = IndexedSet()
@@ -160,54 +207,95 @@ class PairClassIndex:
             del self.edges[key]
 
     def move_edge(self, u: int, v: int, old_su: int, sv: int, new_su: int) -> None:
-        """Re-file the active edge ``(u, v)`` after ``u`` moved state."""
-        self.remove_edge(u, v, old_su, sv)
-        self.add_edge(u, v, new_su, sv)
+        """Re-file the active edge ``(u, v)`` after ``u`` moved state:
+        ``remove_edge`` then ``add_edge``, in one pass."""
+        edge = (u, v) if u < v else (v, u)
+        edges = self.edges
+        key = (old_su, sv) if old_su <= sv else (sv, old_su)
+        bucket = edges.get(key)
+        if bucket is not None:
+            index = bucket._index
+            idx = index.pop(edge, None)
+            if idx is not None:
+                items = bucket._items
+                last = items.pop()
+                if idx < len(items):
+                    items[idx] = last
+                    index[last] = idx
+                elif not items:
+                    del edges[key]
+        key = (new_su, sv) if new_su <= sv else (sv, new_su)
+        if not self._classes.get(key, True):  # as in add_edge
+            return
+        bucket = edges.get(key)
+        if bucket is None:
+            bucket = edges[key] = IndexedSet()
+        index = bucket._index
+        if edge not in index:
+            index[edge] = len(bucket._items)
+            bucket._items.append(edge)
 
     # ------------------------------------------------------------------
     # Weight maintenance
     # ------------------------------------------------------------------
-    def _class_counts(self, lo: int, hi: int) -> tuple[int, int]:
-        """(non-edge pairs, active-edge pairs) of the class ``{lo, hi}``."""
-        a = self.nodes.get(lo)
-        na = len(a) if a is not None else 0
-        if lo == hi:
-            pairs = na * (na - 1) // 2
-        else:
-            b = self.nodes.get(hi)
-            pairs = na * (len(b) if b is not None else 0)
-        bucket = self.edges.get((lo, hi))
-        n_edges = len(bucket) if bucket is not None else 0
-        return pairs - n_edges, n_edges
-
     def refresh_pair(self, a: int, b: int) -> None:
-        """Recompute the weights of both classes over the state pair."""
-        lo, hi = (a, b) if a <= b else (b, a)
-        non_edges, n_edges = self._class_counts(lo, hi)
-        for c, weight in ((0, non_edges), (1, n_edges)):
-            if not self._eff(lo, hi, c):
-                continue
-            key = (lo, hi, c)
-            old = self.weights.pop(key, 0)
-            if weight:
-                self.weights[key] = weight
-            self.total += weight - old
+        """Recompute the weights of the effective classes over the state
+        pair."""
+        self._refresh((a,), (b,))
 
     def refresh_involving(self, states: set[int]) -> None:
-        """Recompute every class that involves one of ``states``.
+        """Recompute every effective class that involves one of ``states``.
 
         Called after node state changes: only classes touching an old or
-        new state of a changed node can have gained or lost pairs."""
+        new state of a changed node can have gained or lost pairs.  The
+        visit order (each of ``states`` against every present state and
+        every one of ``states``, in set iteration order) is part of the
+        seeded law."""
         targets = set(self.nodes)
         targets.update(states)
-        seen: set[tuple[int, int]] = set()
+        self._refresh(states, targets)
+
+    def _refresh(self, states: Iterable[int], targets: Iterable[int]) -> None:
+        """Recount every effective class pairing one of ``states`` with
+        one of ``targets``, each unordered pair once, in visit order.
+        Pairs with no effective class are skipped before any counting;
+        every other visited class is popped from ``weights`` and
+        re-inserted, changed weight or not."""
+        nodes = self.nodes
+        edges = self.edges
+        weights = self.weights
+        known = self._classes
+        total = self.total
+        done: set[int] = set()
         for x in states:
             for t in targets:
-                key = (x, t) if x <= t else (t, x)
-                if key in seen:
+                if t in done:
                     continue
-                seen.add(key)
-                self.refresh_pair(key[0], key[1])
+                lo, hi = pair = (x, t) if x <= t else (t, x)
+                classes = known.get(pair)
+                if classes is None:
+                    classes = known[pair] = tuple(
+                        (lo, hi, c) for c in (0, 1) if self._eff(lo, hi, c)
+                    )
+                if not classes:
+                    continue
+                a = nodes.get(lo)
+                na = len(a._items) if a is not None else 0
+                if lo == hi:
+                    pairs = na * (na - 1) // 2
+                else:
+                    b = nodes.get(hi)
+                    pairs = na * len(b._items) if b is not None else 0
+                bucket = edges.get(pair)
+                n_edges = len(bucket._items) if bucket is not None else 0
+                for key in classes:
+                    weight = n_edges if key[2] else pairs - n_edges
+                    old = weights.pop(key, 0)
+                    if weight:
+                        weights[key] = weight
+                    total += weight - old
+            done.add(x)
+        self.total = total
 
     def rebuild(self) -> None:
         """Recompute all weights from scratch (initialization)."""
@@ -240,13 +328,17 @@ class PairClassIndex:
         in state ``key[0]``, the second in ``key[1]`` (for edge classes the
         orientation is by node id — callers resolve rules by state)."""
         lo, hi, c = key
+        randrange = rng.randrange
         if c == 1:
-            return self.edges[(lo, hi)].sample(rng)
+            items = self.edges[(lo, hi)]._items
+            return items[randrange(len(items))]
         a = self.nodes[lo]
         b = self.nodes[hi]
+        a_items = a._items
+        b_items = b._items
         for _ in range(_REJECTION_CAP):
-            u = a.sample(rng)
-            v = b.sample(rng)
+            u = a_items[randrange(len(a_items))]
+            v = b_items[randrange(len(b_items))]
             if u == v:
                 continue
             if not edge_state(u, v):

@@ -26,9 +26,10 @@ Engine-selection guide
   active edges are indexed per class, and an effective interaction is
   sampled by drawing a class proportional to its pair count and then a
   uniform pair within it.  Together with the interned/memoized rule table
-  of :meth:`~repro.core.protocol.Protocol.compile`, maintenance is
-  O(present states + degree) per effective interaction — O(1) amortized
-  for the paper's constant-state protocols — instead of O(n).
+  of :meth:`~repro.core.protocol.Protocol.compile`, maintenance per
+  effective interaction costs the effective classes touching the changed
+  states plus the degree of the changed nodes — O(1) amortized for the
+  paper's constant-state protocols — instead of O(n).
 
 Use the :data:`ENGINES` registry (``"sequential"``, ``"agitated"``,
 ``"indexed"``) to select an engine by name in CLIs and experiment
@@ -795,9 +796,11 @@ class IndexedSimulator:
     step counter advances by the same ``Geometric(k/m) - 1`` skip, and the
     two-stage class-then-pair draw is exactly a uniform draw over the
     effective pairs.  The difference is the bookkeeping: instead of
-    rescanning a changed node's ``n - 1`` partners, only the O(present
-    states) class weights touching the changed states are recomputed and
-    the changed node's O(degree) incident active edges re-filed.
+    rescanning a changed node's ``n - 1`` partners, only the effective
+    class weights touching the changed states are recomputed and the
+    changed node's O(degree) incident active edges re-filed.  With no
+    trace or bus attached, an effective interaction builds no ``Event``
+    or ``InteractionResult``.
     """
 
     def __init__(
@@ -977,6 +980,7 @@ class IndexedSimulator:
         since_check = 0
         log = math.log
         edge_state = cfg.edge_state
+        out = protocol.output_states
 
         while fault_next is not None and fault_next <= 0:
             apply_fault_actions(fault_next)
@@ -1097,19 +1101,27 @@ class IndexedSimulator:
 
             effective += 1
             last_change = steps
-            event = Event(
-                steps, u, v,
-                state_of(su), state_of(new_u),
-                state_of(sv), state_of(new_v),
-                c, new_edge,
-            )
-            result = InteractionResult(
-                True, u_changed, v_changed, edge_changed, event
-            )
-            if _output_affected(protocol, result, event):
+            # _output_affected, without the per-step Event and
+            # InteractionResult it takes.
+            if out is None:
+                if edge_changed:
+                    last_output_change = steps
+            elif (
+                (u_changed
+                 and (state_of(su) in out) != (state_of(new_u) in out))
+                or (v_changed
+                    and (state_of(sv) in out) != (state_of(new_v) in out))
+                or (edge_changed
+                    and state_of(new_u) in out and state_of(new_v) in out)
+            ):
                 last_output_change = steps
             if publish is not None:
-                publish.interaction(event, cfg)
+                publish.interaction(Event(
+                    steps, u, v,
+                    state_of(su), state_of(new_u),
+                    state_of(sv), state_of(new_v),
+                    c, new_edge,
+                ), cfg)
             since_check += 1
             if since_check >= check_interval:
                 since_check = 0

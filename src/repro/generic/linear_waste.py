@@ -57,12 +57,14 @@ class UDPartition(TableProtocol):
 
     def stabilized(self, config: Configuration) -> bool:
         """Quiescent exactly when at most one unmatched node remains."""
-        return config.state_counts().get("q0", 0) <= 1
+        return config.count_in_state("q0") <= 1
 
     def target_reached(self, config: Configuration) -> bool:
-        counts = config.state_counts()
         pairs = config.n // 2
-        if counts.get("qu", 0) != pairs or counts.get("qd", 0) != pairs:
+        if (
+            config.count_in_state("qu") != pairs
+            or config.count_in_state("qd") != pairs
+        ):
             return False
         for u in config.nodes_in_state("qu"):
             nbrs = config.neighbors(u)
@@ -108,11 +110,10 @@ class UDMPartition(TableProtocol):
     def stabilized(self, config: Configuration) -> bool:
         """No rule applies: no pending qm', and the leftover q0/qu'
         material cannot pair up any more."""
-        counts = config.state_counts()
-        if counts.get("qmp", 0):
+        if config.count_in_state("qmp"):
             return False
-        q0 = counts.get("q0", 0)
-        qup = counts.get("qup", 0)
+        q0 = config.count_in_state("q0")
+        qup = config.count_in_state("qup")
         if qup >= 2 or (qup >= 1 and q0 >= 1):
             return False
         return q0 <= 1

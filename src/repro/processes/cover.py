@@ -35,7 +35,7 @@ class NodeCover(TableProtocol):
         return self.target_reached(config)
 
     def target_reached(self, config: Configuration) -> bool:
-        return config.state_counts().get("a", 0) == 0
+        return config.count_in_state("a") == 0
 
 
 @register_protocol(

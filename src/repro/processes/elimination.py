@@ -32,7 +32,7 @@ class OneToOneElimination(TableProtocol):
         return self.target_reached(config)
 
     def target_reached(self, config: Configuration) -> bool:
-        return config.state_counts().get("a", 0) == 1
+        return config.count_in_state("a") == 1
 
 
 @register_protocol(
@@ -56,4 +56,4 @@ class OneToAllElimination(TableProtocol):
         return self.target_reached(config)
 
     def target_reached(self, config: Configuration) -> bool:
-        return config.state_counts().get("a", 0) == 0
+        return config.count_in_state("a") == 0

@@ -36,4 +36,4 @@ class OneWayEpidemic(TableProtocol):
         return self.target_reached(config)
 
     def target_reached(self, config: Configuration) -> bool:
-        return config.state_counts().get("a", 0) == config.n
+        return config.count_in_state("a") == config.n

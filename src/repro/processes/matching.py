@@ -28,7 +28,7 @@ class MaximumMatchingProcess(TableProtocol):
         )
 
     def stabilized(self, config: Configuration) -> bool:
-        return config.state_counts().get("a", 0) <= 1
+        return config.count_in_state("a") <= 1
 
     def target_reached(self, config: Configuration) -> bool:
         return is_perfect_matching(config.output_graph())

@@ -35,4 +35,4 @@ class MeetEverybody(TableProtocol):
         return self.target_reached(config)
 
     def target_reached(self, config: Configuration) -> bool:
-        return config.state_counts().get("b", 0) == 0
+        return config.count_in_state("b") == 0

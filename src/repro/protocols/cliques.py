@@ -95,12 +95,13 @@ class CCliques(TableProtocol):
             rules=rules,
         )
 
-    def _transitional_states_present(self, counts: dict) -> bool:
+    def _transitional_states_present(self, config: Configuration) -> bool:
         """Captured leaders still releasing or converting leaders mean the
         component structure is still in flux."""
-        if any(counts.get(f"f{i}", 0) for i in range(1, self.c - 1)):
+        count = config.count_in_state
+        if any(count(f"f{i}") for i in range(1, self.c - 1)):
             return True
-        return any(counts.get(f"lb{i}", 0) for i in range(0, self.c - 1))
+        return any(count(f"lb{i}") for i in range(0, self.c - 1))
 
     def stabilized(self, config: Configuration) -> bool:
         """Stable iff the active graph decomposes into exactly
@@ -108,8 +109,7 @@ class CCliques(TableProtocol):
         component holding the remaining ``n mod c`` nodes, with no capture
         or conversion still in flight.  (Patrolling continues forever but
         only swaps states along existing edges.)"""
-        counts = config.state_counts()
-        if self._transitional_states_present(counts):
+        if self._transitional_states_present(config):
             return False
         c = self.c
         n = config.n

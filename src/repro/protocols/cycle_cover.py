@@ -40,11 +40,11 @@ class CycleCover(TableProtocol):
         """Quiescence certificate: no two under-full nodes can still meet
         over an inactive edge.  Cheap count-based version: at most one
         node of degree < 2, or exactly two that are already adjacent."""
-        counts = config.state_counts()
-        low = counts.get("q0", 0) + counts.get("q1", 0)
+        q1 = config.count_in_state("q1")
+        low = config.count_in_state("q0") + q1
         if low == 0 or low == 1:
             return True
-        if low == 2 and counts.get("q1", 0) == 2:
+        if low == 2 and q1 == 2:
             u, v = config.nodes_in_state("q1")
             return config.edge_state(u, v) == 1
         return False

@@ -119,10 +119,9 @@ class FTGlobalLine(TableProtocol):
         """Stable iff no free or resetting material remains and a single
         leader exists (cf. Simple-Global-Line's certificate; ``r`` nodes
         mean a repair wave is still dissolving a fragment)."""
-        counts = config.state_counts()
-        if counts.get("q0", 0) or counts.get("r", 0):
+        if config.count_in_state("q0") or config.count_in_state("r"):
             return False
-        return counts.get("l", 0) + counts.get("w", 0) == 1
+        return config.count_in_state("l") + config.count_in_state("w") == 1
 
     def target_reached(self, config: Configuration) -> bool:
         return is_spanning_line(config.output_graph())

@@ -66,10 +66,9 @@ class SimpleGlobalLine(TableProtocol):
         only edge-modifying rules need a ``q0`` or two leaders, and neither
         can reappear.  (The ``w`` leader may keep walking forever — the
         *output graph* is nevertheless fixed.)"""
-        counts = config.state_counts()
-        if counts.get("q0", 0):
+        if config.count_in_state("q0"):
             return False
-        return counts.get("l", 0) + counts.get("w", 0) == 1
+        return config.count_in_state("l") + config.count_in_state("w") == 1
 
     def target_reached(self, config: Configuration) -> bool:
         return is_spanning_line(config.output_graph())
@@ -112,12 +111,12 @@ class FastGlobalLine(TableProtocol):
         """The final configuration is quiescent (detected by the engine);
         this cheap certificate triggers slightly earlier: one awake ``l``
         leader, no free/sleeping material, no in-flight steal."""
-        counts = config.state_counts()
         if any(
-            counts.get(s, 0) for s in ("q0", "f0", "f1", "lp", "lpp", "q2p")
+            config.count_in_state(s)
+            for s in ("q0", "f0", "f1", "lp", "lpp", "q2p")
         ):
             return False
-        return counts.get("l", 0) == 1 and config.n >= 2
+        return config.count_in_state("l") == 1 and config.n >= 2
 
     def target_reached(self, config: Configuration) -> bool:
         return is_spanning_line(config.output_graph())
@@ -155,10 +154,9 @@ class FasterGlobalLine(TableProtocol):
         )
 
     def stabilized(self, config: Configuration) -> bool:
-        counts = config.state_counts()
-        if any(counts.get(s, 0) for s in ("q0", "q", "f")):
+        if any(config.count_in_state(s) for s in ("q0", "q", "f")):
             return False
-        return counts.get("l", 0) == 1 and config.n >= 2
+        return config.count_in_state("l") == 1 and config.n >= 2
 
     def target_reached(self, config: Configuration) -> bool:
         return is_spanning_line(config.output_graph())
@@ -194,7 +192,7 @@ class LeaderDrivenLine(TableProtocol):
         return config
 
     def stabilized(self, config: Configuration) -> bool:
-        return config.state_counts().get("q0", 0) == 0
+        return config.count_in_state("q0") == 0
 
     def target_reached(self, config: Configuration) -> bool:
         return is_spanning_line(config.output_graph())

@@ -218,13 +218,13 @@ class RCGlobalLine(TableProtocol):
         checks matter for soundness: an edged spare or free leader
         could still fire a sanitizer rule and change the output
         graph."""
-        counts = config.state_counts()
-        if counts.get("q0", 0) or counts.get("q", 0) or counts.get("e", 0):
+        count = config.count_in_state
+        if count("q0") or count("q") or count("e"):
             return False
-        if sum(counts.get(s, 0) for s in self.leader_states) != 1:
+        if sum(count(s) for s in self.leader_states) != 1:
             return False
         for s in self._spare_states:
-            if counts.get(s, 0) > 1:
+            if count(s) > 1:
                 return False
         for u in range(config.n):
             state = config.state(u)

@@ -168,11 +168,10 @@ class GraphReplication(TableProtocol):
         the V2 replica already equals G1: from then on every copy the
         unique leader initiates rewrites an edge with its correct value,
         so the output graph never changes (states keep churning)."""
-        counts = config.state_counts()
-        if counts.get("l", 0) != 1:
+        if config.count_in_state("l") != 1:
             return False
         pending = ("la", "ld", "fa", "fd", "ra", "rd", "rp", "q0")
-        if any(counts.get(s, 0) for s in pending):
+        if any(config.count_in_state(s) for s in pending):
             return False
         return self._copy_correct(config)
 

@@ -84,11 +84,10 @@ class GlobalRing(TableProtocol):
         """Stable exactly when the ring is spanning: one blocked pair
         (lp, q2p), everything else q2, no free or unblocked-leader nodes
         (whose presence would eventually reopen the ring)."""
-        counts = config.state_counts()
         if (
-            counts.get("lp", 0) != 1
-            or counts.get("q2p", 0) != 1
-            or counts.get("q2", 0) != config.n - 2
+            config.count_in_state("lp") != 1
+            or config.count_in_state("q2p") != 1
+            or config.count_in_state("q2") != config.n - 2
         ):
             return False
         return config.n_active_edges == config.n
@@ -153,10 +152,9 @@ class TwoRegularConnected(TableProtocol):
         component, which under all-degree-2 states is a spanning ring.
         (The leader keeps swapping around the ring forever; the output
         graph no longer changes.)"""
-        counts = config.state_counts()
         return (
-            counts.get("l2", 0) == 1
-            and counts.get("q2", 0) == config.n - 1
+            config.count_in_state("l2") == 1
+            and config.count_in_state("q2") == config.n - 1
         )
 
     def target_reached(self, config: Configuration) -> bool:

@@ -37,7 +37,7 @@ class SpanningNetwork(TableProtocol):
         )
 
     def stabilized(self, config: Configuration) -> bool:
-        return config.state_counts().get("a", 0) == 0
+        return config.count_in_state("a") == 0
 
     def target_reached(self, config: Configuration) -> bool:
         return is_spanning_network(config.output_graph())

@@ -44,7 +44,7 @@ class GlobalStar(TableProtocol):
         quiescence detection suffices; the explicit certificate (single
         center, star-shaped output) is kept cheap for use as a stop
         predicate under arbitrary schedulers."""
-        if config.state_counts().get("c", 0) != 1:
+        if config.count_in_state("c") != 1:
             return False
         (center,) = config.nodes_in_state("c")
         if config.degree(center) != config.n - 1:

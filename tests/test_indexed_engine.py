@@ -177,6 +177,115 @@ class TestPairClassIndex:
         assert index.total == 0
 
 
+class TestPairClassIndexUnderFaults:
+    """The engine's own index equals a brute-force recount of the live
+    configuration after every effective interaction and every fault.
+    This covers the upkeep paths a plain run never takes (crash, cut,
+    corrupt, arrive, revive) and the edges the index leaves unfiled
+    because no rule can fire on their class."""
+
+    #: Fault specs, keyed by the action kind each must produce.
+    FAULTS = {
+        "crash": ("crash:count=2,at=10",),
+        "cut": ("edge-drop:rate=0.05",),
+        "corrupt": ("byzantine:count=2,mode=replay,rate=0.05",),
+        "arrive": ("arrive:count=2,at=10",),
+        "revive": ("crash:count=2,at=5", "recover:count=2,at=10,delay=5"),
+    }
+
+    @pytest.fixture
+    def indexes(self, monkeypatch):
+        """Every PairClassIndex the engine builds, with its oracle."""
+        from repro.core import simulator
+
+        built = []
+
+        class Recording(PairClassIndex):
+            def __init__(self, is_effective):
+                super().__init__(is_effective)
+                self.oracle = is_effective
+                built.append(self)
+
+        monkeypatch.setattr(simulator, "PairClassIndex", Recording)
+        return built
+
+    @staticmethod
+    def check(index, protocol, cfg):
+        from repro.core.faults import DEAD
+
+        # The engine interned every live state already, so intern() only
+        # looks ids up; effectiveness is asked of the raw protocol so the
+        # check interns no outcome states of its own.
+        compiled = index.oracle.__self__
+        sid = {}
+        nodes: dict = {}
+        for u in range(cfg.n):
+            if cfg.state(u) != DEAD:
+                sid[u] = compiled.intern(cfg.state(u))
+                nodes.setdefault(sid[u], set()).add(u)
+        weights: dict = {}
+        edges: dict = {}
+        alive = sorted(sid)
+        for i, u in enumerate(alive):
+            for v in alive[i + 1:]:
+                c = cfg.edge_state(u, v)
+                pair = tuple(sorted((sid[u], sid[v])))
+                if c:
+                    edges.setdefault(pair, set()).add((u, v))
+                if protocol.is_effective(cfg.state(u), cfg.state(v), c):
+                    key = pair + (c,)
+                    weights[key] = weights.get(key, 0) + 1
+        assert {s: set(b) for s, b in index.nodes.items()} == nodes
+        assert index.weights == weights
+        assert index.total == sum(weights.values())
+        for lo in nodes:
+            for hi in nodes:
+                if lo <= hi and protocol.is_effective(
+                    compiled.state_of(lo), compiled.state_of(hi), 1
+                ):
+                    bucket = index.edges.get((lo, hi), ())
+                    assert set(bucket) == edges.get((lo, hi), set())
+
+    # The lazy epidemic builds no edges, so it has nothing to cut.
+    @pytest.mark.parametrize("factory, fault", [
+        (factory, fault)
+        for fault in sorted(FAULTS)
+        for factory in (SimpleGlobalLine, LazyEpidemic, TokenCollector)
+        if (factory, fault) != (LazyEpidemic, "cut")
+    ])
+    def test_index_matches_recount(self, indexes, factory, fault):
+        from repro.core.scenario import Scenario
+        from repro.core.trace import BusSubscriber, TraceBus
+
+        protocol = factory()
+        scenario = Scenario(faults=self.FAULTS[fault])
+        # The engine runs on this configuration in place.
+        config = protocol.initial_configuration(14)
+        check = self.check
+        checks = [0]
+        kinds: set = set()
+
+        class FaultProbe(BusSubscriber):
+            def on_fault(self, frame):
+                kinds.update(frame.kinds)
+                check(indexes[-1], protocol, config)
+
+        def stop(cfg):
+            check(indexes[-1], protocol, cfg)
+            checks[0] += 1
+            return False
+
+        bus = TraceBus()
+        bus.subscribe(FaultProbe())
+        result = IndexedSimulator(seed=3, faults=scenario.make_faults()).run(
+            protocol, 14, 20_000, config=config, copy_config=False,
+            stop=stop, check_interval=1, bus=bus,
+        )
+        check(indexes[-1], protocol, result.config)
+        assert checks[0] >= result.effective_steps > 0
+        assert fault in kinds
+
+
 class TestCompiledProtocol:
     def test_interning_is_deterministic(self):
         ids1 = {s: GlobalStar().compile().intern(s) for s in GlobalStar().states}
