@@ -10,7 +10,7 @@ formation.
 
 from __future__ import annotations
 
-from repro.core.simulator import AgitatedSimulator
+from repro.core.simulator import IndexedSimulator
 from repro.core.trace import Trace
 from repro.protocols import GlobalStar
 from repro.viz import component_summary, render_star, state_summary
@@ -21,7 +21,7 @@ N = 24
 def run_with_snapshots(seed=11):
     protocol = GlobalStar()
     trace = Trace(snapshot_predicate=lambda step, cfg: True)
-    result = AgitatedSimulator(seed=seed).run(protocol, N, None, trace=trace)
+    result = IndexedSimulator(seed=seed).run(protocol, N, None, trace=trace)
     assert result.converged
     return protocol, result, trace
 
@@ -62,7 +62,7 @@ def test_figure1_stages(benchmark):
         assert center in (u, v)
 
     benchmark.pedantic(
-        lambda: AgitatedSimulator(seed=1).run(GlobalStar(), N, None),
+        lambda: IndexedSimulator(seed=1).run(GlobalStar(), N, None),
         rounds=3,
         iterations=1,
     )
@@ -77,7 +77,7 @@ def test_figure1_center_count_monotone(benchmark):
     print(f"\ncenter-count trajectory (len {len(centers)}): "
           f"{centers[:10]} ... {centers[-3:]}")
     benchmark.pedantic(
-        lambda: AgitatedSimulator(seed=2).run(GlobalStar(), 12, None),
+        lambda: IndexedSimulator(seed=2).run(GlobalStar(), 12, None),
         rounds=3,
         iterations=1,
     )

@@ -6,7 +6,7 @@ lines (l at an endpoint or w walking inside) and isolated q0 nodes.
 from __future__ import annotations
 
 from repro.core.graphs import line_components
-from repro.core.simulator import AgitatedSimulator
+from repro.core.simulator import IndexedSimulator
 from repro.core.trace import Trace
 from repro.protocols import SimpleGlobalLine
 from repro.viz import component_summary, render_line
@@ -17,7 +17,7 @@ N = 30
 def test_figure2_typical_configuration(benchmark):
     protocol = SimpleGlobalLine()
     trace = Trace(snapshot_predicate=lambda step, cfg: True)
-    result = AgitatedSimulator(seed=23).run(protocol, N, None, trace=trace)
+    result = IndexedSimulator(seed=23).run(protocol, N, None, trace=trace)
     assert result.converged
 
     # Pick the mid-execution snapshot with the most simultaneous lines.
@@ -50,7 +50,7 @@ def test_figure2_typical_configuration(benchmark):
         assert snapshot.state(path[0]) == "q0"
 
     benchmark.pedantic(
-        lambda: AgitatedSimulator(seed=3).run(SimpleGlobalLine(), 16, None),
+        lambda: IndexedSimulator(seed=3).run(SimpleGlobalLine(), 16, None),
         rounds=2,
         iterations=1,
     )

@@ -49,7 +49,7 @@ def test_figure5_cost_per_tm_step(benchmark):
 def test_figure5_mark_discipline(benchmark):
     """After the sweep, the marks always split l / head / r as drawn in
     Figure 5's fourth snapshot."""
-    from repro.core.simulator import AgitatedSimulator
+    from repro.core.simulator import IndexedSimulator
     from repro.core.trace import Trace
     from repro.tm import LineMachineProtocol
     from repro.tm.line_machine import MARK_L, MARK_R, head_of
@@ -58,7 +58,7 @@ def test_figure5_mark_discipline(benchmark):
     tape = tape_with_one_late_bit(12)
     protocol = LineMachineProtocol(machine, tape, head_at=len(tape) - 1)
     snaps = Trace(snapshot_predicate=lambda step, cfg: True)
-    result = AgitatedSimulator(seed=7).run(protocol, len(tape), None, trace=snaps)
+    result = IndexedSimulator(seed=7).run(protocol, len(tape), None, trace=snaps)
     assert result.converged
     checked = 0
     for _, config in snaps.snapshots:

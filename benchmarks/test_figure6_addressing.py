@@ -9,13 +9,13 @@ rule-level coin used by the drawing phase.
 from __future__ import annotations
 
 from repro.analysis import fit_power_law
-from repro.core.simulator import AgitatedSimulator
+from repro.core.simulator import IndexedSimulator
 from repro.generic import ACTIVATE, COIN, DEACTIVATE, AddressedEdgeOps
 
 
 def run_op(ops, config, i, j, op, seed):
     ops.select(config, i, j, op)
-    result = AgitatedSimulator(seed=seed).run(
+    result = IndexedSimulator(seed=seed).run(
         ops, config.n, None, config=config, copy_config=False
     )
     ops.clear_acks(config)

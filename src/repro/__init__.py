@@ -24,7 +24,6 @@ True
 
 from repro.core import (
     ENGINES,
-    AgitatedSimulator,
     Configuration,
     IndexedSimulator,
     Protocol,
@@ -40,7 +39,6 @@ from repro.core import (
 __version__ = "1.1.0"
 
 __all__ = [
-    "AgitatedSimulator",
     "Configuration",
     "ENGINES",
     "IndexedSimulator",

@@ -6,7 +6,8 @@ Two benchmark entry points:
   :data:`repro.core.simulator.ENGINES` on two fixed workloads (the
   Figure 2 Simple-Global-Line sweep and the Figure 1 Global-Star run)
   and emits ``BENCH_engines.json``.  Used by ``benchmarks/perf_smoke.py``
-  (which asserts the indexed engine's speedup) and ``repro-net bench``.
+  (which asserts the indexed engine's speedup over the sequential
+  engine) and ``repro-net bench``.
 * :func:`bench_runner` — runs one Figure-2-style
   :class:`~repro.analysis.runner.ExperimentSpec` through the serial and
   multiprocessing executors, verifies the per-trial records are
@@ -22,9 +23,10 @@ Two benchmark entry points:
 Both are driven by the declarative runner layer, so every timing is a
 plain :class:`~repro.analysis.runner.TrialRecord` aggregate.
 
-The sequential engine walks every scheduler step, so it only appears on
-the star workload with a finite step budget; the two event-driven
-engines run the full line sweep to convergence.
+The sequential engine walks every scheduler step, so it runs with a
+finite step budget, and on the line sweep only at the sizes in
+:data:`SEQUENTIAL_LINE_SIZES`; the event-driven engines run the full
+line sweep to convergence.
 """
 
 from __future__ import annotations
@@ -42,15 +44,20 @@ from repro.core.simulator import ENGINES
 
 #: Figure 2 line-protocol sweep sizes.  The seed repo's largest Figure 2
 #: population was n=30; the indexed engine extends the sweep upward
-#: (n=480 converges in under a second indexed vs ~15 s agitated).
+#: (n=480 converges in about a second).
 LINE_SIZES: tuple[int, ...] = (30, 60, 120, 240, 480)
 
-#: Global-Star size for the three-engine comparison (matches the
+#: Line sizes the sequential engine also runs (about 0.8 s per trial at
+#: n=60, and the step count grows like n^4).  The headline speedup is
+#: taken at the largest of them that the sweep includes.
+SEQUENTIAL_LINE_SIZES: tuple[int, ...] = (30, 60)
+
+#: Global-Star size for the all-engine comparison (matches the
 #: engine-ablation benchmark).
 STAR_N = 40
 
-#: Step budget for the sequential engine on the star workload.
-STAR_SEQUENTIAL_BUDGET = 10_000_000
+#: Step budget for every sequential-engine cell.
+SEQUENTIAL_BUDGET = 10_000_000
 
 #: Default Figure-2-style sweep for the executor benchmark: enough
 #: trials that the pool has work to fan out, sizes small enough that the
@@ -131,55 +138,62 @@ def bench_engines(
     """Run the full engine benchmark and return (optionally write) the
     record.
 
-    The headline number is ``speedup_indexed_vs_agitated`` — the
-    wall-clock ratio on the Figure 2 line workload at the largest swept
-    size.
+    The headline number is ``speedup_indexed_vs_sequential`` — the
+    wall-clock ratio on the Figure 2 line workload at the largest size
+    both engines ran (absent when the sweep shares no size with
+    :data:`SEQUENTIAL_LINE_SIZES`).
     """
     cells: list[BenchCell] = []
+
+    def budget(engine: str) -> int | None:
+        return SEQUENTIAL_BUDGET if engine == "sequential" else None
+
     # Engines are enumerated from the registry so a newly added engine is
-    # benchmarked by construction; the sequential engine walks every step
-    # and only joins the (budgeted) star workload.
-    event_driven = [name for name in ENGINES if name != "sequential"]
+    # benchmarked by construction.
     for n in line_sizes:
-        for engine in event_driven:
+        for engine in ENGINES:
+            if engine == "sequential" and n not in SEQUENTIAL_LINE_SIZES:
+                continue
             cells.append(
                 _time_engine(
                     "figure2-line", "simple-global-line", engine, n, trials,
-                    base_seed=base_seed,
+                    base_seed=base_seed, max_steps=budget(engine),
                 )
             )
     for engine in ENGINES:
-        budget = STAR_SEQUENTIAL_BUDGET if engine == "sequential" else None
         cells.append(
             _time_engine(
                 "figure1-star", "global-star", engine, star_n, trials,
-                base_seed=base_seed, max_steps=budget,
+                base_seed=base_seed, max_steps=budget(engine),
             )
         )
 
-    largest = max(line_sizes)
-    by_engine = {
-        cell.engine: cell
-        for cell in cells
-        if cell.workload == "figure2-line" and cell.n == largest
-    }
-    speedup = (
-        by_engine["agitated"].mean_seconds / by_engine["indexed"].mean_seconds
-    )
     record = {
         "schema": "repro-bench/1",
         "python": sys.version.split()[0],
         "platform": platform.platform(),
+        "cpu_count": os.cpu_count(),
         "trials": trials,
         "line_sizes": list(line_sizes),
         "star_n": star_n,
         "cells": [asdict(cell) for cell in cells],
-        "speedup_indexed_vs_agitated": {
-            "workload": "figure2-line",
-            "n": largest,
-            "speedup": speedup,
-        },
     }
+    shared = [
+        cell.n for cell in cells
+        if cell.workload == "figure2-line" and cell.engine == "sequential"
+    ]
+    if shared:
+        by_engine = {
+            cell.engine: cell
+            for cell in cells
+            if cell.workload == "figure2-line" and cell.n == max(shared)
+        }
+        record["speedup_indexed_vs_sequential"] = {
+            "workload": "figure2-line",
+            "n": max(shared),
+            "speedup": by_engine["sequential"].mean_seconds
+            / by_engine["indexed"].mean_seconds,
+        }
     if out is not None:
         with open(out, "w", encoding="utf-8") as handle:
             json.dump(record, handle, indent=2, sort_keys=False)
@@ -199,11 +213,12 @@ def format_bench(record: dict) -> str:
             f"{cell['mean_seconds']:>9.3f} {cell['mean_steps']:>14.0f} "
             f"{cell['mean_effective']:>11.0f}"
         )
-    headline = record["speedup_indexed_vs_agitated"]
-    lines.append(
-        f"\nindexed vs agitated @ {headline['workload']} "
-        f"n={headline['n']}: {headline['speedup']:.1f}x"
-    )
+    headline = record.get("speedup_indexed_vs_sequential")
+    if headline is not None:
+        lines.append(
+            f"\nindexed vs sequential @ {headline['workload']} "
+            f"n={headline['n']}: {headline['speedup']:.1f}x"
+        )
     return "\n".join(lines)
 
 

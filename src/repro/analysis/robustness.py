@@ -53,14 +53,9 @@ from repro.analysis.runner import (
     pool_map,
 )
 from repro.core.faults import compact_survivors, survivors
-from repro.core.scenario import (
-    DEFAULT_SCHEDULER,
-    Scenario,
-    make_scenario_engine,
-    resolve_engine,
-)
+from repro.core.scenario import DEFAULT_SCHEDULER, Scenario
 from repro.core.scheduler import SCHEDULERS
-from repro.core.simulator import ENGINES, make_engine
+from repro.core.simulator import ENGINES, _execute
 from repro.protocols import registry
 
 # ----------------------------------------------------------------------
@@ -352,29 +347,14 @@ def run_robustness_trial(
         faults=(trial.fault,) if trial.fault else (),
     )
     read = MEASURES[trial.measure]
-    if scenario.is_default:
-        engine = trial.engine
-        sim = make_engine(engine, seed=trial.seed)
-        config = None
-    else:
-        engine = resolve_engine(trial.engine, scenario, warn=False)
-        sim = make_scenario_engine(engine, trial.seed, scenario)
-        config = scenario.build_initial(protocol, trial.n)
     start = time.perf_counter()
-    result = sim.run(
-        protocol,
-        trial.n,
-        trial.max_steps,
-        config=config,
-        bus=bus,
-        check_interval=trial.check_interval,
-        require_convergence=False,
+    result = _execute(
+        protocol, trial.n, engine=trial.engine, seed=trial.seed,
+        max_steps=trial.max_steps, scenario=scenario,
+        check_interval=trial.check_interval, bus=bus, warn=False,
+        raise_on_budget=False,
     )
     elapsed = time.perf_counter() - start
-    if bus is not None:
-        from repro.core.simulator import run_summary
-
-        bus.run_finished(run_summary(result))
     alive = survivors(result.config)
     survived = result.converged and bool(
         protocol.target_reached(compact_survivors(result.config))

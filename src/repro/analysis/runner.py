@@ -50,13 +50,8 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.core.errors import ReproError
 from repro.core.protocol import Protocol
-from repro.core.scenario import (
-    DEFAULT_SCENARIO,
-    Scenario,
-    make_scenario_engine,
-    resolve_engine,
-)
-from repro.core.simulator import ENGINES, RunResult, make_engine
+from repro.core.scenario import DEFAULT_SCENARIO, Scenario, resolve_engine
+from repro.core.simulator import ENGINES, RunResult, _execute
 from repro.protocols import registry
 
 if TYPE_CHECKING:  # pragma: no cover - type-only (service sits above us)
@@ -393,30 +388,13 @@ def run_one(
     """
     EXECUTION_COUNTER.increment()
     read = MEASURES[measure]
-    if scenario is None or scenario.is_default:
-        sim = make_engine(engine, seed=seed)
-        config = None
-        require_convergence = max_steps is not None
-    else:
-        engine = resolve_engine(engine, scenario, warn=False)
-        sim = make_scenario_engine(engine, seed, scenario)
-        config = scenario.build_initial(protocol, n)
-        require_convergence = False
     start = time.perf_counter()
-    result = sim.run(
-        protocol,
-        n,
-        max_steps,
-        config=config,
-        bus=bus,
-        check_interval=check_interval,
-        require_convergence=require_convergence,
+    result = _execute(
+        protocol, n, engine=engine, seed=seed, max_steps=max_steps,
+        scenario=scenario, check_interval=check_interval, bus=bus,
+        warn=False,
     )
     elapsed = time.perf_counter() - start
-    if bus is not None:
-        from repro.core.simulator import run_summary
-
-        bus.run_finished(run_summary(result))
     return TrialRecord(
         n=n,
         trial=trial,

@@ -14,9 +14,9 @@ Two regimes, one engine
 
 * **Exact regime** (``n < leap_threshold``, or whenever the run needs
   per-node structure: traces, identity-based faults such as ``cut`` /
-  ``byzantine``, ``max_effective_steps`` budgets, or a stabilization
-  certificate that inspects graph geometry): the engine *is* the
-  state-indexed engine — :class:`CountSimulator` subclasses
+  ``byzantine``, or a stabilization certificate that inspects graph
+  geometry): the engine *is* the state-indexed engine —
+  :class:`CountSimulator` subclasses
   :class:`~repro.core.simulator.IndexedSimulator` and delegates, so the
   distribution (and the rng stream) is identical by construction.  This
   is the regime the KS/CI-band equivalence harness gates.
@@ -364,10 +364,8 @@ class CountSimulator(IndexedSimulator):
     # ------------------------------------------------------------------
     # Regime selection
     # ------------------------------------------------------------------
-    def _leap_eligible(self, n, stop, trace, max_effective_steps) -> bool:
-        if n < self.leap_threshold:
-            return False
-        if trace is not None or max_effective_steps is not None:
+    def _leap_eligible(self, n, trace) -> bool:
+        if n < self.leap_threshold or trace is not None:
             return False
         return all(isinstance(f, _LEAPABLE_FAULTS) for f in self.faults)
 
@@ -383,38 +381,25 @@ class CountSimulator(IndexedSimulator):
         bus: TraceBus | None = None,
         check_interval: int = 1,
         require_convergence: bool = False,
-        max_effective_steps: int | None = None,
         copy_config: bool = True,
     ) -> RunResult:
         # A trace (per-event storage) disqualifies leaping; a bus does
         # not — the leap regime streams sampled census frames instead,
         # so observability composes with tau-leaping.
-        if not self._leap_eligible(n, stop, trace, max_effective_steps):
-            return super().run(
+        result = None
+        if self._leap_eligible(n, trace):
+            # None when the stabilization certificate needs per-node
+            # structure the census cannot provide.
+            result = self._run_leap(
                 protocol,
                 n,
                 max_steps,
                 config=config,
                 stop=stop,
-                trace=trace,
                 bus=bus,
-                check_interval=check_interval,
                 require_convergence=require_convergence,
-                max_effective_steps=max_effective_steps,
-                copy_config=copy_config,
             )
-        result = self._run_leap(
-            protocol,
-            n,
-            max_steps,
-            config=config,
-            stop=stop,
-            bus=bus,
-            require_convergence=require_convergence,
-        )
         if result is None:
-            # The stabilization certificate needs per-node structure the
-            # census cannot provide: run the exact path instead.
             return super().run(
                 protocol,
                 n,
@@ -425,7 +410,6 @@ class CountSimulator(IndexedSimulator):
                 bus=bus,
                 check_interval=check_interval,
                 require_convergence=require_convergence,
-                max_effective_steps=max_effective_steps,
                 copy_config=copy_config,
             )
         return result

@@ -621,7 +621,7 @@ class ByzantineFaults(FaultModel):
     A byzantine node may behave arbitrarily, so the lie is modeled as an
     actual state change (a ``"corrupt"`` action): from the interaction
     semantics' point of view a node *is* what it claims to be.  This
-    keeps all three engines distributionally identical — no per-
+    keeps the exact engines distributionally identical — no per-
     interaction hot-path hooks — while exercising exactly the failure
     surface the FTNC 2019 model excludes.
 

@@ -28,8 +28,8 @@ and the incremental bookkeeping on :class:`~repro.core.configuration.Configurati
   are effective.  Maintenance after an interaction then costs the
   effective classes that touch the changed states (pairs with no
   effective class are skipped before any counting) plus the degree of
-  the changed nodes, instead of the O(n) per-node rescans of
-  :class:`~repro.core.simulator.AgitatedSimulator`.  Active edges of a
+  the changed nodes, instead of an O(n) rescan of every partner of
+  each changed node.  Active edges of a
   pair known to have no effective class (say the interior ``q2``–``q2``
   edges of a line) are not filed at all.
 

@@ -31,7 +31,7 @@ Every axis is canonicalized (and thereby validated) on construction:
 Engine routing
 --------------
 Engines declare what they can run via ``supports(scenario)``:
-the event-driven engines (``indexed``, ``agitated``) require the
+the event-driven engines (``indexed``, ``count``) require the
 uniform random scheduler (their geometric skips encode its law), while
 the ``sequential`` reference engine accepts every scenario but needs a
 finite step budget.  :func:`resolve_engine` applies that capability

@@ -94,8 +94,8 @@ def uniform_pairs(n: int, rng: random.Random) -> Iterator[tuple[int, int]]:
 class Scheduler:
     """Base class: a stream of unordered pairs ``(u, v)``, ``u != v``."""
 
-    #: True when the scheduler is the uniform random one (enables the
-    #: event-driven fast path of :class:`repro.core.simulator.AgitatedSimulator`).
+    #: True when the scheduler is the uniform random one, whose law the
+    #: geometric skips of the event-driven engines encode.
     uniform_random = False
 
     #: True when the scheduler reads the live configuration while

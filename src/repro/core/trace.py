@@ -10,7 +10,7 @@ Two layers live here:
 
 * :class:`TraceBus` — the streaming side: a per-run publish/subscribe
   bus every engine publishes to.  The exact engines (``sequential``,
-  ``agitated``, ``indexed``) publish one :class:`Event` per effective
+  ``indexed``) publish one :class:`Event` per effective
   interaction; the ``count`` engine's tau-leap regime publishes
   *sampled* :class:`CensusFrame` s instead (one census per applied
   leap batch, throttled), so observability composes with leaping

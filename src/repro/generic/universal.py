@@ -37,7 +37,7 @@ from repro.core.protocol import (
     State,
     deterministic,
 )
-from repro.core.simulator import AgitatedSimulator
+from repro.core.simulator import IndexedSimulator
 from repro.generic.linear_waste import COIN, AddressedEdgeOps
 from repro.generic.random_graphs import gnp
 from repro.protocols.registry import Param, RegistryError, register_protocol
@@ -153,7 +153,7 @@ class UniversalConstructor:
         steps = 0
         for i, j in combinations(range(ops.k), 2):
             ops.select(config, i, j, COIN)
-            sim = AgitatedSimulator(seed=rng.randrange(2**62))
+            sim = IndexedSimulator(seed=rng.randrange(2**62))
             result = sim.run(
                 ops,
                 config.n,

@@ -521,14 +521,8 @@ def check_engines(protocol, spec, settings):
     n = conformance_population(protocol, settings)
     targeted = _overrides_target(protocol)
     engines = sorted(ENGINES)
-    note = ""
-    if not _overrides_stabilized(protocol):
-        # The sequential engine walks every pick and has no
-        # effective-pair set, so it can only stop on a certificate —
-        # certificate-less (quiescence-only) protocols would burn the
-        # whole budget there without ever reporting convergence.
-        engines = [name for name in engines if name != "sequential"]
-        note = "; sequential skipped (no stabilization certificate)"
+    certified = _overrides_stabilized(protocol)
+    note = "" if certified else "; sequential stops on a quiescence scan"
     rotated = in_ks_rotation(spec, settings)
     if rotated:
         seeds = [
@@ -543,8 +537,16 @@ def check_engines(protocol, spec, settings):
         for seed in seeds:
             fresh = registry.instantiate(spec)
             sim = make_engine(engine, seed=seed)
+            # The sequential engine walks every pick and has no
+            # effective-pair set, so it can only stop on a certificate;
+            # a certificate-less (quiescence-only) protocol gets a
+            # brute-force scan in its place.
+            stop = None
+            if engine == "sequential" and not certified:
+                stop = _quiescence_scan(fresh)
             result = sim.run(
-                fresh, n, settings.budget, require_convergence=False
+                fresh, n, settings.budget, stop=stop,
+                require_convergence=False,
             )
             if not result.converged:
                 return _fail(
@@ -594,6 +596,21 @@ def check_engines(protocol, spec, settings):
             f"max D={worst:.3f} <= {threshold:.3f}"
         )
     return _ok(spec, "engines", f"n={n}, medians={medians}{note}")
+
+
+def _quiescence_scan(protocol):
+    """A stop predicate that holds when no pair of nodes is effective:
+    O(n^2) per call, affordable at conformance populations."""
+
+    def quiescent(config) -> bool:
+        for u in range(config.n):
+            su = config.state(u)
+            for v in range(u + 1, config.n):
+                if protocol.is_effective(su, config.state(v), config.edge_state(u, v)):
+                    return False
+        return True
+
+    return quiescent
 
 
 def _overrides_target(protocol) -> bool:

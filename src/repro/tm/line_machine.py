@@ -258,12 +258,12 @@ def run_machine_on_line(
 
     Returns ``(tm_result, run_result, protocol)``.
     """
-    from repro.core.simulator import AgitatedSimulator
+    from repro.core.simulator import IndexedSimulator
 
     if head_at is None:
         head_at = len(tape) - 1  # endpoint start -> deterministic layout
     protocol = LineMachineProtocol(machine, tape, head_at=head_at)
-    sim = AgitatedSimulator(seed=seed)
+    sim = IndexedSimulator(seed=seed)
     run = sim.run(
         protocol,
         len(tape),

@@ -12,7 +12,7 @@ from repro.core.scheduler import (
     RoundRobinScheduler,
     UniformRandomScheduler,
 )
-from repro.core.simulator import AgitatedSimulator, SequentialSimulator
+from repro.core.simulator import IndexedSimulator, SequentialSimulator
 
 # Hypothesis profiles: "ci" pins the example stream (derandomized, no
 # wall-clock deadline) so CI failures reproduce exactly and shared
@@ -30,7 +30,7 @@ settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 def converge(protocol, n, seed=0, max_steps=None, check_interval=1):
     """Run the event-driven engine to stabilization and return the result."""
-    sim = AgitatedSimulator(seed=seed)
+    sim = IndexedSimulator(seed=seed)
     return sim.run(
         protocol,
         n,

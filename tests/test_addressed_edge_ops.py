@@ -5,13 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.core.errors import SimulationError
-from repro.core.simulator import AgitatedSimulator
+from repro.core.simulator import IndexedSimulator
 from repro.generic import ACTIVATE, COIN, DEACTIVATE, AddressedEdgeOps
 
 
 def run_op(ops, config, i, j, op, seed=0):
     ops.select(config, i, j, op)
-    sim = AgitatedSimulator(seed=seed)
+    sim = IndexedSimulator(seed=seed)
     result = sim.run(ops, config.n, None, config=config, copy_config=False)
     assert result.converged
     ops.clear_acks(config)

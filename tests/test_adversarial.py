@@ -225,7 +225,7 @@ class TestTargetedScheduler:
 
     def test_event_engines_decline_and_route_to_sequential(self):
         scenario = Scenario(scheduler="targeted:aim=leader")
-        for engine in ("indexed", "agitated"):
+        for engine in ("indexed", "count"):
             assert not ENGINES[engine].supports(scenario)
             assert resolve_engine(engine, scenario, warn=False) == "sequential"
         with pytest.raises(SimulationError, match="does not support"):

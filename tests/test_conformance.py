@@ -16,7 +16,7 @@ import pytest
 
 from repro.analysis.runner import ExperimentSpec, Runner
 from repro.core.protocol import Outcome, Protocol, deterministic
-from repro.core.simulator import run_to_convergence
+from repro.core.simulator import ENGINES, run_to_convergence
 from repro.protocols import registry
 from repro.testing import (
     CHECKS,
@@ -316,9 +316,9 @@ class TestScenarioMatrix:
             registry.instantiate("global-star"), "global-star", settings
         )
         assert outcome.passed, outcome.detail
-        # The faultless uniform cell admits all four engines; targeted
-        # scheduling is sequential-only.
-        assert "(scheduler=uniform) x 4 engines" in outcome.detail
+        # The faultless uniform cell admits every registered engine;
+        # targeted scheduling is sequential-only.
+        assert f"(scheduler=uniform) x {len(ENGINES)} engines" in outcome.detail
         assert "targeted" in outcome.detail and "x 1 engines" in outcome.detail
 
     def test_small_population_skips(self):

@@ -1,17 +1,24 @@
-"""Golden seeded results of the indexed engine.
+"""Golden seeded results of the exact engines.
 
-Every registered protocol runs at its conformance population under each
-fault setting of :data:`FAULT_SETTINGS`, for each seed in :data:`SEEDS`,
-with a 200 000-step budget.  The run's counters, its stop reason and a
+Every registered protocol runs at its conformance population, for each
+seed in :data:`SEEDS`, on each engine of :data:`BUDGETS`.  The indexed
+engine runs each fault setting of :data:`FAULT_SETTINGS` under the
+uniform scheduler.  The sequential engine runs the same settings plus
+each scheduler of :data:`SCHEDULERS` under each setting of
+:data:`SCHEDULER_FAULTS`.  The run's counters, its stop reason and a
 sha256 of the canonical final configuration must equal the values in
-``tests/data/golden_indexed.json``.  The fixture pins the engine's
-seeded law: the order of its random draws, the insertion order of
-``PairClassIndex.weights`` (which ``sample_class`` walks), the swap-remove
-order of the node and edge buckets, and the order in which lazily interned
-protocols assign state ids.  A change that only makes the engine faster
-must leave every cell unchanged.
+``tests/data/golden_<engine>.json``.
 
-Regenerate the fixture only for a change that is meant to alter the
+The fixtures pin each engine's seeded law.  For the indexed engine that
+is the order of its random draws, the insertion order of
+``PairClassIndex.weights`` (which ``sample_class`` walks), the
+swap-remove order of the node and edge buckets, and the order in which
+lazily interned protocols assign state ids.  For the sequential engine
+it is the scheduler's pair stream, when it binds and rebinds, and the
+draws of :func:`~repro.core.simulator.apply_interaction`.  A change that
+only makes an engine faster or smaller must leave every cell unchanged.
+
+Regenerate the fixtures only for a change that is meant to alter the
 seeded law, and say so in the change::
 
     PYTHONPATH=src python tests/test_golden_seeded.py --write
@@ -28,18 +35,18 @@ import pytest
 
 from repro.core.configuration import Configuration
 from repro.core.errors import SimulationError
-from repro.core.scenario import Scenario
-from repro.core.simulator import IndexedSimulator
+from repro.core.scenario import DEFAULT_SCHEDULER, Scenario, make_scenario_engine
 from repro.protocols import registry
 from repro.testing import conformance_population, conformance_specs
 
-FIXTURE = Path(__file__).with_name("data") / "golden_indexed.json"
+DATA = Path(__file__).with_name("data")
 
-#: Seeds per cell (one keeps the registry-wide grid to about 10 s in tier-1).
+#: Seeds per cell (one keeps the registry-wide grids to about 20 s in tier-1).
 SEEDS = (1,)
 
-#: Step budget per run.
-BUDGET = 200_000
+#: Step budget per run, by engine.  The sequential engine walks every
+#: step, so it gets a smaller budget.
+BUDGETS = {"indexed": 200_000, "sequential": 20_000}
 
 #: Fault settings by label; each is a tuple of fault specs.
 FAULT_SETTINGS: dict[str, tuple[str, ...]] = {
@@ -53,6 +60,21 @@ FAULT_SETTINGS: dict[str, tuple[str, ...]] = {
     "edge-rate": ("edge-rate:rate=0.0001",),
 }
 
+#: Non-uniform schedulers; only the sequential engine drives them.
+SCHEDULERS = (
+    "round-robin",
+    "laggard:bias=0.8,lagged=0..1",
+    "targeted:aim=leader",
+    "targeted:aim=bridge",
+)
+
+#: Fault settings each of :data:`SCHEDULERS` runs under.
+SCHEDULER_FAULTS = ("none", "crash")
+
+
+def fixture_path(engine: str) -> Path:
+    return DATA / f"golden_{engine}.json"
+
 
 def config_digest(config: Configuration) -> str:
     """sha256 of the states (by ``repr``, in node order) and the sorted
@@ -64,17 +86,20 @@ def config_digest(config: Configuration) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def golden_cell(spec: str, setting: str, seed: int) -> dict:
+def golden_cell(
+    engine: str, spec: str, scheduler: str, setting: str, seed: int
+) -> dict:
     """One seeded run, reduced to the values the fixture stores.  A run
     the engine refuses (population events on a protocol without an
     ``initial_state``) stores the exception class instead."""
     protocol = registry.instantiate(spec)
     n = conformance_population(protocol)
-    scenario = Scenario(faults=FAULT_SETTINGS[setting])
-    sim = IndexedSimulator(seed=seed, faults=scenario.make_faults())
+    scenario = Scenario(scheduler=scheduler, faults=FAULT_SETTINGS[setting])
+    sim = make_scenario_engine(engine, seed, scenario)
     try:
         result = sim.run(
-            protocol, n, BUDGET, config=scenario.build_initial(protocol, n)
+            protocol, n, BUDGETS[engine],
+            config=scenario.build_initial(protocol, n),
         )
     except SimulationError as exc:
         return {"n": n, "refused": type(exc).__name__}
@@ -89,45 +114,62 @@ def golden_cell(spec: str, setting: str, seed: int) -> dict:
     }
 
 
-def cells(spec: str) -> dict[str, tuple[str, str, int]]:
-    """Fixture key -> (spec, fault setting, seed) for one protocol."""
-    return {
-        f"{spec} | {setting} | seed={seed}": (spec, setting, seed)
-        for setting in FAULT_SETTINGS
-        for seed in SEEDS
-    }
+def cells(engine: str, spec: str) -> dict[str, tuple[str, str, str, str, int]]:
+    """Fixture key -> (engine, spec, scheduler, fault setting, seed) for
+    one protocol on one engine.  The key names the scheduler only when
+    it is not the uniform one."""
+    grid = [(DEFAULT_SCHEDULER, setting) for setting in FAULT_SETTINGS]
+    if engine == "sequential":
+        grid += [(s, f) for s in SCHEDULERS for f in SCHEDULER_FAULTS]
+    out = {}
+    for scheduler, setting in grid:
+        label = setting if scheduler == DEFAULT_SCHEDULER else f"{scheduler} | {setting}"
+        for seed in SEEDS:
+            out[f"{spec} | {label} | seed={seed}"] = (
+                engine, spec, scheduler, setting, seed,
+            )
+    return out
 
 
 @pytest.fixture(scope="module")
 def golden() -> dict:
-    return json.loads(FIXTURE.read_text(encoding="utf-8"))
+    return {
+        engine: json.loads(fixture_path(engine).read_text(encoding="utf-8"))
+        for engine in BUDGETS
+    }
 
 
 def test_fixture_covers_the_registry(golden):
-    expected = {key for spec in conformance_specs() for key in cells(spec)}
-    assert set(golden) == expected
+    for engine in BUDGETS:
+        expected = {key for spec in conformance_specs() for key in cells(engine, spec)}
+        assert set(golden[engine]) == expected, engine
 
 
 @pytest.mark.parametrize("spec", conformance_specs())
 def test_seeded_results_unchanged(golden, spec):
     mismatches = {}
-    for key, cell in cells(spec).items():
-        got = golden_cell(*cell)
-        if got != golden[key]:
-            mismatches[key] = {"golden": golden[key], "got": got}
+    for engine in BUDGETS:
+        for key, cell in cells(engine, spec).items():
+            got = golden_cell(*cell)
+            if got != golden[engine][key]:
+                mismatches[f"{engine}: {key}"] = {
+                    "golden": golden[engine][key], "got": got,
+                }
     assert not mismatches, json.dumps(mismatches, indent=1)
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: python tests/test_golden_seeded.py --write")
-    record = {
-        key: golden_cell(*cell)
-        for spec in conformance_specs()
-        for key, cell in cells(spec).items()
-    }
-    FIXTURE.parent.mkdir(exist_ok=True)
-    FIXTURE.write_text(
-        json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    print(f"wrote {FIXTURE}")
+    for engine in BUDGETS:
+        record = {
+            key: golden_cell(*cell)
+            for spec in conformance_specs()
+            for key, cell in cells(engine, spec).items()
+        }
+        path = fixture_path(engine)
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(
+            json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8"
+        )
+        print(f"wrote {path}")

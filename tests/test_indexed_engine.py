@@ -3,8 +3,8 @@
 Covers the :mod:`repro.core.indexing` data structures, the compiled
 protocol layer (:meth:`repro.core.protocol.Protocol.compile`), and —
 most importantly — the **distributional equivalence** of
-:class:`IndexedSimulator` with the sequential and agitated engines under
-the uniform random scheduler, across the three protocol flavours: an
+:class:`IndexedSimulator` with the sequential engine under the uniform
+random scheduler, across the three protocol flavours: an
 explicit rule table, a PREL coin-flip protocol, and a structured-state
 constructor with a code-defined ``delta``.
 """
@@ -30,7 +30,6 @@ from repro.core.protocol import (
 )
 from repro.core.simulator import (
     ENGINES,
-    AgitatedSimulator,
     IndexedSimulator,
     SequentialSimulator,
     make_engine,
@@ -354,7 +353,7 @@ class TestCompiledProtocol:
 
 class TestIndexedEngineBasics:
     def test_registry_and_factory(self):
-        assert set(ENGINES) == {"sequential", "agitated", "indexed", "count"}
+        assert set(ENGINES) == {"sequential", "indexed", "count"}
         assert isinstance(make_engine("indexed", seed=1), IndexedSimulator)
         with pytest.raises(SimulationError):
             make_engine("warp-drive")
@@ -401,12 +400,6 @@ class TestIndexedEngineBasics:
             IndexedSimulator(seed=0).run(
                 GlobalStar(), 40, max_steps=10, require_convergence=True
             )
-
-    def test_max_effective_budget(self):
-        result = IndexedSimulator(seed=0).run(
-            GlobalStar(), 40, None, max_effective_steps=3
-        )
-        assert result.effective_steps <= 3
 
     def test_seed_reproducibility(self):
         r1 = IndexedSimulator(seed=11).run(GlobalStar(), 20, None)
@@ -456,10 +449,6 @@ class TestDistributionalEquivalence:
             IndexedSimulator(seed=s).run(OneWayEpidemic(), n, None).last_change_step
             for s in range(trials)
         ]
-        agit_times = [
-            AgitatedSimulator(seed=s).run(OneWayEpidemic(), n, None).last_change_step
-            for s in range(trials)
-        ]
         seq_times = [
             SequentialSimulator(seed=s)
             .run(OneWayEpidemic(), n, max_steps=100_000)
@@ -467,10 +456,9 @@ class TestDistributionalEquivalence:
             for s in range(trials)
         ]
         idx_mean, _ = _mean_ci(idx_times)
+        seq_mean, _ = _mean_ci(seq_times)
         assert abs(idx_mean - exact) / exact < 0.1
-        for other in (agit_times, seq_times):
-            mean, _ = _mean_ci(other)
-            assert abs(idx_mean - mean) / exact < 0.15
+        assert abs(idx_mean - seq_mean) / exact < 0.15
 
     def test_table_protocol_ks_against_sequential(self):
         from scipy.stats import ks_2samp
@@ -497,22 +485,21 @@ class TestDistributionalEquivalence:
             IndexedSimulator(seed=s).run(LazyEpidemic(), n, None).last_change_step
             for s in range(trials)
         ]
-        agit_times = [
-            AgitatedSimulator(seed=s).run(LazyEpidemic(), n, None).last_change_step
+        seq_times = [
+            SequentialSimulator(seed=s)
+            .run(LazyEpidemic(), n, max_steps=100_000)
+            .last_change_step
             for s in range(trials)
         ]
         idx_mean, _ = _mean_ci(idx_times)
-        agit_mean, _ = _mean_ci(agit_times)
+        seq_mean, _ = _mean_ci(seq_times)
         assert abs(idx_mean - exact) / exact < 0.1
-        assert abs(idx_mean - agit_mean) / exact < 0.15
+        assert abs(idx_mean - seq_mean) / exact < 0.15
 
     def test_structured_state_generic_constructor(self):
         n, trials = 10, 300
         engines = {
             "indexed": lambda s: IndexedSimulator(seed=s).run(
-                TokenCollector(), n, None
-            ),
-            "agitated": lambda s: AgitatedSimulator(seed=s).run(
                 TokenCollector(), n, None
             ),
             "sequential": lambda s: SequentialSimulator(seed=s).run(
@@ -530,28 +517,29 @@ class TestDistributionalEquivalence:
                 times.append(result.last_change_step)
             means[name] = _mean_ci(times)
         idx_mean, _ = means["indexed"]
-        for name in ("agitated", "sequential"):
-            mean, _ = means[name]
-            assert abs(idx_mean - mean) / idx_mean < 0.15, (name, means)
+        seq_mean, _ = means["sequential"]
+        assert abs(idx_mean - seq_mean) / idx_mean < 0.15, means
 
     def test_line_protocol_same_stable_outputs(self):
         for seed in range(5):
             idx = IndexedSimulator(seed=seed).run(SimpleGlobalLine(), 9, None)
-            agit = AgitatedSimulator(seed=seed).run(SimpleGlobalLine(), 9, None)
-            assert idx.converged and agit.converged
+            seq = SequentialSimulator(seed=seed).run(
+                SimpleGlobalLine(), 9, max_steps=10_000_000
+            )
+            assert idx.converged and seq.converged
             assert SimpleGlobalLine().target_reached(idx.config)
-            assert SimpleGlobalLine().target_reached(agit.config)
+            assert SimpleGlobalLine().target_reached(seq.config)
 
     def test_addressed_edge_ops_structured_protocol(self):
         """The Figure 6 machinery (tuple states, code-defined delta,
         driver-installed selection marks) runs identically on the indexed
-        engine."""
-        for engine in ("indexed", "agitated"):
+        engine, as on the reference engine."""
+        for engine, budget in (("indexed", None), ("sequential", 1_000_000)):
             ops = AddressedEdgeOps(3)
             config = ops.initial_configuration(6)
             ops.select(config, 0, 2, ACTIVATE)
             result = make_engine(engine, seed=4).run(
-                ops, config.n, None, config=config, copy_config=False
+                ops, config.n, budget, config=config, copy_config=False
             )
             assert result.converged
             assert config.edge_state(ops.d_agent(0), ops.d_agent(2)) == 1
@@ -571,7 +559,7 @@ def _scenario_times(engine, protocol_factory, n, scenario, budget, seeds):
 
 class TestFaultedDistributionalEquivalence:
     """The under-fault companion of :class:`TestDistributionalEquivalence`
-    (closes the ROADMAP open item): all three engines must sample the
+    (closes the ROADMAP open item): both exact engines must sample the
     same re-stabilization-time law when the scenario injects faults —
     crash-stop with notifications, sustained edge deletion, and
     population arrivals.  The fault stream is derived from the trial
@@ -587,10 +575,6 @@ class TestFaultedDistributionalEquivalence:
             "indexed", protocol_factory, n, scenario, budget,
             range(self.TRIALS),
         )
-        agit = _scenario_times(
-            "agitated", protocol_factory, n, scenario, budget,
-            range(10_000, 10_000 + self.TRIALS),
-        )
         seq = _scenario_times(
             "sequential", protocol_factory, n, scenario, budget,
             range(20_000, 20_000 + self.TRIALS),
@@ -599,13 +583,12 @@ class TestFaultedDistributionalEquivalence:
         # fault can dominate a run), so the location check bands the
         # median; the KS test compares the full law.
         idx_median = statistics.median(idx)
-        for name, times in (("agitated", agit), ("sequential", seq)):
-            median = statistics.median(times)
-            assert abs(idx_median - median) / idx_median < 0.3, (
-                name, idx_median, median,
-            )
-            statistic, p_value = ks_2samp(idx, times)
-            assert p_value > 0.001, (name, statistic, p_value)
+        seq_median = statistics.median(seq)
+        assert abs(idx_median - seq_median) / idx_median < 0.3, (
+            idx_median, seq_median,
+        )
+        statistic, p_value = ks_2samp(idx, seq)
+        assert p_value > 0.001, (statistic, p_value)
 
     def test_crash_with_notifications(self):
         from repro.core.scenario import Scenario
@@ -629,9 +612,9 @@ class TestFaultedDistributionalEquivalence:
     def test_arrivals(self):
         from repro.core.scenario import Scenario
 
-        # Population growth mid-run: the indexed census gains nodes, the
-        # agitated engine rescans, the sequential engine re-binds its
-        # pair stream — all three must agree in law.
+        # Population growth mid-run: the indexed census gains nodes and
+        # the sequential engine re-binds its pair stream — both must
+        # agree in law.
         self._check(
             SimpleGlobalLine, 6,
             Scenario(faults=("arrive:count=3,at=100",)), 500_000,

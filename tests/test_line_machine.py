@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import SimulationError
-from repro.core.simulator import AgitatedSimulator
+from repro.core.simulator import IndexedSimulator
 from repro.tm import (
     BLANK,
     LineMachineProtocol,
@@ -73,7 +73,7 @@ class TestMarkInvariant:
         machine = zigzag_nonempty_machine()
         tape = list("00100") + [BLANK]
         protocol = LineMachineProtocol(machine, tape, head_at=len(tape) - 1)
-        sim = AgitatedSimulator(seed=3)
+        sim = IndexedSimulator(seed=3)
         from repro.core.trace import Trace
 
         snaps = Trace(snapshot_predicate=lambda step, cfg: True)

@@ -11,7 +11,7 @@ import networkx as nx
 import pytest
 
 from repro.core.graphs import is_spanning_line, line_components
-from repro.core.simulator import AgitatedSimulator
+from repro.core.simulator import IndexedSimulator
 from repro.core.trace import Trace
 from repro.protocols import (
     FastGlobalLine,
@@ -92,7 +92,7 @@ class TestSimpleGlobalLineInvariant:
 
     def test_invariant_holds_along_execution(self):
         protocol = SimpleGlobalLine()
-        sim = AgitatedSimulator(seed=5)
+        sim = IndexedSimulator(seed=5)
         snapshots = Trace(snapshot_predicate=lambda step, cfg: True)
         result = sim.run(protocol, 12, None, trace=snapshots)
         assert result.converged
@@ -112,7 +112,7 @@ class TestFastGlobalLineMechanics:
         """Once asleep (f1 leader) a line never grows: f1 only appears
         adjacent to a line that is being consumed."""
         protocol = FastGlobalLine()
-        sim = AgitatedSimulator(seed=9)
+        sim = IndexedSimulator(seed=9)
         snaps = Trace(snapshot_predicate=lambda step, cfg: True)
         result = sim.run(protocol, 14, None, trace=snaps)
         assert result.converged
@@ -133,7 +133,7 @@ class TestFastGlobalLineMechanics:
         interaction ever joins two multi-node lines into one."""
         protocol = FastGlobalLine()
         trace = Trace()
-        sim = AgitatedSimulator(seed=3)
+        sim = IndexedSimulator(seed=3)
         result = sim.run(protocol, 12, None, trace=trace)
         assert result.converged
         for event in trace.activations():
@@ -152,7 +152,7 @@ class TestFasterGlobalLineMechanics:
         releasing q nodes, which get re-collected."""
         protocol = FasterGlobalLine()
         trace = Trace()
-        result = AgitatedSimulator(seed=13).run(protocol, 14, None, trace=trace)
+        result = IndexedSimulator(seed=13).run(protocol, 14, None, trace=trace)
         assert result.converged
         deactivations = trace.deactivations()
         # any contested run dissolves at least one edge

@@ -25,7 +25,7 @@ from repro.core.scenario import Scenario
 from repro.core.simulator import run_to_convergence
 from repro.protocols import FTGlobalLine, GlobalStar, SimpleGlobalLine
 
-ENGINES = ("indexed", "agitated", "sequential")
+ENGINES = ("indexed", "sequential")
 
 
 def _run(protocol, n, seed, engine, scenario, max_steps=5_000_000):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.core.configuration import Configuration
 from repro.core.protocol import TableProtocol
-from repro.core.simulator import AgitatedSimulator, apply_interaction
+from repro.core.simulator import IndexedSimulator, apply_interaction
 
 STATES = ["s0", "s1", "s2"]
 
@@ -63,7 +63,7 @@ class TestEngineSoundness:
     @given(rules=rule_tables(), seed=st.integers(0, 2**31), n=st.integers(3, 7))
     def test_quiescence_means_no_effective_pair(self, rules, seed, n):
         protocol = TableProtocol("rand", "s0", rules)
-        sim = AgitatedSimulator(seed=seed)
+        sim = IndexedSimulator(seed=seed)
         result = sim.run(protocol, n, max_steps=5000)
         if result.stop_reason == "quiescent":
             assert not brute_force_effective_pairs(protocol, result.config)
@@ -72,7 +72,7 @@ class TestEngineSoundness:
     @given(rules=rule_tables(), seed=st.integers(0, 2**31), n=st.integers(3, 6))
     def test_steps_accounting(self, rules, seed, n):
         protocol = TableProtocol("rand", "s0", rules)
-        result = AgitatedSimulator(seed=seed).run(protocol, n, max_steps=3000)
+        result = IndexedSimulator(seed=seed).run(protocol, n, max_steps=3000)
         assert result.effective_steps <= result.steps
         assert result.last_output_change_step <= result.last_change_step
         assert result.last_change_step <= result.steps
@@ -83,7 +83,7 @@ class TestEngineSoundness:
         """Every state present at the end must be reachable: either the
         initial state or the output of some rule."""
         protocol = TableProtocol("rand", "s0", rules)
-        result = AgitatedSimulator(seed=seed).run(protocol, 5, max_steps=2000)
+        result = IndexedSimulator(seed=seed).run(protocol, 5, max_steps=2000)
         producible = {"s0"}
         for dist in protocol.rules().values():
             for _, out in dist:

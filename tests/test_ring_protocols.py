@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from repro.core.configuration import Configuration
 from repro.core.graphs import is_spanning_ring
-from repro.core.simulator import AgitatedSimulator
+from repro.core.simulator import IndexedSimulator
 from repro.protocols import GlobalRing, TwoRegularConnected
 from tests.conftest import converge, converge_sequential, fair_schedulers
 
@@ -45,7 +45,7 @@ class TestGlobalRing:
         config = Configuration(
             ["lp", "q2p", "q2", "q0"], [(0, 1), (1, 2), (2, 0)]
         )
-        result = AgitatedSimulator(seed=1).run(
+        result = IndexedSimulator(seed=1).run(
             protocol, 4, None, config=config
         )
         assert result.converged
@@ -99,7 +99,7 @@ class TestTwoRegularConnected:
             ["l2", "q2", "q2", "q0", "q0"], [(0, 1), (1, 2), (2, 0)]
         )
         protocol = TwoRegularConnected()
-        result = AgitatedSimulator(seed=2).run(protocol, 5, None, config=config)
+        result = IndexedSimulator(seed=2).run(protocol, 5, None, config=config)
         assert result.converged
         assert is_spanning_ring(result.config.output_graph())
 

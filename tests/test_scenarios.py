@@ -264,7 +264,7 @@ class TestEngineRouting:
     def test_non_uniform_scheduler_routes_to_sequential(self):
         scenario = Scenario(scheduler="round-robin")
         assert resolve_engine("indexed", scenario, warn=False) == "sequential"
-        assert resolve_engine("agitated", scenario, warn=False) == "sequential"
+        assert resolve_engine("count", scenario, warn=False) == "sequential"
         assert resolve_engine("sequential", scenario, warn=False) == "sequential"
 
     def test_faults_stay_on_event_driven_engines(self):
@@ -363,7 +363,7 @@ class TestCrashFaults:
     """Satellite: a crash-fault run on Simple-Global-Line — the
     surviving population restabilizes to a spanning line."""
 
-    @pytest.mark.parametrize("engine", ["indexed", "agitated", "sequential"])
+    @pytest.mark.parametrize("engine", ["indexed", "sequential"])
     def test_survivors_restabilize_to_line(self, engine):
         scenario = Scenario(faults=("crash:count=2,at=0",))
         kwargs = {"max_steps": 5_000_000} if engine == "sequential" else {}
@@ -409,7 +409,7 @@ class TestCrashFaults:
         record = run_trial(trial)
         assert record.converged
 
-    @pytest.mark.parametrize("engine", ["indexed", "agitated", "sequential"])
+    @pytest.mark.parametrize("engine", ["indexed", "sequential"])
     def test_crashing_almost_everyone_terminates(self, engine):
         # Regression: with < 2 survivors no alive pair exists; the
         # sequential engine must detect that before its dead-pair
@@ -423,7 +423,7 @@ class TestCrashFaults:
         assert result.converged
         assert len(survivors(result.config)) == 1
 
-    @pytest.mark.parametrize("engine", ["indexed", "agitated", "sequential"])
+    @pytest.mark.parametrize("engine", ["indexed", "sequential"])
     def test_noop_fault_past_horizon_still_stabilizes(self, engine):
         # Regression: a cut of an inactive edge fires after the run has
         # stabilized; the horizon-gated certificate must be re-checked
@@ -479,7 +479,7 @@ class TestInitThroughEngines:
         # "uniform:state=q0" rebuilds the protocol default, so the run
         # must be step-identical to the unscenarioed one on every engine.
         scenario = Scenario(init="uniform:state=q0")
-        for engine in ("indexed", "agitated"):
+        for engine in ("indexed", "count"):
             default = run_to_convergence(
                 SimpleGlobalLine(), 10, seed=9, engine=engine
             )

@@ -24,7 +24,7 @@ from repro.core.serialization import (
     trace_from_dict,
     trace_to_dict,
 )
-from repro.core.simulator import AgitatedSimulator
+from repro.core.simulator import IndexedSimulator
 from repro.core.trace import Event, Trace
 from repro.protocols import GlobalStar
 
@@ -71,7 +71,7 @@ class TestConfigurationRoundtrip:
             configuration_from_dict({"version": 99, "states": [], "edges": []})
 
     def test_real_protocol_final_configuration(self):
-        result = AgitatedSimulator(seed=0).run(GlobalStar(), 10, None)
+        result = IndexedSimulator(seed=0).run(GlobalStar(), 10, None)
         clone = configuration_from_dict(
             configuration_to_dict(result.config)
         )
@@ -100,7 +100,7 @@ class TestTraceRoundtrip:
 
 class TestRunResult:
     def test_summary_is_json_safe(self):
-        result = AgitatedSimulator(seed=1).run(GlobalStar(), 8, None)
+        result = IndexedSimulator(seed=1).run(GlobalStar(), 8, None)
         payload = run_result_to_dict(result)
         text = json.dumps(payload)
         parsed = json.loads(text)

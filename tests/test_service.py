@@ -81,7 +81,7 @@ class TestKeys:
             replace(TRIAL, n=11),
             replace(TRIAL, trial=3),
             replace(TRIAL, seed=78),
-            replace(TRIAL, engine="agitated"),
+            replace(TRIAL, engine="count"),
             replace(TRIAL, measure="quiescence"),
             replace(TRIAL, max_steps=10_000),
             replace(TRIAL, scenario=Scenario(scheduler="round-robin")),

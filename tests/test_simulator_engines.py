@@ -1,6 +1,6 @@
-"""Tests for the two simulation engines, including their equivalence.
+"""Tests for the two exact simulation engines, including their equivalence.
 
-The event-driven engine's geometric skip must be *distributionally
+The indexed engine's geometric skip must be *distributionally
 identical* to the sequential engine under the uniform random scheduler —
 verified here on processes whose expected times are known exactly.
 """
@@ -15,10 +15,9 @@ from repro.core.configuration import Configuration
 from repro.core.errors import ConvergenceError, SimulationError
 from repro.core.protocol import TableProtocol
 from repro.core.simulator import (
-    AgitatedSimulator,
+    IndexedSimulator,
     SequentialSimulator,
     apply_interaction,
-    run_to_convergence,
 )
 from repro.core.trace import Trace
 from repro.processes import (
@@ -98,43 +97,6 @@ class TestSequentialEngine:
         assert trace.activations()  # the star activated edges
 
 
-class TestAgitatedEngine:
-    def test_quiescence_detection(self):
-        protocol = TableProtocol("t", "a", {("a", "a", 0): ("b", "b", 1)})
-        result = AgitatedSimulator(seed=0).run(protocol, 4, None)
-        assert result.converged
-        assert result.stop_reason in ("quiescent", "stabilized")
-
-    def test_steps_dominate_effective_steps(self):
-        result = run_to_convergence(GlobalStar(), 16, seed=2)
-        assert result.steps >= result.effective_steps
-
-    def test_max_steps_budget(self):
-        result = AgitatedSimulator(seed=0).run(GlobalStar(), 40, max_steps=10)
-        assert not result.converged
-        assert result.steps == 10
-
-    def test_max_effective_budget(self):
-        result = AgitatedSimulator(seed=0).run(
-            GlobalStar(), 40, None, max_effective_steps=3
-        )
-        assert result.effective_steps <= 3
-
-    def test_in_place_configuration(self):
-        protocol = TableProtocol("t", "a", {("a", "a", 0): ("b", "b", 1)})
-        config = protocol.initial_configuration(4)
-        AgitatedSimulator(seed=0).run(
-            protocol, 4, None, config=config, copy_config=False
-        )
-        assert config.state_counts().get("b", 0) == 4
-
-    def test_seed_reproducibility(self):
-        r1 = run_to_convergence(GlobalStar(), 20, seed=11)
-        r2 = run_to_convergence(GlobalStar(), 20, seed=11)
-        assert r1.steps == r2.steps
-        assert r1.config == r2.config
-
-
 class TestEngineEquivalence:
     """Both engines must sample the same convergence-time distribution."""
 
@@ -147,26 +109,26 @@ class TestEngineEquivalence:
             sim = SequentialSimulator(seed=seed)
             result = sim.run(OneWayEpidemic(), n, max_steps=100_000)
             seq_times.append(result.last_change_step)
-        agit_times = []
+        idx_times = []
         for seed in range(trials):
-            result = AgitatedSimulator(seed=seed).run(OneWayEpidemic(), n, None)
-            agit_times.append(result.last_change_step)
+            result = IndexedSimulator(seed=seed).run(OneWayEpidemic(), n, None)
+            idx_times.append(result.last_change_step)
 
         seq_mean = statistics.fmean(seq_times)
-        agit_mean = statistics.fmean(agit_times)
+        idx_mean = statistics.fmean(idx_times)
         assert abs(seq_mean - exact) / exact < 0.15
-        assert abs(agit_mean - exact) / exact < 0.15
-        assert abs(seq_mean - agit_mean) / exact < 0.2
+        assert abs(idx_mean - exact) / exact < 0.15
+        assert abs(seq_mean - idx_mean) / exact < 0.2
 
     def test_same_stable_outputs(self):
         for seed in range(5):
             seq = SequentialSimulator(seed=seed).run(
                 GlobalStar(), 9, max_steps=10_000_000
             )
-            agit = AgitatedSimulator(seed=seed).run(GlobalStar(), 9, None)
-            assert seq.converged and agit.converged
+            idx = IndexedSimulator(seed=seed).run(GlobalStar(), 9, None)
+            assert seq.converged and idx.converged
             assert GlobalStar().target_reached(seq.config)
-            assert GlobalStar().target_reached(agit.config)
+            assert GlobalStar().target_reached(idx.config)
 
     def test_step_count_distributions_ks(self):
         """Two-sample Kolmogorov-Smirnov: the full convergence-time
@@ -181,11 +143,11 @@ class TestEngineEquivalence:
             ).last_change_step
             for s in range(trials)
         ]
-        agit_times = [
-            AgitatedSimulator(seed=10_000 + s)
+        idx_times = [
+            IndexedSimulator(seed=10_000 + s)
             .run(OneWayEpidemic(), n, None)
             .last_change_step
             for s in range(trials)
         ]
-        statistic, p_value = ks_2samp(seq_times, agit_times)
+        statistic, p_value = ks_2samp(seq_times, idx_times)
         assert p_value > 0.001, (statistic, p_value)

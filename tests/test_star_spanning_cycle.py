@@ -4,7 +4,7 @@
 from __future__ import annotations
 
 from repro.core.graphs import is_cycle_cover, is_spanning_network, is_spanning_star
-from repro.core.simulator import AgitatedSimulator
+from repro.core.simulator import IndexedSimulator
 from repro.core.trace import Trace
 from repro.protocols import CycleCover, GlobalStar, SpanningNetwork
 from tests.conftest import converge, converge_sequential, fair_schedulers
@@ -36,7 +36,7 @@ class TestGlobalStar:
         """Figure 1's progression: the number of black (center) nodes
         never increases, and ends at exactly one."""
         trace = Trace(snapshot_predicate=lambda step, cfg: True)
-        result = AgitatedSimulator(seed=4).run(GlobalStar(), 12, None, trace=trace)
+        result = IndexedSimulator(seed=4).run(GlobalStar(), 12, None, trace=trace)
         assert result.converged
         centers = [
             cfg.state_counts().get("c", 0) for _, cfg in trace.snapshots
@@ -69,7 +69,7 @@ class TestSpanningNetwork:
 
     def test_every_conversion_activates_an_edge(self):
         trace = Trace()
-        result = AgitatedSimulator(seed=8).run(SpanningNetwork(), 10, None, trace=trace)
+        result = IndexedSimulator(seed=8).run(SpanningNetwork(), 10, None, trace=trace)
         assert result.converged
         assert all(e.activated for e in trace.events)
 
@@ -92,7 +92,7 @@ class TestCycleCover:
     def test_degree_state_invariant(self):
         """Theorem 5's invariant: a node in state qi has degree i."""
         trace = Trace(snapshot_predicate=lambda step, cfg: True)
-        result = AgitatedSimulator(seed=3).run(CycleCover(), 11, None, trace=trace)
+        result = IndexedSimulator(seed=3).run(CycleCover(), 11, None, trace=trace)
         assert result.converged
         for _, config in trace.snapshots:
             for u in range(config.n):

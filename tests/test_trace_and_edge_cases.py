@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.configuration import Configuration
 from repro.core.errors import ConvergenceError, SimulationError
-from repro.core.simulator import AgitatedSimulator, run_to_convergence
+from repro.core.simulator import IndexedSimulator, run_to_convergence
 from repro.core.trace import Event, Trace
 from repro.protocols import CycleCover, GlobalStar, SimpleGlobalLine
 
@@ -54,7 +54,7 @@ class TestTinyPopulations:
 
     def test_n1_rejected_by_engine(self):
         with pytest.raises(SimulationError):
-            AgitatedSimulator(seed=0).run(GlobalStar(), 1, None)
+            IndexedSimulator(seed=0).run(GlobalStar(), 1, None)
 
     def test_n2_cycle_cover_is_all_waste(self):
         result = run_to_convergence(CycleCover(), 2, seed=0)
@@ -71,13 +71,13 @@ class TestRunResult:
         protocol = GlobalStar()
         # a hand-built stable star: running from it takes 0 steps
         config = Configuration(["c", "p", "p"], [(0, 1), (0, 2)])
-        result = AgitatedSimulator(seed=0).run(protocol, 3, None, config=config)
+        result = IndexedSimulator(seed=0).run(protocol, 3, None, config=config)
         assert result.converged
         assert result.steps == 0
 
     def test_convergence_error_reports_steps(self):
         with pytest.raises(ConvergenceError) as info:
-            AgitatedSimulator(seed=0).run(
+            IndexedSimulator(seed=0).run(
                 GlobalStar(), 30, max_steps=3, require_convergence=True
             )
         assert info.value.steps == 3
@@ -107,7 +107,7 @@ class TestCheckIntervalThrottling:
     def test_results_independent_of_check_interval(self):
         """The stabilization certificate may fire later with throttled
         checks, but the constructed network is the same."""
-        r1 = AgitatedSimulator(seed=6).run(GlobalStar(), 12, None, check_interval=1)
-        r2 = AgitatedSimulator(seed=6).run(GlobalStar(), 12, None, check_interval=50)
+        r1 = IndexedSimulator(seed=6).run(GlobalStar(), 12, None, check_interval=1)
+        r2 = IndexedSimulator(seed=6).run(GlobalStar(), 12, None, check_interval=50)
         assert GlobalStar().target_reached(r1.config)
         assert GlobalStar().target_reached(r2.config)
