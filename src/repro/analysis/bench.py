@@ -142,6 +142,10 @@ def bench_engines(
     wall-clock ratio on the Figure 2 line workload at the largest size
     both engines ran (absent when the sweep shares no size with
     :data:`SEQUENTIAL_LINE_SIZES`).
+
+    Writing to an existing ``out`` replaces only the keys this function
+    writes; other top-level keys, such as the ``frontier_count_scaling``
+    block :func:`bench_frontier` merges in, are kept.
     """
     cells: list[BenchCell] = []
 
@@ -195,8 +199,16 @@ def bench_engines(
             / by_engine["indexed"].mean_seconds,
         }
     if out is not None:
+        kept: dict = {}
+        if os.path.exists(out):
+            with open(out, "r", encoding="utf-8") as handle:
+                owned = {*record, "speedup_indexed_vs_sequential"}
+                kept = {
+                    key: value for key, value in json.load(handle).items()
+                    if key not in owned
+                }
         with open(out, "w", encoding="utf-8") as handle:
-            json.dump(record, handle, indent=2, sort_keys=False)
+            json.dump({**record, **kept}, handle, indent=2, sort_keys=False)
             handle.write("\n")
     return record
 

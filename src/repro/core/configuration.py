@@ -16,8 +16,11 @@ from typing import Iterable, Iterator
 import networkx as nx
 
 from repro.core.errors import SimulationError
-from repro.core.indexing import IndexedSet
 from repro.core.protocol import State
+
+#: The adjacency of every node that has never had an active edge.  Shared
+#: by all such nodes of all configurations, so it must stay immutable.
+_NO_EDGES: frozenset[int] = frozenset()
 
 
 def census_pair_key(a: State, b: State) -> tuple[State, State]:
@@ -84,15 +87,33 @@ class Census:
 class Configuration:
     """Mutable system configuration: node states plus the active-edge set.
 
-    A nodes-by-state index is maintained incrementally, so
-    :meth:`state_counts` / :meth:`nodes_in_state` /
-    :meth:`count_in_state` cost O(distinct states) / O(nodes in the
-    state) / O(1) rather than a full rescan — which makes the
-    ``stabilized`` certificates that poll state counts every effective
-    step cheap.  (:class:`~repro.core.simulator.IndexedSimulator` keeps
-    its own buckets keyed by *interned* state ids for its sampling hot
-    path; :meth:`nodes_by_state` exposes this raw-state index for other
-    callers needing O(1) uniform draws.)
+    Storage is one state list, one adjacency entry per node, and a
+    nodes-by-state index of builtin ``set`` buckets, kept incrementally.
+    Costs:
+
+    * O(1): :meth:`state`, :meth:`set_state`, :meth:`count_in_state`,
+      :meth:`set_edge`, :meth:`edge_state`, :meth:`degree`,
+      :meth:`add_node`.  The ``stabilized`` certificates poll
+      :meth:`count_in_state` every effective step.
+    * O(distinct states): :meth:`state_counts`, and :meth:`census` when
+      no edge is active.
+    * O(n) in C loops, with no Python-level loop and no container per
+      node: :meth:`uniform`, and :meth:`from_census` plus one
+      :meth:`set_edge` per edge.
+    * O(n) in one Python loop: :meth:`copy`, which copies only the sets
+      of nodes with an active edge, and the
+      ``Configuration(states, edges)`` constructor.
+
+    A node that has never had an active edge holds one shared empty
+    ``frozenset``.  :meth:`set_edge` replaces it in place with a fresh
+    ``set`` on the node's first activation, and the node keeps that set
+    when its degree falls back to zero.  The shared adjacency must be
+    immutable: an ``add`` on it would give the edge to every edgeless
+    node of every configuration.  Each node's set sees the same adds and
+    discards, in the same order, as with one set per node from the
+    start, so :meth:`active_edges` iterates in the same order.  The
+    adjacency list itself is never rebound: an engine may hold it and
+    re-read its entries.
 
     Configurations are mutable and therefore **unhashable** (``__hash__``
     is explicitly ``None``); use :meth:`signature` to obtain an immutable
@@ -114,15 +135,15 @@ class Configuration:
         active_edges: Iterable[tuple[int, int]] = (),
     ) -> None:
         self._states: list[State] = list(states)
-        n = len(self._states)
-        self._adj: list[set[int]] = [set() for _ in range(n)]
+        self._adj: list[set[int] | frozenset[int]] = [_NO_EDGES] * len(self._states)
         self._n_active = 0
-        self._by_state: dict[State, IndexedSet] = {}
+        self._by_state: dict[State, set[int]] = {}
         for u, s in enumerate(self._states):
             bucket = self._by_state.get(s)
             if bucket is None:
-                bucket = self._by_state[s] = IndexedSet()
-            bucket.add(u)
+                self._by_state[s] = {u}
+            else:
+                bucket.add(u)
         for u, v in active_edges:
             self.set_edge(u, v, 1)
 
@@ -130,12 +151,31 @@ class Configuration:
     # Construction helpers
     # ------------------------------------------------------------------
     @classmethod
+    def _from_blocks(cls, blocks: Iterable[tuple[State, int]]) -> "Configuration":
+        """No active edges, and one contiguous block of node ids per
+        ``(state, count)`` pair, in the given order.  The states must be
+        distinct; empty blocks are skipped."""
+        cfg = cls.__new__(cls)
+        states: list[State] = []
+        by_state: dict[State, set[int]] = {}
+        for state, count in blocks:
+            if count:
+                start = len(states)
+                states += [state] * count
+                by_state[state] = set(range(start, start + count))
+        cfg._states = states
+        cfg._adj = [_NO_EDGES] * len(states)
+        cfg._n_active = 0
+        cfg._by_state = by_state
+        return cfg
+
+    @classmethod
     def uniform(cls, n: int, state: State) -> "Configuration":
         """All ``n`` nodes in ``state``, all edges inactive — the model's
         canonical initial configuration."""
         if n < 1:
             raise SimulationError(f"population size must be >= 1, got {n}")
-        return cls([state] * n)
+        return cls._from_blocks([(state, n)])
 
     @classmethod
     def from_census(cls, census: Census) -> "Configuration":
@@ -155,11 +195,11 @@ class Configuration:
             raise SimulationError("census population must be >= 1")
         ordered = sorted(census.counts, key=repr)
         offsets: dict[State, int] = {}
-        states: list[State] = []
+        offset = 0
         for s in ordered:
-            offsets[s] = len(states)
-            states.extend([s] * census.counts[s])
-        cfg = cls(states)
+            offsets[s] = offset
+            offset += census.counts[s]
+        cfg = cls._from_blocks((s, census.counts[s]) for s in ordered)
         for a, b in sorted(census.edges, key=repr):
             count = census.edges[(a, b)]
             oa, ob = offsets[a], offsets[b]
@@ -183,17 +223,21 @@ class Configuration:
         histogram plus per-class active-edge histogram."""
         counts = {s: len(bucket) for s, bucket in self._by_state.items()}
         edges: dict[tuple[State, State], int] = {}
-        for u, v in self.active_edges():
-            key = census_pair_key(self._states[u], self._states[v])
-            edges[key] = edges.get(key, 0) + 1
+        if self._n_active:
+            for u, v in self.active_edges():
+                key = census_pair_key(self._states[u], self._states[v])
+                edges[key] = edges.get(key, 0) + 1
         return Census(counts, edges)
 
     def copy(self) -> "Configuration":
         clone = Configuration.__new__(Configuration)
         clone._states = list(self._states)
-        clone._adj = [set(s) for s in self._adj]
+        # A node whose set was emptied gets the shared empty adjacency:
+        # its next activation starts a fresh set, as it would in a set()
+        # copy of the empty set.
+        clone._adj = [set(a) if a else _NO_EDGES for a in self._adj]
         clone._n_active = self._n_active
-        clone._by_state = {s: b.copy() for s, b in self._by_state.items()}
+        clone._by_state = {s: set(b) for s, b in self._by_state.items()}
         return clone
 
     def add_node(self, state: State) -> int:
@@ -204,11 +248,12 @@ class Configuration:
         counts after every population event."""
         u = len(self._states)
         self._states.append(state)
-        self._adj.append(set())
+        self._adj.append(_NO_EDGES)
         bucket = self._by_state.get(state)
         if bucket is None:
-            bucket = self._by_state[state] = IndexedSet()
-        bucket.add(u)
+            self._by_state[state] = {u}
+        else:
+            bucket.add(u)
         return u
 
     # ------------------------------------------------------------------
@@ -226,14 +271,16 @@ class Configuration:
         old = self._states[u]
         if old == state:
             return
-        bucket = self._by_state[old]
+        by_state = self._by_state
+        bucket = by_state[old]
         bucket.discard(u)
         if not bucket:
-            del self._by_state[old]
-        bucket = self._by_state.get(state)
+            del by_state[old]
+        bucket = by_state.get(state)
         if bucket is None:
-            bucket = self._by_state[state] = IndexedSet()
-        bucket.add(u)
+            by_state[state] = {u}
+        else:
+            bucket.add(u)
         self._states[u] = state
 
     def states(self) -> list[State]:
@@ -254,12 +301,6 @@ class Configuration:
         bucket = self._by_state.get(state)
         return sorted(bucket) if bucket is not None else []
 
-    def nodes_by_state(self, state: State) -> IndexedSet | None:
-        """Live :class:`~repro.core.indexing.IndexedSet` of the nodes in
-        ``state`` (``None`` when empty) — read-only view for the engines;
-        do not mutate."""
-        return self._by_state.get(state)
-
     def nodes_where(self, predicate) -> list[int]:
         """Nodes whose state satisfies ``predicate``."""
         return [u for u, s in enumerate(self._states) if predicate(s)]
@@ -274,15 +315,24 @@ class Configuration:
     def set_edge(self, u: int, v: int, state: int) -> None:
         if u == v:
             raise SimulationError(f"self-loop requested at node {u}")
+        adj = self._adj
         if state == 1:
-            if v not in self._adj[u]:
-                self._adj[u].add(v)
-                self._adj[v].add(u)
+            if v not in adj[u]:
+                # An edgeless node holds an empty frozenset (_NO_EDGES,
+                # or an equal one after unpickling): give it its own set.
+                try:
+                    adj[u].add(v)
+                except AttributeError:
+                    adj[u] = {v}
+                try:
+                    adj[v].add(u)
+                except AttributeError:
+                    adj[v] = {u}
                 self._n_active += 1
         elif state == 0:
-            if v in self._adj[u]:
-                self._adj[u].discard(v)
-                self._adj[v].discard(u)
+            if v in adj[u]:
+                adj[u].discard(v)
+                adj[v].discard(u)
                 self._n_active -= 1
         else:
             raise SimulationError(f"edge state must be 0 or 1, got {state!r}")

@@ -57,16 +57,13 @@ protocol's crash notification).  Identity-based faults (``cut``,
 ``graph:``) are declined by :meth:`CountSimulator.supports`, so scenario
 routing falls back to an identity-aware engine.
 
-The batched draws are numpy-backed when numpy is importable and fall
-back to a seeded pure-python sampler (exact small-count draws, gaussian
-tail approximations at batch scale) otherwise; both are deterministic
-functions of the engine seed.
+The batched draws come from numpy's seeded generator (numpy is a
+dependency of scipy and of :mod:`repro.analysis.fitting`), so a seeded
+leap run is a deterministic function of the engine seed.  numpy is
+imported on the first leap run, not with the engines.
 """
 
 from __future__ import annotations
-
-import math
-import random
 
 from repro.core.configuration import Census, Configuration, census_pair_key
 from repro.core.errors import ConvergenceError, SimulationError
@@ -93,66 +90,6 @@ IDENTITY_INITS = frozenset({"doped", "graph"})
 #: Fault model classes whose actions are census-representable; any other
 #: model routes the whole run through the exact indexed path.
 _LEAPABLE_FAULTS = (CrashFaults, ArrivalFaults, RecoverFaults, ChurnFaults)
-
-
-class _PythonLeapRng:
-    """Seeded pure-python batch sampler: exact for small counts, gaussian
-    approximations at batch scale (the leap regime is approximate by
-    construction, so a matched-moments tail is acceptable)."""
-
-    __slots__ = ("_rng",)
-
-    _EXACT_CAP = 64
-
-    def __init__(self, seed: int | None) -> None:
-        self._rng = random.Random(seed)
-
-    def random(self) -> float:
-        return self._rng.random()
-
-    def randrange(self, n: int) -> int:
-        return self._rng.randrange(n)
-
-    def binomial(self, n: int, p: float) -> int:
-        if n <= 0 or p <= 0.0:
-            return 0
-        if p >= 1.0:
-            return n
-        if n <= self._EXACT_CAP:
-            r = self._rng.random
-            return sum(1 for _ in range(n) if r() < p)
-        mean = n * p
-        draw = round(self._rng.gauss(mean, math.sqrt(mean * (1.0 - p))))
-        return min(n, max(0, draw))
-
-    def multinomial(self, k: int, weights: list[float]) -> list[int]:
-        # Conditional binomial splitting: exact given exact binomials.
-        out: list[int] = []
-        remaining = k
-        wsum = float(sum(weights))
-        for w in weights[:-1]:
-            if remaining <= 0 or wsum <= 0.0:
-                out.append(0)
-                continue
-            drawn = self.binomial(remaining, w / wsum)
-            out.append(drawn)
-            remaining -= drawn
-            wsum -= w
-        out.append(max(0, remaining))
-        return out
-
-    def geometric_failures(self, k: int, p: float) -> int:
-        """Total ineffective picks before ``k`` effective ones (negative
-        binomial with success probability ``p``)."""
-        if p >= 1.0:
-            return 0
-        if k <= 32:
-            log_q = math.log(1.0 - p)
-            r = self._rng.random
-            return sum(int(math.log(1.0 - r()) / log_q) for _ in range(k))
-        mean = k * (1.0 - p) / p
-        draw = round(self._rng.gauss(mean, math.sqrt(mean / p)))
-        return max(0, draw)
 
 
 class _NumpyLeapRng:
@@ -186,14 +123,11 @@ class _NumpyLeapRng:
         return int(self._rng.negative_binomial(k, p))
 
 
-def make_leap_rng(seed: int | None):
-    """The batched-draw sampler: numpy-backed when numpy is importable,
-    seeded pure-python otherwise.  Lazy so environments without numpy
-    (e.g. the service CI job) never import it."""
-    try:
-        from numpy import random as np_random
-    except ImportError:
-        return _PythonLeapRng(seed)
+def make_leap_rng(seed: int | None) -> _NumpyLeapRng:
+    """The seeded batched-draw sampler.  numpy is imported here, on the
+    first leap run, so importing the engines does not pay for it."""
+    from numpy import random as np_random
+
     return _NumpyLeapRng(seed, np_random)
 
 

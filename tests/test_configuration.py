@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
-import pytest
+import itertools
 
-from repro.core.configuration import Configuration
+import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
+
+from repro.core.configuration import Census, Configuration, census_pair_key
 from repro.core.errors import SimulationError
 
 
@@ -176,14 +181,6 @@ class TestStateIndex:
         assert config.nodes_in_state("y") == [1, 2, 3]
         assert config.nodes_in_state("z") == []
 
-    def test_nodes_by_state_view(self):
-        config = Configuration(["a", "b", "a"])
-        bucket = config.nodes_by_state("a")
-        assert sorted(bucket) == [0, 2]
-        config.set_state(1, "a")
-        assert sorted(bucket) == [0, 1, 2]
-        assert config.nodes_by_state("b") is None
-
     def test_unhashable_free_structured_states(self):
         config = Configuration([("root", 0), ("free",), ("free",)])
         assert config.count_in_state(("free",)) == 2
@@ -193,3 +190,199 @@ class TestStateIndex:
             ("free",): 1,
             ("leaf",): 1,
         }
+
+
+# ----------------------------------------------------------------------
+# Model-based check against a naive reference
+# ----------------------------------------------------------------------
+
+#: States the machine draws from, one of them structured.
+STATES = ("a", "b", "c", ("t", 0))
+
+
+class _Model:
+    """Naive reference configuration: a list of states plus a set of
+    frozenset edges.  ``counts`` mirrors the key order of
+    ``state_counts()``: a state enters when its first node does and
+    leaves with its last."""
+
+    def __init__(self, states, edges=(), counts=None):
+        self.states = list(states)
+        self.edges = {frozenset(e) for e in edges}
+        if counts is None:
+            counts = {}
+            for s in self.states:
+                counts[s] = counts.get(s, 0) + 1
+        self.counts = dict(counts)
+
+    def copy(self):
+        return _Model(self.states, self.edges, self.counts)
+
+    def set_state(self, u, state):
+        old = self.states[u]
+        if old == state:
+            return
+        self.counts[old] -= 1
+        if not self.counts[old]:
+            del self.counts[old]
+        self.counts[state] = self.counts.get(state, 0) + 1
+        self.states[u] = state
+
+    def set_edge(self, u, v, on):
+        if on:
+            self.edges.add(frozenset((u, v)))
+        else:
+            self.edges.discard(frozenset((u, v)))
+
+    def add_node(self, state):
+        self.states.append(state)
+        self.counts[state] = self.counts.get(state, 0) + 1
+        return len(self.states) - 1
+
+    def census(self):
+        edges = {}
+        for e in self.edges:
+            u, v = sorted(e)
+            key = census_pair_key(self.states[u], self.states[v])
+            edges[key] = edges.get(key, 0) + 1
+        return Census(dict(self.counts), edges)
+
+
+def _census_layout(counts, edges):
+    """The documented ``from_census`` layout, written out naively: one
+    contiguous block per state in ``repr`` order, and each edge class
+    (in ``repr`` order of its key) on the lexicographically first pairs
+    of the class."""
+    ordered = sorted(counts, key=repr)
+    offset, start, states = 0, {}, []
+    for s in ordered:
+        start[s] = offset
+        states += [s] * counts[s]
+        offset += counts[s]
+    model_edges = []
+    for a, b in sorted(edges, key=repr):
+        block_a = range(start[a], start[a] + counts[a])
+        block_b = range(start[b], start[b] + counts[b])
+        if a == b:
+            pairs = list(itertools.combinations(block_a, 2))
+        else:
+            pairs = [(u, v) for u in block_a for v in block_b]
+        model_edges += pairs[: edges[(a, b)]]
+    return _Model(states, model_edges, {s: counts[s] for s in ordered})
+
+
+@st.composite
+def censuses(draw):
+    """A realizable census over :data:`STATES` with at least one node."""
+    present = draw(st.lists(st.sampled_from(STATES), min_size=1, max_size=3,
+                            unique=True))
+    counts = {s: draw(st.integers(1, 3)) for s in present}
+    probe = Census(counts)
+    edges = {}
+    for i, a in enumerate(present):
+        for b in present[i:]:
+            key = census_pair_key(a, b)
+            cap = probe.class_pairs(*key)
+            if cap:
+                e = draw(st.integers(0, cap))
+                if e:
+                    edges[key] = e
+    return Census(counts, edges)
+
+
+class ConfigurationMachine(RuleBasedStateMachine):
+    """Random ``set_state`` / ``set_edge`` / ``add_node`` / ``copy()``
+    sequences over every constructor, each configuration (the original
+    and every copy) checked against its own reference model after every
+    step.  A copy that shared mutable storage with its source, such as
+    one adjacency set, would break the other's model."""
+
+    def __init__(self):
+        super().__init__()
+        self.pairs: list[tuple[Configuration, _Model]] = []
+
+    @initialize(
+        states=st.lists(st.sampled_from(STATES), min_size=1, max_size=6),
+        mask=st.lists(st.booleans(), min_size=15, max_size=15),
+    )
+    def from_states(self, states, mask):
+        n = len(states)
+        edges = [p for p, on in zip(itertools.combinations(range(n), 2), mask)
+                 if on]
+        self.pairs.append((Configuration(states, edges), _Model(states, edges)))
+
+    @initialize(n=st.integers(1, 6), state=st.sampled_from(STATES))
+    def from_uniform(self, n, state):
+        self.pairs.append((Configuration.uniform(n, state), _Model([state] * n)))
+
+    @initialize(census=censuses())
+    def from_census(self, census):
+        self.pairs.append((
+            Configuration.from_census(census),
+            _census_layout(census.counts, census.edges),
+        ))
+
+    def _pick(self, which):
+        return self.pairs[which % len(self.pairs)]
+
+    @rule(which=st.integers(0, 99), node=st.integers(0, 99),
+          state=st.sampled_from(STATES))
+    def set_state(self, which, node, state):
+        cfg, model = self._pick(which)
+        u = node % cfg.n
+        cfg.set_state(u, state)
+        model.set_state(u, state)
+
+    @rule(which=st.integers(0, 99), a=st.integers(0, 99),
+          b=st.integers(0, 99), on=st.booleans())
+    def set_edge(self, which, a, b, on):
+        cfg, model = self._pick(which)
+        u, v = a % cfg.n, b % cfg.n
+        if u == v:
+            return
+        cfg.set_edge(u, v, int(on))
+        model.set_edge(u, v, on)
+
+    @rule(which=st.integers(0, 99), state=st.sampled_from(STATES))
+    def add_node(self, which, state):
+        cfg, model = self._pick(which)
+        assert cfg.add_node(state) == model.add_node(state)
+
+    @rule(which=st.integers(0, 99))
+    def copy(self, which):
+        if len(self.pairs) < 6:
+            cfg, model = self._pick(which)
+            self.pairs.append((cfg.copy(), model.copy()))
+
+    @invariant()
+    def matches_model(self):
+        for cfg, model in self.pairs:
+            n = len(model.states)
+            assert cfg.n == n
+            assert cfg.states() == model.states
+            assert list(cfg.state_counts().items()) == list(model.counts.items())
+            for s in STATES:
+                assert cfg.count_in_state(s) == model.counts.get(s, 0)
+                assert cfg.nodes_in_state(s) == [
+                    u for u, t in enumerate(model.states) if t == s
+                ]
+            for u in range(n):
+                nbrs = {v for e in model.edges if u in e for v in e if v != u}
+                assert cfg.degree(u) == len(nbrs)
+                assert cfg.neighbors(u) == frozenset(nbrs)
+                for v in range(n):
+                    if v != u:
+                        assert cfg.edge_state(u, v) == (
+                            1 if frozenset((u, v)) in model.edges else 0
+                        )
+            assert cfg.n_active_edges == len(model.edges)
+            assert set(cfg.active_edges()) == {
+                tuple(sorted(e)) for e in model.edges
+            }
+            assert cfg.census() == model.census()
+
+
+ConfigurationMachine.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=25, deadline=None
+)
+TestConfigurationModel = ConfigurationMachine.TestCase

@@ -1,4 +1,4 @@
-"""Golden seeded results of the exact engines.
+"""Golden seeded results of the exact engines and the count engine's leap regime.
 
 Every registered protocol runs at its conformance population, for each
 seed in :data:`SEEDS`, on each engine of :data:`BUDGETS`.  The indexed
@@ -17,6 +17,15 @@ lazily interned protocols assign state ids.  For the sequential engine
 it is the scheduler's pair stream, when it binds and rebinds, and the
 draws of :func:`~repro.core.simulator.apply_interaction`.  A change that
 only makes an engine faster or smaller must leave every cell unchanged.
+
+The count engine's leap regime has its own fixture,
+``tests/data/golden_count.json``: the cells of :data:`COUNT_CELLS`, each
+above the leap threshold, so the census leap loop and
+:meth:`~repro.core.configuration.Configuration.from_census` produce the
+result.  Besides the fields above, a leap cell stores a sha256 of the
+result's active edges in ``active_edges()`` iteration order, which pins
+how ``from_census`` lays the edges out and in which order each node's
+adjacency set receives them.
 
 Regenerate the fixtures only for a change that is meant to alter the
 seeded law, and say so in the change::
@@ -71,6 +80,25 @@ SCHEDULERS = (
 #: Fault settings each of :data:`SCHEDULERS` runs under.
 SCHEDULER_FAULTS = ("none", "crash")
 
+#: Leap-regime cells of the count engine by label:
+#: (spec, n, step budget, fault specs).
+COUNT_CELLS: dict[str, tuple[str, int, int | None, tuple[str, ...]]] = {
+    "one-way-epidemic | n=5000": ("one-way-epidemic", 5000, None, ()),
+    "one-way-epidemic | n=30000": ("one-way-epidemic", 30000, None, ()),
+    "simple-global-line | n=5000 | none": (
+        "simple-global-line", 5000, 2_000_000, (),
+    ),
+    "simple-global-line | n=5000 | crash": (
+        "simple-global-line", 5000, 2_000_000, ("crash:count=50,at=20000",),
+    ),
+    "global-star | n=5000 | arrive": (
+        "global-star", 5000, 2_000_000, ("arrive:count=20,at=10000",),
+    ),
+}
+
+#: Seeds per leap-regime cell.
+COUNT_SEEDS = (1, 2)
+
 
 def fixture_path(engine: str) -> Path:
     return DATA / f"golden_{engine}.json"
@@ -103,6 +131,11 @@ def golden_cell(
         )
     except SimulationError as exc:
         return {"n": n, "refused": type(exc).__name__}
+    return result_fields(n, result)
+
+
+def result_fields(n: int, result) -> dict:
+    """The values a fixture cell stores for one finished run."""
     return {
         "n": n,
         "steps": result.steps,
@@ -111,6 +144,35 @@ def golden_cell(
         "last_output_change_step": result.last_output_change_step,
         "stop_reason": result.stop_reason,
         "config_sha256": config_digest(result.config),
+    }
+
+
+def count_cell(label: str, seed: int) -> dict:
+    """One seeded leap-regime run of the count engine: the fields of
+    :func:`golden_cell` plus ``edges_sha256``, a digest of the active
+    edges in ``active_edges()`` iteration order.  Raises if the run did
+    not take the leap path."""
+    spec, n, budget, faults = COUNT_CELLS[label]
+    protocol = registry.instantiate(spec)
+    scenario = Scenario(faults=faults)
+    sim = make_scenario_engine("count", seed, scenario)
+    leaps = []
+    sim.leap_hook = lambda steps, counts, ends, k: leaps.append(k)
+    result = sim.run(protocol, n, budget, config=scenario.build_initial(protocol, n))
+    if not leaps:
+        raise AssertionError(f"{label} | seed={seed} did not take the leap path")
+    edges = json.dumps(list(result.config.active_edges()), separators=(",", ":"))
+    return {
+        **result_fields(n, result),
+        "edges_sha256": hashlib.sha256(edges.encode()).hexdigest(),
+    }
+
+
+def count_cells() -> dict[str, tuple[str, int]]:
+    """Fixture key -> (cell label, seed) for the leap-regime fixture."""
+    return {
+        f"{label} | seed={seed}": (label, seed)
+        for label in COUNT_CELLS for seed in COUNT_SEEDS
     }
 
 
@@ -135,7 +197,7 @@ def cells(engine: str, spec: str) -> dict[str, tuple[str, str, str, str, int]]:
 def golden() -> dict:
     return {
         engine: json.loads(fixture_path(engine).read_text(encoding="utf-8"))
-        for engine in BUDGETS
+        for engine in (*BUDGETS, "count")
     }
 
 
@@ -143,6 +205,7 @@ def test_fixture_covers_the_registry(golden):
     for engine in BUDGETS:
         expected = {key for spec in conformance_specs() for key in cells(engine, spec)}
         assert set(golden[engine]) == expected, engine
+    assert set(golden["count"]) == set(count_cells())
 
 
 @pytest.mark.parametrize("spec", conformance_specs())
@@ -158,18 +221,35 @@ def test_seeded_results_unchanged(golden, spec):
     assert not mismatches, json.dumps(mismatches, indent=1)
 
 
+@pytest.mark.parametrize("label", COUNT_CELLS)
+def test_count_leap_results_unchanged(golden, label):
+    mismatches = {}
+    for key, cell in count_cells().items():
+        if cell[0] == label:
+            got = count_cell(*cell)
+            if got != golden["count"][key]:
+                mismatches[key] = {"golden": golden["count"][key], "got": got}
+    assert not mismatches, json.dumps(mismatches, indent=1)
+
+
+def write_fixture(engine: str, record: dict) -> None:
+    path = fixture_path(engine)
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(
+        json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8"
+    )
+    print(f"wrote {path}")
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: python tests/test_golden_seeded.py --write")
     for engine in BUDGETS:
-        record = {
+        write_fixture(engine, {
             key: golden_cell(*cell)
             for spec in conformance_specs()
             for key, cell in cells(engine, spec).items()
-        }
-        path = fixture_path(engine)
-        path.parent.mkdir(exist_ok=True)
-        path.write_text(
-            json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8"
-        )
-        print(f"wrote {path}")
+        })
+    write_fixture("count", {
+        key: count_cell(*cell) for key, cell in count_cells().items()
+    })
