@@ -16,7 +16,7 @@ except lazily through its optional ``cache=`` parameters):
 - :mod:`repro.service.api` — plain-JSON HTTP front end
   (:class:`ExperimentService`, ``repro-net serve``) plus the SSE
   ``GET /jobs/<id>/events`` route.
-- :mod:`repro.service.client` — stdlib urllib :class:`ServiceClient`.
+- :mod:`repro.service.client` — stdlib keep-alive :class:`ServiceClient`.
 """
 
 from repro.service.api import ExperimentService, serve

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import socket
 import threading
 import warnings
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -98,6 +99,43 @@ def result_payload(job: Job) -> dict:
     }
 
 
+class _HTTPServer(ThreadingHTTPServer):
+    """A ``ThreadingHTTPServer`` whose ``server_close`` also ends the
+    connections still open on it.
+
+    Clients keep their connections alive, and a handler thread parked
+    on an idle one would go on answering that client after the service
+    stopped (``503 service not started``), even once a new service had
+    bound the same port.  Shutting the sockets down hands every such
+    client an EOF, so its next request opens a fresh connection.
+    """
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self._open: set[socket.socket] = set()
+        self._open_lock = threading.Lock()
+
+    def process_request(self, request, client_address) -> None:
+        with self._open_lock:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._open_lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        super().server_close()
+        with self._open_lock:
+            still_open = list(self._open)
+        for sock in still_open:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # the handler closed it meanwhile
+
+
 class ExperimentService:
     """The deployable unit: loop thread + job service + HTTP server.
 
@@ -125,7 +163,7 @@ class ExperimentService:
         self.port = port
         self._loop: asyncio.AbstractEventLoop | None = None
         self._loop_thread: threading.Thread | None = None
-        self._httpd: ThreadingHTTPServer | None = None
+        self._httpd: _HTTPServer | None = None
         self._http_thread: threading.Thread | None = None
 
     # ------------------------------------------------------------------
@@ -142,7 +180,7 @@ class ExperimentService:
         )
         self._loop_thread.start()
         handler = _make_handler(self)
-        self._httpd = ThreadingHTTPServer((self.host, self.port), handler)
+        self._httpd = _HTTPServer((self.host, self.port), handler)
         self.port = int(self._httpd.server_address[1])
         self._http_thread = threading.Thread(
             target=self._httpd.serve_forever,
@@ -153,7 +191,8 @@ class ExperimentService:
         return self.host, self.port
 
     def stop(self) -> list[str]:
-        """Shut the HTTP server and the loop down (idempotent).
+        """Shut the HTTP server, its open connections and the loop down
+        (idempotent).
 
         Each worker thread gets a bounded ``join``; a thread still alive
         afterwards is a *wedged shutdown* — its name is returned and a
@@ -198,6 +237,7 @@ class ExperimentService:
         """Run ``coro`` on the service loop from any thread and return
         its result (the handler threads' only way in)."""
         if self._loop is None:
+            coro.close()  # never scheduled: close it, or Python warns
             raise ApiError("service not started", status=503)
         future = asyncio.run_coroutine_threadsafe(coro, self._loop)
         return future.result(timeout)
@@ -305,8 +345,13 @@ async def _result(job: Job) -> dict:
 
 def _make_handler(service: ExperimentService) -> type:
     class Handler(BaseHTTPRequestHandler):
-        # Keep-alive responses; Content-Length is always set below.
+        # Keep-alive responses; Content-Length is always set below, and
+        # the event stream is chunked (see service/sse.py).
         protocol_version = "HTTP/1.1"
+        # A response leaves in two writes (headers, body).  With Nagle
+        # on, the body waits for the client's delayed ACK of the headers
+        # on a kept-alive connection: ~40 ms per request.
+        disable_nagle_algorithm = True
 
         def log_message(self, fmt: str, *args) -> None:  # pragma: no cover
             pass  # the CLI banner is the only stdout the service owns
@@ -325,7 +370,8 @@ def _make_handler(service: ExperimentService) -> type:
             Handled outside ``service.handle`` because it writes an
             unbounded body — ``_respond``'s Content-Length contract
             doesn't apply.  Replays buffered frames, then follows live
-            with heartbeats; ends when the job's log closes."""
+            with heartbeats; ends when the job's log closes, and an
+            HTTP/1.1 connection then serves the client's next request."""
             try:
                 job = service._get_job(job_id)
             except ApiError as exc:

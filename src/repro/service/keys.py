@@ -28,6 +28,7 @@ import hashlib
 import json
 from typing import TYPE_CHECKING
 
+from repro.core.serialization import robustness_trial_to_dict, trial_spec_to_dict
 from repro.protocols import registry
 from repro.verify.cache import protocol_behavior_parts
 
@@ -41,6 +42,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 #: encodings of :mod:`repro.core.serialization` change incompatibly —
 #: every cached cell is then a miss, by construction.
 SCHEMA_VERSION = 1
+
+#: The canonical JSON text of a dict: sorted keys, no whitespace.  Keys
+#: hash it and the result store writes its entries in it.  One shared
+#: encoder: ``json.dumps`` with these options builds a new one per call.
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 #: canonical protocol spec -> code digest (computing one walks the class
 #: source; a sweep asks thousands of times for the same protocol).
@@ -83,13 +89,11 @@ def behavior_digest(protocol) -> str:
 
 def canonical_payload(spec_dict: dict) -> str:
     """The canonical JSON byte string of a trial payload dict."""
-    return json.dumps(spec_dict, sort_keys=True, separators=(",", ":"))
+    return canonical_json(spec_dict)
 
 
 def trial_key(trial: "TrialSpec", *, code_version: str | None = None) -> str:
     """The content-addressed result key of one sweep trial."""
-    from repro.core.serialization import trial_spec_to_dict
-
     if code_version is None:
         code_version = code_digest(trial.protocol)
     payload = canonical_payload(trial_spec_to_dict(trial))
@@ -104,8 +108,6 @@ def robustness_trial_key(
     """The content-addressed result key of one robustness trial (its
     payload carries ``kind: robustness``, so the two key spaces never
     collide)."""
-    from repro.core.serialization import robustness_trial_to_dict
-
     if code_version is None:
         code_version = code_digest(trial.protocol)
     payload = canonical_payload(robustness_trial_to_dict(trial))

@@ -6,6 +6,11 @@ dashboard's ``/events`` route, and :meth:`ServiceClient.events` all
 speak it.  Frames are JSON objects, one per SSE ``data:`` record;
 heartbeat comment lines (``: keep-alive``) flow during idle stretches
 so both sides detect dead peers without a frame backlog.
+
+An HTTP/1.1 request gets the stream in chunked transfer encoding: the
+terminal zero-length chunk ends the stream and the connection stays
+open for the client's next request (the job's ``/result``).  An HTTP/1.0
+request gets the close-delimited stream, which it can parse.
 """
 
 from __future__ import annotations
@@ -17,34 +22,46 @@ from typing import Iterable, Iterator
 HEARTBEAT_SECONDS = 10.0
 
 
-def send_sse_headers(handler) -> None:
-    """Start an SSE response on a ``BaseHTTPRequestHandler``.
+def send_sse_headers(handler) -> bool:
+    """Start an SSE response on a ``BaseHTTPRequestHandler``; returns
+    whether the body must be sent chunked.
 
-    No ``Content-Length`` (the stream is unbounded), so under
-    HTTP/1.1 the connection is marked ``close`` — ``send_header``
-    flips ``handler.close_connection`` for us.
+    The stream is unbounded, so it has no ``Content-Length``: an
+    HTTP/1.1 request gets ``Transfer-Encoding: chunked`` and keeps its
+    connection, anything older gets ``Connection: close`` (which
+    ``send_header`` turns into ``handler.close_connection``).
     """
+    chunked = handler.request_version == "HTTP/1.1"
     handler.send_response(200)
     handler.send_header("Content-Type", "text/event-stream")
     handler.send_header("Cache-Control", "no-cache")
-    handler.send_header("Connection", "close")
+    if chunked:
+        handler.send_header("Transfer-Encoding", "chunked")
+    else:
+        handler.send_header("Connection", "close")
     handler.end_headers()
+    return chunked
 
 
 def write_sse(handler, frames: Iterable[dict | None]) -> None:
     """Stream ``frames`` (dicts; ``None`` = heartbeat) to an SSE
     response until the iterator ends or the client disconnects."""
-    send_sse_headers(handler)
+    chunked = send_sse_headers(handler)
     try:
         for frame in frames:
             if frame is None:
-                handler.wfile.write(b": keep-alive\n\n")
+                record = b": keep-alive\n\n"
             else:
-                payload = json.dumps(frame).encode("utf-8")
-                handler.wfile.write(b"data: " + payload + b"\n\n")
+                record = b"data: " + json.dumps(frame).encode("utf-8") + b"\n\n"
+            if chunked:
+                record = b"%x\r\n%s\r\n" % (len(record), record)
+            handler.wfile.write(record)
             handler.wfile.flush()
-    except (BrokenPipeError, ConnectionResetError, OSError):
-        pass  # client went away; nothing to clean up but the thread
+        if chunked:
+            handler.wfile.write(b"0\r\n\r\n")
+    except OSError:
+        # The client went away mid-stream: the connection is done.
+        handler.close_connection = True
 
 
 def parse_sse(stream: Iterable[bytes]) -> Iterator[dict]:

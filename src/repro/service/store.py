@@ -9,7 +9,9 @@ through the versioned envelope of
 **atomically**: the payload goes to a ``*.tmp`` sibling first and is
 ``os.replace``-d into place, so a crashed writer can never leave a
 half-written entry — only a stray ``.tmp`` that :meth:`ResultStore.gc`
-collects.
+collects.  Every ``put`` call writes its own tmp name (pid plus a
+per-process counter), so two writers of one key — two threads, two
+processes sharing the store — never rename each other's tmp away.
 
 The store is the cache behind ``Runner(cache=...)``, ``run_robustness
 (..., cache=...)`` and the experiment service: repeated sweeps become
@@ -23,8 +25,10 @@ re-derives the record and overwrites the bad cell.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,10 +38,19 @@ from repro.core.serialization import (
     stored_record_from_dict,
     stored_record_to_dict,
 )
+from repro.service.keys import canonical_json
 
 
 class StoreError(ReproError):
     """The result store could not be set up or written."""
+
+
+#: A store key: lowercase hex, at least the shard prefix plus a few
+#: characters (sha256 keys are 64).  Doubles as the path-traversal guard.
+_KEY = re.compile(r"[0-9a-f]{8,}")
+
+#: Per-process tmp-name counter (``next`` on it is atomic under the GIL).
+_TMP_IDS = itertools.count()
 
 
 @dataclass(frozen=True)
@@ -99,13 +112,21 @@ class ResultStore:
         self.hits = 0
         self.misses = 0
         self.puts = 0
+        self._root = str(self.root)
+        #: shard directories this instance has created (or found)
+        self._shards: set[str] = set()
 
     # ------------------------------------------------------------------
+    def _file(self, key: str) -> str:
+        """``key``'s entry path as a string (the hot-path form of
+        :meth:`path`)."""
+        if not _KEY.fullmatch(key):
+            raise StoreError(f"malformed store key {key!r}")
+        return f"{self._root}{os.sep}{key[:2]}{os.sep}{key}.json"
+
     def path(self, key: str) -> Path:
         """Where ``key``'s record lives (two-hex-char shard dirs)."""
-        if len(key) < 8 or not all(c in "0123456789abcdef" for c in key):
-            raise StoreError(f"malformed store key {key!r}")
-        return self.root / key[:2] / f"{key}.json"
+        return Path(self._file(key))
 
     def get(self, key: str):
         """The record stored under ``key``, or ``None`` on a miss.
@@ -113,9 +134,10 @@ class ResultStore:
         Corrupt/mis-keyed/version-skewed entries count as misses; the
         caller re-runs the trial and ``put`` overwrites the bad cell.
         """
-        path = self.path(key)
+        file = self._file(key)
         try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
+            with open(file, "rb", buffering=0) as entry:
+                payload = json.loads(entry.readall().decode("utf-8"))
             stored_key, _, record = stored_record_from_dict(payload)
         except (OSError, ValueError, SerializationError):
             self.misses += 1
@@ -133,23 +155,36 @@ class ResultStore:
         ``get`` rebuilds the right record class.
         """
         payload = stored_record_to_dict(key, kind, record)
-        path = self.path(key)
+        file = self._file(key)
+        data = canonical_json(payload).encode("utf-8")
+        tmp = f"{file}.{os.getpid()}-{next(_TMP_IDS)}.tmp"
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(".json.tmp")
-            tmp.write_text(
-                json.dumps(payload, sort_keys=True, separators=(",", ":")),
-                encoding="utf-8",
-            )
-            os.replace(tmp, path)
+            self._write(tmp, data)
+            os.replace(tmp, file)
         except OSError as exc:
             raise StoreError(f"cannot write store entry {key}: {exc}") from exc
         self.puts += 1
 
+    def _write(self, tmp: str, data: bytes) -> None:
+        """Write ``tmp`` in its shard, making the shard directory the
+        first time this instance writes there — or again when ``gc``
+        has pruned it since."""
+        shard = os.path.dirname(tmp)
+        if shard not in self._shards:
+            os.makedirs(shard, exist_ok=True)
+            self._shards.add(shard)
+        try:
+            out = open(tmp, "wb")
+        except FileNotFoundError:
+            os.makedirs(shard, exist_ok=True)
+            out = open(tmp, "wb")
+        with out:
+            out.write(data)
+
     def contains(self, key: str) -> bool:
         """Whether ``key`` has an entry on disk (no envelope validation,
         no counter side effects — a cheap existence probe)."""
-        return self.path(key).is_file()
+        return os.path.isfile(self._file(key))
 
     # ------------------------------------------------------------------
     def _entry_paths(self):

@@ -118,6 +118,9 @@ class WatchServer:
 def _make_handler(server: WatchServer) -> type:
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
+        # Nagle off for the same reason as the service's handler: the
+        # body of a kept-alive response must not wait for a delayed ACK.
+        disable_nagle_algorithm = True
 
         def log_message(self, fmt: str, *args) -> None:  # pragma: no cover
             pass

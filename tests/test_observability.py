@@ -395,10 +395,18 @@ def streaming_service():
 
 
 class TestServiceEventStream:
+    @pytest.fixture(autouse=True)
+    def _close_clients(self):
+        self.clients = []
+        yield
+        for client in self.clients:
+            client.close()
+
     def client(self, service):
         from repro.service.client import ServiceClient
 
-        return ServiceClient(service.url)
+        self.clients.append(ServiceClient(service.url))
+        return self.clients[-1]
 
     def submit_and_collect(self, service, stream):
         from repro.analysis.runner import ExperimentSpec
@@ -568,7 +576,12 @@ class TestWatchDashboard:
         log = FrameLog()
         pump = follow_job(client, job["id"], log)
         pump.join(timeout=60)
+        assert not pump.is_alive()
         assert log.closed
         kinds = [f["type"] for f in log.frames()]
         assert "status" in kinds and "census" in kinds
         assert kinds[-1] == "end"
+        # The pump streamed on its own thread; the client stays usable
+        # from this one.
+        assert client.result(job["id"])["state"] == "done"
+        client.close()

@@ -19,17 +19,19 @@ from __future__ import annotations
 import asyncio
 import json
 import multiprocessing
+import os
 
 import pytest
 
 from repro.analysis import robustness as robustness_mod
 from repro.analysis import runner as runner_mod
 from repro.analysis.robustness import (
+    RobustnessRecord,
     RobustnessSpec,
     RobustnessTrial,
     run_robustness,
 )
-from repro.analysis.runner import ExperimentSpec, Runner, TrialSpec
+from repro.analysis.runner import ExperimentSpec, Runner, TrialRecord, TrialSpec
 from repro.core.protocol import TableProtocol
 from repro.core.scenario import Scenario
 from repro.service import keys as keys_mod
@@ -46,6 +48,43 @@ from repro.service.store import ResultStore, StoreError
 SPEC = ExperimentSpec(protocol="cycle-cover", sizes=(8, 12), trials=3)
 
 TRIAL = TrialSpec(protocol="cycle-cover", n=10, trial=2, seed=77)
+
+# Byte-identity pins.  A store filled by earlier code must stay a cache
+# hit, so the keys and the exact bytes of an entry are frozen here; the
+# code version is fixed so a protocol edit does not move them.
+PIN_CODE_VERSION = "0" * 64
+PIN_ROBUSTNESS_TRIAL = RobustnessTrial(
+    protocol="cycle-cover", n=10, load=1.0, trial=2, seed=77,
+    fault="crash", max_steps=200_000,
+)
+PIN_TRIAL_KEY = (
+    "c9fe9240e66b1099cad1cd7d3e2ab848913db19898a1bc40ce8bb36772f71e65"
+)
+PIN_ROBUSTNESS_KEY = (
+    "58f0df2d83aa05f0d1e13531c584e47375e851f751bd1403338cde4caef500df"
+)
+PIN_TRIAL_RECORD = TrialRecord(
+    n=10, trial=2, seed=77, value=123, steps=4567, effective_steps=89,
+    converged=True, stop_reason="stabilized", elapsed_seconds=0.125,
+)
+PIN_ROBUSTNESS_RECORD = RobustnessRecord(
+    protocol="cycle-cover", load=1.0, n=10, trial=2, seed=77, value=321,
+    steps=6543, effective_steps=98, converged=True, survived=False,
+    alive=9, stop_reason="stabilized", elapsed_seconds=0.25,
+)
+PIN_TRIAL_ENTRY = (
+    b'{"key":"c9fe9240e66b1099cad1cd7d3e2ab848913db19898a1bc40ce8bb36772f7'
+    b'1e65","kind":"trial","record":{"converged":true,"effective_steps":89,'
+    b'"elapsed_seconds":0.125,"n":10,"seed":77,"steps":4567,"stop_reason":'
+    b'"stabilized","trial":2,"value":123},"version":1}'
+)
+PIN_ROBUSTNESS_ENTRY = (
+    b'{"key":"58f0df2d83aa05f0d1e13531c584e47375e851f751bd1403338cde4caef5'
+    b'00df","kind":"robustness","record":{"alive":9,"converged":true,'
+    b'"effective_steps":98,"elapsed_seconds":0.25,"load":1.0,"n":10,'
+    b'"protocol":"cycle-cover","seed":77,"steps":6543,"stop_reason":'
+    b'"stabilized","survived":false,"trial":2,"value":321},"version":1}'
+)
 
 
 def _key_in_subprocess(_=None) -> str:
@@ -120,6 +159,40 @@ class TestKeys:
         assert code_digest("cycle-cover") is first
 
 
+class TestByteIdentity:
+    def test_trial_key_is_pinned(self):
+        assert trial_key(TRIAL, code_version=PIN_CODE_VERSION) == PIN_TRIAL_KEY
+
+    def test_robustness_trial_key_is_pinned(self):
+        key = robustness_trial_key(
+            PIN_ROBUSTNESS_TRIAL, code_version=PIN_CODE_VERSION
+        )
+        assert key == PIN_ROBUSTNESS_KEY
+
+    def test_put_writes_the_pinned_bytes(self, tmp_path):
+        store = ResultStore(tmp_path)
+        store.put(PIN_TRIAL_KEY, PIN_TRIAL_RECORD, "trial")
+        store.put(PIN_ROBUSTNESS_KEY, PIN_ROBUSTNESS_RECORD, "robustness")
+        assert store.path(PIN_TRIAL_KEY).read_bytes() == PIN_TRIAL_ENTRY
+        assert (
+            store.path(PIN_ROBUSTNESS_KEY).read_bytes() == PIN_ROBUSTNESS_ENTRY
+        )
+
+    def test_a_store_written_by_earlier_code_reads_as_hits(self, tmp_path):
+        for key, entry in (
+            (PIN_TRIAL_KEY, PIN_TRIAL_ENTRY),
+            (PIN_ROBUSTNESS_KEY, PIN_ROBUSTNESS_ENTRY),
+        ):
+            shard = tmp_path / key[:2]
+            shard.mkdir()
+            (shard / f"{key}.json").write_bytes(entry)
+        store = ResultStore(tmp_path)
+        assert store.get(PIN_TRIAL_KEY) == PIN_TRIAL_RECORD
+        assert store.get(PIN_ROBUSTNESS_KEY) == PIN_ROBUSTNESS_RECORD
+        stats = store.stats()
+        assert (stats.entries, stats.hits, stats.misses) == (2, 2, 0)
+
+
 class TestStore:
     def test_round_trip(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -153,6 +226,30 @@ class TestStore:
         gc = store.gc()
         assert gc.removed_tmp == 1 and gc.kept == 1
         assert not list(shard.glob("*.tmp"))
+
+    def test_two_puts_of_one_key_both_succeed(self, tmp_path, monkeypatch):
+        # A second writer stores the key between the first writer's
+        # write and its rename.  With one tmp name per key, the second
+        # rename took the first writer's tmp away and its own rename
+        # raised StoreError.
+        store = ResultStore(tmp_path)
+        other = ResultStore(tmp_path)
+        real_replace = os.replace
+        interleaved = []
+
+        def replace(src, dst):
+            if not interleaved:
+                interleaved.append(src)
+                other.put(PIN_TRIAL_KEY, PIN_TRIAL_RECORD, "trial")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        store.put(PIN_TRIAL_KEY, PIN_TRIAL_RECORD, "trial")
+        assert interleaved
+        assert store.get(PIN_TRIAL_KEY) == PIN_TRIAL_RECORD
+        assert (store.puts, other.puts) == (1, 1)
+        assert store.stats().entries == 1
+        assert not list(tmp_path.rglob("*.tmp"))
 
     def test_gc_removes_corrupt_and_mis_keyed_entries(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -350,11 +447,24 @@ def live_service():
             service.stop()
 
 
-class TestHttpService:
+class _ClientTests:
+    """``self.client(service)`` hands out clients closed at teardown."""
+
+    @pytest.fixture(autouse=True)
+    def _close_clients(self):
+        self.clients = []
+        yield
+        for client in self.clients:
+            client.close()
+
     def client(self, service):
         from repro.service.client import ServiceClient
 
-        return ServiceClient(service.url)
+        self.clients.append(ServiceClient(service.url))
+        return self.clients[-1]
+
+
+class TestHttpService(_ClientTests):
 
     def test_health(self, live_service):
         payload = self.client(live_service).health()
@@ -425,6 +535,91 @@ class TestHttpService:
         assert set(stats) >= {"root", "entries", "hits", "misses"}
         gc = client.store_gc()
         assert gc["removed_tmp"] == 0
+
+
+class TestConnections(_ClientTests):
+    """The client's kept-alive connections across a job's round trip,
+    abandoned streams, service restarts and HTTP/1.0 peers."""
+
+    def test_one_connection_carries_a_job_round_trip(self, live_service):
+        client = self.client(live_service)
+        job = client.submit(SPEC.to_dict())
+        (conn,) = client._idle
+        sock = conn.sock
+        frames = list(client.events(job["id"]))
+        assert frames[-1]["type"] == "end"
+        assert client.result(job["id"])["state"] == "done"
+        assert client._idle == [conn] and conn.sock is sock
+
+    def test_abandoned_event_stream_leaves_the_client_usable(
+        self, live_service
+    ):
+        client = self.client(live_service)
+        job = client.submit(SPEC.to_dict())
+        for frame in client.events(job["id"]):
+            assert frame["type"] == "status"
+            break
+        assert client.result(job["id"])["id"] == job["id"]
+        status = client.wait(job["id"], poll=0.05, timeout=120)
+        assert status["state"] == "done"
+
+    def test_client_reaches_a_service_restarted_on_the_same_port(
+        self, tmp_path
+    ):
+        from repro.service.api import ExperimentService
+
+        first = ExperimentService(store=ResultStore(tmp_path), port=0)
+        first.start()
+        client = self.client(first)
+        try:
+            job = client.submit(SPEC.to_dict())
+            client.wait(job["id"], poll=0.05, timeout=120)
+        finally:
+            assert first.stop() == []
+        second = ExperimentService(store=ResultStore(tmp_path), port=first.port)
+        second.start()
+        try:
+            # A handler of the stopped service still holding the kept-
+            # alive connection would answer 503 here.
+            assert client.jobs() == []
+            client.submit(SPEC.to_dict())
+            assert len(second.jobs.jobs()) == 1
+        finally:
+            second.stop()
+
+    def test_unreachable_service_is_a_clean_error(self):
+        from repro.service.api import ExperimentService
+        from repro.service.client import ServiceError
+
+        service = ExperimentService(port=0)
+        service.start()
+        client = self.client(service)
+        assert client.health()["ok"]
+        service.stop()
+        with pytest.raises(ServiceError, match="cannot reach service at"):
+            client.health()
+
+    def test_http10_event_stream_is_close_delimited(self, live_service):
+        import socket
+
+        from repro.service.sse import parse_sse
+
+        client = self.client(live_service)
+        job = client.submit(SPEC.to_dict())
+        client.wait(job["id"], poll=0.05, timeout=120)
+        request = f"GET /jobs/{job['id']}/events HTTP/1.0\r\n\r\n"
+        raw = b""
+        with socket.create_connection(
+            (live_service.host, live_service.port), timeout=30
+        ) as sock:
+            sock.sendall(request.encode("ascii"))
+            while chunk := sock.recv(65536):  # until the server closes
+                raw += chunk
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert b"Transfer-Encoding" not in head
+        assert b"Connection: close" in head
+        frames = list(parse_sse(body.splitlines(keepends=True)))
+        assert frames[-1]["type"] == "end"
 
 
 class TestPoolMap:
