@@ -8,7 +8,6 @@ stage structure — not absolute step counts.
 
 from __future__ import annotations
 
-import os
 import statistics
 
 from repro.analysis import fit_power_law, measure_convergence
@@ -17,15 +16,13 @@ from repro.protocols import registry
 
 
 def sweep(protocol, sizes, trials, *, measure="output", base_seed=0,
-          check_interval=1, engine="indexed", seed_policy="hashed",
-          jobs=None):
+          check_interval=1, engine="indexed", seed_policy="hashed"):
     """Mean convergence times across population sizes.
 
     ``protocol`` may be a registry spec string, a registered protocol
     class, or any zero-argument factory.  Registry-resolvable protocols
     run as a declarative :class:`ExperimentSpec` through the
-    :class:`Runner` (set ``jobs`` or ``REPRO_BENCH_JOBS`` to fan trials
-    across cores); other factories fall back to
+    :class:`Runner`; other factories fall back to
     :func:`repro.analysis.measure_convergence`.
 
     ``engine`` selects a :data:`repro.core.simulator.ENGINES` entry; the
@@ -41,9 +38,7 @@ def sweep(protocol, sizes, trials, *, measure="output", base_seed=0,
             engine=engine, measure=measure, seed_policy=seed_policy,
             base_seed=base_seed, check_interval=check_interval,
         )
-        if jobs is None:
-            jobs = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
-        return Runner(jobs=jobs).run(spec).summaries()
+        return Runner().run(spec).summaries()
     return measure_convergence(
         protocol, sizes, trials,
         measure=measure, base_seed=base_seed,

@@ -1,14 +1,7 @@
-"""Measurement and estimation toolkit for the benchmark harness."""
+"""Measurement and estimation toolkit: the declarative sweep runner,
+robustness grids, power-law fitting and table rendering behind the
+``benchmarks/`` figure tests and the CLI."""
 
-from repro.analysis.bench import (
-    BenchCell,
-    bench_engines,
-    bench_robustness,
-    bench_runner,
-    format_bench,
-    format_bench_robustness,
-    format_bench_runner,
-)
 from repro.analysis.experiments import (
     MEASURES,
     Summary,
@@ -44,7 +37,6 @@ from repro.analysis.runner import (
 from repro.analysis.tables import format_mean_ci, render_table
 
 __all__ = [
-    "BenchCell",
     "EXECUTORS",
     "ExperimentSpec",
     "FAULT_FAMILIES",
@@ -60,15 +52,9 @@ __all__ = [
     "SweepResult",
     "TrialRecord",
     "TrialSpec",
-    "bench_engines",
-    "bench_robustness",
-    "bench_runner",
     "crossover_size",
     "empirical_ratio_curve",
     "fit_power_law",
-    "format_bench",
-    "format_bench_robustness",
-    "format_bench_runner",
     "format_mean_ci",
     "measure_convergence",
     "render_table",

@@ -21,7 +21,10 @@ This module makes such a grid a value, mirroring the sweep layer of
   trials whose surviving population stabilized to the protocol's target
   construction) and **re-stabilization time** (the convergence measure
   among surviving trials) — and round-trips through JSON via
-  :mod:`repro.core.serialization`.
+  :mod:`repro.core.serialization`;
+* :func:`bench_robustness` runs the default grid — the three line
+  constructors at ``n = 64`` under every fault family — behind
+  ``repro-net bench --robustness`` (``BENCH_robustness.json``).
 
 Trial seeds are derived from ``(base_seed, family, load, n, trial)`` —
 *not* from the protocol — so every protocol in a spec faces the same
@@ -40,7 +43,10 @@ Typical use::
 
 from __future__ import annotations
 
+import json
+import platform
 import statistics
+import sys
 import time
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -505,3 +511,147 @@ def run_robustness(
         by_index[i] = record
     records = [by_index[i] for i in range(len(trials))]
     return RobustnessResult(spec=spec, records=tuple(records))
+
+
+# ----------------------------------------------------------------------
+# Robustness benchmark (fault-load grid: plain vs fault-tolerant vs
+# redundancy-coded line, across fault families)
+# ----------------------------------------------------------------------
+
+#: Default robustness contestants: the Protocol 1 line, its FTNC-2019
+#: fault-tolerant variant, and the redundancy-coded adversarial variant.
+ROBUSTNESS_PROTOCOLS: tuple[str, ...] = (
+    "simple-global-line", "ft-global-line", "rc-global-line",
+)
+#: Default fault-family grid: family -> swept loads.  Load units follow
+#: :data:`repro.analysis.robustness.FAULT_FAMILIES` — crash/byzantine
+#: loads are node counts, the sustained families are per-step (or, for
+#: ``edge-rate``, per-edge per-step) rates.  The rate loads are tuned
+#: to the bench population (n = 64): high enough to strike during
+#: construction, spanning the band where the dissolve-repair line
+#: degrades but crown repair still holds.
+ROBUSTNESS_FAMILIES: dict[str, tuple[float, ...]] = {
+    "crash": (0, 1, 2, 4),
+    "edge-drop": (0, 0.00001, 0.0001, 0.0003),
+    "edge-rate": (0, 0.0000001, 0.000001, 0.000003),
+    "churn": (0, 0.000001, 0.000003, 0.00001),
+    "byzantine": (0, 1, 2, 4),
+}
+ROBUSTNESS_N = 64
+ROBUSTNESS_BUDGET = 20_000_000
+
+
+def bench_robustness(
+    *,
+    protocols: tuple[str, ...] = ROBUSTNESS_PROTOCOLS,
+    families: dict[str, tuple[float, ...]] | None = None,
+    n: int = ROBUSTNESS_N,
+    trials: int = 4,
+    jobs: int = 1,
+    base_seed: int = 0,
+    out: str | None = None,
+) -> dict:
+    """Run the paired-seed robustness grid across fault families and
+    return (optionally write) the record — survival and
+    re-stabilization curves per protocol per family, plus every
+    pairwise :meth:`~repro.analysis.robustness.RobustnessResult.dominates`
+    verdict.
+
+    The headline is the dominance matrix: the redundancy-coded
+    constructor should dominate both line baselines under the
+    adversarial families (byzantine corruption, sustained edge loss),
+    and the fault-tolerant constructor should dominate the plain one
+    under crash load.
+    """
+    if families is None:
+        families = dict(ROBUSTNESS_FAMILIES)
+    record: dict = {
+        "schema": "repro-bench-robustness/2",
+        "python": sys.version.split()[0],
+        "platform": platform.platform(),
+        "jobs": jobs,
+        "n": n,
+        "trials": trials,
+        "protocols": list(protocols),
+        "families": {},
+        "elapsed_seconds": 0.0,
+    }
+    total_start = time.perf_counter()
+    for family, loads in families.items():
+        spec = RobustnessSpec(
+            protocols=protocols,
+            loads=loads,
+            n=n,
+            trials=trials,
+            faults=family,
+            base_seed=base_seed,
+            max_steps=ROBUSTNESS_BUDGET,
+            label=f"robustness-{family}-sweep",
+        )
+        start = time.perf_counter()
+        result = run_robustness(spec, jobs=jobs)
+        elapsed = time.perf_counter() - start
+        record["families"][family] = {
+            "spec": spec.to_dict(),
+            "trial_count": len(result.records),
+            "elapsed_seconds": elapsed,
+            "survival": {
+                p: {
+                    str(load): rate
+                    for load, rate in result.survival_curve(p).items()
+                }
+                for p in spec.protocols
+            },
+            "restabilization": {
+                p: {
+                    str(load): value
+                    for load, value in result.restabilization_curve(p).items()
+                }
+                for p in spec.protocols
+            },
+            "dominates": {
+                challenger: {
+                    baseline: result.dominates(challenger, baseline)
+                    for baseline in spec.protocols
+                    if baseline != challenger
+                }
+                for challenger in spec.protocols
+            },
+        }
+    record["elapsed_seconds"] = time.perf_counter() - total_start
+    if out is not None:
+        with open(out, "w", encoding="utf-8") as handle:
+            json.dump(record, handle, indent=2, sort_keys=False)
+            handle.write("\n")
+    return record
+
+
+def format_bench_robustness(record: dict) -> str:
+    """Human-readable tables of a :func:`bench_robustness` record."""
+    lines: list[str] = []
+    for family, fam in record["families"].items():
+        spec = fam["spec"]
+        loads = [str(load) for load in spec["loads"]]
+        width = max(len(p) for p in spec["protocols"]) + 2
+        lines.append(
+            f"robustness     : {family} loads={','.join(loads)} "
+            f"n={spec['n']} trials={spec['trials']}"
+        )
+        lines.append(
+            f"{'survival':<{width}} " + " ".join(f"{x:>9}" for x in loads)
+        )
+        for p in spec["protocols"]:
+            curve = fam["survival"][p]
+            lines.append(
+                f"{p:<{width}} "
+                + " ".join(f"{curve[x]:>9.2f}" for x in loads)
+            )
+        for challenger, verdicts in fam["dominates"].items():
+            beaten = sorted(b for b, wins in verdicts.items() if wins)
+            if beaten:
+                lines.append(
+                    f"  {challenger} dominates {', '.join(beaten)}"
+                )
+        lines.append("")
+    lines.append(f"total: {record['elapsed_seconds']:.1f} s")
+    return "\n".join(lines)

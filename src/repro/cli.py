@@ -52,13 +52,11 @@ and re-stabilization curves (see ``docs/experiments.md``)::
     repro-net robustness simple-global-line ft-global-line \\
         --faults crash --loads 0,1,2,4 -n 64
 
-Time the simulation engines (or the parallel executors, or the
-robustness grid) against each other::
+Run the default robustness grid (three line constructors, every fault
+family, n = 64) into ``BENCH_robustness.json``; engine and service
+timings live in the repository benchmark, ``python3 perfbench/run.py``::
 
-    repro-net bench --out BENCH_engines.json
-    repro-net bench --runner --out BENCH_runner.json
-    repro-net bench --robustness --out BENCH_robustness.json
-    repro-net bench --frontier
+    repro-net bench --robustness
 
 List everything the registries know (``describe`` accepts protocol,
 scheduler, fault-model and initial-configuration specs alike;
@@ -99,18 +97,11 @@ import argparse
 import sys
 
 from repro.analysis import fit_power_law
-from repro.analysis.bench import (
-    LINE_SIZES,
-    bench_engines,
-    bench_robustness,
-    bench_runner,
-    format_bench,
-    format_bench_robustness,
-    format_bench_runner,
-)
 from repro.analysis.robustness import (
     FAULT_FAMILIES,
     RobustnessSpec,
+    bench_robustness,
+    format_bench_robustness,
     run_robustness,
 )
 from repro.analysis.runner import (
@@ -427,45 +418,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bench_p = sub.add_parser(
         "bench",
-        help="time engines (default), parallel executors, or the "
-        "robustness grid",
+        help="run the robustness grid (engine and service timings: "
+        "python3 perfbench/run.py)",
     )
     bench_p.add_argument(
-        "--runner", action="store_true",
-        help="benchmark the serial vs multiprocessing executors instead "
-        "of the simulation engines",
+        "--robustness", action="store_true", required=True,
+        help="run the fault-load robustness grid (plain vs "
+        "fault-tolerant vs redundancy-coded line)",
     )
-    bench_p.add_argument(
-        "--robustness", action="store_true",
-        help="run the crash-load robustness grid (plain vs "
-        "fault-tolerant line) instead of the engine timings",
-    )
-    bench_p.add_argument(
-        "--service", action="store_true",
-        help="benchmark the experiment service: cold vs warm store and "
-        "worker-count scaling",
-    )
-    bench_p.add_argument(
-        "--frontier", action="store_true",
-        help="run the count engine's n-scaling frontier (Figure 2 line, "
-        "n=10^2..10^6) against the indexed engine and merge it into "
-        "BENCH_engines.json",
-    )
-    bench_p.add_argument(
-        "--line-sizes",
-        default=",".join(map(str, LINE_SIZES)),
-        help="comma-separated Figure 2 line sweep sizes",
-    )
-    bench_p.add_argument("--trials", type=int, default=None)
+    bench_p.add_argument("--trials", type=int, default=4)
     bench_p.add_argument("--seed", type=int, default=0)
     bench_p.add_argument(
-        "--jobs", type=int, default=None,
-        help="worker processes for --runner (default: min(8, cores))",
+        "--jobs", type=int, default=1, help="worker processes",
     )
     bench_p.add_argument(
-        "--out", default=None,
+        "--out", default="BENCH_robustness.json",
         help="output JSON path ('-' to skip writing; default: "
-        "BENCH_engines.json, or BENCH_runner.json with --runner)",
+        "BENCH_robustness.json)",
     )
 
     list_p = sub.add_parser(
@@ -927,52 +896,11 @@ def _cmd_watch(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.service:
-        from repro.analysis.bench import bench_service, format_bench_service
-
-        out = "BENCH_service.json" if args.out is None else args.out
-        out = None if out == "-" else out
-        record = bench_service(
-            trials=8 if args.trials is None else args.trials,
-            base_seed=args.seed, out=out,
-        )
-        print(format_bench_service(record))
-    elif args.robustness:
-        out = "BENCH_robustness.json" if args.out is None else args.out
-        out = None if out == "-" else out
-        record = bench_robustness(
-            trials=4 if args.trials is None else args.trials,
-            jobs=args.jobs or 1, base_seed=args.seed, out=out,
-        )
-        print(format_bench_robustness(record))
-    elif args.runner:
-        out = "BENCH_runner.json" if args.out is None else args.out
-        out = None if out == "-" else out
-        record = bench_runner(
-            trials=8 if args.trials is None else args.trials,
-            jobs=args.jobs, base_seed=args.seed, out=out,
-        )
-        print(format_bench_runner(record))
-    elif args.frontier:
-        from repro.analysis.bench import bench_frontier, format_bench_frontier
-
-        out = "BENCH_engines.json" if args.out is None else args.out
-        out = None if out == "-" else out
-        record = bench_frontier(
-            trials=1 if args.trials is None else args.trials,
-            base_seed=args.seed, merge_into=out,
-        )
-        print(format_bench_frontier(record))
-    else:
-        out = "BENCH_engines.json" if args.out is None else args.out
-        out = None if out == "-" else out
-        line_sizes = tuple(int(s) for s in args.line_sizes.split(","))
-        record = bench_engines(
-            line_sizes=line_sizes,
-            trials=2 if args.trials is None else args.trials,
-            base_seed=args.seed, out=out,
-        )
-        print(format_bench(record))
+    out = None if args.out == "-" else args.out
+    record = bench_robustness(
+        trials=args.trials, jobs=args.jobs, base_seed=args.seed, out=out,
+    )
+    print(format_bench_robustness(record))
     if out is not None:
         print(f"\nwrote {out}")
     return 0

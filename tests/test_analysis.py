@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-import json
 import math
 
 import pytest
 
 from repro.analysis import (
     MEASURES,
-    bench_engines,
     crossover_size,
     empirical_ratio_curve,
     fit_power_law,
@@ -146,20 +144,3 @@ class TestLowerBounds:
 
     def test_elect_then_build_estimate(self):
         assert elect_then_build_line_upper_bound(50) > 0
-
-
-class TestBenchEngines:
-    def test_out_keeps_blocks_it_does_not_own(self, tmp_path):
-        # bench_frontier merges its block into the same file; a later
-        # bench_engines run must not drop it.
-        out = tmp_path / "BENCH_engines.json"
-        frontier = {"schema": "frontier", "cells": [1, 2]}
-        out.write_text(json.dumps({
-            "frontier_count_scaling": frontier,
-            "cells": ["stale"],
-            "speedup_indexed_vs_sequential": {"stale": True},
-        }))
-        record = bench_engines(line_sizes=(8,), star_n=6, trials=1, out=str(out))
-        written = json.loads(out.read_text())
-        assert written["frontier_count_scaling"] == frontier
-        assert {k: v for k, v in written.items() if k != "frontier_count_scaling"} == record

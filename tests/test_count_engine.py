@@ -14,10 +14,11 @@ it.  This suite pins the contract from both sides:
   the indexed engine, so the KS/CI-band distributional gates (faultless
   Figure-2 line, and crash / arrivals / churn / edge-rate scenarios)
   compare genuinely independent seed ranges of the same law;
-* **leap regime** — forced with ``leap_threshold=0``: exact on
-  census-Markov processes (the one-way epidemic matches the closed-form
-  expectation), structurally convergent on the line family, and
-  invariant-preserving under census-wise faults;
+* **leap regime** — forced with ``leap_threshold=0``: close to the
+  one-way epidemic's closed-form expectation at small n (it drifts
+  16-17% slow by n = 2000, so it is not exact), structurally convergent
+  on the line family up to n = 10^5, and invariant-preserving under
+  census-wise faults;
 * **census round-trip** — Hypothesis properties for
   ``Configuration.census`` / ``from_census`` conservation and for
   :func:`derive_edge_census` / :func:`census_sample_states`.
@@ -28,6 +29,7 @@ from __future__ import annotations
 import itertools
 import random
 import statistics
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -146,9 +148,9 @@ class TestLeapRegime:
         assert len(leaps) < result.steps
 
     def test_epidemic_mean_matches_closed_form(self):
-        # The one-way epidemic is census-Markov (no edges), so the leap
-        # regime samples the exact process; the mean must match the
-        # closed-form coupon-collector expectation like any engine.
+        # At n = 12 the leap regime's mean stays within 10% of the
+        # closed-form coupon-collector expectation; at larger n it runs
+        # 16-17% slow (see the module docstring of core/counting.py).
         n, trials = 12, 300
         exact = one_way_epidemic_expectation(n)
         times = [
@@ -181,6 +183,17 @@ class TestLeapRegime:
             census.validate()
             # A spanning line: n-1 active edges over the alive nodes.
             assert result.config.n_active_edges == 119
+
+    @pytest.mark.parametrize("n", [10_000, 100_000])
+    def test_figure2_line_stabilizes_at_scale(self, n):
+        """The leap regime must finish the line construction at scale, in
+        seconds (0.2 s at n = 10^4 and about 1 s at 10^5 on a 2-CPU
+        host).  Its step counts follow a different law from the exact
+        engines', so only stabilization and wall clock are gated."""
+        start = time.perf_counter()
+        result = make_engine("count", seed=7).run(SimpleGlobalLine(), n, None)
+        assert result.stop_reason == "stabilized"
+        assert time.perf_counter() - start < 60.0
 
     def test_crash_faults_hold_census_invariants(self):
         scenario = Scenario(faults=("crash:count=2,at=50",))

@@ -11,8 +11,12 @@ import pytest
 
 from repro.analysis.robustness import (
     FAULT_FAMILIES,
+    ROBUSTNESS_FAMILIES,
+    ROBUSTNESS_PROTOCOLS,
     RobustnessResult,
     RobustnessSpec,
+    bench_robustness,
+    format_bench_robustness,
     run_robustness,
     run_robustness_trial,
 )
@@ -324,11 +328,6 @@ class TestRobustnessCli:
 
 class TestBenchRobustness:
     def test_bench_record_and_formatting(self, tmp_path):
-        from repro.analysis.bench import (
-            bench_robustness,
-            format_bench_robustness,
-        )
-
         out = tmp_path / "BENCH_robustness.json"
         record = bench_robustness(
             protocols=("simple-global-line", "ft-global-line"),
@@ -348,14 +347,31 @@ class TestBenchRobustness:
         assert "ft-global-line dominates simple-global-line" in text
 
     def test_bench_default_families_cover_adversarial_axis(self):
-        from repro.analysis.bench import (
-            ROBUSTNESS_FAMILIES,
-            ROBUSTNESS_PROTOCOLS,
-        )
-        from repro.analysis.robustness import FAULT_FAMILIES
-
         assert "rc-global-line" in ROBUSTNESS_PROTOCOLS
         assert {"byzantine", "edge-drop"} <= set(ROBUSTNESS_FAMILIES)
         assert set(ROBUSTNESS_FAMILIES) <= set(FAULT_FAMILIES)
         for loads in ROBUSTNESS_FAMILIES.values():
             assert loads[0] == 0  # every grid anchors a fault-free column
+
+    def test_cli_passes_the_grid_defaults(self, monkeypatch, capsys):
+        calls = []
+
+        def recorder(**kwargs):
+            calls.append(kwargs)
+            return {"families": {}, "elapsed_seconds": 0.0}
+
+        monkeypatch.setattr("repro.cli.bench_robustness", recorder)
+        assert main(["bench", "--robustness"]) == 0
+        assert main(["bench", "--robustness", "--out", "-"]) == 0
+        assert calls == [
+            dict(trials=4, jobs=1, base_seed=0, out="BENCH_robustness.json"),
+            dict(trials=4, jobs=1, base_seed=0, out=None),
+        ]
+        assert capsys.readouterr().out.count("wrote ") == 1
+
+    @pytest.mark.parametrize("argv", [["bench"], ["bench", "--runner"]])
+    def test_cli_requires_the_robustness_flag(self, argv, monkeypatch):
+        # Were the parse to succeed, calling None would raise TypeError.
+        monkeypatch.setattr("repro.cli.bench_robustness", None)
+        with pytest.raises(SystemExit):
+            main(argv)

@@ -32,6 +32,11 @@ SMALL_SPEC = ExperimentSpec(
     protocol="cycle-cover", sizes=(6, 8), trials=3,
 )
 
+#: The Figure 2 line sweep, cut to two sizes.
+FIGURE2_SPEC = ExperimentSpec(
+    protocol="simple-global-line", sizes=(30, 60), trials=2,
+)
+
 
 class TestExperimentSpec:
     def test_protocol_canonicalized(self):
@@ -117,11 +122,12 @@ class TestExecutors:
         assert set(SEED_POLICIES) == {"hashed", "legacy"}
 
     def test_serial_and_process_identical(self):
-        serial = Runner(jobs=1).run(SMALL_SPEC)
-        parallel = Runner(jobs=2).run(SMALL_SPEC)
-        assert [r.deterministic() for r in serial.records] == [
-            r.deterministic() for r in parallel.records
-        ]
+        for spec in (SMALL_SPEC, FIGURE2_SPEC):
+            serial = Runner(jobs=1).run(spec)
+            parallel = Runner(jobs=2).run(spec)
+            assert [r.deterministic() for r in serial.records] == [
+                r.deterministic() for r in parallel.records
+            ], spec.protocol
 
     def test_explicit_process_executor_at_one_job(self):
         serial = Runner(executor="serial").run(SMALL_SPEC)

@@ -290,12 +290,15 @@ class TestEngineRouting:
             )
 
 
-def _scenario_spec(scheduler: str) -> ExperimentSpec:
+def _scenario_spec(
+    scheduler: str, faults: tuple[str, ...] = ()
+) -> ExperimentSpec:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         return ExperimentSpec(
             protocol="cycle-cover", sizes=(8,), trials=3,
-            scenario=Scenario(scheduler=scheduler), max_steps=500_000,
+            scenario=Scenario(scheduler=scheduler, faults=faults),
+            max_steps=500_000,
         )
 
 
@@ -335,14 +338,18 @@ class TestSchedulersThroughRunner:
             assert record.steps == direct.steps
 
     def test_scenario_survives_process_executor(self):
-        spec = _scenario_spec("round-robin")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            serial = Runner(jobs=1).run(spec)
-            parallel = Runner(executor="process", jobs=2).run(spec)
-        assert [r.deterministic() for r in serial.records] == [
-            r.deterministic() for r in parallel.records
-        ]
+        for spec in (
+            _scenario_spec("round-robin"),
+            _scenario_spec("round-robin", faults=("crash:count=1,at=0",)),
+        ):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                serial = Runner(jobs=1).run(spec)
+                parallel = Runner(executor="process", jobs=2).run(spec)
+            assert [r.deterministic() for r in serial.records] == [
+                r.deterministic() for r in parallel.records
+            ], spec.scenario
+            assert all(r.converged for r in serial.records), spec.scenario
 
     def test_sweep_result_json_round_trip_with_scenario(self):
         spec = _scenario_spec("round-robin")

@@ -374,15 +374,22 @@ class TestJobService:
         ]
 
     def test_resubmission_is_fully_cached_and_byte_identical(self, tmp_path):
+        counter = runner_mod.EXECUTION_COUNTER
+
         async def scenario():
             service = JobService(store=ResultStore(tmp_path))
+            start = counter.count
             first = await service.submit(SPEC)
             await service.wait(first.id)
+            cold = counter.count
             second = await service.submit(SPEC)
             await service.wait(second.id)
-            return first, second
+            return first, second, cold - start, counter.count - cold
 
-        first, second = self.run(scenario())
+        first, second, cold_runs, warm_runs = self.run(scenario())
+        # The store, not a fast engine, serves the warm pass.
+        assert cold_runs == first.total
+        assert warm_runs == 0
         assert first.cached == 0
         assert second.cached == second.total == len(SPEC.expand())
         assert second.result().to_json() == first.result().to_json()

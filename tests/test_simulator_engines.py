@@ -8,6 +8,7 @@ verified here on processes whose expected times are known exactly.
 from __future__ import annotations
 
 import statistics
+import time
 
 import pytest
 
@@ -24,7 +25,7 @@ from repro.processes import (
     OneWayEpidemic,
     one_way_epidemic_expectation,
 )
-from repro.protocols import GlobalStar
+from repro.protocols import GlobalStar, SimpleGlobalLine
 
 
 class TestApplyInteraction:
@@ -151,3 +152,21 @@ class TestEngineEquivalence:
         ]
         statistic, p_value = ks_2samp(seq_times, idx_times)
         assert p_value > 0.001, (statistic, p_value)
+
+
+class TestEngineSpeed:
+    """The indexed engine exists to skip ineffective steps; on the
+    Figure 2 line it must stay well ahead of the step-by-step reference
+    (about 57x at seed 0 on a 2-CPU host; the 5x bar leaves room for a
+    loaded machine)."""
+
+    def test_indexed_at_least_5x_faster_than_sequential_on_line(self):
+        seconds = {}
+        for engine in (SequentialSimulator, IndexedSimulator):
+            start = time.perf_counter()
+            result = engine(seed=0).run(SimpleGlobalLine(), 60, 10_000_000)
+            seconds[engine.__name__] = time.perf_counter() - start
+            assert result.converged, (engine.__name__, result.stop_reason)
+        assert (
+            seconds["SequentialSimulator"] >= 5 * seconds["IndexedSimulator"]
+        ), seconds
