@@ -30,10 +30,12 @@ processes::
     repro-net results job-1 --out sweep.json
     repro-net cancel job-1
 
-Watch a run live — a local browser dashboard fed by the streaming
-observability bus over server-sent events (no polling).  The target is
-either a job id on a running service (submit it with ``--stream`` for
-per-trial census frames) or a protocol spec executed in-process::
+Watch a run live — a browser dashboard the service serves per job at
+``/jobs/<id>/watch``, fed by the streaming observability bus over
+server-sent events (no polling).  ``watch job-N`` prints the page's URL
+on a running service (submit with ``--stream`` for per-trial census
+frames); ``watch <spec>`` runs that one trial as a job on an in-process
+service, with the seed of ``run <spec> --seed S``::
 
     repro-net submit cycle-cover --trials 10 --stream
     repro-net watch job-1
@@ -121,7 +123,7 @@ from repro.core.serialization import (
 )
 from repro.core.simulator import ENGINES, run_to_convergence
 from repro.protocols import registry
-from repro.service.api import DEFAULT_HOST, DEFAULT_PORT
+from repro.service.api import DEFAULT_HOST, DEFAULT_PORT, ExperimentService
 from repro.service.client import DEFAULT_URL, ServiceClient
 from repro.service.store import ResultStore
 from repro.viz import component_summary, state_summary
@@ -324,7 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
     submit_p.add_argument(
         "--stream", action="store_true",
         help="ask the service to publish per-trial census frames on the "
-        "job's event stream (for 'watch'; workers=1 services only)",
+        "job's event stream (for its /watch page; workers=1 services only)",
     )
     submit_p.add_argument(
         "--out", default=None, metavar="PATH",
@@ -372,31 +374,29 @@ def _build_parser() -> argparse.ArgumentParser:
 
     watch_p = sub.add_parser(
         "watch",
-        help="live dashboard for a running job ('job-N' on a service) "
-        "or a protocol run in-process",
+        help="live dashboard: print a service job's /watch URL, or run a "
+        "protocol as a one-trial job on an in-process service",
     )
     watch_p.add_argument(
         "target",
-        help="a job id ('job-1', streamed from the service at --url) or "
-        "a protocol registry spec (run locally; see 'run')",
+        help="a job id ('job-1' on the service at --url) or a protocol "
+        "registry spec (run as a one-trial job; see 'run')",
     )
     watch_p.add_argument(
         "-n", type=int, default=100,
-        help="population size for a local run (default: 100)",
+        help="population size for a spec target (default: 100)",
     )
-    watch_p.add_argument("--seed", type=int, default=0)
+    watch_p.add_argument(
+        "--seed", type=int, default=0,
+        help="seed of a spec target's trial, as in 'run' (default: 0)",
+    )
     watch_p.add_argument(
         "--engine", choices=sorted(ENGINES), default="indexed",
-        help="engine for a local run (default: indexed)",
+        help="engine for a spec target (default: indexed)",
     )
     watch_p.add_argument(
         "--max-steps", type=int, default=None,
-        help="step budget for a local run",
-    )
-    watch_p.add_argument(
-        "--census-interval", type=int, default=None, metavar="STEPS",
-        help="census sampling stride for a local run "
-        "(default: auto-scale to n; 0 = every effective step)",
+        help="step budget for a spec target",
     )
     _add_scenario_arguments(watch_p)
     watch_p.add_argument(
@@ -405,15 +405,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     watch_p.add_argument(
         "--host", default="127.0.0.1",
-        help="dashboard bind address (default: 127.0.0.1)",
+        help="bind address of a spec target's service "
+        "(default: 127.0.0.1)",
     )
     watch_p.add_argument(
         "--port", type=int, default=0,
-        help="dashboard port (default: 0 = pick an ephemeral port)",
+        help="port of a spec target's service "
+        "(default: 0 = pick an ephemeral port)",
     )
     watch_p.add_argument(
         "--duration", type=float, default=None, metavar="SECONDS",
-        help="serve for a fixed time then exit (default: until Ctrl-C)",
+        help="serve a spec target for a fixed time then exit "
+        "(default: until Ctrl-C)",
     )
 
     bench_p = sub.add_parser(
@@ -795,7 +798,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     )
     print(f"submitted {job['id']}: {job['total']} trials -> {args.url}")
     if args.stream:
-        print(f"watch with: repro-net watch {job['id']} --url {args.url}")
+        print(f"watch at: {client.url}/jobs/{job['id']}/watch")
     if not args.wait:
         print(f"poll with: repro-net status {job['id']} --url {args.url}")
         return 0
@@ -852,38 +855,38 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     import threading
     import time
 
-    from repro.core.trace import FrameLog
-    from repro.viz.watch import WatchServer, follow_job, run_local_watch
-
-    log = FrameLog()
     if re.fullmatch(r"job-\d+", args.target):
-        # Remote mode: relay the service job's SSE stream.  Validate the
-        # id up front so a typo fails immediately, not in the pump thread.
         client = ServiceClient(args.url)
-        status = client.status(args.target)
-        title = f"repro-net watch {args.target} ({status['kind']})"
-        follow_job(client, args.target, log)
-    else:
-        scenario = _scenario_from_args(args)
-        if not scenario.is_default:
-            _apply_scenario_defaults(args, scenario)
-        registry.parse_spec(args.target)  # fail on a bad spec before serving
-        title = f"repro-net watch {args.target} n={args.n}"
-        run_local_watch(
-            args.target,
-            n=args.n,
-            seed=args.seed,
-            engine=args.engine,
-            log=log,
-            scenario=None if scenario.is_default else scenario,
-            max_steps=args.max_steps,
-            interval=args.census_interval,
-        )
-    server = WatchServer(log, host=args.host, port=args.port, title=title)
-    host, port = server.start()
-    print(f"watching at http://{host}:{port}")
-    print("routes: /  /events (SSE)  /census (JSON)  — Ctrl-C to stop")
+        try:
+            client.status(args.target)  # an unknown job fails here
+        finally:
+            client.close()
+        print(f"{client.url}/jobs/{args.target}/watch")
+        return 0
+    scenario = _scenario_from_args(args)
+    if not scenario.is_default:
+        _apply_scenario_defaults(args, scenario)
+    # The legacy seed policy gives trial 0 the seed --seed: the trial
+    # `repro-net run <spec> -n N --seed S` runs.
+    spec = ExperimentSpec(
+        protocol=args.target,
+        sizes=(args.n,),
+        trials=1,
+        seed_policy="legacy",
+        base_seed=args.seed,
+        engine=args.engine,
+        max_steps=args.max_steps,
+        scenario=scenario,
+    )
+    registry.instantiate(spec.protocol)  # a bad parameter fails here
+    service = ExperimentService(workers=1, host=args.host, port=args.port)
+    service.start()
     try:
+        job = service.call(service.jobs.submit(spec, stream=True))
+        url = f"{service.url}/jobs/{job.id}"
+        print(f"{url}/watch")
+        print(f"stream: {url}/events  snapshot: {url}/census  "
+              "(Ctrl-C to stop)")
         if args.duration is not None:
             time.sleep(args.duration)
         else:
@@ -891,7 +894,7 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:
         print("\nstopping")
     finally:
-        server.stop()
+        service.stop()
     return 0
 
 

@@ -11,11 +11,15 @@ except lazily through its optional ``cache=`` parameters):
 - :mod:`repro.service.jobs` — asyncio :class:`JobService`: expands
   specs, dedupes against the store, shards misses across the process
   pool in batches, streams progress.
-- :mod:`repro.service.sse` — the server-sent-events wire format shared
-  by the job event stream and the ``repro-net watch`` dashboard.
+- :mod:`repro.service.sse` — the server-sent-events wire format of
+  the job event stream, written by the service and parsed by the
+  client.
+- :mod:`repro.service.dashboard` — the ``repro-net watch`` page and
+  its census snapshot, served per job.
 - :mod:`repro.service.api` — plain-JSON HTTP front end
   (:class:`ExperimentService`, ``repro-net serve``) plus the SSE
-  ``GET /jobs/<id>/events`` route.
+  ``GET /jobs/<id>/events`` route and the dashboard's
+  ``/jobs/<id>/watch`` and ``/jobs/<id>/census`` routes.
 - :mod:`repro.service.client` — stdlib keep-alive :class:`ServiceClient`.
 """
 

@@ -8,7 +8,7 @@ Handler threads bridge into the loop with
 loop, so the service needs no locks, and a long-running sweep never
 blocks a status poll.
 
-Routes (all payloads JSON)::
+Routes (payloads JSON unless noted; a ``?query`` is ignored)::
 
     GET  /health              service liveness, worker/store summary
     POST /jobs                {"kind": "sweep"|"robustness", "spec": {...},
@@ -17,6 +17,9 @@ Routes (all payloads JSON)::
     GET  /jobs/<id>           one job's status (progress counts)
     GET  /jobs/<id>/events    server-sent events: live progress/census
                               frames (replays history, then follows)
+    GET  /jobs/<id>/watch     the live dashboard page (HTML) over events
+    GET  /jobs/<id>/census    snapshot: latest census/meta/status frames,
+                              recent faults, the job's end frame
     GET  /jobs/<id>/result    (possibly partial) result payload
     POST /jobs/<id>/cancel    cooperative cancellation
     GET  /store/stats         result-store footprint + hit counters
@@ -27,11 +30,13 @@ Routes (all payloads JSON)::
 batch boundary, per-trial ``meta``/``census``/``fault``/``run-end``
 frames when census streaming is on (workers == 1 and the job was
 submitted with ``"stream": true`` — or someone is watching), and a
-terminal ``end`` frame.  Clients follow it instead of polling.
+terminal ``end`` frame.  Clients follow it instead of polling; the
+``/watch`` page (:mod:`repro.service.dashboard`) is such a client, and
+``repro-net watch`` prints its URL.
 
-Errors come back as ``{"error": "..."}`` with 400 (bad spec/payload),
-404 (unknown job or route) or 503 (no store configured).  The wire
-format is the versioned serialization layer of
+Errors come back as ``{"error": "..."}`` with 400 (bad spec, payload
+or ``Content-Length``), 404 (unknown job or route) or 503 (no store
+configured).  The wire format is the versioned serialization layer of
 :mod:`repro.core.serialization` end to end — a stored ``SweepResult``
 fetched through the API is byte-identical to one computed locally.
 """
@@ -54,6 +59,7 @@ from repro.core.serialization import (
     robustness_spec_from_dict,
     sweep_result_to_dict,
 )
+from repro.service.dashboard import census_snapshot, render_page
 from repro.service.jobs import Job, JobError, JobService
 from repro.service.keys import SCHEMA_VERSION
 from repro.service.sse import HEARTBEAT_SECONDS, write_sse
@@ -300,6 +306,9 @@ class ExperimentService:
             if method == "GET" and parts[2:] == ["result"]:
                 job = self._get_job(job_id)
                 return 200, self.call(_result(job))
+            if method == "GET" and parts[2:] == ["census"]:
+                # The frame log has its own lock: no trip to the loop.
+                return 200, census_snapshot(self._get_job(job_id).events)
             if method == "POST" and parts[2:] == ["cancel"]:
                 job = self._get_job(job_id)
                 self.call(self.jobs.cancel(job_id))
@@ -356,41 +365,66 @@ def _make_handler(service: ExperimentService) -> type:
         def log_message(self, fmt: str, *args) -> None:  # pragma: no cover
             pass  # the CLI banner is the only stdout the service owns
 
-        def _respond(self, status: int, payload: dict) -> None:
-            body = json.dumps(payload).encode("utf-8")
+        def _send(self, status: int, content_type: str, body: bytes) -> None:
             self.send_response(status)
-            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Type", content_type)
             self.send_header("Content-Length", str(len(body)))
             self.end_headers()
             self.wfile.write(body)
 
-        def _stream_events(self, job_id: str) -> None:
-            """The one non-JSON route: follow a job's frame log as SSE.
+        def _respond(self, status: int, payload: dict) -> None:
+            body = json.dumps(payload).encode("utf-8")
+            self._send(status, "application/json", body)
 
-            Handled outside ``service.handle`` because it writes an
-            unbounded body — ``_respond``'s Content-Length contract
-            doesn't apply.  Replays buffered frames, then follows live
-            with heartbeats; ends when the job's log closes, and an
+        def _job_view(self, job_id: str, view: str) -> None:
+            """The non-JSON routes: a job's frame log as SSE
+            (``events``) or the dashboard page that follows it
+            (``watch``).
+
+            Handled outside ``service.handle``, which answers JSON only.
+            The stream replays buffered frames, then follows live with
+            heartbeats; it ends when the job's log closes, and an
             HTTP/1.1 connection then serves the client's next request."""
             try:
                 job = service._get_job(job_id)
             except ApiError as exc:
                 self._respond(exc.status, {"error": str(exc)})
                 return
-            write_sse(self, job.events.follow(heartbeat=HEARTBEAT_SECONDS))
+            if view == "events":
+                write_sse(
+                    self, job.events.follow(heartbeat=HEARTBEAT_SECONDS)
+                )
+                return
+            spec = job.spec
+            protocol = (
+                spec.protocol if job.kind == "sweep"
+                else ", ".join(spec.protocols)
+            )
+            page = render_page(f"repro-net watch {job.id} ({protocol})")
+            self._send(200, "text/html; charset=utf-8", page.encode("utf-8"))
 
         def _dispatch(self, method: str) -> None:
-            parts = [p for p in self.path.split("/") if p]
+            path = self.path.split("?", 1)[0]
+            parts = [p for p in path.split("/") if p]
             if (
                 method == "GET"
                 and len(parts) == 3
                 and parts[0] == "jobs"
-                and parts[2] == "events"
+                and parts[2] in ("events", "watch")
             ):
-                self._stream_events(parts[1])
+                self._job_view(parts[1], parts[2])
                 return
             body: dict | None = None
-            length = int(self.headers.get("Content-Length") or 0)
+            try:
+                length = int(self.headers.get("Content-Length") or 0)
+                if length < 0:
+                    raise ValueError(length)
+            except ValueError:
+                # The body's extent is unknown, so nothing after it on
+                # this connection can be read as a request.
+                self.close_connection = True
+                self._respond(400, {"error": "bad Content-Length header"})
+                return
             if length:
                 try:
                     body = json.loads(self.rfile.read(length))
@@ -398,7 +432,7 @@ def _make_handler(service: ExperimentService) -> type:
                     self._respond(400, {"error": "body is not valid JSON"})
                     return
             try:
-                status, payload = service.handle(method, self.path, body)
+                status, payload = service.handle(method, path, body)
             except ApiError as exc:
                 self._respond(exc.status, {"error": str(exc)})
             except (SerializationError, ReproError) as exc:

@@ -1,15 +1,25 @@
-"""The dashboard HTML for ``repro-net watch`` — one self-contained page.
+"""The ``repro-net watch`` dashboard: one self-contained page and the
+census snapshot, both served per job by :mod:`repro.service.api`
+(``GET /jobs/<id>/watch`` and ``GET /jobs/<id>/census``).
 
 No template engine, no JS framework, no CDN: the browser side is a
-single ``EventSource`` on ``/events`` folding the observability frames
-(:class:`~repro.core.trace.FrameAdapter` dicts plus the job service's
-``status``/``end`` control frames) into a census bar chart, a progress
-readout, an active-edge counter and a fault timeline.  Keeping it
-dependency-free means the page works wherever the stdlib HTTP server
-does — CI included.
+single ``EventSource`` on the relative URL ``events`` — from
+``/jobs/<id>/watch`` that is the job's ``/jobs/<id>/events`` stream —
+folding the observability frames (:class:`~repro.core.trace.
+FrameAdapter` dicts plus the job service's ``status``/``end`` control
+frames) into a census bar chart, a progress readout, an active-edge
+counter and a fault timeline.  Keeping it dependency-free means the
+page works wherever the stdlib HTTP server does — CI included.
 """
 
 from __future__ import annotations
+
+import html
+
+from repro.core.trace import FrameLog
+
+#: Most recent fault frames the census snapshot retains.
+CENSUS_FAULT_TAIL = 50
 
 _PAGE = """<!DOCTYPE html>
 <html lang="en">
@@ -139,7 +149,7 @@ function onFrame(f) {
   }
 }
 
-const source = new EventSource("/events");
+const source = new EventSource("events");
 source.onmessage = (msg) => onFrame(JSON.parse(msg.data));
 source.onerror = () => {
   // The server closes the stream once the run ends; stop retrying.
@@ -152,5 +162,43 @@ source.onerror = () => {
 
 
 def render_page(title: str) -> str:
-    """The dashboard page with ``title`` in the header and tab."""
-    return _PAGE.replace("__TITLE__", title)
+    """The dashboard page with ``title`` (HTML-escaped) in the header
+    and tab."""
+    return _PAGE.replace("__TITLE__", html.escape(title))
+
+
+def census_snapshot(log: FrameLog) -> dict:
+    """Fold a job's frames into the current-picture JSON payload.
+
+    ``end`` is the job's terminal ``end`` frame, ``None`` while the job
+    runs: a ``run-end`` frame closes only one trial of it.
+    """
+    latest_census: dict | None = None
+    latest_meta: dict | None = None
+    latest_status: dict | None = None
+    end: dict | None = None
+    faults: list[dict] = []
+    frames = log.frames()
+    for frame in frames:
+        kind = frame.get("type")
+        if kind == "census":
+            latest_census = frame
+        elif kind == "meta":
+            latest_meta = frame
+        elif kind == "status":
+            latest_status = frame
+        elif kind == "fault":
+            faults.append(frame)
+        elif kind == "end":
+            end = frame
+    return {
+        "ok": True,
+        "frames": len(frames),
+        "dropped": log.dropped,
+        "closed": log.closed,
+        "meta": latest_meta,
+        "status": latest_status,
+        "census": latest_census,
+        "faults": faults[-CENSUS_FAULT_TAIL:],
+        "end": end,
+    }

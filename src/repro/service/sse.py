@@ -1,11 +1,12 @@
 """Server-sent events over stdlib HTTP: writer and parser.
 
 One wire format for the whole observability layer — the experiment
-service's ``GET /jobs/<id>/events`` route, the ``repro-net watch``
-dashboard's ``/events`` route, and :meth:`ServiceClient.events` all
-speak it.  Frames are JSON objects, one per SSE ``data:`` record;
-heartbeat comment lines (``: keep-alive``) flow during idle stretches
-so both sides detect dead peers without a frame backlog.
+service's ``GET /jobs/<id>/events`` route writes it, and
+:meth:`ServiceClient.events` and the ``repro-net watch`` dashboard's
+``EventSource`` read it.  Frames are JSON objects, one per SSE
+``data:`` record; heartbeat comment lines (``: keep-alive``) flow
+during idle stretches so both sides detect dead peers without a frame
+backlog.
 
 An HTTP/1.1 request gets the stream in chunked transfer encoding: the
 terminal zero-length chunk ends the stream and the connection stays

@@ -1,6 +1,6 @@
-"""Visualization helpers: ASCII renderings, DOT export, and the live
-``repro-net watch`` dashboard (:mod:`repro.viz.watch` — imported
-lazily, not re-exported here, since it pulls in the service layer)."""
+"""Visualization helpers: ASCII renderings and DOT export.  The live
+``repro-net watch`` dashboard is a page the experiment service serves
+(:mod:`repro.service.dashboard`)."""
 
 from repro.viz.ascii_art import (
     adjacency_art,

@@ -20,8 +20,9 @@ Pins the contracts this layer added on top of the engines:
 * **Wedged shutdown** (bugfix) — ``ExperimentService.stop`` reports
   threads that failed to join instead of silently leaking them.
 * **SSE round-trip** — a live service streams status + census + end
-  frames over ``GET /jobs/<id>/events``, and the watch dashboard
-  serves the same frames at ``/events`` with a ``/census`` snapshot.
+  frames over ``GET /jobs/<id>/events``, serves each job's dashboard
+  page at ``/jobs/<id>/watch`` and its ``/jobs/<id>/census`` snapshot,
+  and ``repro-net watch <spec>`` streams the trial ``run`` would run.
 """
 
 from __future__ import annotations
@@ -394,7 +395,9 @@ def streaming_service():
         service.stop()
 
 
-class TestServiceEventStream:
+class _ClientTests:
+    """``self.client(service)`` hands out clients closed at teardown."""
+
     @pytest.fixture(autouse=True)
     def _close_clients(self):
         self.clients = []
@@ -408,6 +411,8 @@ class TestServiceEventStream:
         self.clients.append(ServiceClient(service.url))
         return self.clients[-1]
 
+
+class TestServiceEventStream(_ClientTests):
     def submit_and_collect(self, service, stream):
         from repro.analysis.runner import ExperimentSpec
 
@@ -470,13 +475,15 @@ class TestServiceEventStream:
         follower.close()
 
 
-class TestWatchDashboard:
+class TestWatchDashboard(_ClientTests):
+    """The dashboard's service routes and ``repro-net watch``."""
+
     def get(self, url):
         with urllib.request.urlopen(url, timeout=10) as resp:
             return resp.status, resp.read()
 
-    def test_watch_server_routes(self):
-        from repro.viz.watch import WatchServer, census_snapshot
+    def test_census_snapshot_ends_only_at_the_job_end(self):
+        from repro.service.dashboard import census_snapshot
 
         log = FrameLog()
         log.publish({"type": "meta", "protocol": "p", "n": 8,
@@ -485,103 +492,122 @@ class TestWatchDashboard:
                      "edges": 0, "effective": 0})
         log.publish({"type": "fault", "step": 9, "kinds": ["crash"],
                      "counts": {"q1": 7}, "edges": 0})
-        server = WatchServer(log, port=0, title="test watch")
-        host, port = server.start()
-        try:
-            status, page = self.get(f"http://{host}:{port}/")
-            assert status == 200 and b"test watch" in page
-            status, body = self.get(f"http://{host}:{port}/census")
-            snap = json.loads(body)
-            assert snap["ok"] and snap["census"]["counts"] == {"q1": 8}
-            assert snap["meta"]["protocol"] == "p"
-            assert [f["step"] for f in snap["faults"]] == [9]
-            assert snap == census_snapshot(log)
-            status, body = self.get(f"http://{host}:{port}/health")
-            assert status == 200 and json.loads(body)["ok"]
+        log.publish({"type": "run-end", "steps": 9, "effective": 3})
+        snap = census_snapshot(log)
+        assert snap["census"]["counts"] == {"q1": 8}
+        assert snap["meta"]["protocol"] == "p"
+        assert [f["step"] for f in snap["faults"]] == [9]
+        # A run-end closes one trial; the job is still running.
+        assert snap["end"] is None
+        end = {"type": "end", "state": "done", "error": ""}
+        log.publish(end, control=True)
+        assert census_snapshot(log)["end"] == end
+
+    def test_watch_and_census_routes(self, streaming_service):
+        from repro.analysis.runner import ExperimentSpec
+        from repro.service.dashboard import census_snapshot
+
+        client = self.client(streaming_service)
+        base = f"{streaming_service.url}/jobs"
+        spec = ExperimentSpec(
+            protocol="simple-global-line", sizes=(10,), trials=1,
+            max_steps=200_000,
+        )
+        job_id = client.submit(spec.to_dict(), stream=True)["id"]
+        list(client.events(job_id))  # until the job ends
+        status, page = self.get(f"{base}/{job_id}/watch?x=1")
+        assert status == 200
+        assert b'new EventSource("events")' in page
+        status, body = self.get(f"{base}/{job_id}/census?x=1")
+        snap = json.loads(body)
+        job = streaming_service.jobs.get(job_id)
+        assert snap == census_snapshot(job.events)
+        assert sum(snap["census"]["counts"].values()) == 10
+        assert snap["end"]["state"] == "done"
+        # The spec comes from a POST body and canonicalizes unchanged.
+        spec = ExperimentSpec(
+            protocol="line-tm:program=<b>x</b>", sizes=(8,), trials=1,
+        )
+        job_id = client.submit(spec.to_dict())["id"]
+        _, page = self.get(f"{base}/{job_id}/watch")
+        title = (
+            f"repro-net watch {job_id} "
+            "(line-tm:program=&lt;b&gt;x&lt;/b&gt;)"
+        )
+        assert f"<title>{title}</title>".encode() in page
+        assert b"<b>x</b>" not in page
+        for route in ("watch", "census"):
             with pytest.raises(urllib.error.HTTPError) as err:
-                self.get(f"http://{host}:{port}/nope")
+                self.get(f"{base}/job-999/{route}")
+            err.value.close()
             assert err.value.code == 404
-        finally:
-            server.stop()
 
-    def test_events_route_streams_the_log(self):
-        import threading
+    def test_failed_run_ends_with_a_failed_frame(self, streaming_service):
+        from repro.analysis.runner import ExperimentSpec
 
-        from repro.viz.watch import WatchServer
-
-        log = FrameLog()
-        log.publish({"type": "census", "step": 1, "counts": {"a": 1},
-                     "edges": 0, "effective": 1})
-        server = WatchServer(log, port=0)
-        host, port = server.start()
-        frames = []
-
-        def drain():
-            from repro.service.sse import parse_sse
-
-            with urllib.request.urlopen(
-                f"http://{host}:{port}/events", timeout=10
-            ) as resp:
-                frames.extend(parse_sse(resp))
-
-        reader = threading.Thread(target=drain, daemon=True)
-        reader.start()
-        time.sleep(0.2)
-        log.publish({"type": "end", "state": "done"}, control=True)
-        log.close()
-        reader.join(timeout=10)
-        server.stop()
-        assert frames[0]["type"] == "census"
-        assert frames[-1] == {"type": "end", "state": "done"}
-
-    def test_run_local_watch_fills_the_log(self):
-        from repro.viz.watch import run_local_watch
-
-        log = FrameLog()
-        worker = run_local_watch(
-            "simple-global-line", n=16, seed=1, engine="indexed",
-            log=log, max_steps=200_000,
+        client = self.client(streaming_service)
+        spec = ExperimentSpec(
+            protocol="simple-global-line", sizes=(16,), trials=1,
+            engine="sequential",
+            max_steps=1,  # hopeless budget -> ConvergenceError
         )
-        worker.join(timeout=60)
-        assert log.closed
-        kinds = [f["type"] for f in log.frames()]
-        assert "meta" in kinds and "census" in kinds
-        assert kinds[-1] == "end"
-        assert log.frames()[-1]["state"] == "done"
-
-    def test_run_local_watch_reports_failure(self):
-        from repro.viz.watch import run_local_watch
-
-        log = FrameLog()
-        worker = run_local_watch(
-            "simple-global-line", n=16, seed=1, engine="sequential",
-            log=log, max_steps=1,  # hopeless budget -> ConvergenceError
-        )
-        worker.join(timeout=60)
-        end = log.frames()[-1]
+        job = client.submit(spec.to_dict(), stream=True)
+        end = list(client.events(job["id"]))[-1]
         assert end["type"] == "end" and end["state"] == "failed"
         assert "ConvergenceError" in end["error"]
 
-    def test_follow_job_relays_a_service_stream(self, streaming_service):
-        from repro.analysis.runner import ExperimentSpec
-        from repro.service.client import ServiceClient
-        from repro.viz.watch import follow_job
+    def test_watch_spec_streams_the_trial_run_would_run(self, capsys):
+        import re
+        import threading
 
-        client = ServiceClient(streaming_service.url)
+        from repro.cli import main
+        from repro.service.client import ServiceClient
+
+        codes = []
+        argv = ["watch", "simple-global-line", "-n", "16", "--seed", "1",
+                "--duration", "3"]
+        worker = threading.Thread(
+            target=lambda: codes.append(main(argv)), daemon=True
+        )
+        worker.start()
+        out = ""
+        deadline = time.monotonic() + 30
+        while "/watch" not in out and time.monotonic() < deadline:
+            time.sleep(0.05)
+            out += capsys.readouterr().out
+        url = re.search(r"(http://\S+)/jobs/job-1/watch", out).group(1)
+        client = ServiceClient(url)
+        self.clients.append(client)
+        frames = list(client.events("job-1"))
+        worker.join(timeout=30)
+        assert not worker.is_alive() and codes == [0]
+        kinds = [f["type"] for f in frames]
+        assert "meta" in kinds and "census" in kinds
+        assert frames[-1]["type"] == "end"
+        assert frames[-1]["state"] == "done"
+        (run_end,) = [f for f in frames if f["type"] == "run-end"]
+        expected = run_to_convergence(SimpleGlobalLine(), 16, seed=1)
+        assert (run_end["steps"], run_end["effective"]) == (
+            expected.steps, expected.effective_steps
+        )
+
+    def test_watch_job_prints_the_dashboard_url(
+        self, streaming_service, capsys
+    ):
+        from repro.analysis.runner import ExperimentSpec
+        from repro.cli import main
+
         spec = ExperimentSpec(
             protocol="simple-global-line", sizes=(8,), trials=1,
-            max_steps=200_000,
         )
-        job = client.submit(spec.to_dict(), stream=True)
-        log = FrameLog()
-        pump = follow_job(client, job["id"], log)
-        pump.join(timeout=60)
-        assert not pump.is_alive()
-        assert log.closed
-        kinds = [f["type"] for f in log.frames()]
-        assert "status" in kinds and "census" in kinds
-        assert kinds[-1] == "end"
-        # The pump streamed on its own thread; the client stays usable
-        # from this one.
-        assert client.result(job["id"])["state"] == "done"
-        client.close()
+        job = self.client(streaming_service).submit(spec.to_dict())
+        url = streaming_service.url
+        assert main(["watch", job["id"], "--url", url]) == 0
+        assert capsys.readouterr().out == f"{url}/jobs/{job['id']}/watch\n"
+
+    def test_watch_unknown_job_exits_1(self, streaming_service, capsys):
+        from repro.cli import main
+
+        url = streaming_service.url
+        assert main(["watch", "job-999", "--url", url]) == 1
+        assert "unknown job" in capsys.readouterr().err

@@ -628,6 +628,29 @@ class TestConnections(_ClientTests):
         frames = list(parse_sse(body.splitlines(keepends=True)))
         assert frames[-1]["type"] == "end"
 
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_malformed_content_length_is_a_400_and_closes(
+        self, live_service, length
+    ):
+        import socket
+
+        request = (
+            f"POST /jobs HTTP/1.1\r\nHost: x\r\n"
+            f"Content-Length: {length}\r\n\r\n"
+        )
+        raw = b""
+        with socket.create_connection(
+            (live_service.host, live_service.port), timeout=5
+        ) as sock:
+            sock.sendall(request.encode("ascii"))
+            # The server closes the connection: the unread body would
+            # otherwise be parsed as the next request.
+            while chunk := sock.recv(65536):
+                raw += chunk
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert "Content-Length" in json.loads(body)["error"]
+
 
 class TestPoolMap:
     def test_serial_path_runs_the_initializer_in_process(self):
