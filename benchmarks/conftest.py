@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import statistics
 
-from repro.analysis import fit_power_law, measure_convergence
+from repro.analysis import fit_power_law
 from repro.analysis.runner import ExperimentSpec, Runner
 from repro.protocols import registry
 
@@ -19,32 +19,21 @@ def sweep(protocol, sizes, trials, *, measure="output", base_seed=0,
           check_interval=1, engine="indexed", seed_policy="hashed"):
     """Mean convergence times across population sizes.
 
-    ``protocol`` may be a registry spec string, a registered protocol
-    class, or any zero-argument factory.  Registry-resolvable protocols
-    run as a declarative :class:`ExperimentSpec` through the
-    :class:`Runner`; other factories fall back to
-    :func:`repro.analysis.measure_convergence`.
+    ``protocol`` is a registry spec string or a registered parameterless
+    protocol class; it runs as a declarative :class:`ExperimentSpec`
+    through the :class:`Runner`.
 
     ``engine`` selects a :data:`repro.core.simulator.ENGINES` entry; the
     default state-indexed engine is what lets the sweeps reach sizes the
     per-node-rescan engine could not."""
-    spec_str = (
-        protocol if isinstance(protocol, str)
-        else registry.name_for_factory(protocol)
+    if not isinstance(protocol, str):
+        protocol = registry.name_for_factory(protocol)
+    spec = ExperimentSpec(
+        protocol=protocol, sizes=tuple(sizes), trials=trials,
+        engine=engine, measure=measure, seed_policy=seed_policy,
+        base_seed=base_seed, check_interval=check_interval,
     )
-    if spec_str is not None:
-        spec = ExperimentSpec(
-            protocol=spec_str, sizes=tuple(sizes), trials=trials,
-            engine=engine, measure=measure, seed_policy=seed_policy,
-            base_seed=base_seed, check_interval=check_interval,
-        )
-        return Runner().run(spec).summaries()
-    return measure_convergence(
-        protocol, sizes, trials,
-        measure=measure, base_seed=base_seed,
-        check_interval=check_interval, engine=engine,
-        seed_policy=seed_policy,
-    )
+    return Runner().run(spec).summaries()
 
 
 def fitted_exponent(means, log_power=0):

@@ -5,9 +5,7 @@ the analytic expressions derived in the proofs.
 
 from __future__ import annotations
 
-import statistics
-
-from repro.analysis import run_trials
+from benchmarks.conftest import sweep
 from repro.protocols import (
     CycleCover,
     FastGlobalLine,
@@ -28,15 +26,15 @@ TRIALS = 15
 SLACK = 0.85  # measured means may sit slightly below an exact floor
 
 
-def check(factory, bound, n, benchmark=None, **kwargs):
-    times = run_trials(factory, n, TRIALS, **kwargs)
-    mean = statistics.fmean(times)
+def check(factory, bound, n, benchmark=None):
+    mean = sweep(factory, (n,), TRIALS, seed_policy="legacy")[n].mean
     floor = bound(n)
     print(f"\n{factory().name}: measured mean {mean:.0f} vs floor {floor:.0f} (n={n})")
     assert mean >= SLACK * floor, (mean, floor)
     if benchmark is not None:
         benchmark.pedantic(
-            lambda: run_trials(factory, n, 2, **kwargs), rounds=2, iterations=1
+            lambda: sweep(factory, (n,), 2, seed_policy="legacy"),
+            rounds=2, iterations=1,
         )
     return mean, floor
 

@@ -11,7 +11,6 @@ regenerate that evidence: paired-seed sweeps and fitted exponents.
 from __future__ import annotations
 
 from benchmarks.conftest import fitted_exponent, print_sweep, sweep
-from repro.analysis import run_trials
 from repro.protocols import FasterGlobalLine, FastGlobalLine, SimpleGlobalLine
 
 # One tier beyond the seed's largest size (30): the state-indexed engine
@@ -38,7 +37,8 @@ def test_protocol10_head_to_head(benchmark):
     # asymptotically is open; we assert the measured improvement).
     assert faster[SIZES[-1]].mean < fast[SIZES[-1]].mean
     benchmark.pedantic(
-        lambda: run_trials(FasterGlobalLine, 16, 3), rounds=3, iterations=1
+        lambda: sweep(FasterGlobalLine, (16,), 3, seed_policy="legacy"),
+        rounds=3, iterations=1,
     )
 
 
@@ -50,5 +50,6 @@ def test_protocol10_against_simple_baseline(benchmark):
     print_sweep("Protocol 10 / Faster-Global-Line", faster)
     assert faster[22].mean < simple[22].mean
     benchmark.pedantic(
-        lambda: run_trials(FasterGlobalLine, 12, 3), rounds=3, iterations=1
+        lambda: sweep(FasterGlobalLine, (12,), 3, seed_policy="legacy"),
+        rounds=3, iterations=1,
     )

@@ -12,7 +12,6 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import fitted_exponent, print_sweep, sweep
-from repro.analysis import run_trials
 from repro.processes import (
     EdgeCover,
     MaximumMatchingProcess,
@@ -66,7 +65,8 @@ def test_table1_row(benchmark, name):
             assert 0.6 * lower <= means[n].mean <= 1.4 * upper
 
     benchmark.pedantic(
-        lambda: run_trials(factory, 24, 3, measure="last_change"),
+        lambda: sweep(factory, (24,), 3, measure="last_change",
+                      seed_policy="legacy"),
         rounds=3,
         iterations=1,
     )

@@ -11,7 +11,6 @@ from __future__ import annotations
 import networkx as nx
 
 from benchmarks.conftest import fitted_exponent, print_sweep, sweep
-from repro.analysis import run_trials
 from repro.protocols import (
     CCliques,
     CycleCover,
@@ -60,7 +59,8 @@ def test_table2_simple_global_line_time(benchmark):
     print(f"fitted: {fit.describe()}")
     assert 3.0 < fit.exponent < 5.5, fit.describe()
     benchmark.pedantic(
-        lambda: run_trials(SimpleGlobalLine, 12, 2), rounds=2, iterations=1
+        lambda: sweep(SimpleGlobalLine, (12,), 2, seed_policy="legacy"),
+        rounds=2, iterations=1,
     )
 
 
@@ -73,7 +73,8 @@ def test_table2_fast_global_line_time(benchmark):
     print(f"fitted: {fit.describe()}")
     assert 2.0 < fit.exponent < 3.5, fit.describe()
     benchmark.pedantic(
-        lambda: run_trials(FastGlobalLine, 16, 2), rounds=2, iterations=1
+        lambda: sweep(FastGlobalLine, (16,), 2, seed_policy="legacy"),
+        rounds=2, iterations=1,
     )
 
 
@@ -85,7 +86,8 @@ def test_table2_cycle_cover_time(benchmark):
     print(f"fitted: {fit.describe()}")
     assert 1.6 < fit.exponent < 2.4, fit.describe()
     benchmark.pedantic(
-        lambda: run_trials(CycleCover, 18, 4), rounds=3, iterations=1
+        lambda: sweep(CycleCover, (18,), 4, seed_policy="legacy"),
+        rounds=3, iterations=1,
     )
 
 
@@ -98,7 +100,8 @@ def test_table2_global_star_time(benchmark):
     print(f"fitted: {fit.describe()}")
     assert 1.6 < fit.exponent < 2.4, fit.describe()
     benchmark.pedantic(
-        lambda: run_trials(GlobalStar, 18, 4), rounds=3, iterations=1
+        lambda: sweep(GlobalStar, (18,), 4, seed_policy="legacy"),
+        rounds=3, iterations=1,
     )
 
 
@@ -107,20 +110,21 @@ def test_table2_replication_time(benchmark):
     with the log divided out (small-n fits run a bit below the
     asymptotic order)."""
 
-    def factory_for(n1):
-        return lambda: GraphReplication(nx.path_graph(n1))
+    def replication_spec(n1):
+        return f"graph-replication:graph=path-{n1}"
 
     sizes = (6, 8, 10, 12)  # population = 2 * |V1|
     means = {}
     for n in sizes:
-        means[n] = sweep(factory_for(n // 2), (n,), 8,
+        means[n] = sweep(replication_spec(n // 2), (n,), 8,
                          check_interval=4)[n]
     print_sweep("Table 2 / Graph-Replication (Θ(n⁴ log n))", means)
     fit = fitted_exponent(means, log_power=1)
     print(f"fitted: {fit.describe()}")
     assert fit.exponent > 2.5, fit.describe()
     benchmark.pedantic(
-        lambda: run_trials(factory_for(4), 8, 2, check_interval=4),
+        lambda: sweep(replication_spec(4), (8,), 2, check_interval=4,
+                      seed_policy="legacy"),
         rounds=2, iterations=1,
     )
 
@@ -134,7 +138,8 @@ def test_table2_spanning_network_time(benchmark):
     print(f"fitted: {fit.describe()}")
     assert 0.6 < fit.exponent < 1.4, fit.describe()
     benchmark.pedantic(
-        lambda: run_trials(SpanningNetwork, 32, 5), rounds=3, iterations=1
+        lambda: sweep(SpanningNetwork, (32,), 5, seed_policy="legacy"),
+        rounds=3, iterations=1,
     )
 
 
@@ -157,5 +162,6 @@ def test_table2_who_wins_fast_vs_simple(benchmark):
     assert fast[48].mean < simple[48].mean  # Fast wins past the crossover
     assert ratios[-1] > ratios[0]  # and the gap widens with n
     benchmark.pedantic(
-        lambda: run_trials(FastGlobalLine, 12, 2), rounds=2, iterations=1
+        lambda: sweep(FastGlobalLine, (12,), 2, seed_policy="legacy"),
+        rounds=2, iterations=1,
     )

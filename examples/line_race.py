@@ -15,22 +15,33 @@ This example regenerates the paper's experimental comparison, prints the
 measured sweep, fits the growth exponents, and reports the crossover
 where Fast overtakes Simple (Fast pays bigger constants per operation).
 
-Run:  python examples/line_race.py          (~1 minute)
+Run:  python examples/line_race.py          (a few seconds)
 """
 
-from repro.analysis import crossover_size, fit_power_law, measure_convergence
-from repro.protocols import FasterGlobalLine, FastGlobalLine, SimpleGlobalLine
+from repro.analysis import (
+    ExperimentSpec,
+    Runner,
+    crossover_size,
+    fit_power_law,
+)
 
 SIZES = [10, 16, 24, 34, 44]
 TRIALS = 10
+#: Display name -> registry spec of each racer.
+RACERS = {
+    "Simple-Global-Line": "simple-global-line",
+    "Fast-Global-Line": "fast-global-line",
+    "Faster-Global-Line": "faster-global-line",
+}
 
 
 def main() -> None:
-    racers = [SimpleGlobalLine, FastGlobalLine, FasterGlobalLine]
-    sweeps = {}
-    for cls in racers:
-        name = cls().name
-        sweeps[name] = measure_convergence(cls, SIZES, TRIALS, base_seed=1)
+    sweeps = {
+        name: Runner().run(ExperimentSpec(
+            protocol=spec, sizes=SIZES, trials=TRIALS, base_seed=1,
+        )).summaries()
+        for name, spec in RACERS.items()
+    }
 
     print(f"{'n':>5}", end="")
     for name in sweeps:

@@ -1,14 +1,8 @@
 """Measurement and estimation toolkit: the declarative sweep runner,
 robustness grids, power-law fitting and table rendering behind the
-``benchmarks/`` figure tests and the CLI."""
+``benchmarks/`` figure tests and the CLI.  Every sweep runs as an
+:class:`ExperimentSpec` through a :class:`Runner`."""
 
-from repro.analysis.experiments import (
-    MEASURES,
-    Summary,
-    measure_convergence,
-    run_trials,
-    summarize,
-)
 from repro.analysis.fitting import (
     PowerLawFit,
     crossover_size,
@@ -25,19 +19,20 @@ from repro.analysis.robustness import (
     run_robustness_trial,
 )
 from repro.analysis.runner import (
-    EXECUTORS,
+    MEASURES,
     SEED_POLICIES,
     ExperimentSpec,
     Runner,
+    Summary,
     SweepResult,
     TrialRecord,
     TrialSpec,
     run_trial,
+    summarize,
 )
 from repro.analysis.tables import format_mean_ci, render_table
 
 __all__ = [
-    "EXECUTORS",
     "ExperimentSpec",
     "FAULT_FAMILIES",
     "MEASURES",
@@ -56,11 +51,9 @@ __all__ = [
     "empirical_ratio_curve",
     "fit_power_law",
     "format_mean_ci",
-    "measure_convergence",
     "render_table",
     "run_robustness",
     "run_robustness_trial",
     "run_trial",
-    "run_trials",
     "summarize",
 ]

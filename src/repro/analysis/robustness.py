@@ -15,7 +15,8 @@ This module makes such a grid a value, mirroring the sweep layer of
   :data:`FAULT_FAMILIES`;
 * :func:`run_robustness` expands the spec into independent
   :class:`RobustnessTrial` s and executes them serially or across cores
-  (same order-preserving contract as the sweep executors);
+  (same order-preserving contract and result store as the sweep
+  runner);
 * a :class:`RobustnessResult` holds per-trial :class:`RobustnessRecord`
   s and derives the two headline curves — **survival** (fraction of
   trials whose surviving population stabilized to the protocol's target
@@ -49,14 +50,16 @@ import statistics
 import sys
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 from repro.analysis.runner import (
     EXECUTION_COUNTER,
     MEASURES,
     ExperimentError,
     _hashed_seed,
+    cached_map,
     pool_map,
+    require_distinct,
 )
 from repro.core.faults import compact_survivors, survivors
 from repro.core.scenario import DEFAULT_SCHEDULER, Scenario
@@ -197,6 +200,8 @@ class RobustnessSpec:
             raise ExperimentError("spec needs at least one protocol")
         if not self.loads:
             raise ExperimentError("spec needs at least one fault load")
+        require_distinct("protocols", self.protocols)
+        require_distinct("loads", self.loads)
         if self.n < 2:
             raise ExperimentError(f"population must be >= 2, got {self.n}")
         if self.trials < 1:
@@ -291,7 +296,7 @@ class RobustnessSpec:
 @dataclass(frozen=True)
 class RobustnessTrial:
     """One independent trial of an expanded :class:`RobustnessSpec`
-    (picklable; the process executor ships these to workers)."""
+    (picklable; a process pool ships these to workers)."""
 
     protocol: str
     n: int
@@ -343,8 +348,8 @@ def run_robustness_trial(
     """Execute one :class:`RobustnessTrial` (module-level: picklable).
 
     ``bus`` (an optional :class:`~repro.core.trace.TraceBus`) streams
-    the run's events/census/fault frames; only the in-process serial
-    executor can pass one — process workers run unobserved.
+    the run's events/census/fault frames; only an in-process run
+    (``jobs=1``) can pass one — process workers run unobserved.
     """
     EXECUTION_COUNTER.increment()
     protocol = registry.instantiate(trial.protocol)
@@ -470,46 +475,28 @@ class RobustnessResult:
 # ----------------------------------------------------------------------
 
 def run_robustness(
-    spec: RobustnessSpec,
-    jobs: int = 1,
-    items: Sequence[RobustnessTrial] | None = None,
-    cache=None,
+    spec: RobustnessSpec, jobs: int = 1, cache=None
 ) -> RobustnessResult:
     """Expand ``spec`` and execute every trial (optionally across
-    ``jobs`` worker processes; records are executor-independent, as for
-    the sweep runner).  Never partial — a trial failure propagates.
+    ``jobs`` worker processes; records do not depend on it, as for the
+    sweep runner).  Never partial — a trial failure propagates.
 
     ``cache`` is a content-addressed
-    :class:`~repro.service.store.ResultStore`: trials with a stored
-    record are served from disk (zero engine runs on a warm store) and
-    fresh records are stored back, exactly as for
-    :class:`~repro.analysis.runner.Runner`.
+    :class:`~repro.service.store.ResultStore`, consulted through the
+    same :func:`~repro.analysis.runner.cached_map` as
+    :class:`~repro.analysis.runner.Runner` (zero engine runs on a warm
+    store).
     """
-    trials = spec.expand() if items is None else list(items)
+    trials = spec.expand()
     if cache is None:
         records = pool_map(run_robustness_trial, trials, jobs)
-        return RobustnessResult(spec=spec, records=tuple(records))
-    from repro.service.keys import code_digest, robustness_trial_key
+    else:
+        from repro.service.keys import robustness_trial_key
 
-    code_versions = {p: code_digest(p) for p in {t.protocol for t in trials}}
-    by_index: dict[int, RobustnessRecord] = {}
-    misses: list[tuple[int, RobustnessTrial, str]] = []
-    for i, trial in enumerate(trials):
-        key = robustness_trial_key(
-            trial, code_version=code_versions[trial.protocol]
+        records = cached_map(
+            run_robustness_trial, trials, jobs, cache,
+            robustness_trial_key, "robustness",
         )
-        cached = cache.get(key)
-        if cached is None:
-            misses.append((i, trial, key))
-        else:
-            by_index[i] = cached
-    fresh = pool_map(
-        run_robustness_trial, [trial for _, trial, _ in misses], jobs
-    )
-    for (i, _, key), record in zip(misses, fresh):
-        cache.put(key, record, "robustness")
-        by_index[i] = record
-    records = [by_index[i] for i in range(len(trials))]
     return RobustnessResult(spec=spec, records=tuple(records))
 
 

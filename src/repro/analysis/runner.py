@@ -5,16 +5,15 @@ constructor over population sizes under the uniform random scheduler.
 This module makes such a sweep a *value*: a frozen
 :class:`ExperimentSpec` names the protocol (a registry spec string), the
 sizes, the trial count, the engine, the measure and the seed policy; the
-:class:`Runner` expands it into independent :class:`TrialSpec` s and
-executes them with a pluggable executor — ``serial`` in-process or
-``process`` fanning trials across cores with :mod:`multiprocessing`
-(trials are embarrassingly parallel) — producing a :class:`SweepResult`
-of per-trial :class:`TrialRecord` s that round-trips through JSON via
-:mod:`repro.core.serialization`.
+:class:`Runner` expands it into independent :class:`TrialSpec` s and runs
+them in-process (``jobs=1``) or across a :mod:`multiprocessing` pool
+(``jobs > 1``; trials are embarrassingly parallel), producing a
+:class:`SweepResult` of per-trial :class:`TrialRecord` s that round-trips
+through JSON via :mod:`repro.core.serialization`.
 
 Determinism contract: a trial's simulation outcome depends only on its
 :class:`TrialSpec` (protocol, n, seed, engine, budget) — never on which
-executor ran it or in what order — so serial and parallel execution of
+process ran it or in what order — so serial and parallel execution of
 the same spec produce identical records (up to wall-clock timing).
 
 Seed policies
@@ -46,7 +45,7 @@ import multiprocessing
 import statistics
 import time
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.core.errors import ReproError
 from repro.core.protocol import Protocol
@@ -75,6 +74,14 @@ class ExperimentError(ReproError):
     """An experiment spec is invalid or its execution failed."""
 
 
+def require_distinct(axis: str, values: Sequence) -> None:
+    """Reject a sweep axis that lists one canonical value twice: the
+    repeated cell would rerun the same seeds and count them twice."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ExperimentError(f"{axis} lists {value!r} twice")
+
+
 # ----------------------------------------------------------------------
 # Seed policies
 # ----------------------------------------------------------------------
@@ -96,7 +103,7 @@ SEED_POLICIES: dict[str, Callable[[int, str, int, int], int]] = {
 
 
 # ----------------------------------------------------------------------
-# Summaries (moved here from analysis.experiments; re-exported there)
+# Summaries
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -188,6 +195,7 @@ class ExperimentSpec:
             object.__setattr__(self, "scenario", DEFAULT_SCENARIO)
         if not self.sizes:
             raise ExperimentError("spec needs at least one population size")
+        require_distinct("sizes", self.sizes)
         if self.trials < 1:
             raise ExperimentError(f"trials must be >= 1, got {self.trials}")
         if self.engine not in ENGINES:
@@ -257,9 +265,9 @@ class ExperimentSpec:
 class TrialSpec:
     """One independent trial of an expanded :class:`ExperimentSpec`.
 
-    Fully self-describing and picklable: the ``process`` executor ships
-    these to worker processes, which rebuild the protocol from the
-    registry spec string.
+    Fully self-describing and picklable: a process pool ships these to
+    worker processes, which rebuild the protocol from the registry spec
+    string.
     """
 
     protocol: str
@@ -279,7 +287,7 @@ class TrialRecord:
 
     Every field except ``elapsed_seconds`` is a deterministic function of
     the :class:`TrialSpec`; :meth:`deterministic` strips the timing so
-    records from different executors compare equal.
+    records from serial and parallel runs compare equal.
     """
 
     n: int
@@ -335,7 +343,7 @@ class SweepResult:
 
 
 # ----------------------------------------------------------------------
-# Trial execution (shared by every executor and by analysis.experiments)
+# Trial execution
 # ----------------------------------------------------------------------
 
 class ExecutionCounter:
@@ -345,10 +353,9 @@ class ExecutionCounter:
     against a warm :class:`~repro.service.store.ResultStore` must
     perform *zero* engine runs, and tests assert exactly that by
     snapshotting :data:`EXECUTION_COUNTER` around the warm run.  Worker
-    processes hold their own module copy, so under the ``process``
-    executor the parent's counter stays at 0 — run the assertion with
-    the serial executor (or read it for what it is: in-process
-    executions only).
+    processes hold their own module copy, so at ``jobs > 1`` the
+    parent's counter stays at 0 — run the assertion at ``jobs=1`` (or
+    read it for what it is: in-process executions only).
     """
 
     __slots__ = ("count",)
@@ -376,15 +383,16 @@ def run_one(
     check_interval: int = 1,
     scenario: Scenario | None = None,
     bus=None,
-) -> TrialRecord:
+) -> tuple[TrialRecord, RunResult]:
     """Run one already-instantiated protocol and record the outcome.
 
-    The single trial-execution code path: the Runner's executors and the
-    legacy factory-based :func:`repro.analysis.experiments.run_trials`
-    both end up here.  The default scenario takes exactly the
-    pre-scenario path (bit-identical records); non-default scenarios
-    resolve the engine through ``supports(scenario)`` and never raise on
-    budget exhaustion — the record says ``converged=False`` instead.
+    The single trial-execution code path: :func:`run_trial` and
+    ``repro-net run`` both end up here; the latter also prints from the
+    returned :class:`~repro.core.simulator.RunResult`.  The default
+    scenario takes exactly the pre-scenario path (bit-identical
+    records); non-default scenarios resolve the engine through
+    ``supports(scenario)`` and never raise on budget exhaustion — the
+    record says ``converged=False`` instead.
     """
     EXECUTION_COUNTER.increment()
     read = MEASURES[measure]
@@ -395,7 +403,7 @@ def run_one(
         warn=False,
     )
     elapsed = time.perf_counter() - start
-    return TrialRecord(
+    record = TrialRecord(
         n=n,
         trial=trial,
         seed=seed,
@@ -406,17 +414,18 @@ def run_one(
         stop_reason=result.stop_reason,
         elapsed_seconds=elapsed,
     )
+    return record, result
 
 
 def run_trial(trial: TrialSpec, bus=None) -> TrialRecord:
     """Execute one :class:`TrialSpec` (module-level: picklable).
 
     ``bus`` (an optional :class:`~repro.core.trace.TraceBus`) streams
-    the run's events/census; only the in-process serial executor can
+    the run's events/census; only an in-process run (``jobs=1``) can
     pass one — process workers run unobserved.
     """
     protocol = registry.instantiate(trial.protocol)
-    return run_one(
+    record, _ = run_one(
         protocol,
         n=trial.n,
         trial=trial.trial,
@@ -428,19 +437,12 @@ def run_trial(trial: TrialSpec, bus=None) -> TrialRecord:
         scenario=trial.scenario,
         bus=bus,
     )
+    return record
 
 
 # ----------------------------------------------------------------------
-# Executors
+# Execution
 # ----------------------------------------------------------------------
-
-#: Start method handed to :func:`multiprocessing.get_context` by
-#: :func:`pool_map` (``None`` = the platform default).  One knob for
-#: every process-pool consumer — the sweep executors, the robustness
-#: executor and the experiment service's worker fleet all fan out
-#: through :func:`pool_map`, so changing the spawn semantics (or the
-#: chunking policy below) happens in exactly one place.
-POOL_START_METHOD: str | None = None
 
 #: Chunks per worker: ``chunksize = len(items) // (jobs * DIVISOR)``.
 #: 4 balances scheduling overhead against stragglers for trial-sized
@@ -448,122 +450,90 @@ POOL_START_METHOD: str | None = None
 POOL_CHUNK_DIVISOR = 4
 
 
-def pool_map(
-    fn: Callable,
-    items: Sequence,
-    jobs: int,
-    *,
-    initializer: Callable | None = None,
-    initargs: tuple = (),
-) -> list:
+def pool_map(fn: Callable, items: Sequence, jobs: int) -> list:
     """Order-preserving map — *the* process-pool entry point.
 
     In-process when ``jobs == 1`` or there is nothing to fan out;
-    otherwise a :mod:`multiprocessing` pool with the module-level start
-    method and chunking policy.  ``fn`` must be a picklable module-level
-    callable.  ``pool.map`` preserves input order, so parallel results
-    line up with a serial map's exactly — the mechanism behind the
-    executor-equivalence contract.
-
-    ``initializer``/``initargs`` run once per worker process (the hook
-    for worker-level seeding or warm-up); trials themselves carry their
-    own seeds, so the default needs none.
+    otherwise a :mod:`multiprocessing` pool (platform-default start
+    method) with the chunking policy above.  ``fn`` must be a picklable
+    module-level callable.  ``pool.map`` preserves input order, so
+    parallel results line up with a serial map's exactly — the
+    mechanism behind the serial/parallel equivalence contract.  Sweeps,
+    robustness sweeps and the experiment service's worker fleet all fan
+    out through here.
     """
     if jobs < 1:
         raise ExperimentError(f"jobs must be >= 1, got {jobs}")
     if jobs == 1 or len(items) <= 1:
-        if initializer is not None:
-            initializer(*initargs)
         return [fn(item) for item in items]
     chunksize = max(1, len(items) // (jobs * POOL_CHUNK_DIVISOR))
-    context = multiprocessing.get_context(POOL_START_METHOD)
-    with context.Pool(
-        processes=jobs, initializer=initializer, initargs=initargs
-    ) as pool:
+    with multiprocessing.Pool(processes=jobs) as pool:
         return pool.map(fn, list(items), chunksize=chunksize)
 
 
-def serial_executor(trials: Sequence[TrialSpec], jobs: int) -> list[TrialRecord]:
-    """Run every trial in-process, in order."""
-    return pool_map(run_trial, trials, 1)
+def cached_map(
+    fn: Callable,
+    trials: Sequence,
+    jobs: int,
+    store: "ResultStore",
+    key: Callable,
+    envelope: str,
+) -> list:
+    """:func:`pool_map` through a content-addressed result store.
 
+    A trial whose ``key(trial, code_version=...)`` (a
+    :mod:`repro.service.keys` function; the code version digests the
+    trial's protocol) already has a stored record is served from disk
+    without touching an engine; the misses run through :func:`pool_map`
+    and are stored back under the ``envelope`` tag.  Records come back
+    in trial order.  Because a stored record *is* the cold run's record
+    (wall-clock timing included), a warm re-run returns the cold
+    records byte for byte.
+    """
+    # Imported lazily: the service layer sits above the runner.
+    from repro.service.keys import code_digest
 
-def process_executor(trials: Sequence[TrialSpec], jobs: int) -> list[TrialRecord]:
-    """Fan trials out across a :mod:`multiprocessing` pool."""
-    return pool_map(run_trial, trials, jobs)
-
-
-#: name -> ``(trials, jobs) -> records`` executor.  Future scenario axes
-#: (remote executors, fault-injecting harnesses) plug in here.
-EXECUTORS: dict[str, Callable[[Sequence[TrialSpec], int], list[TrialRecord]]] = {
-    "serial": serial_executor,
-    "process": process_executor,
-}
+    digests = {p: code_digest(p) for p in {t.protocol for t in trials}}
+    keys = [key(t, code_version=digests[t.protocol]) for t in trials]
+    records = [store.get(k) for k in keys]
+    misses = [i for i, record in enumerate(records) if record is None]
+    fresh = pool_map(fn, [trials[i] for i in misses], jobs)
+    for i, record in zip(misses, fresh):
+        store.put(keys[i], record, envelope)
+        records[i] = record
+    return records
 
 
 @dataclass(frozen=True)
 class Runner:
-    """Executes :class:`ExperimentSpec` s with a named executor.
+    """Executes :class:`ExperimentSpec` s.
 
-    ``jobs`` is the parallelism degree; when ``executor`` is left empty
-    it picks ``serial`` for ``jobs == 1`` and ``process`` otherwise.
+    ``jobs`` is the parallelism degree: ``1`` runs every trial
+    in-process, in order; more fans the trials across a process pool
+    (:func:`pool_map`).  The records do not depend on it.
 
     ``cache`` plugs in a content-addressed
-    :class:`~repro.service.store.ResultStore`: trials whose key
-    (canonical trial JSON + protocol code digest, see
-    :mod:`repro.service.keys`) already has a stored record are served
-    from disk without touching an engine, and freshly executed records
-    are stored back.  Because the stored record *is* the cold run's
-    record (wall-clock timing included), a warm re-run returns a
-    :class:`SweepResult` byte-identical to the cold one.
+    :class:`~repro.service.store.ResultStore` through :func:`cached_map`,
+    so a warm re-run returns a :class:`SweepResult` byte-identical to
+    the cold one without touching an engine.
     """
 
     jobs: int = 1
-    executor: str = ""
     cache: "ResultStore | None" = None
 
-    def executor_name(self) -> str:
-        if self.executor:
-            return self.executor
-        return "serial" if self.jobs == 1 else "process"
-
     def run(self, spec: ExperimentSpec) -> SweepResult:
-        """Expand ``spec`` and execute every trial; never partial — an
-        executor failure propagates rather than truncating the sweep."""
-        name = self.executor_name()
-        try:
-            execute = EXECUTORS[name]
-        except KeyError:
-            raise ExperimentError(
-                f"unknown executor {name!r}; choose from {sorted(EXECUTORS)}"
-            ) from None
+        """Expand ``spec`` and execute every trial; never partial — a
+        trial failure propagates rather than truncating the sweep."""
         # Surface scenario-driven engine rerouting once per sweep (the
         # per-trial resolution itself is silent).
         resolve_engine(spec.engine, spec.scenario, warn=True)
         trials = spec.expand()
         if self.cache is None:
-            records = execute(trials, self.jobs)
-            return SweepResult(spec=spec, records=tuple(records))
-        # Imported lazily: the service layer sits above the runner.
-        from repro.service.keys import code_digest, trial_key
+            records = pool_map(run_trial, trials, self.jobs)
+        else:
+            from repro.service.keys import trial_key
 
-        code_version = code_digest(spec.protocol)
-        by_index: dict[int, TrialRecord] = {}
-        misses: list[tuple[int, TrialSpec, str]] = []
-        for i, trial in enumerate(trials):
-            key = trial_key(trial, code_version=code_version)
-            cached = self.cache.get(key)
-            if cached is None:
-                misses.append((i, trial, key))
-            else:
-                by_index[i] = cached
-        fresh = execute([trial for _, trial, _ in misses], self.jobs)
-        for (i, _, key), record in zip(misses, fresh):
-            self.cache.put(key, record, "trial")
-            by_index[i] = record
-        records = [by_index[i] for i in range(len(trials))]
+            records = cached_map(
+                run_trial, trials, self.jobs, self.cache, trial_key, "trial"
+            )
         return SweepResult(spec=spec, records=tuple(records))
-
-    def run_all(self, specs: Iterable[ExperimentSpec]) -> list[SweepResult]:
-        """Execute several sweeps back to back."""
-        return [self.run(spec) for spec in specs]

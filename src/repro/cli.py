@@ -111,6 +111,7 @@ from repro.analysis.runner import (
     SEED_POLICIES,
     ExperimentSpec,
     Runner,
+    run_one,
 )
 from repro.core.errors import ReproError
 from repro.core.faults import FAULTS, survivors
@@ -121,7 +122,7 @@ from repro.core.serialization import (
     dump_robustness_result,
     dump_sweep_result,
 )
-from repro.core.simulator import ENGINES, run_to_convergence
+from repro.core.simulator import ENGINES
 from repro.protocols import registry
 from repro.service.api import DEFAULT_HOST, DEFAULT_PORT, ExperimentService
 from repro.service.client import DEFAULT_URL, ServiceClient
@@ -611,20 +612,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
             )
             _report_cache(store, 1)
             return 0
-    result = run_to_convergence(
-        protocol, args.n, seed=args.seed, max_steps=args.max_steps,
-        engine=args.engine, scenario=scenario,
+    record, result = run_one(
+        protocol, n=args.n, trial=0, seed=args.seed, engine=args.engine,
+        max_steps=args.max_steps, scenario=scenario,
     )
     if store is not None and key is not None:
-        from repro.analysis.runner import TrialRecord
-
-        store.put(key, TrialRecord(
-            n=args.n, trial=0, seed=args.seed,
-            value=MEASURES["output"](result), steps=result.steps,
-            effective_steps=result.effective_steps,
-            converged=result.converged, stop_reason=result.stop_reason,
-            elapsed_seconds=0.0,
-        ), "trial")
+        store.put(key, record, "trial")
     alive = survivors(result.config)
     print(f"protocol      : {protocol.name}")
     print(f"population    : {args.n}")

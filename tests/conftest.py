@@ -7,6 +7,7 @@ import os
 import pytest
 from hypothesis import HealthCheck, settings
 
+from repro.analysis.runner import ExperimentSpec, Runner
 from repro.core.scheduler import (
     AdversarialLaggardScheduler,
     RoundRobinScheduler,
@@ -38,6 +39,13 @@ def converge(protocol, n, seed=0, max_steps=None, check_interval=1):
         check_interval=check_interval,
         require_convergence=max_steps is not None,
     )
+
+
+def trial_times(protocol, n, trials, **fields):
+    """Values of ``trials`` legacy-seeded runs of a registry spec at ``n``."""
+    spec = ExperimentSpec(protocol=protocol, sizes=(n,), trials=trials,
+                          seed_policy="legacy", **fields)
+    return Runner().run(spec).times(n)
 
 
 def converge_sequential(protocol, n, scheduler, seed=0, max_steps=2_000_000):

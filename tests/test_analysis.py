@@ -8,16 +8,15 @@ import pytest
 
 from repro.analysis import (
     MEASURES,
+    ExperimentSpec,
+    Runner,
     crossover_size,
     empirical_ratio_curve,
     fit_power_law,
     format_mean_ci,
-    measure_convergence,
     render_table,
-    run_trials,
     summarize,
 )
-from repro.processes import OneWayEpidemic
 from repro.protocols.bounds import (
     cycle_cover_lower_bound,
     elect_then_build_line_upper_bound,
@@ -29,6 +28,7 @@ from repro.protocols.bounds import (
     spanning_ring_lower_bound,
     spanning_star_lower_bound,
 )
+from tests.conftest import trial_times
 
 
 class TestFitting:
@@ -82,8 +82,8 @@ class TestCurves:
 
 class TestTrialRunner:
     def test_run_trials_reproducible(self):
-        t1 = run_trials(OneWayEpidemic, 8, 5, measure="last_change")
-        t2 = run_trials(OneWayEpidemic, 8, 5, measure="last_change")
+        t1 = trial_times("one-way-epidemic", 8, 5, measure="last_change")
+        t2 = trial_times("one-way-epidemic", 8, 5, measure="last_change")
         assert t1 == t2
 
     def test_measures_available(self):
@@ -97,9 +97,11 @@ class TestTrialRunner:
         assert lo < 3.0 < hi
 
     def test_measure_convergence_sweep(self):
-        sweep = measure_convergence(
-            OneWayEpidemic, [6, 8], 4, measure="last_change"
+        spec = ExperimentSpec(
+            protocol="one-way-epidemic", sizes=(6, 8), trials=4,
+            measure="last_change",
         )
+        sweep = Runner().run(spec).summaries()
         assert set(sweep) == {6, 8}
         assert all(s.trials == 4 for s in sweep.values())
 

@@ -1,0 +1,24 @@
+"""Every script in ``examples/`` runs to completion in its own
+interpreter, the way a reader would run it."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+EXAMPLES = sorted((ROOT / "examples").glob("*.py"))
+
+
+@pytest.mark.parametrize("script", EXAMPLES, ids=lambda path: path.stem)
+def test_example_runs(script):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, str(script)], env=env, capture_output=True,
+        text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr

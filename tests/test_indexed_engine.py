@@ -39,6 +39,7 @@ from repro.core.trace import Trace
 from repro.generic import ACTIVATE, AddressedEdgeOps
 from repro.processes import OneWayEpidemic, one_way_epidemic_expectation
 from repro.protocols import GlobalStar, SimpleGlobalLine
+from tests.conftest import trial_times
 
 
 class TokenCollector(Protocol):
@@ -368,12 +369,12 @@ class TestIndexedEngineBasics:
             run_to_convergence(GlobalStar(), 8, seed=0, engine="sequential")
 
     def test_run_trials_sequential_requires_budget(self):
-        from repro.analysis import run_trials
+        from repro.analysis.runner import ExperimentError
 
-        with pytest.raises(SimulationError):
-            run_trials(GlobalStar, 8, 1, engine="sequential")
-        times = run_trials(
-            GlobalStar, 8, 2, engine="sequential", max_steps=100_000
+        with pytest.raises(ExperimentError, match="max_steps"):
+            trial_times("global-star", 8, 1, engine="sequential")
+        times = trial_times(
+            "global-star", 8, 2, engine="sequential", max_steps=100_000
         )
         assert len(times) == 2
 

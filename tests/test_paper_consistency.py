@@ -8,24 +8,15 @@ import statistics
 
 import pytest
 
-from repro.analysis import run_trials
 from repro.processes import (
-    MeetEverybody,
-    NodeCover,
     meet_everybody_expectation,
     one_way_epidemic_expectation,
-)
-from repro.protocols import (
-    FastGlobalLine,
-    GlobalStar,
-    LeaderDrivenLine,
-    SimpleGlobalLine,
-    SpanningNetwork,
 )
 from repro.protocols.bounds import (
     spanning_line_lower_bound,
     spanning_star_lower_bound,
 )
+from tests.conftest import trial_times
 
 TRIALS = 40
 N = 20
@@ -37,16 +28,16 @@ class TestTheorem1:
     distribution."""
 
     def test_spanning_equals_node_cover_in_mean(self):
-        spanning = run_trials(SpanningNetwork, N, TRIALS, measure="last_change")
-        cover = run_trials(NodeCover, N, TRIALS, measure="last_change")
+        spanning = trial_times("spanning-network", N, TRIALS, measure="last_change")
+        cover = trial_times("node-cover", N, TRIALS, measure="last_change")
         s_mean = statistics.fmean(spanning)
         c_mean = statistics.fmean(cover)
         assert abs(s_mean - c_mean) / c_mean < 0.25
 
     def test_identical_under_identical_seeds(self):
         """Same rule structure, same seeds -> same step counts."""
-        spanning = run_trials(SpanningNetwork, N, 10, measure="last_change")
-        cover = run_trials(NodeCover, N, 10, measure="last_change")
+        spanning = trial_times("spanning-network", N, 10, measure="last_change")
+        cover = trial_times("node-cover", N, 10, measure="last_change")
         assert spanning == cover
 
 
@@ -56,7 +47,7 @@ class TestTheorem6Via7:
     a modest constant."""
 
     def test_star_dominates_meet_everybody(self):
-        star = statistics.fmean(run_trials(GlobalStar, N, TRIALS))
+        star = statistics.fmean(trial_times("global-star", N, TRIALS))
         meet = meet_everybody_expectation(N)
         assert star > 0.8 * meet
         assert star < 6 * meet
@@ -68,7 +59,7 @@ class TestSection7Composition:
 
     def test_leader_line_tracks_meet_everybody(self):
         line = statistics.fmean(
-            run_trials(LeaderDrivenLine, N, TRIALS, measure="last_change")
+            trial_times("leader-driven-line", N, TRIALS, measure="last_change")
         )
         exact = meet_everybody_expectation(N)
         assert abs(line - exact) / exact < 0.3
@@ -76,14 +67,14 @@ class TestSection7Composition:
     def test_leader_line_beats_uniform_line_protocols(self):
         """With the leader handed for free, the line is built much faster
         than any uniform protocol manages from scratch."""
-        with_leader = statistics.fmean(run_trials(LeaderDrivenLine, N, 15))
-        from_scratch = statistics.fmean(run_trials(SimpleGlobalLine, N, 15))
+        with_leader = statistics.fmean(trial_times("leader-driven-line", N, 15))
+        from_scratch = statistics.fmean(trial_times("simple-global-line", N, 15))
         assert with_leader < from_scratch
 
 
 class TestLineBoundsBracketMeasurements:
     def test_fast_line_between_lower_bound_and_n4(self):
-        measured = statistics.fmean(run_trials(FastGlobalLine, 24, 15))
+        measured = statistics.fmean(trial_times("fast-global-line", 24, 15))
         assert measured >= spanning_line_lower_bound(24)
         assert measured <= 24**4  # far under Simple's regime
 
@@ -99,9 +90,7 @@ class TestEpidemicAsSpanningPrimitive:
 
     @pytest.mark.parametrize("n", [12, 30])
     def test_exact_constant(self, n):
-        from repro.processes import OneWayEpidemic
-
-        times = run_trials(OneWayEpidemic, n, 80, measure="last_change")
+        times = trial_times("one-way-epidemic", n, 80, measure="last_change")
         mean = statistics.fmean(times)
         exact = one_way_epidemic_expectation(n)
         assert abs(mean - exact) / exact < 0.15
@@ -112,6 +101,6 @@ class TestMeetEverybodyAsStarFloor:
         """Pathwise: the star cannot finish before the eventual center
         has met everyone, so even the *minimum* star time across seeds
         should not collapse far below meet-everybody's minimum."""
-        star_times = run_trials(GlobalStar, 14, 30)
-        meet_times = run_trials(MeetEverybody, 14, 30, measure="last_change")
+        star_times = trial_times("global-star", 14, 30)
+        meet_times = trial_times("meet-everybody", 14, 30, measure="last_change")
         assert min(star_times) > 0.3 * min(meet_times)

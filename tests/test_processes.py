@@ -7,7 +7,6 @@ import statistics
 
 import pytest
 
-from repro.analysis import run_trials
 from repro.core.graphs import is_perfect_matching
 from repro.processes import (
     ALL_PROCESSES,
@@ -29,7 +28,8 @@ from repro.processes import (
     one_way_epidemic_expectation,
     pairs,
 )
-from tests.conftest import converge
+from repro.protocols import registry
+from tests.conftest import converge, trial_times
 
 
 class TestProcessOutcomes:
@@ -128,8 +128,8 @@ class TestMeasuredAgainstTheory:
     def test_mean_matches_expectation(self, process_cls):
         process = process_cls()
         n, trials = 24, 60
-        times = run_trials(
-            lambda: process_cls(), n, trials,
+        times = trial_times(
+            registry.spec_for(process), n, trials,
             measure="last_change", base_seed=100,
         )
         mean = statistics.fmean(times)

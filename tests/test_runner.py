@@ -1,5 +1,5 @@
-"""Tests for the declarative experiment layer (specs, Runner, executors,
-seed policies, serialization)."""
+"""Tests for the declarative experiment layer (specs, Runner, serial and
+parallel execution, seed policies, serialization)."""
 
 from __future__ import annotations
 
@@ -7,9 +7,9 @@ import json
 
 import pytest
 
-from repro.analysis import measure_convergence, run_trials
+from repro.analysis import runner as runner_mod
+from repro.analysis.robustness import RobustnessSpec
 from repro.analysis.runner import (
-    EXECUTORS,
     SEED_POLICIES,
     ExperimentError,
     ExperimentSpec,
@@ -27,6 +27,7 @@ from repro.core.serialization import (
 )
 from repro.core.simulator import make_engine
 from repro.protocols import CycleCover
+from tests.conftest import trial_times
 
 SMALL_SPEC = ExperimentSpec(
     protocol="cycle-cover", sizes=(6, 8), trials=3,
@@ -66,6 +67,29 @@ class TestExperimentSpec:
     def test_validation(self, kwargs, match):
         with pytest.raises(ExperimentError, match=match):
             ExperimentSpec(protocol="global-star", **kwargs)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ExperimentSpec(
+                protocol="cycle-cover", sizes=(8, 8), trials=3,
+            ),
+            lambda: RobustnessSpec(
+                protocols=("4-cliques", "c-cliques:c=4"), loads=(0, 1),
+                n=8, trials=2, max_steps=10_000,
+            ),
+            lambda: RobustnessSpec(
+                protocols=("cycle-cover",), loads=(0, 1, 1.0),
+                n=8, trials=2, max_steps=10_000,
+            ),
+        ],
+        ids=["sizes", "protocols", "loads"],
+    )
+    def test_repeated_axis_value_rejected(self, build):
+        """A repeated cell would rerun its seeds and count them twice;
+        values compare after canonicalization."""
+        with pytest.raises(ExperimentError, match="twice"):
+            build()
 
     def test_expand_covers_grid(self):
         trials = SMALL_SPEC.expand()
@@ -118,7 +142,6 @@ class TestSerialization:
 
 class TestExecutors:
     def test_registry_names(self):
-        assert set(EXECUTORS) == {"serial", "process"}
         assert set(SEED_POLICIES) == {"hashed", "legacy"}
 
     def test_serial_and_process_identical(self):
@@ -129,20 +152,9 @@ class TestExecutors:
                 r.deterministic() for r in parallel.records
             ], spec.protocol
 
-    def test_explicit_process_executor_at_one_job(self):
-        serial = Runner(executor="serial").run(SMALL_SPEC)
-        process = Runner(executor="process", jobs=2).run(SMALL_SPEC)
-        assert [r.deterministic() for r in serial.records] == [
-            r.deterministic() for r in process.records
-        ]
-
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(ExperimentError, match="unknown executor"):
-            Runner(executor="quantum").run(SMALL_SPEC)
-
     def test_invalid_jobs_rejected(self):
         with pytest.raises(ExperimentError, match="jobs"):
-            Runner(jobs=0, executor="process").run(SMALL_SPEC)
+            Runner(jobs=0).run(SMALL_SPEC)
 
     def test_run_trial_matches_direct_engine_run(self):
         trial = TrialSpec(protocol="cycle-cover", n=8, trial=0, seed=42)
@@ -152,32 +164,49 @@ class TestExecutors:
         assert record.steps == result.steps
         assert record.converged
 
+    def test_explicit_process_executor_at_one_job(self, monkeypatch):
+        """A pool request with a single trial to run stays in-process
+        (there is nothing to fan out) and returns the serial record."""
+        spec = ExperimentSpec(protocol="cycle-cover", sizes=(8,), trials=1)
+        serial = Runner(jobs=1).run(spec)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-trial sweep started a pool")
+
+        monkeypatch.setattr(runner_mod.multiprocessing, "Pool", no_pool)
+        pooled = Runner(jobs=2).run(spec)
+        assert [r.deterministic() for r in pooled.records] == [
+            r.deterministic() for r in serial.records
+        ]
+
 
 class TestCompatibilityShims:
+    """The legacy seed policy (seed = base_seed + trial) keeps the
+    seed-era per-trial runs reproducible through the Runner."""
+
     def test_run_trials_legacy_seeds_bit_identical(self):
-        """The factory shim with the legacy policy reproduces the exact
-        seed-era per-trial runs (seed = base_seed + trial)."""
-        times = run_trials(CycleCover, 8, 4, base_seed=3)
-        expected = []
-        for trial in range(4):
-            result = make_engine("indexed", seed=3 + trial).run(
-                CycleCover(), 8, None
-            )
-            expected.append(result.last_output_change_step)
-        assert times == expected
-
-    def test_run_trials_accepts_spec_strings(self):
-        assert run_trials("cycle-cover", 8, 3) == run_trials(CycleCover, 8, 3)
-
-    def test_measure_convergence_matches_runner(self):
-        sweep = measure_convergence("cycle-cover", [6, 8], 3)
-        runner_summaries = Runner().run(SMALL_SPEC).summaries()
-        assert sweep == runner_summaries
+        """Every size of a legacy sweep reruns the seed-era trials bit
+        for bit."""
+        spec = ExperimentSpec(
+            protocol="cycle-cover", sizes=(6, 8), trials=4,
+            seed_policy="legacy", base_seed=3,
+        )
+        result = Runner().run(spec)
+        for n in spec.sizes:
+            expected = [
+                make_engine("indexed", seed=3 + trial)
+                .run(CycleCover(), n, None)
+                .last_output_change_step
+                for trial in range(4)
+            ]
+            assert result.times(n) == expected, n
 
     def test_measure_convergence_legacy_policy_available(self):
-        sweep = measure_convergence(
-            CycleCover, [6, 8], 3, seed_policy="legacy"
+        spec = ExperimentSpec(
+            protocol="cycle-cover", sizes=(6, 8), trials=3,
+            seed_policy="legacy",
         )
+        sweep = Runner().run(spec).summaries()
         assert sweep[6].trials == 3
-        # Legacy cells share seeds; each cell matches a legacy run_trials.
-        assert sweep[8] == summarize(8, run_trials(CycleCover, 8, 3))
+        # Legacy cells share seeds; each cell matches a one-size legacy run.
+        assert sweep[8] == summarize(8, trial_times("cycle-cover", 8, 3))

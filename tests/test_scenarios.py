@@ -345,7 +345,7 @@ class TestSchedulersThroughRunner:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 serial = Runner(jobs=1).run(spec)
-                parallel = Runner(executor="process", jobs=2).run(spec)
+                parallel = Runner(jobs=2).run(spec)
             assert [r.deterministic() for r in serial.records] == [
                 r.deterministic() for r in parallel.records
             ], spec.scenario

@@ -297,6 +297,8 @@ class TestCachedExecution:
         assert warm.to_json() == cold.to_json()
 
     def test_partially_warm_store_executes_only_the_misses(self, tmp_path):
+        from dataclasses import replace
+
         store = ResultStore(tmp_path)
         small = ExperimentSpec(protocol="cycle-cover", sizes=(8,), trials=3)
         Runner(jobs=1, cache=store).run(small)
@@ -305,6 +307,20 @@ class TestCachedExecution:
         result = Runner(jobs=1, cache=store).run(grown)
         assert runner_mod.EXECUTION_COUNTER.count == counter + 2
         assert len(result.records) == 5
+        # run_robustness shares the store loop: a grown grid runs only
+        # its new trials and reassembles the records in trial order.
+        grid = RobustnessSpec(
+            protocols=("cycle-cover",), loads=(0, 1), n=8, trials=2,
+            max_steps=200_000,
+        )
+        cold = run_robustness(grid, cache=store)
+        counter = robustness_mod.EXECUTION_COUNTER.count
+        warm = run_robustness(replace(grid, trials=3), cache=store)
+        assert robustness_mod.EXECUTION_COUNTER.count == counter + 2
+        assert [r for r in warm.records if r.trial < 2] == list(cold.records)
+        assert [(r.load, r.trial) for r in warm.records] == [
+            (load, trial) for load in (0, 1) for trial in range(3)
+        ]
 
     def test_cache_composes_with_the_process_executor(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -326,26 +342,35 @@ class TestCachedExecution:
         assert warm.to_json() == cold.to_json()
 
     def test_run_trials_uses_the_cache_for_registry_specs(self, tmp_path):
-        from repro.analysis.experiments import run_trials
-
+        # Legacy-seeded trials of a registry spec have a content address
+        # too: a warm re-run executes nothing and returns the cold values.
         store = ResultStore(tmp_path)
-        cold = run_trials("cycle-cover", 8, 3, cache=store)
-        counter = runner_mod.EXECUTION_COUNTER.count
-        warm = run_trials("cycle-cover", 8, 3, cache=store)
-        assert runner_mod.EXECUTION_COUNTER.count == counter
-        assert warm == cold
-
-    def test_run_trials_skips_the_cache_for_anonymous_factories(
-        self, tmp_path
-    ):
-        from repro.analysis.experiments import run_trials
-
-        store = ResultStore(tmp_path)
-        factory = lambda: TableProtocol(  # noqa: E731
-            "anon", "a", {("a", "a", 0): ("b", "b", 1)}
+        spec = ExperimentSpec(
+            protocol="cycle-cover", sizes=(8,), trials=3,
+            seed_policy="legacy",
         )
-        run_trials(factory, 6, 2, cache=store, max_steps=100_000)
-        assert store.stats().puts == 0  # no stable address, no cache
+        cold = Runner(cache=store).run(spec)
+        counter = runner_mod.EXECUTION_COUNTER.count
+        warm = Runner(cache=store).run(spec)
+        assert runner_mod.EXECUTION_COUNTER.count == counter
+        assert warm.times(8) == cold.times(8)
+
+    def test_cli_run_stores_the_record_a_sweep_computes(self, tmp_path):
+        from repro.cli import main
+
+        argv = ["run", "cycle-cover", "-n", "12", "--seed", "5"]
+        assert main([*argv, "--cache", str(tmp_path)]) == 0
+        # `run --seed S` is trial 0 of a legacy sweep with base seed S.
+        spec = ExperimentSpec(
+            protocol="cycle-cover", sizes=(12,), trials=1, base_seed=5,
+            seed_policy="legacy",
+        )
+        counter = runner_mod.EXECUTION_COUNTER.count
+        (stored,) = Runner(cache=ResultStore(tmp_path)).run(spec).records
+        assert runner_mod.EXECUTION_COUNTER.count == counter
+        (fresh,) = Runner().run(spec).records
+        assert stored.deterministic() == fresh.deterministic()
+        assert stored.elapsed_seconds > 0
 
 
 class TestJobService:
@@ -653,15 +678,6 @@ class TestConnections(_ClientTests):
 
 
 class TestPoolMap:
-    def test_serial_path_runs_the_initializer_in_process(self):
-        calls = []
-        out = runner_mod.pool_map(
-            abs, [-1, 2, -3], 1,
-            initializer=lambda: calls.append(True),
-        )
-        assert out == [1, 2, 3]
-        assert calls == [True]
-
     def test_serial_and_process_paths_agree(self):
         trials = SPEC.expand()[:3]
         serial = runner_mod.pool_map(runner_mod.run_trial, trials, 1)
@@ -670,11 +686,26 @@ class TestPoolMap:
             r.deterministic() for r in parallel
         ]
 
-    def test_executors_route_through_pool_map(self):
-        # The dedupe satellite: both named executors are thin wrappers
-        # over the one pool entry point.
-        import inspect
+    def test_executors_route_through_pool_map(self, tmp_path, monkeypatch):
+        # Sweeps and robustness sweeps, with and without a store, all
+        # fan out through the one pool entry point.
+        calls = []
+        real = runner_mod.pool_map
 
-        for executor in ("serial", "process"):
-            source = inspect.getsource(runner_mod.EXECUTORS[executor])
-            assert "pool_map" in source
+        def recording(fn, items, jobs):
+            calls.append(fn)
+            return real(fn, items, jobs)
+
+        monkeypatch.setattr(runner_mod, "pool_map", recording)
+        monkeypatch.setattr(robustness_mod, "pool_map", recording)
+        spec = ExperimentSpec(protocol="cycle-cover", sizes=(8,), trials=1)
+        grid = RobustnessSpec(
+            protocols=("cycle-cover",), loads=(0,), n=8, trials=1,
+            max_steps=200_000,
+        )
+        for cache in (None, ResultStore(tmp_path)):
+            Runner(cache=cache).run(spec)
+            run_robustness(grid, cache=cache)
+        assert calls == [
+            runner_mod.run_trial, robustness_mod.run_robustness_trial,
+        ] * 2
