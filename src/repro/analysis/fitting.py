@@ -15,9 +15,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-from scipy import stats
-
 
 @dataclass(frozen=True)
 class PowerLawFit:
@@ -58,16 +55,32 @@ def fit_power_law(
     """Fit ``T(n) = C n^alpha log(n)^log_power`` by log-log regression.
 
     ``log_power`` divides out a known logarithmic factor before fitting,
-    so the returned exponent isolates the polynomial order.
+    so the returned exponent isolates the polynomial order.  Every size
+    must be >= 1 (>= 2 with a log factor, since log 1 = 0) and every time
+    finite and positive; anything else raises :class:`ValueError`.
     """
     if len(ns) != len(times) or len(ns) < 3:
         raise ValueError("need at least 3 (n, time) points to fit")
+    min_size = 2 if log_power else 1
+    for n in ns:
+        if not (math.isfinite(n) and n >= min_size):
+            raise ValueError(
+                f"sizes must be >= {min_size} to fit a power law with "
+                f"log_power={log_power}, got {n!r}"
+            )
+    for t in times:
+        if not (math.isfinite(t) and t > 0):
+            raise ValueError(
+                f"times must be finite and positive to fit a power law, got {t!r}"
+            )
+    # Imported here so that loading the package does not load them.
+    import numpy as np
+    from scipy import stats
+
     xs = np.log(np.asarray(ns, dtype=float))
     adjusted = np.asarray(times, dtype=float) / (
         np.log(np.asarray(ns, dtype=float)) ** log_power
     )
-    if np.any(adjusted <= 0):
-        raise ValueError("times must be positive to fit a power law")
     ys = np.log(adjusted)
     regression = stats.linregress(xs, ys)
     return PowerLawFit(

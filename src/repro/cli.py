@@ -653,10 +653,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             f"{summary.minimum:>10} {summary.maximum:>10}"
         )
     if len(spec.sizes) >= 3:
-        fit = fit_power_law(
-            list(spec.sizes), [summaries[n].mean for n in spec.sizes]
-        )
-        print(f"\nfit: {fit.describe()}")
+        try:
+            fit = fit_power_law(
+                list(spec.sizes), [summaries[n].mean for n in spec.sizes]
+            )
+        except ValueError as exc:
+            # e.g. a zero mean: edge-free processes never change output.
+            print(f"\nfit: skipped ({exc})")
+        else:
+            print(f"\nfit: {fit.describe()}")
     _report_cache(store, len(result.records))
     if args.out == "-":
         print(result.to_json())

@@ -13,9 +13,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-import networkx as nx
-
 from repro.core.errors import SimulationError
+from repro.core.graphs import nx
 from repro.core.protocol import State
 
 #: The adjacency of every node that has never had an active edge.  Shared

@@ -16,9 +16,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-import networkx as nx
-
 from repro.core.errors import ConvergenceError, SimulationError
+from repro.core.graphs import nx
 from repro.generic.random_graphs import gnp
 from repro.tm.deciders import Decider
 from repro.tm.line_machine import run_machine_on_line

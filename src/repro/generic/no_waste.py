@@ -20,9 +20,8 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
-import networkx as nx
-
 from repro.core.errors import ConvergenceError, SimulationError
+from repro.core.graphs import nx
 from repro.protocols.bounds import log2_ceil
 from repro.tm.deciders import Decider
 

@@ -14,7 +14,7 @@ from collections import Counter
 from itertools import combinations
 from typing import Iterable
 
-import networkx as nx
+from repro.core.graphs import nx
 
 
 def gnp(k: int, p: float, rng: random.Random) -> nx.Graph:

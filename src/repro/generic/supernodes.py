@@ -24,10 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from repro.core.configuration import Configuration
 from repro.core.errors import SimulationError
+from repro.core.graphs import nx
 
 
 @dataclass

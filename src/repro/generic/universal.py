@@ -26,10 +26,9 @@ import random
 from dataclasses import dataclass, field
 from itertools import combinations
 
-import networkx as nx
-
 from repro.core.configuration import Configuration
 from repro.core.errors import ConvergenceError, SimulationError
+from repro.core.graphs import nx
 from repro.core.protocol import (
     Distribution,
     Outcome,

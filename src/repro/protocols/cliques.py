@@ -26,10 +26,9 @@ State glossary (sizes match the paper's 5c-3):
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.core.configuration import Configuration
 from repro.core.errors import ProtocolError
+from repro.core.graphs import nx
 from repro.core.protocol import TableProtocol
 from repro.protocols.registry import Param, register_protocol
 

@@ -81,8 +81,7 @@ def _self_reported(protocol: Any, config: Any) -> bool:
 
 def _targets() -> dict[str, Callable[[Any, Any], bool]]:
     # Imported lazily so this module keeps its no-protocol-code-at-load
-    # property (core.graphs pulls in networkx, which is heavier than the
-    # params machinery this module otherwise needs).
+    # property: loading it pulls in only the params machinery.
     from repro.core import graphs
 
     return {

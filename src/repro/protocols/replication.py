@@ -23,11 +23,9 @@ matched V2 nodes and it stabilizes exactly as Theorem 13 states.
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.core.configuration import Configuration
 from repro.core.errors import ProtocolError, SimulationError
-from repro.core.graphs import graph_spec, isomorphic, named_graph
+from repro.core.graphs import graph_spec, isomorphic, named_graph, nx
 from repro.core.protocol import TableProtocol, coin_flip
 from repro.protocols.registry import Param, register_protocol
 

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-import networkx as nx
-
+from repro.core.graphs import nx
 from repro.tm.encoding import encode_graph
 from repro.tm.machine import BLANK, LEFT, RIGHT, STAY, TuringMachine
 
@@ -221,7 +220,7 @@ def tree_decider() -> PythonDecider:
 
 def bipartite_decider() -> PythonDecider:
     return PythonDecider(
-        "bipartite", nx.is_bipartite, space_order="O(log² l)"
+        "bipartite", lambda g: nx.is_bipartite(g), space_order="O(log² l)"
     )
 
 

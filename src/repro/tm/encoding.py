@@ -11,9 +11,8 @@ from __future__ import annotations
 import math
 from itertools import combinations
 
-import networkx as nx
-
 from repro.core.errors import EncodingError
+from repro.core.graphs import nx
 
 
 def order_from_length(length: int) -> int:

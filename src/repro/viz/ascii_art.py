@@ -9,9 +9,8 @@ from __future__ import annotations
 
 from collections import Counter
 
-import networkx as nx
-
 from repro.core.configuration import Configuration
+from repro.core.graphs import nx
 
 
 def state_summary(config: Configuration) -> str:

@@ -64,6 +64,20 @@ class TestFitting:
         with pytest.raises(ValueError):
             fit_power_law([10, 20, 40], [1.0, 0.0, 2.0])
 
+    @pytest.mark.parametrize(
+        "ns, times, log_power, bad",
+        [
+            ([1, 2, 4, 8], [1.0, 2.0, 4.0, 8.0], 1, "got 1"),
+            ([10, 20, 40], [1.0, math.nan, 2.0], 0, "got nan"),
+            ([10, 20, 40], [1.0, math.inf, 2.0], 0, "got inf"),
+            ([0, 20, 40], [1.0, 2.0, 4.0], 0, "got 0"),
+        ],
+        ids=["log-of-one", "nan-time", "inf-time", "zero-size"],
+    )
+    def test_degenerate_inputs_rejected(self, ns, times, log_power, bad):
+        with pytest.raises(ValueError, match=bad):
+            fit_power_law(ns, times, log_power=log_power)
+
 
 class TestCurves:
     def test_empirical_ratio_flat_for_right_reference(self):

@@ -43,6 +43,7 @@ from repro.core.simulator import (
     run_to_convergence,
 )
 from repro.protocols import SimpleGlobalLine
+from repro.protocols.registry import RegistryError
 
 
 class TestSchedulerRegistry:
@@ -524,8 +525,14 @@ class TestGraphReplicationRegistry:
         assert named_graph("star-5").number_of_edges() == 4
         assert named_graph("clique-4").number_of_edges() == 6
         assert named_graph("gnp-6-1").number_of_nodes() == 6
-        with pytest.raises(ValueError):
-            named_graph("blob-9")
+        for bad in ("blob-9", "path-0", "gnp-0-1"):
+            with pytest.raises(ValueError):
+                named_graph(bad)
+        with pytest.raises(RegistryError):
+            ExperimentSpec(
+                protocol="graph-replication:graph=gnp-0-1", sizes=(8,),
+                trials=1,
+            )
 
     def test_sweeps_through_runner(self):
         spec = ExperimentSpec(

@@ -298,6 +298,22 @@ class TestCli:
         out = capsys.readouterr().out
         assert "fit:" in out
 
+    def test_sweep_without_fit_still_writes_out(self, capsys, tmp_path):
+        # An edge-free process never changes its output graph, so every
+        # mean of the default measure is 0 and no power law fits.
+        out_path = tmp_path / "sweep.json"
+        assert main(
+            [
+                "sweep", "one-way-epidemic", "--sizes", "4,6,8", "--trials",
+                "2", "--out", str(out_path),
+            ]
+        ) == 0
+        assert "fit: skipped" in capsys.readouterr().out
+        from repro.core.serialization import load_sweep_result
+
+        result = load_sweep_result(str(out_path))
+        assert len(result.records) == 6
+
     def test_sweep_jobs_and_out(self, capsys, tmp_path):
         out_path = tmp_path / "sweep.json"
         assert main(
