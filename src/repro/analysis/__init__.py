@@ -11,12 +11,9 @@ from repro.analysis.fitting import (
 )
 from repro.analysis.robustness import (
     FAULT_FAMILIES,
-    RobustnessRecord,
     RobustnessResult,
     RobustnessSpec,
-    RobustnessTrial,
     run_robustness,
-    run_robustness_trial,
 )
 from repro.analysis.runner import (
     MEASURES,
@@ -37,10 +34,8 @@ __all__ = [
     "FAULT_FAMILIES",
     "MEASURES",
     "PowerLawFit",
-    "RobustnessRecord",
     "RobustnessResult",
     "RobustnessSpec",
-    "RobustnessTrial",
     "Runner",
     "SEED_POLICIES",
     "Summary",
@@ -53,7 +48,6 @@ __all__ = [
     "format_mean_ci",
     "render_table",
     "run_robustness",
-    "run_robustness_trial",
     "run_trial",
     "summarize",
 ]

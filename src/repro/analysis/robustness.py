@@ -14,14 +14,17 @@ This module makes such a grid a value, mirroring the sweep layer of
   expands to a concrete :class:`~repro.core.scenario.Scenario` via
   :data:`FAULT_FAMILIES`;
 * :func:`run_robustness` expands the spec into independent
-  :class:`RobustnessTrial` s and executes them serially or across cores
-  (same order-preserving contract and result store as the sweep
-  runner);
-* a :class:`RobustnessResult` holds per-trial :class:`RobustnessRecord`
-  s and derives the two headline curves — **survival** (fraction of
-  trials whose surviving population stabilized to the protocol's target
-  construction) and **re-stabilization time** (the convergence measure
-  among surviving trials) — and round-trips through JSON via
+  :class:`~repro.analysis.runner.TrialSpec` s that carry a fault load
+  and executes them serially or across cores (the sweep runner's
+  :func:`~repro.analysis.runner.run_trial`, order-preserving contract
+  and result store);
+* a :class:`RobustnessResult` holds per-trial
+  :class:`~repro.analysis.runner.TrialRecord` s (with their survival
+  fields set) and derives the two headline curves — **survival**
+  (fraction of trials whose surviving population stabilized to the
+  protocol's target construction) and **re-stabilization time** (the
+  convergence measure among surviving trials) — and round-trips through
+  JSON via
   :mod:`repro.core.serialization`;
 * :func:`bench_robustness` runs the default grid — the three line
   constructors at ``n = 64`` under every fault family — behind
@@ -49,22 +52,23 @@ import platform
 import statistics
 import sys
 import time
-from dataclasses import dataclass, replace
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, ClassVar
 
 from repro.analysis.runner import (
-    EXECUTION_COUNTER,
     MEASURES,
     ExperimentError,
+    TrialRecord,
+    TrialSpec,
     _hashed_seed,
     cached_map,
-    pool_map,
+    require_budget,
     require_distinct,
 )
-from repro.core.faults import compact_survivors, survivors
 from repro.core.scenario import DEFAULT_SCHEDULER, Scenario
 from repro.core.scheduler import SCHEDULERS
-from repro.core.simulator import ENGINES, _execute
+from repro.core.serialization import Serializable
+from repro.core.simulator import ENGINES
 from repro.protocols import registry
 
 # ----------------------------------------------------------------------
@@ -149,7 +153,7 @@ def _format_load(load: float) -> float | int:
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class RobustnessSpec:
+class RobustnessSpec(Serializable):
     """A complete, serializable description of one robustness sweep.
 
     ``protocols`` are registry spec strings (canonicalized on
@@ -183,6 +187,11 @@ class RobustnessSpec:
     max_steps: int | None = None
     check_interval: int = 1
     label: str = ""
+
+    FORMAT_VERSION: ClassVar[int] = 1
+    #: A payload may lack a ``label``, and one written before the
+    #: adversarial axis a ``scheduler``.
+    OPTIONAL_FIELDS: ClassVar[tuple[str, ...]] = ("scheduler", "label")
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -225,6 +234,7 @@ class RobustnessSpec:
                 "robustness sweeps need a finite max_steps budget: a "
                 "faulted run may never stabilize nor quiesce"
             )
+        require_budget(self.max_steps)
         # Validate every load eagerly (and thereby the family's domain).
         for load in self.loads:
             self.fault_spec(load)
@@ -245,7 +255,7 @@ class RobustnessSpec:
             scheduler=self.scheduler, faults=(spec,) if spec else ()
         )
 
-    def expand(self) -> list["RobustnessTrial"]:
+    def expand(self) -> list[TrialSpec]:
         """The independent trials, in (protocol, load, trial) order.
 
         Seeds depend on ``(base_seed, scheduler, family, load, n,
@@ -257,11 +267,14 @@ class RobustnessSpec:
         context = f"robustness|{self.faults}"
         if self.scheduler != DEFAULT_SCHEDULER:
             context = f"robustness|{self.scheduler}|{self.faults}"
+        cells = [
+            (load, self.scenario(load), self.fault_spec(load) or "")
+            for load in self.loads
+        ]
         return [
-            RobustnessTrial(
+            TrialSpec(
                 protocol=protocol,
                 n=self.n,
-                load=load,
                 trial=trial,
                 seed=_hashed_seed(
                     self.base_seed,
@@ -269,122 +282,18 @@ class RobustnessSpec:
                     self.n,
                     trial,
                 ),
-                fault=self.fault_spec(load) or "",
-                scheduler=self.scheduler,
                 engine=self.engine,
                 measure=self.measure,
                 max_steps=self.max_steps,
                 check_interval=self.check_interval,
+                scenario=scenario,
+                load=load,
+                fault=fault,
             )
             for protocol in self.protocols
-            for load in self.loads
+            for load, scenario, fault in cells
             for trial in range(self.trials)
         ]
-
-    def to_dict(self) -> dict:
-        from repro.core.serialization import robustness_spec_to_dict
-
-        return robustness_spec_to_dict(self)
-
-    @staticmethod
-    def from_dict(payload: dict) -> "RobustnessSpec":
-        from repro.core.serialization import robustness_spec_from_dict
-
-        return robustness_spec_from_dict(payload)
-
-
-@dataclass(frozen=True)
-class RobustnessTrial:
-    """One independent trial of an expanded :class:`RobustnessSpec`
-    (picklable; a process pool ships these to workers)."""
-
-    protocol: str
-    n: int
-    load: float
-    trial: int
-    seed: int
-    fault: str = ""
-    scheduler: str = "uniform"
-    engine: str = "indexed"
-    measure: str = "output"
-    max_steps: int | None = None
-    check_interval: int = 1
-
-
-@dataclass(frozen=True)
-class RobustnessRecord:
-    """Outcome of one robustness trial.
-
-    ``survived`` is the headline bit: the run stabilized within budget
-    *and* the surviving population (crashed nodes compacted away, see
-    :func:`repro.core.faults.compact_survivors`) forms the protocol's
-    target construction.  ``value`` is the spec's convergence measure —
-    under a mid-run fault it includes the damage and repair, i.e. the
-    *re-stabilization* time.  Every field except ``elapsed_seconds`` is
-    a deterministic function of the trial.
-    """
-
-    protocol: str
-    load: float
-    n: int
-    trial: int
-    seed: int
-    value: int
-    steps: int
-    effective_steps: int
-    converged: bool
-    survived: bool
-    alive: int
-    stop_reason: str
-    elapsed_seconds: float
-
-    def deterministic(self) -> "RobustnessRecord":
-        return replace(self, elapsed_seconds=0.0)
-
-
-def run_robustness_trial(
-    trial: RobustnessTrial, bus=None
-) -> RobustnessRecord:
-    """Execute one :class:`RobustnessTrial` (module-level: picklable).
-
-    ``bus`` (an optional :class:`~repro.core.trace.TraceBus`) streams
-    the run's events/census/fault frames; only an in-process run
-    (``jobs=1``) can pass one — process workers run unobserved.
-    """
-    EXECUTION_COUNTER.increment()
-    protocol = registry.instantiate(trial.protocol)
-    scenario = Scenario(
-        scheduler=trial.scheduler,
-        faults=(trial.fault,) if trial.fault else (),
-    )
-    read = MEASURES[trial.measure]
-    start = time.perf_counter()
-    result = _execute(
-        protocol, trial.n, engine=trial.engine, seed=trial.seed,
-        max_steps=trial.max_steps, scenario=scenario,
-        check_interval=trial.check_interval, bus=bus, warn=False,
-        raise_on_budget=False,
-    )
-    elapsed = time.perf_counter() - start
-    alive = survivors(result.config)
-    survived = result.converged and bool(
-        protocol.target_reached(compact_survivors(result.config))
-    )
-    return RobustnessRecord(
-        protocol=trial.protocol,
-        load=trial.load,
-        n=trial.n,
-        trial=trial.trial,
-        seed=trial.seed,
-        value=read(result),
-        steps=result.steps,
-        effective_steps=result.effective_steps,
-        converged=result.converged,
-        survived=survived,
-        alive=len(alive),
-        stop_reason=result.stop_reason,
-        elapsed_seconds=elapsed,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -392,15 +301,17 @@ def run_robustness_trial(
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class RobustnessResult:
+class RobustnessResult(Serializable):
     """All trial records of one executed :class:`RobustnessSpec`."""
 
     spec: RobustnessSpec
-    records: tuple[RobustnessRecord, ...]
+    records: tuple[TrialRecord, ...]
+
+    FORMAT_VERSION: ClassVar[int] = 1
 
     def records_for(
         self, protocol: str, load: float | None = None
-    ) -> list[RobustnessRecord]:
+    ) -> list[TrialRecord]:
         protocol = registry.canonical_spec(protocol)
         return [
             r
@@ -447,28 +358,6 @@ class RobustnessResult:
             c[load] > b[load] for load in self.spec.loads if load > 0
         )
 
-    def to_dict(self) -> dict:
-        from repro.core.serialization import robustness_result_to_dict
-
-        return robustness_result_to_dict(self)
-
-    @staticmethod
-    def from_dict(payload: dict) -> "RobustnessResult":
-        from repro.core.serialization import robustness_result_from_dict
-
-        return robustness_result_from_dict(payload)
-
-    def to_json(self) -> str:
-        import json
-
-        return json.dumps(self.to_dict(), indent=2)
-
-    @staticmethod
-    def from_json(text: str) -> "RobustnessResult":
-        import json
-
-        return RobustnessResult.from_dict(json.loads(text))
-
 
 # ----------------------------------------------------------------------
 # Execution
@@ -487,16 +376,7 @@ def run_robustness(
     :class:`~repro.analysis.runner.Runner` (zero engine runs on a warm
     store).
     """
-    trials = spec.expand()
-    if cache is None:
-        records = pool_map(run_robustness_trial, trials, jobs)
-    else:
-        from repro.service.keys import robustness_trial_key
-
-        records = cached_map(
-            run_robustness_trial, trials, jobs, cache,
-            robustness_trial_key, "robustness",
-        )
+    records = cached_map(spec.expand(), jobs, cache)
     return RobustnessResult(spec=spec, records=tuple(records))
 
 

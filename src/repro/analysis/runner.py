@@ -9,7 +9,10 @@ sizes, the trial count, the engine, the measure and the seed policy; the
 them in-process (``jobs=1``) or across a :mod:`multiprocessing` pool
 (``jobs > 1``; trials are embarrassingly parallel), producing a
 :class:`SweepResult` of per-trial :class:`TrialRecord` s that round-trips
-through JSON via :mod:`repro.core.serialization`.
+through JSON via :mod:`repro.core.serialization`.  Robustness grids
+(:mod:`repro.analysis.robustness`) expand into the same trial and record
+types — a trial that carries a fault load — and run through the same
+:func:`run_trial` and :func:`cached_map`.
 
 Determinism contract: a trial's simulation outcome depends only on its
 :class:`TrialSpec` (protocol, n, seed, engine, budget) — never on which
@@ -45,11 +48,13 @@ import multiprocessing
 import statistics
 import time
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, ClassVar, Sequence
 
 from repro.core.errors import ReproError
+from repro.core.faults import compact_survivors, survivors
 from repro.core.protocol import Protocol
 from repro.core.scenario import DEFAULT_SCENARIO, Scenario, resolve_engine
+from repro.core.serialization import Serializable
 from repro.core.simulator import ENGINES, RunResult, _execute
 from repro.protocols import registry
 
@@ -80,6 +85,17 @@ def require_distinct(axis: str, values: Sequence) -> None:
     for i, value in enumerate(values):
         if value in values[:i]:
             raise ExperimentError(f"{axis} lists {value!r} twice")
+
+
+def require_budget(max_steps: object) -> None:
+    """Reject a step budget no engine can run: one that is neither
+    ``None`` (unbounded) nor an ``int`` >= 1."""
+    if max_steps is not None and (
+        type(max_steps) is not int or max_steps < 1
+    ):
+        raise ExperimentError(
+            f"max_steps must be an integer >= 1, got {max_steps!r}"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -147,7 +163,7 @@ def summarize(n: int, times: Sequence[int]) -> Summary:
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ExperimentSpec:
+class ExperimentSpec(Serializable):
     """A complete, serializable description of one sweep.
 
     ``protocol`` is a registry spec string (``"simple-global-line"``,
@@ -182,6 +198,11 @@ class ExperimentSpec:
     label: str = ""
     scenario: Scenario = DEFAULT_SCENARIO
 
+    FORMAT_VERSION: ClassVar[int] = 1
+    #: A payload may lack a ``label``, and one written before the
+    #: scenario axis a ``scenario``.
+    OPTIONAL_FIELDS: ClassVar[tuple[str, ...]] = ("label", "scenario")
+
     def __post_init__(self) -> None:
         object.__setattr__(
             self, "protocol", registry.canonical_spec(self.protocol)
@@ -196,8 +217,13 @@ class ExperimentSpec:
         if not self.sizes:
             raise ExperimentError("spec needs at least one population size")
         require_distinct("sizes", self.sizes)
+        if min(self.sizes) < 2:
+            raise ExperimentError(
+                f"population sizes must be >= 2, got {min(self.sizes)}"
+            )
         if self.trials < 1:
             raise ExperimentError(f"trials must be >= 1, got {self.trials}")
+        require_budget(self.max_steps)
         if self.engine not in ENGINES:
             raise ExperimentError(
                 f"unknown engine {self.engine!r}; choose from {sorted(ENGINES)}"
@@ -249,25 +275,19 @@ class ExperimentSpec:
             for trial in range(self.trials)
         ]
 
-    def to_dict(self) -> dict:
-        from repro.core.serialization import experiment_spec_to_dict
 
-        return experiment_spec_to_dict(self)
-
-    @staticmethod
-    def from_dict(payload: dict) -> ExperimentSpec:
-        from repro.core.serialization import experiment_spec_from_dict
-
-        return experiment_spec_from_dict(payload)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrialSpec:
-    """One independent trial of an expanded :class:`ExperimentSpec`.
+    """One independent trial of an expanded :class:`ExperimentSpec` or
+    :class:`~repro.analysis.robustness.RobustnessSpec`.
 
     Fully self-describing and picklable: a process pool ships these to
     worker processes, which rebuild the protocol from the registry spec
-    string.
+    string.  A robustness cell sets ``load`` (its fault load) and
+    ``fault`` (the family's fault spec string as the family wrote it,
+    ``""`` at load 0; ``scenario`` holds its canonical form): such a
+    trial runs without raising on budget exhaustion and records whether
+    the survivors reached the target.
     """
 
     protocol: str
@@ -279,17 +299,36 @@ class TrialSpec:
     max_steps: int | None = None
     check_interval: int = 1
     scenario: Scenario = DEFAULT_SCENARIO
+    load: float | None = None
+    fault: str = ""
+
+    @property
+    def kind(self) -> str:
+        """``"robustness"`` with a load, else ``"trial"``: the ``kind``
+        tag of the trial's key payload and of its stored record."""
+        return "trial" if self.load is None else "robustness"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True, slots=True)
 class TrialRecord:
     """Outcome of one trial.
 
     Every field except ``elapsed_seconds`` is a deterministic function of
     the :class:`TrialSpec`; :meth:`deterministic` strips the timing so
     records from serial and parallel runs compare equal.
+
+    ``protocol``, ``load``, ``survived`` and ``alive`` are set on
+    robustness trials only (``None``, and left out of the payload, on
+    sweep trials).  ``survived`` is the headline bit: the run stabilized
+    within budget *and* the surviving population (crashed nodes
+    compacted away, see :func:`repro.core.faults.compact_survivors`)
+    forms the protocol's target construction; ``alive`` counts the
+    survivors.  Under a mid-run fault ``value`` includes the damage and
+    repair, i.e. it is the *re-stabilization* time.
     """
 
+    protocol: str | None = None
+    load: float | None = None
     n: int
     trial: int
     seed: int
@@ -297,19 +336,27 @@ class TrialRecord:
     steps: int
     effective_steps: int
     converged: bool
+    survived: bool | None = None
+    alive: int | None = None
     stop_reason: str
     elapsed_seconds: float
+
+    OPTIONAL_FIELDS: ClassVar[tuple[str, ...]] = (
+        "protocol", "load", "survived", "alive",
+    )
 
     def deterministic(self) -> TrialRecord:
         return replace(self, elapsed_seconds=0.0)
 
 
 @dataclass(frozen=True)
-class SweepResult:
+class SweepResult(Serializable):
     """All trial records of one executed :class:`ExperimentSpec`."""
 
     spec: ExperimentSpec
     records: tuple[TrialRecord, ...]
+
+    FORMAT_VERSION: ClassVar[int] = 1
 
     def times(self, n: int) -> list[int]:
         """Measured values of size-``n`` trials, in trial order."""
@@ -318,28 +365,6 @@ class SweepResult:
     def summaries(self) -> dict[int, Summary]:
         """Per-size sample statistics, keyed by population size."""
         return {n: summarize(n, self.times(n)) for n in self.spec.sizes}
-
-    def to_dict(self) -> dict:
-        from repro.core.serialization import sweep_result_to_dict
-
-        return sweep_result_to_dict(self)
-
-    @staticmethod
-    def from_dict(payload: dict) -> SweepResult:
-        from repro.core.serialization import sweep_result_from_dict
-
-        return sweep_result_from_dict(payload)
-
-    def to_json(self) -> str:
-        import json
-
-        return json.dumps(self.to_dict(), indent=2)
-
-    @staticmethod
-    def from_json(text: str) -> SweepResult:
-        import json
-
-        return SweepResult.from_dict(json.loads(text))
 
 
 # ----------------------------------------------------------------------
@@ -372,19 +397,10 @@ EXECUTION_COUNTER = ExecutionCounter()
 
 
 def run_one(
-    protocol: Protocol,
-    *,
-    n: int,
-    trial: int,
-    seed: int,
-    engine: str = "indexed",
-    measure: str = "output",
-    max_steps: int | None = None,
-    check_interval: int = 1,
-    scenario: Scenario | None = None,
-    bus=None,
+    protocol: Protocol, trial: TrialSpec, bus=None
 ) -> tuple[TrialRecord, RunResult]:
-    """Run one already-instantiated protocol and record the outcome.
+    """Run ``trial`` on an already-instantiated protocol and record the
+    outcome.
 
     The single trial-execution code path: :func:`run_trial` and
     ``repro-net run`` both end up here; the latter also prints from the
@@ -392,25 +408,38 @@ def run_one(
     scenario takes exactly the pre-scenario path (bit-identical
     records); non-default scenarios resolve the engine through
     ``supports(scenario)`` and never raise on budget exhaustion — the
-    record says ``converged=False`` instead.
+    record says ``converged=False`` instead.  Neither does a robustness
+    trial (one with a ``load``), whose record also says which nodes
+    survived and whether they reached the target.
     """
     EXECUTION_COUNTER.increment()
-    read = MEASURES[measure]
+    robustness = trial.load is not None
     start = time.perf_counter()
     result = _execute(
-        protocol, n, engine=engine, seed=seed, max_steps=max_steps,
-        scenario=scenario, check_interval=check_interval, bus=bus,
-        warn=False,
+        protocol, trial.n, engine=trial.engine, seed=trial.seed,
+        max_steps=trial.max_steps, scenario=trial.scenario,
+        check_interval=trial.check_interval, bus=bus, warn=False,
+        raise_on_budget=not robustness,
     )
     elapsed = time.perf_counter() - start
+    survived = alive = None
+    if robustness:
+        alive = len(survivors(result.config))
+        survived = result.converged and bool(
+            protocol.target_reached(compact_survivors(result.config))
+        )
     record = TrialRecord(
-        n=n,
-        trial=trial,
-        seed=seed,
-        value=read(result),
+        protocol=trial.protocol if robustness else None,
+        load=trial.load,
+        n=trial.n,
+        trial=trial.trial,
+        seed=trial.seed,
+        value=MEASURES[trial.measure](result),
         steps=result.steps,
         effective_steps=result.effective_steps,
         converged=result.converged,
+        survived=survived,
+        alive=alive,
         stop_reason=result.stop_reason,
         elapsed_seconds=elapsed,
     )
@@ -421,22 +450,10 @@ def run_trial(trial: TrialSpec, bus=None) -> TrialRecord:
     """Execute one :class:`TrialSpec` (module-level: picklable).
 
     ``bus`` (an optional :class:`~repro.core.trace.TraceBus`) streams
-    the run's events/census; only an in-process run (``jobs=1``) can
-    pass one — process workers run unobserved.
+    the run's events/census/fault frames; only an in-process run
+    (``jobs=1``) can pass one — process workers run unobserved.
     """
-    protocol = registry.instantiate(trial.protocol)
-    record, _ = run_one(
-        protocol,
-        n=trial.n,
-        trial=trial.trial,
-        seed=trial.seed,
-        engine=trial.engine,
-        measure=trial.measure,
-        max_steps=trial.max_steps,
-        check_interval=trial.check_interval,
-        scenario=trial.scenario,
-        bus=bus,
-    )
+    record, _ = run_one(registry.instantiate(trial.protocol), trial, bus)
     return record
 
 
@@ -472,34 +489,31 @@ def pool_map(fn: Callable, items: Sequence, jobs: int) -> list:
 
 
 def cached_map(
-    fn: Callable,
-    trials: Sequence,
-    jobs: int,
-    store: "ResultStore",
-    key: Callable,
-    envelope: str,
-) -> list:
-    """:func:`pool_map` through a content-addressed result store.
+    trials: Sequence[TrialSpec], jobs: int, store: "ResultStore | None"
+) -> list[TrialRecord]:
+    """:func:`run_trial` over ``trials`` through :func:`pool_map`, and
+    through a content-addressed result store when there is one.
 
-    A trial whose ``key(trial, code_version=...)`` (a
-    :mod:`repro.service.keys` function; the code version digests the
-    trial's protocol) already has a stored record is served from disk
-    without touching an engine; the misses run through :func:`pool_map`
-    and are stored back under the ``envelope`` tag.  Records come back
-    in trial order.  Because a stored record *is* the cold run's record
-    (wall-clock timing included), a warm re-run returns the cold
-    records byte for byte.
+    A trial whose :func:`~repro.service.keys.trial_key` (its code
+    version digests the trial's protocol) already has a stored record is
+    served from disk without touching an engine; the misses run through
+    :func:`pool_map` and are stored back under the trial's
+    :attr:`~TrialSpec.kind`.  Records come back in trial order.  Because
+    a stored record *is* the cold run's record (wall-clock timing
+    included), a warm re-run returns the cold records byte for byte.
     """
+    if store is None:
+        return pool_map(run_trial, trials, jobs)
     # Imported lazily: the service layer sits above the runner.
-    from repro.service.keys import code_digest
+    from repro.service.keys import code_digest, trial_key
 
     digests = {p: code_digest(p) for p in {t.protocol for t in trials}}
-    keys = [key(t, code_version=digests[t.protocol]) for t in trials]
+    keys = [trial_key(t, code_version=digests[t.protocol]) for t in trials]
     records = [store.get(k) for k in keys]
     misses = [i for i, record in enumerate(records) if record is None]
-    fresh = pool_map(fn, [trials[i] for i in misses], jobs)
+    fresh = pool_map(run_trial, [trials[i] for i in misses], jobs)
     for i, record in zip(misses, fresh):
-        store.put(keys[i], record, envelope)
+        store.put(keys[i], record, trials[i].kind)
         records[i] = record
     return records
 
@@ -527,13 +541,5 @@ class Runner:
         # Surface scenario-driven engine rerouting once per sweep (the
         # per-trial resolution itself is silent).
         resolve_engine(spec.engine, spec.scenario, warn=True)
-        trials = spec.expand()
-        if self.cache is None:
-            records = pool_map(run_trial, trials, self.jobs)
-        else:
-            from repro.service.keys import trial_key
-
-            records = cached_map(
-                run_trial, trials, self.jobs, self.cache, trial_key, "trial"
-            )
+        records = cached_map(spec.expand(), self.jobs, self.cache)
         return SweepResult(spec=spec, records=tuple(records))

@@ -111,6 +111,7 @@ from repro.analysis.runner import (
     SEED_POLICIES,
     ExperimentSpec,
     Runner,
+    TrialSpec,
     run_one,
 )
 from repro.core.errors import ReproError
@@ -118,10 +119,7 @@ from repro.core.faults import FAULTS, survivors
 from repro.core.params import SpecError
 from repro.core.scenario import INITS, Scenario, resolve_engine
 from repro.core.scheduler import SCHEDULERS
-from repro.core.serialization import (
-    dump_robustness_result,
-    dump_sweep_result,
-)
+from repro.core.serialization import dump
 from repro.core.simulator import ENGINES
 from repro.protocols import registry
 from repro.service.api import DEFAULT_HOST, DEFAULT_PORT, ExperimentService
@@ -582,19 +580,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
     scenario = _scenario_from_args(args)
     if not scenario.is_default:
         _apply_scenario_defaults(args, scenario)
+    trial = TrialSpec(
+        protocol=registry.canonical_spec(args.protocol), n=args.n, trial=0,
+        seed=args.seed, engine=args.engine, max_steps=args.max_steps,
+        scenario=scenario,
+    )
     store = _store_from_args(args)
-    key = None
     if store is not None:
-        from repro.analysis.runner import TrialSpec
-        from repro.service.keys import code_digest, trial_key
+        from repro.service.keys import trial_key
 
-        canonical = registry.canonical_spec(args.protocol)
-        trial = TrialSpec(
-            protocol=canonical, n=args.n, trial=0, seed=args.seed,
-            engine=args.engine, measure="output", max_steps=args.max_steps,
-            scenario=scenario,
-        )
-        key = trial_key(trial, code_version=code_digest(canonical))
+        key = trial_key(trial)
         record = store.get(key)
         if record is not None:
             print(f"protocol      : {protocol.name}")
@@ -612,12 +607,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
             )
             _report_cache(store, 1)
             return 0
-    record, result = run_one(
-        protocol, n=args.n, trial=0, seed=args.seed, engine=args.engine,
-        max_steps=args.max_steps, scenario=scenario,
-    )
-    if store is not None and key is not None:
-        store.put(key, record, "trial")
+    record, result = run_one(protocol, trial)
+    if store is not None:
+        store.put(key, record, trial.kind)
     alive = survivors(result.config)
     print(f"protocol      : {protocol.name}")
     print(f"population    : {args.n}")
@@ -666,7 +658,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.out == "-":
         print(result.to_json())
     elif args.out is not None:
-        dump_sweep_result(result, args.out)
+        dump(result, args.out)
         print(f"\nwrote {args.out}")
     return 0
 
@@ -727,7 +719,7 @@ def _cmd_robustness(args: argparse.Namespace) -> int:
     if args.out == "-":
         print(result.to_json())
     elif args.out is not None:
-        dump_robustness_result(result, args.out)
+        dump(result, args.out)
         print(f"\nwrote {args.out}")
     return 0
 

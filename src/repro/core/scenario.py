@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Any, Callable, TypeVar
+from typing import Any, Callable, ClassVar, TypeVar
 
 from repro.core.configuration import Configuration
 from repro.core.errors import SimulationError
@@ -166,6 +166,11 @@ class Scenario:
     faults: tuple[str, ...] = ()
     init: str = ""
 
+    #: A payload may leave any axis out (it keeps its default).
+    OPTIONAL_FIELDS: ClassVar[tuple[str, ...]] = (
+        "scheduler", "faults", "init",
+    )
+
     def __post_init__(self) -> None:
         object.__setattr__(
             self, "scheduler", SCHEDULERS.canonical(self.scheduler)
@@ -240,15 +245,20 @@ class Scenario:
     # Serialization
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
-        from repro.core.serialization import scenario_to_dict
+        from repro.core.serialization import encode
 
-        return scenario_to_dict(self)
+        return encode(self)
 
     @staticmethod
     def from_dict(payload: dict | None) -> "Scenario":
-        from repro.core.serialization import scenario_from_dict
+        """Inverse of :meth:`to_dict`; ``None`` (e.g. a spec payload
+        predating the scenario axis) decodes to the default scenario."""
+        from repro.core.serialization import decode
 
-        return scenario_from_dict(payload)
+        if payload is None:
+            return DEFAULT_SCENARIO
+        scenario: Scenario = decode(Scenario, payload)
+        return scenario
 
 
 #: The seed behavior (shared instance; Scenario is immutable).

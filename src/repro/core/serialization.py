@@ -1,17 +1,23 @@
-"""JSON serialization of configurations, traces and run results.
+"""JSON serialization of configurations, traces and run results, and of
+the experiment layer's specs, trial records and results.
 
 Lets long experiments checkpoint their populations and lets downstream
 tools (plotters, external verifiers) consume executions without importing
 the simulator.  States are arbitrary hashables in memory; on disk they are
 encoded as tagged JSON (strings pass through, tuples become
 ``{"t": [...]}`` recursively), so every state used by the built-in
-protocols round-trips exactly.
+protocols round-trips exactly.  Specs, records and results share one
+codec driven by their dataclass fields (:func:`encode` / :func:`decode`,
+:func:`dump` / :func:`load`).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
-from typing import Any
+from functools import partial
+from typing import Any, Callable, NamedTuple, Self
+from typing import get_args, get_origin, get_type_hints
 
 from repro.core.configuration import Configuration
 from repro.core.errors import ReproError
@@ -144,400 +150,164 @@ def run_result_to_dict(result: RunResult) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Experiment specs and sweep results (repro.analysis.runner)
+# Specs, trial records and results: one codec, driven by the dataclass
 # ----------------------------------------------------------------------
-# The runner dataclasses are imported lazily inside each function:
-# analysis.runner imports this module's helpers, so a top-level import
-# here would be circular.
+# Every experiment-layer value (ExperimentSpec, RobustnessSpec, Scenario,
+# TrialRecord, SweepResult, RobustnessResult) is a frozen dataclass, and
+# its payload maps each field name to its value in declaration order:
+# tuples become lists, nested dataclasses nested payloads.  Two optional
+# class attributes shape it:
+#
+# ``FORMAT_VERSION``  a ``"version"`` header, written first and checked on
+#                     decode (specs and results carry one);
+# ``OPTIONAL_FIELDS`` fields a payload may lack -- older payloads did not
+#                     write them -- so decoding falls back to the class
+#                     default; the encoder leaves one out when it is None.
+#
+# Every other field is required, including those with a class default.
 
-def scenario_to_dict(scenario) -> dict:
-    """Serialize a :class:`repro.core.scenario.Scenario` — every axis is
-    already a canonical registry spec string."""
-    return {
-        "scheduler": scenario.scheduler,
-        "faults": list(scenario.faults),
-        "init": scenario.init,
-    }
-
-
-def scenario_from_dict(payload: dict | None):
-    """Inverse of :func:`scenario_to_dict`; ``None`` (e.g. a spec payload
-    predating the scenario axis) decodes to the default scenario."""
-    from repro.core.scenario import DEFAULT_SCENARIO, Scenario
-
-    if payload is None:
-        return DEFAULT_SCENARIO
-    return Scenario(
-        scheduler=payload.get("scheduler", "uniform"),
-        faults=tuple(payload.get("faults", ())),
-        init=payload.get("init", ""),
-    )
+class _Codec(NamedTuple):
+    version: int | None
+    names: tuple[str, ...]
+    optional: frozenset[str]
+    #: required fields the constructor would otherwise default silently
+    #: (it rejects a payload lacking any of the others by itself)
+    required: tuple[str, ...]
+    #: ``(field, to JSON, from JSON)`` for tuple and dataclass fields
+    converters: tuple[tuple[str, Callable, Callable], ...]
 
 
-def experiment_spec_to_dict(spec) -> dict:
-    return {
-        "version": 1,
-        "protocol": spec.protocol,
-        "sizes": list(spec.sizes),
-        "trials": spec.trials,
-        "engine": spec.engine,
-        "measure": spec.measure,
-        "seed_policy": spec.seed_policy,
-        "base_seed": spec.base_seed,
-        "max_steps": spec.max_steps,
-        "check_interval": spec.check_interval,
-        "label": spec.label,
-        "scenario": scenario_to_dict(spec.scenario),
-    }
+_CODECS: dict[type, _Codec] = {}
 
 
-def experiment_spec_from_dict(payload: dict):
-    from repro.analysis.runner import ExperimentSpec
+def _encode_each(values: Any) -> list:
+    return [encode(value) for value in values]
 
-    if payload.get("version") != 1:
-        raise SerializationError(
-            f"unsupported experiment spec version {payload.get('version')!r}"
+
+def _decode_each(cls: type, payloads: Any) -> tuple:
+    return tuple(decode(cls, payload) for payload in payloads)
+
+
+def _codec(cls: type) -> _Codec:
+    """``cls``'s field plan, worked out once per class (the hot paths
+    look it up in :data:`_CODECS` first)."""
+    hints = get_type_hints(cls)
+    fields = dataclasses.fields(cls)
+    optional = frozenset(getattr(cls, "OPTIONAL_FIELDS", ()))
+    required = []
+    converters: list[tuple[str, Callable, Callable]] = []
+    for field in fields:
+        name, hint = field.name, hints[field.name]
+        has_default = (
+            field.default is not dataclasses.MISSING
+            or field.default_factory is not dataclasses.MISSING
         )
-    return ExperimentSpec(
-        protocol=payload["protocol"],
-        sizes=tuple(payload["sizes"]),
-        trials=payload["trials"],
-        engine=payload["engine"],
-        measure=payload["measure"],
-        seed_policy=payload["seed_policy"],
-        base_seed=payload["base_seed"],
-        max_steps=payload["max_steps"],
-        check_interval=payload["check_interval"],
-        label=payload.get("label", ""),
-        scenario=scenario_from_dict(payload.get("scenario")),
+        if has_default and name not in optional:
+            required.append(name)
+        item = get_args(hint)[0] if get_origin(hint) is tuple else None
+        if dataclasses.is_dataclass(hint):
+            converters.append((name, encode, partial(decode, hint)))
+        elif dataclasses.is_dataclass(item):
+            converters.append(
+                (name, _encode_each, partial(_decode_each, item))
+            )
+        elif item is not None:
+            converters.append((name, list, tuple))
+    codec = _CODECS[cls] = _Codec(
+        getattr(cls, "FORMAT_VERSION", None),
+        tuple(field.name for field in fields),
+        optional,
+        tuple(required),
+        tuple(converters),
     )
+    return codec
 
 
-def trial_spec_to_dict(trial) -> dict:
-    """Serialize a :class:`repro.analysis.runner.TrialSpec`.
+def encode(value: Any) -> dict:
+    """The JSON payload of a spec, trial record or result."""
+    cls = type(value)
+    version, names, optional, _, converters = (
+        _CODECS.get(cls) or _codec(cls)
+    )
+    payload: dict = {} if version is None else {"version": version}
+    for name in names:
+        field_value = getattr(value, name)
+        if field_value is not None or name not in optional:
+            payload[name] = field_value
+    for name, to_json, _ in converters:
+        field_value = payload.get(name)
+        if field_value is not None:
+            payload[name] = to_json(field_value)
+    return payload
 
-    This is the payload the experiment service hashes into a
-    content-addressed result key (see :mod:`repro.service.keys`), so the
-    encoding is versioned and every field is a JSON scalar or a
-    canonical spec string — dumping it with sorted keys yields a stable
-    byte string regardless of construction order.
+
+def decode(cls: type, payload: Any) -> Any:
+    """Inverse of :func:`encode`: rebuild a ``cls`` value.
+
+    Raises :class:`SerializationError` for a payload that is not an
+    object, a wrong version header, a missing required field, an unknown
+    field, or a value ``cls``'s constructor rejects with ``TypeError`` /
+    ``ValueError``.
     """
-    return {
-        "version": 1,
-        "kind": "trial",
-        "protocol": trial.protocol,
-        "n": trial.n,
-        "trial": trial.trial,
-        "seed": trial.seed,
-        "engine": trial.engine,
-        "measure": trial.measure,
-        "max_steps": trial.max_steps,
-        "check_interval": trial.check_interval,
-        "scenario": scenario_to_dict(trial.scenario),
-    }
-
-
-def trial_spec_from_dict(payload: dict):
-    from repro.analysis.runner import TrialSpec
-
-    if payload.get("version") != 1 or payload.get("kind") != "trial":
-        raise SerializationError(
-            f"unsupported trial spec payload "
-            f"{payload.get('version')!r}/{payload.get('kind')!r}"
-        )
-    return TrialSpec(
-        protocol=payload["protocol"],
-        n=payload["n"],
-        trial=payload["trial"],
-        seed=payload["seed"],
-        engine=payload["engine"],
-        measure=payload["measure"],
-        max_steps=payload["max_steps"],
-        check_interval=payload["check_interval"],
-        scenario=scenario_from_dict(payload.get("scenario")),
-    )
-
-
-def trial_record_to_dict(record) -> dict:
-    return {
-        "n": record.n,
-        "trial": record.trial,
-        "seed": record.seed,
-        "value": record.value,
-        "steps": record.steps,
-        "effective_steps": record.effective_steps,
-        "converged": record.converged,
-        "stop_reason": record.stop_reason,
-        "elapsed_seconds": record.elapsed_seconds,
-    }
-
-
-def trial_record_from_dict(payload: dict):
-    from repro.analysis.runner import TrialRecord
-
-    return TrialRecord(
-        n=payload["n"],
-        trial=payload["trial"],
-        seed=payload["seed"],
-        value=payload["value"],
-        steps=payload["steps"],
-        effective_steps=payload["effective_steps"],
-        converged=payload["converged"],
-        stop_reason=payload["stop_reason"],
-        elapsed_seconds=payload["elapsed_seconds"],
-    )
-
-
-def sweep_result_to_dict(result) -> dict:
-    return {
-        "version": 1,
-        "spec": experiment_spec_to_dict(result.spec),
-        "records": [trial_record_to_dict(r) for r in result.records],
-    }
-
-
-def sweep_result_from_dict(payload: dict):
-    from repro.analysis.runner import SweepResult
-
-    if payload.get("version") != 1:
-        raise SerializationError(
-            f"unsupported sweep result version {payload.get('version')!r}"
-        )
-    return SweepResult(
-        spec=experiment_spec_from_dict(payload["spec"]),
-        records=tuple(
-            trial_record_from_dict(r) for r in payload["records"]
-        ),
-    )
-
-
-def dump_sweep_result(result, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(sweep_result_to_dict(result), handle, indent=2)
-        handle.write("\n")
-
-
-def load_sweep_result(path: str):
-    with open(path, encoding="utf-8") as handle:
-        return sweep_result_from_dict(json.load(handle))
-
-
-# ----------------------------------------------------------------------
-# Robustness sweeps (repro.analysis.robustness)
-# ----------------------------------------------------------------------
-
-def robustness_spec_to_dict(spec) -> dict:
-    return {
-        "version": 1,
-        "protocols": list(spec.protocols),
-        "loads": list(spec.loads),
-        "n": spec.n,
-        "trials": spec.trials,
-        "faults": spec.faults,
-        "at": spec.at,
-        "scheduler": spec.scheduler,
-        "engine": spec.engine,
-        "measure": spec.measure,
-        "base_seed": spec.base_seed,
-        "max_steps": spec.max_steps,
-        "check_interval": spec.check_interval,
-        "label": spec.label,
-    }
-
-
-def robustness_spec_from_dict(payload: dict):
-    from repro.analysis.robustness import RobustnessSpec
-
-    if payload.get("version") != 1:
-        raise SerializationError(
-            f"unsupported robustness spec version {payload.get('version')!r}"
-        )
-    return RobustnessSpec(
-        protocols=tuple(payload["protocols"]),
-        loads=tuple(payload["loads"]),
-        n=payload["n"],
-        trials=payload["trials"],
-        faults=payload["faults"],
-        at=payload.get("at"),
-        # Absent in records written before the adversarial axis landed.
-        scheduler=payload.get("scheduler", "uniform"),
-        engine=payload["engine"],
-        measure=payload["measure"],
-        base_seed=payload["base_seed"],
-        max_steps=payload["max_steps"],
-        check_interval=payload["check_interval"],
-        label=payload.get("label", ""),
-    )
-
-
-def robustness_trial_to_dict(trial) -> dict:
-    """Serialize a :class:`repro.analysis.robustness.RobustnessTrial`
-    (the robustness analogue of :func:`trial_spec_to_dict`; the ``kind``
-    tag keeps the two key spaces disjoint in the result store)."""
-    return {
-        "version": 1,
-        "kind": "robustness",
-        "protocol": trial.protocol,
-        "n": trial.n,
-        "load": trial.load,
-        "trial": trial.trial,
-        "seed": trial.seed,
-        "fault": trial.fault,
-        "scheduler": trial.scheduler,
-        "engine": trial.engine,
-        "measure": trial.measure,
-        "max_steps": trial.max_steps,
-        "check_interval": trial.check_interval,
-    }
-
-
-def robustness_trial_from_dict(payload: dict):
-    from repro.analysis.robustness import RobustnessTrial
-
-    if payload.get("version") != 1 or payload.get("kind") != "robustness":
-        raise SerializationError(
-            f"unsupported robustness trial payload "
-            f"{payload.get('version')!r}/{payload.get('kind')!r}"
-        )
-    return RobustnessTrial(
-        protocol=payload["protocol"],
-        n=payload["n"],
-        load=payload["load"],
-        trial=payload["trial"],
-        seed=payload["seed"],
-        fault=payload["fault"],
-        scheduler=payload["scheduler"],
-        engine=payload["engine"],
-        measure=payload["measure"],
-        max_steps=payload["max_steps"],
-        check_interval=payload["check_interval"],
-    )
-
-
-def robustness_record_to_dict(record) -> dict:
-    return {
-        "protocol": record.protocol,
-        "load": record.load,
-        "n": record.n,
-        "trial": record.trial,
-        "seed": record.seed,
-        "value": record.value,
-        "steps": record.steps,
-        "effective_steps": record.effective_steps,
-        "converged": record.converged,
-        "survived": record.survived,
-        "alive": record.alive,
-        "stop_reason": record.stop_reason,
-        "elapsed_seconds": record.elapsed_seconds,
-    }
-
-
-def robustness_record_from_dict(payload: dict):
-    from repro.analysis.robustness import RobustnessRecord
-
-    return RobustnessRecord(
-        protocol=payload["protocol"],
-        load=payload["load"],
-        n=payload["n"],
-        trial=payload["trial"],
-        seed=payload["seed"],
-        value=payload["value"],
-        steps=payload["steps"],
-        effective_steps=payload["effective_steps"],
-        converged=payload["converged"],
-        survived=payload["survived"],
-        alive=payload["alive"],
-        stop_reason=payload["stop_reason"],
-        elapsed_seconds=payload["elapsed_seconds"],
-    )
-
-
-def robustness_result_to_dict(result) -> dict:
-    return {
-        "version": 1,
-        "spec": robustness_spec_to_dict(result.spec),
-        "records": [robustness_record_to_dict(r) for r in result.records],
-    }
-
-
-def robustness_result_from_dict(payload: dict):
-    from repro.analysis.robustness import RobustnessResult
-
-    if payload.get("version") != 1:
-        raise SerializationError(
-            f"unsupported robustness result version {payload.get('version')!r}"
-        )
-    return RobustnessResult(
-        spec=robustness_spec_from_dict(payload["spec"]),
-        records=tuple(
-            robustness_record_from_dict(r) for r in payload["records"]
-        ),
-    )
-
-
-def dump_robustness_result(result, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(robustness_result_to_dict(result), handle, indent=2)
-        handle.write("\n")
-
-
-def load_robustness_result(path: str):
-    with open(path, encoding="utf-8") as handle:
-        return robustness_result_from_dict(json.load(handle))
-
-
-# ----------------------------------------------------------------------
-# Stored trial records (repro.service.store)
-# ----------------------------------------------------------------------
-
-#: Version of the on-disk envelope the experiment service's
-#: :class:`repro.service.store.ResultStore` writes around each record.
-#: Bump on any incompatible change to the record encodings above — the
-#: store treats entries with an unknown version as misses and its ``gc``
-#: collects them.
-STORED_RECORD_VERSION = 1
-
-#: ``kind`` tag -> record codec, shared by the envelope and the
-#: content-addressed key payloads (``trial_spec_to_dict`` /
-#: ``robustness_trial_to_dict`` stamp the same tags).
-_RECORD_CODECS = {
-    "trial": (trial_record_to_dict, trial_record_from_dict),
-    "robustness": (robustness_record_to_dict, robustness_record_from_dict),
-}
-
-
-def stored_record_to_dict(key: str, kind: str, record) -> dict:
-    """The versioned envelope one result-store entry is written as."""
-    if kind not in _RECORD_CODECS:
-        raise SerializationError(
-            f"unknown stored record kind {kind!r}; "
-            f"choose from {sorted(_RECORD_CODECS)}"
-        )
-    encode, _ = _RECORD_CODECS[kind]
-    return {
-        "version": STORED_RECORD_VERSION,
-        "key": key,
-        "kind": kind,
-        "record": encode(record),
-    }
-
-
-def stored_record_from_dict(payload: dict):
-    """Inverse of :func:`stored_record_to_dict`:
-    ``(key, kind, record)``."""
+    version, _, _, required, converters = _CODECS.get(cls) or _codec(cls)
     if not isinstance(payload, dict):
         raise SerializationError(
-            f"stored record payload must be a dict, got {type(payload).__name__}"
+            f"{cls.__name__} payload must be an object, "
+            f"got {type(payload).__name__}"
         )
-    if payload.get("version") != STORED_RECORD_VERSION:
+    kwargs = dict(payload)
+    if version is not None and kwargs.pop("version", None) != version:
         raise SerializationError(
-            f"unsupported stored record version {payload.get('version')!r}"
+            f"unsupported {cls.__name__} version {payload.get('version')!r}"
         )
-    kind = payload.get("kind")
-    if kind not in _RECORD_CODECS:
-        raise SerializationError(f"unknown stored record kind {kind!r}")
-    _, decode = _RECORD_CODECS[kind]
-    return payload["key"], kind, decode(payload["record"])
+    for field in required:
+        if field not in kwargs:
+            raise SerializationError(f"{cls.__name__} payload lacks {field!r}")
+    try:
+        for field, _, from_json in converters:
+            if field in kwargs:
+                kwargs[field] = from_json(kwargs[field])
+        # An unknown field, or one without a default missing, is a
+        # TypeError here.
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise SerializationError(
+            f"bad {cls.__name__} payload: {exc}"
+        ) from None
+
+
+class Serializable:
+    """Base of the spec and result dataclasses: their ``to_dict`` /
+    ``from_dict`` and ``to_json`` / ``from_json`` go through
+    :func:`encode` / :func:`decode`."""
+
+    def to_dict(self) -> dict:
+        return encode(self)
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> Self:
+        return decode(cls, payload)
+
+    def to_json(self) -> str:
+        return json.dumps(encode(self), indent=2)
+
+    @classmethod
+    def from_json(cls, text: str) -> Self:
+        return decode(cls, json.loads(text))
+
+
+def dump(value: Any, path: str) -> None:
+    """Write :func:`encode` of ``value`` to ``path`` as indented JSON (the
+    ``--out`` file format of ``repro-net sweep`` / ``robustness``)."""
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(encode(value), handle, indent=2)
+        handle.write("\n")
+
+
+def load(cls: type, path: str) -> Any:
+    """Inverse of :func:`dump`."""
+    with open(path, encoding="utf-8") as handle:
+        return decode(cls, json.load(handle))
 
 
 def parallel_time(steps: int, n: int) -> float:

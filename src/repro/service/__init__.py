@@ -36,7 +36,6 @@ from repro.service.keys import (
     SCHEMA_VERSION,
     behavior_digest,
     code_digest,
-    robustness_trial_key,
     trial_key,
 )
 from repro.service.store import GcStats, ResultStore, StoreError, StoreStats
@@ -56,7 +55,6 @@ __all__ = [
     "behavior_digest",
     "code_digest",
     "parse_sse",
-    "robustness_trial_key",
     "send_sse_headers",
     "serve",
     "trial_key",

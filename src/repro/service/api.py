@@ -51,14 +51,10 @@ import warnings
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 
+from repro.analysis.robustness import RobustnessSpec
+from repro.analysis.runner import ExperimentSpec
 from repro.core.errors import ReproError
-from repro.core.serialization import (
-    SerializationError,
-    experiment_spec_from_dict,
-    robustness_result_to_dict,
-    robustness_spec_from_dict,
-    sweep_result_to_dict,
-)
+from repro.core.serialization import SerializationError, encode
 from repro.service.dashboard import census_snapshot, render_page
 from repro.service.jobs import Job, JobError, JobService
 from repro.service.keys import SCHEMA_VERSION
@@ -70,9 +66,13 @@ DEFAULT_PORT = 8642
 
 #: wire kind -> spec decoder (the inverse of ``spec.to_dict()``).
 SPEC_DECODERS = {
-    "sweep": experiment_spec_from_dict,
-    "robustness": robustness_spec_from_dict,
+    "sweep": ExperimentSpec.from_dict,
+    "robustness": RobustnessSpec.from_dict,
 }
+
+#: The sweep-result encoder, under its own name because the repository
+#: benchmark's tracer times it by that name (``perfbench/tracing.py``).
+sweep_result_to_dict = encode
 
 
 class ApiError(ReproError):
@@ -88,9 +88,7 @@ def result_payload(job: Job) -> dict:
     partial) result in the standard serialization envelope."""
     result = job.result()
     encoded = (
-        sweep_result_to_dict(result)
-        if job.kind == "sweep"
-        else robustness_result_to_dict(result)
+        sweep_result_to_dict(result) if job.kind == "sweep" else encode(result)
     )
     return {
         "id": job.id,

@@ -38,11 +38,7 @@ import itertools
 import time
 from typing import Union
 
-from repro.analysis.robustness import (
-    RobustnessResult,
-    RobustnessSpec,
-    run_robustness_trial,
-)
+from repro.analysis.robustness import RobustnessResult, RobustnessSpec
 from repro.analysis.runner import (
     ExperimentSpec,
     SweepResult,
@@ -51,15 +47,16 @@ from repro.analysis.runner import (
 )
 from repro.core.errors import ReproError
 from repro.core.trace import FrameAdapter, FrameLog, TraceBus
-from repro.service.keys import code_digest, robustness_trial_key, trial_key
+from repro.service.keys import code_digest, trial_key
 from repro.service.store import ResultStore
 
 ServiceSpec = Union[ExperimentSpec, RobustnessSpec]
 
-#: job kind -> (trial executor, key function, store envelope tag).
+#: job kind -> (trial executor, key function, store envelope tag): both
+#: kinds run and key their trials alike, only the tag differs.
 JOB_KINDS = {
     "sweep": (run_trial, trial_key, "trial"),
-    "robustness": (run_robustness_trial, robustness_trial_key, "robustness"),
+    "robustness": (run_trial, trial_key, "robustness"),
 }
 
 #: States a job moves through (terminal: done/failed/cancelled).

@@ -5,11 +5,9 @@ trial spec since the declarative runner landed — the only other input a
 record depends on is the *code* that executes it.  This module turns
 that observation into a cache key:
 
-* the **spec half** is the canonical JSON of the trial
-  (:func:`repro.core.serialization.trial_spec_to_dict` /
-  ``robustness_trial_to_dict``), dumped with sorted keys and no
-  whitespace, so construction order and dict insertion order never leak
-  into the key;
+* the **spec half** is the canonical JSON of the trial's
+  :func:`key_payload`, dumped with sorted keys and no whitespace, so
+  construction order and dict insertion order never leak into the key;
 * the **code half** is :func:`code_digest` — the protocol's transition
   behavior (rule table / class source / notification hooks, via
   :func:`repro.verify.cache.protocol_behavior_parts`) plus
@@ -28,12 +26,10 @@ import hashlib
 import json
 from typing import TYPE_CHECKING
 
-from repro.core.serialization import robustness_trial_to_dict, trial_spec_to_dict
 from repro.protocols import registry
 from repro.verify.cache import protocol_behavior_parts
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.analysis.robustness import RobustnessTrial
     from repro.analysis.runner import TrialSpec
 
 #: Engine/serialization schema version baked into every key.  Bump when
@@ -92,25 +88,58 @@ def canonical_payload(spec_dict: dict) -> str:
     return canonical_json(spec_dict)
 
 
+def key_payload(trial: "TrialSpec") -> dict:
+    """The payload a trial's key hashes.
+
+    Both layouts are frozen formats, spelled out field by field rather
+    than derived from :class:`~repro.analysis.runner.TrialSpec`, so that
+    a new trial field can never move an existing key.  A sweep trial
+    writes ``kind: trial``; a robustness trial (one with a ``load``)
+    writes ``kind: robustness`` with the family's raw ``fault`` string
+    and the scheduler instead of the scenario, so the two key spaces
+    never collide.
+    """
+    if trial.kind == "trial":
+        scenario = trial.scenario
+        return {
+            "version": 1,
+            "kind": "trial",
+            "protocol": trial.protocol,
+            "n": trial.n,
+            "trial": trial.trial,
+            "seed": trial.seed,
+            "engine": trial.engine,
+            "measure": trial.measure,
+            "max_steps": trial.max_steps,
+            "check_interval": trial.check_interval,
+            "scenario": {
+                "scheduler": scenario.scheduler,
+                "faults": list(scenario.faults),
+                "init": scenario.init,
+            },
+        }
+    return {
+        "version": 1,
+        "kind": "robustness",
+        "protocol": trial.protocol,
+        "n": trial.n,
+        "load": trial.load,
+        "trial": trial.trial,
+        "seed": trial.seed,
+        "fault": trial.fault,
+        "scheduler": trial.scenario.scheduler,
+        "engine": trial.engine,
+        "measure": trial.measure,
+        "max_steps": trial.max_steps,
+        "check_interval": trial.check_interval,
+    }
+
+
 def trial_key(trial: "TrialSpec", *, code_version: str | None = None) -> str:
-    """The content-addressed result key of one sweep trial."""
+    """The content-addressed result key of one trial."""
     if code_version is None:
         code_version = code_digest(trial.protocol)
-    payload = canonical_payload(trial_spec_to_dict(trial))
-    return hashlib.sha256(
-        f"{payload}\x00{code_version}".encode()
-    ).hexdigest()
-
-
-def robustness_trial_key(
-    trial: "RobustnessTrial", *, code_version: str | None = None
-) -> str:
-    """The content-addressed result key of one robustness trial (its
-    payload carries ``kind: robustness``, so the two key spaces never
-    collide)."""
-    if code_version is None:
-        code_version = code_digest(trial.protocol)
-    payload = canonical_payload(robustness_trial_to_dict(trial))
+    payload = canonical_payload(key_payload(trial))
     return hashlib.sha256(
         f"{payload}\x00{code_version}".encode()
     ).hexdigest()

@@ -4,8 +4,7 @@ A :class:`ResultStore` is a directory of tiny JSON records, one per
 executed trial, keyed by the sha256 of :mod:`repro.service.keys` and
 sharded by the key's first byte (``<root>/<k[:2]>/<k>.json``) so even
 million-entry stores keep directory listings flat.  Records are written
-through the versioned envelope of
-:func:`repro.core.serialization.stored_record_to_dict` and land
+through the versioned envelope of :func:`stored_record_to_dict` and land
 **atomically**: the payload goes to a ``*.tmp`` sibling first and is
 ``os.replace``-d into place, so a crashed writer can never leave a
 half-written entry — only a stray ``.tmp`` that :meth:`ResultStore.gc`
@@ -32,17 +31,64 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.analysis.runner import TrialRecord
 from repro.core.errors import ReproError
-from repro.core.serialization import (
-    SerializationError,
-    stored_record_from_dict,
-    stored_record_to_dict,
-)
+from repro.core.serialization import SerializationError, decode, encode
 from repro.service.keys import canonical_json
 
 
 class StoreError(ReproError):
     """The result store could not be set up or written."""
+
+
+#: Version of the on-disk envelope :class:`ResultStore` writes around
+#: each record.  Bump on any incompatible change to the record encoding
+#: of :mod:`repro.core.serialization` — the store treats entries with an
+#: unknown version as misses and its ``gc`` collects them.
+STORED_RECORD_VERSION = 1
+
+#: Envelope ``kind`` tags (:attr:`repro.analysis.runner.TrialSpec.kind`).
+RECORD_KINDS = ("trial", "robustness")
+
+
+def stored_record_to_dict(key: str, kind: str, record: TrialRecord) -> dict:
+    """The versioned envelope one result-store entry is written as."""
+    if kind not in RECORD_KINDS:
+        raise SerializationError(
+            f"unknown stored record kind {kind!r}; choose from {RECORD_KINDS}"
+        )
+    return {
+        "version": STORED_RECORD_VERSION,
+        "key": key,
+        "kind": kind,
+        "record": encode(record),
+    }
+
+
+def stored_record_from_dict(payload: object) -> tuple[str, str, TrialRecord]:
+    """Inverse of :func:`stored_record_to_dict`: ``(key, kind, record)``.
+
+    Raises :class:`~repro.core.serialization.SerializationError` for
+    anything but a well-formed envelope of this version.
+    """
+    if not isinstance(payload, dict):
+        raise SerializationError(
+            "stored record payload must be a dict, "
+            f"got {type(payload).__name__}"
+        )
+    if payload.get("version") != STORED_RECORD_VERSION:
+        raise SerializationError(
+            f"unsupported stored record version {payload.get('version')!r}"
+        )
+    kind = payload.get("kind")
+    if kind not in RECORD_KINDS:
+        raise SerializationError(f"unknown stored record kind {kind!r}")
+    key = payload.get("key")
+    if not isinstance(key, str):
+        raise SerializationError(
+            f"stored record key must be a string, got {key!r}"
+        )
+    return key, kind, decode(TrialRecord, payload.get("record"))
 
 
 #: A store key: lowercase hex, at least the shard prefix plus a few
@@ -98,13 +144,12 @@ class GcStats:
 class ResultStore:
     """Sharded directory of content-addressed trial records.
 
-    ``get``/``put`` speak record objects (``TrialRecord`` /
-    ``RobustnessRecord``), not envelopes; the envelope — and the check
-    that the entry on disk really belongs to the requested key — is
-    internal.  Hit/miss/put counters are per-instance and in-memory:
-    they describe *this* run's cache behavior (what the CLI and the
-    service report), while ``entries``/``bytes`` in :meth:`stats` scan
-    the directory.
+    ``get``/``put`` speak :class:`~repro.analysis.runner.TrialRecord`
+    s, not envelopes; the envelope — and the check that the entry on
+    disk really belongs to the requested key — is internal.  Hit/miss/put
+    counters are per-instance and in-memory: they describe *this* run's
+    cache behavior (what the CLI and the service report), while
+    ``entries``/``bytes`` in :meth:`stats` scan the directory.
     """
 
     def __init__(self, root: str | Path) -> None:
@@ -151,8 +196,8 @@ class ResultStore:
     def put(self, key: str, record, kind: str = "trial") -> None:
         """Atomically store ``record`` under ``key``.
 
-        ``kind`` tags the envelope (``"trial"`` or ``"robustness"``) so
-        ``get`` rebuilds the right record class.
+        ``kind`` tags the envelope with the trial's kind (``"trial"`` or
+        ``"robustness"``, see :data:`RECORD_KINDS`).
         """
         payload = stored_record_to_dict(key, kind, record)
         file = self._file(key)

@@ -18,14 +18,10 @@ from repro.analysis.robustness import (
     bench_robustness,
     format_bench_robustness,
     run_robustness,
-    run_robustness_trial,
 )
-from repro.analysis.runner import ExperimentError
+from repro.analysis.runner import ExperimentError, TrialRecord, run_trial
 from repro.cli import main
-from repro.core.serialization import (
-    dump_robustness_result,
-    load_robustness_result,
-)
+from repro.core.serialization import dump, load
 
 
 def _small_spec(**overrides) -> RobustnessSpec:
@@ -100,6 +96,9 @@ class TestRobustnessSpec:
             _small_spec(protocols=())
         with pytest.raises(ExperimentError, match="load"):
             _small_spec(loads=())
+        for budget in ("10", 0, -5, 2.5):
+            with pytest.raises(ExperimentError, match="max_steps"):
+                _small_spec(max_steps=budget)
 
     def test_families_registry(self):
         assert set(FAULT_FAMILIES) == {
@@ -183,8 +182,8 @@ class TestRobustnessExecution:
 
     def test_dump_load_file(self, result, tmp_path):
         path = tmp_path / "robustness.json"
-        dump_robustness_result(result, str(path))
-        assert load_robustness_result(str(path)) == result
+        dump(result, str(path))
+        assert load(RobustnessResult, str(path)) == result
         payload = json.loads(path.read_text())
         assert payload["version"] == 1
         assert payload["spec"]["faults"] == "crash"
@@ -197,7 +196,7 @@ class TestRobustnessExecution:
 
     def test_single_trial_matches_sweep(self, result):
         trial = result.spec.expand()[0]
-        record = run_robustness_trial(trial)
+        record = run_trial(trial)
         assert record.deterministic() == result.records[0].deterministic()
 
     def test_unknown_cell_raises(self, result):
@@ -208,15 +207,13 @@ class TestRobustnessExecution:
 def _synthetic_result(curves: dict[str, dict[float, float]], loads=(0, 1, 2)):
     """A RobustnessResult with prescribed survival rates (4 trials per
     cell; rates must be multiples of 0.25)."""
-    from repro.analysis.robustness import RobustnessRecord
-
     spec = _small_spec(protocols=tuple(curves), loads=tuple(loads))
     records = []
     for protocol, curve in curves.items():
         for load in loads:
             winners = round(curve[load] * 4)
             for trial in range(4):
-                records.append(RobustnessRecord(
+                records.append(TrialRecord(
                     protocol=protocol, load=load, n=spec.n, trial=trial,
                     seed=trial, value=1.0, steps=100, effective_steps=50,
                     converged=True, survived=trial < winners, alive=spec.n,
@@ -306,7 +303,7 @@ class TestRobustnessCli:
         text = capsys.readouterr().out
         assert "survival" in text
         assert "ft-global-line dominates simple-global-line" in text
-        loaded = load_robustness_result(str(out))
+        loaded = load(RobustnessResult, str(out))
         assert loaded.spec.loads == (0, 2)
         assert loaded.dominates("ft-global-line", "simple-global-line")
 

@@ -19,12 +19,7 @@ from repro.analysis.runner import (
     run_trial,
     summarize,
 )
-from repro.core.serialization import (
-    dump_sweep_result,
-    experiment_spec_from_dict,
-    experiment_spec_to_dict,
-    load_sweep_result,
-)
+from repro.core.serialization import dump, load
 from repro.core.simulator import make_engine
 from repro.protocols import CycleCover
 from tests.conftest import trial_times
@@ -62,6 +57,11 @@ class TestExperimentSpec:
             (dict(sizes=(8,), trials=1, measure="vibes"), "unknown measure"),
             (dict(sizes=(8,), trials=1, seed_policy="dice"), "seed policy"),
             (dict(sizes=(8,), trials=1, engine="sequential"), "max_steps"),
+            (dict(sizes=(1,), trials=1), "sizes must be >= 2"),
+            (dict(sizes=(8, 0), trials=1), "sizes must be >= 2"),
+            (dict(sizes=(8,), trials=1, max_steps="10"), "max_steps"),
+            (dict(sizes=(8,), trials=1, max_steps=0), "max_steps"),
+            (dict(sizes=(8,), trials=1, max_steps=2.5), "max_steps"),
         ],
     )
     def test_validation(self, kwargs, match):
@@ -119,8 +119,8 @@ class TestExperimentSpec:
 
 class TestSerialization:
     def test_spec_json_round_trip(self):
-        payload = json.loads(json.dumps(experiment_spec_to_dict(SMALL_SPEC)))
-        assert experiment_spec_from_dict(payload) == SMALL_SPEC
+        payload = json.loads(json.dumps(SMALL_SPEC.to_dict()))
+        assert ExperimentSpec.from_dict(payload) == SMALL_SPEC
 
     def test_sweep_result_json_round_trip(self):
         result = Runner().run(SMALL_SPEC)
@@ -130,8 +130,8 @@ class TestSerialization:
     def test_sweep_result_file_round_trip(self, tmp_path):
         result = Runner().run(SMALL_SPEC)
         path = str(tmp_path / "sweep.json")
-        dump_sweep_result(result, path)
-        assert load_sweep_result(path) == result
+        dump(result, path)
+        assert load(SweepResult, path) == result
 
     def test_summaries_match_summarize(self):
         result = Runner().run(SMALL_SPEC)

@@ -36,7 +36,6 @@ from repro.core.scheduler import (
     RoundRobinScheduler,
     ScriptedScheduler,
 )
-from repro.core.serialization import scenario_from_dict, scenario_to_dict
 from repro.core.simulator import (
     ENGINES,
     SequentialSimulator,
@@ -185,11 +184,11 @@ class TestScenario:
             faults=("crash:at=10,count=1", "edge-drop:rate=0.001"),
             init="doped:state=l",
         )
-        payload = json.loads(json.dumps(scenario_to_dict(scenario)))
-        assert scenario_from_dict(payload) == scenario
+        payload = json.loads(json.dumps(scenario.to_dict()))
+        assert Scenario.from_dict(payload) == scenario
 
     def test_missing_payload_decodes_to_default(self):
-        assert scenario_from_dict(None) == DEFAULT_SCENARIO
+        assert Scenario.from_dict(None) == DEFAULT_SCENARIO
 
     def test_unbounded_faults_detected(self):
         assert Scenario(faults=("edge-drop:rate=0.01",)).has_unbounded_faults
@@ -240,8 +239,8 @@ class TestScenarioProperties:
         scenario = Scenario(
             scheduler=scheduler, faults=tuple(faults), init=init
         )
-        payload = json.loads(json.dumps(scenario_to_dict(scenario)))
-        assert scenario_from_dict(payload) == scenario
+        payload = json.loads(json.dumps(scenario.to_dict()))
+        assert Scenario.from_dict(payload) == scenario
 
     @settings(max_examples=80, deadline=None)
     @given(scheduler=_schedulers, faults=_faults, init=_inits)

@@ -23,24 +23,28 @@ import os
 
 import pytest
 
-from repro.analysis import robustness as robustness_mod
 from repro.analysis import runner as runner_mod
 from repro.analysis.robustness import (
-    RobustnessRecord,
+    RobustnessResult,
     RobustnessSpec,
-    RobustnessTrial,
     run_robustness,
 )
-from repro.analysis.runner import ExperimentSpec, Runner, TrialRecord, TrialSpec
+from repro.analysis.runner import (
+    ExperimentSpec,
+    Runner,
+    SweepResult,
+    TrialRecord,
+    TrialSpec,
+)
 from repro.core.protocol import TableProtocol
 from repro.core.scenario import Scenario
+from repro.core.serialization import dump
 from repro.service import keys as keys_mod
 from repro.service.jobs import JobService, kind_of
 from repro.service.keys import (
     behavior_digest,
     clear_digest_cache,
     code_digest,
-    robustness_trial_key,
     trial_key,
 )
 from repro.service.store import ResultStore, StoreError
@@ -53,9 +57,9 @@ TRIAL = TrialSpec(protocol="cycle-cover", n=10, trial=2, seed=77)
 # hit, so the keys and the exact bytes of an entry are frozen here; the
 # code version is fixed so a protocol edit does not move them.
 PIN_CODE_VERSION = "0" * 64
-PIN_ROBUSTNESS_TRIAL = RobustnessTrial(
-    protocol="cycle-cover", n=10, load=1.0, trial=2, seed=77,
-    fault="crash", max_steps=200_000,
+PIN_ROBUSTNESS_TRIAL = TrialSpec(
+    protocol="cycle-cover", n=10, trial=2, seed=77, max_steps=200_000,
+    load=1.0, fault="crash",
 )
 PIN_TRIAL_KEY = (
     "c9fe9240e66b1099cad1cd7d3e2ab848913db19898a1bc40ce8bb36772f71e65"
@@ -67,7 +71,7 @@ PIN_TRIAL_RECORD = TrialRecord(
     n=10, trial=2, seed=77, value=123, steps=4567, effective_steps=89,
     converged=True, stop_reason="stabilized", elapsed_seconds=0.125,
 )
-PIN_ROBUSTNESS_RECORD = RobustnessRecord(
+PIN_ROBUSTNESS_RECORD = TrialRecord(
     protocol="cycle-cover", load=1.0, n=10, trial=2, seed=77, value=321,
     steps=6543, effective_steps=98, converged=True, survived=False,
     alive=9, stop_reason="stabilized", elapsed_seconds=0.25,
@@ -85,6 +89,113 @@ PIN_ROBUSTNESS_ENTRY = (
     b'"protocol":"cycle-cover","seed":77,"steps":6543,"stop_reason":'
     b'"stabilized","survived":false,"trial":2,"value":321},"version":1}'
 )
+# Real family cells whose fault strings Scenario canonicalizes into a
+# different order (crash: at before count; byzantine: lie added, rate
+# as 1e-05): their keys hash the family's raw fault string.
+PIN_FAMILY_KEYS = {
+    "crash": (
+        RobustnessSpec(
+            protocols=("cycle-cover",), loads=(0, 1), n=10, trials=1,
+            faults="crash", max_steps=200_000,
+        ).expand()[1],
+        "2a94cf3027e3a6acaaa5af12763348616860cc8e0ed7576c1e88ea2248c041e5",
+    ),
+    "byzantine": (
+        RobustnessSpec(
+            protocols=("cycle-cover",), loads=(1,), n=10, trials=1,
+            faults="byzantine", max_steps=200_000,
+        ).expand()[0],
+        "c02589aefdc0adece7aeb040609fc91c2fb3e2de9d0006c7e35c1da8bbbfd94c",
+    ),
+}
+# The --out files of `repro-net sweep` and `robustness`: results built
+# from fixed records (no engine run) and the exact payload they dump.
+PIN_SWEEP_RESULT = SweepResult(
+    spec=ExperimentSpec(
+        protocol="cycle-cover", sizes=(8, 12), trials=1, max_steps=50_000,
+        scenario=Scenario(faults=("crash:count=1,at=64",)), label="pin",
+    ),
+    records=(
+        TrialRecord(
+            n=8, trial=0, seed=11, value=40, steps=400, effective_steps=30,
+            converged=True, stop_reason="stabilized", elapsed_seconds=0.5,
+        ),
+        TrialRecord(
+            n=12, trial=0, seed=12, value=90, steps=900, effective_steps=70,
+            converged=False, stop_reason="budget", elapsed_seconds=1.25,
+        ),
+    ),
+)
+PIN_SWEEP_OUT = {
+    "version": 1,
+    "spec": {
+        "version": 1, "protocol": "cycle-cover", "sizes": [8, 12],
+        "trials": 1, "engine": "indexed", "measure": "output",
+        "seed_policy": "hashed", "base_seed": 0, "max_steps": 50000,
+        "check_interval": 1, "label": "pin",
+        "scenario": {
+            "scheduler": "uniform", "faults": ["crash:at=64,count=1"],
+            "init": "",
+        },
+    },
+    "records": [
+        {
+            "n": 8, "trial": 0, "seed": 11, "value": 40, "steps": 400,
+            "effective_steps": 30, "converged": True,
+            "stop_reason": "stabilized", "elapsed_seconds": 0.5,
+        },
+        {
+            "n": 12, "trial": 0, "seed": 12, "value": 90, "steps": 900,
+            "effective_steps": 70, "converged": False,
+            "stop_reason": "budget", "elapsed_seconds": 1.25,
+        },
+    ],
+}
+PIN_ROBUSTNESS_RESULT = RobustnessResult(
+    spec=RobustnessSpec(
+        protocols=("simple-global-line", "ft-global-line"), loads=(0, 1),
+        n=8, trials=1, faults="crash", max_steps=100_000, label="pin",
+    ),
+    records=(
+        TrialRecord(
+            protocol="simple-global-line", load=0, n=8, trial=0, seed=5,
+            value=10, steps=100, effective_steps=20, converged=True,
+            survived=True, alive=8, stop_reason="stabilized",
+            elapsed_seconds=0.5,
+        ),
+        TrialRecord(
+            protocol="ft-global-line", load=1, n=8, trial=0, seed=6,
+            value=30, steps=300, effective_steps=40, converged=False,
+            survived=False, alive=7, stop_reason="budget",
+            elapsed_seconds=0.75,
+        ),
+    ),
+)
+PIN_ROBUSTNESS_OUT = {
+    "version": 1,
+    "spec": {
+        "version": 1, "protocols": ["simple-global-line", "ft-global-line"],
+        "loads": [0, 1], "n": 8, "trials": 1, "faults": "crash",
+        "at": None, "scheduler": "uniform", "engine": "indexed",
+        "measure": "output", "base_seed": 0, "max_steps": 100000,
+        "check_interval": 1, "label": "pin",
+    },
+    "records": [
+        {
+            "protocol": "simple-global-line", "load": 0, "n": 8,
+            "trial": 0, "seed": 5, "value": 10, "steps": 100,
+            "effective_steps": 20, "converged": True, "survived": True,
+            "alive": 8, "stop_reason": "stabilized",
+            "elapsed_seconds": 0.5,
+        },
+        {
+            "protocol": "ft-global-line", "load": 1, "n": 8, "trial": 0,
+            "seed": 6, "value": 30, "steps": 300, "effective_steps": 40,
+            "converged": False, "survived": False, "alive": 7,
+            "stop_reason": "budget", "elapsed_seconds": 0.75,
+        },
+    ],
+}
 
 
 def _key_in_subprocess(_=None) -> str:
@@ -105,10 +216,9 @@ class TestKeys:
         assert child_key == trial_key(TRIAL)
 
     def test_key_ignores_payload_dict_ordering(self):
-        from repro.core.serialization import trial_spec_to_dict
-        from repro.service.keys import canonical_payload
+        from repro.service.keys import canonical_payload, key_payload
 
-        payload = trial_spec_to_dict(TRIAL)
+        payload = key_payload(TRIAL)
         shuffled = dict(reversed(list(payload.items())))
         assert canonical_payload(payload) == canonical_payload(shuffled)
 
@@ -148,10 +258,10 @@ class TestKeys:
     def test_sweep_and_robustness_key_spaces_never_collide(self):
         # Same protocol/n/trial/seed on both sides; the payload kind
         # tag must still separate them.
-        r = RobustnessTrial(
-            protocol="cycle-cover", n=10, load=0.0, trial=2, seed=77
+        r = TrialSpec(
+            protocol="cycle-cover", n=10, trial=2, seed=77, load=0.0
         )
-        assert robustness_trial_key(r) != trial_key(TRIAL)
+        assert trial_key(r) != trial_key(TRIAL)
 
     def test_code_digest_is_memoized_per_canonical_spec(self):
         clear_digest_cache()
@@ -163,11 +273,29 @@ class TestByteIdentity:
     def test_trial_key_is_pinned(self):
         assert trial_key(TRIAL, code_version=PIN_CODE_VERSION) == PIN_TRIAL_KEY
 
-    def test_robustness_trial_key_is_pinned(self):
-        key = robustness_trial_key(
-            PIN_ROBUSTNESS_TRIAL, code_version=PIN_CODE_VERSION
-        )
+    def test_robustness_key_is_pinned(self):
+        key = trial_key(PIN_ROBUSTNESS_TRIAL, code_version=PIN_CODE_VERSION)
         assert key == PIN_ROBUSTNESS_KEY
+
+    @pytest.mark.parametrize("family", sorted(PIN_FAMILY_KEYS))
+    def test_fault_family_cell_keys_are_pinned(self, family):
+        trial, pinned = PIN_FAMILY_KEYS[family]
+        assert trial_key(trial, code_version=PIN_CODE_VERSION) == pinned
+
+    @pytest.mark.parametrize(
+        "result, pinned",
+        [
+            (PIN_SWEEP_RESULT, PIN_SWEEP_OUT),
+            (PIN_ROBUSTNESS_RESULT, PIN_ROBUSTNESS_OUT),
+        ],
+        ids=["sweep", "robustness"],
+    )
+    def test_out_file_bytes_are_pinned(self, result, pinned, tmp_path):
+        path = tmp_path / "out.json"
+        dump(result, str(path))
+        expected = json.dumps(pinned, indent=2) + "\n"
+        assert path.read_bytes() == expected.encode("utf-8")
+        assert type(result).from_dict(pinned) == result
 
     def test_put_writes_the_pinned_bytes(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -272,15 +400,33 @@ class TestStore:
         # Emptied shards are pruned.
         assert not wrong.parent.exists()
 
-    def test_version_skewed_entry_is_a_miss(self, tmp_path):
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda entry: {**entry, "version": 999},
+            lambda entry: {
+                **entry,
+                "record": {
+                    k: v for k, v in entry["record"].items() if k != "trial"
+                },
+            },
+            lambda entry: {k: v for k, v in entry.items() if k != "key"},
+            lambda entry: {**entry, "record": list(entry["record"].values())},
+        ],
+        ids=["version-999", "record-missing-field", "no-key", "record-list"],
+    )
+    def test_version_skewed_entry_is_a_miss(self, tmp_path, corrupt):
+        # Each corrupt entry still parses as JSON: it must read as a
+        # miss and be collected, never raise.
         store = ResultStore(tmp_path)
         record = runner_mod.run_trial(TRIAL)
         key = trial_key(TRIAL)
         store.put(key, record, "trial")
         payload = json.loads(store.path(key).read_text())
-        payload["version"] = 999
-        store.path(key).write_text(json.dumps(payload))
+        store.path(key).write_text(json.dumps(corrupt(payload)))
         assert store.get(key) is None
+        gc = store.gc()
+        assert (gc.removed_invalid, gc.kept) == (1, 0)
 
 
 class TestCachedExecution:
@@ -314,9 +460,9 @@ class TestCachedExecution:
             max_steps=200_000,
         )
         cold = run_robustness(grid, cache=store)
-        counter = robustness_mod.EXECUTION_COUNTER.count
+        counter = runner_mod.EXECUTION_COUNTER.count
         warm = run_robustness(replace(grid, trials=3), cache=store)
-        assert robustness_mod.EXECUTION_COUNTER.count == counter + 2
+        assert runner_mod.EXECUTION_COUNTER.count == counter + 2
         assert [r for r in warm.records if r.trial < 2] == list(cold.records)
         assert [(r.load, r.trial) for r in warm.records] == [
             (load, trial) for load in (0, 1) for trial in range(3)
@@ -336,9 +482,9 @@ class TestCachedExecution:
             max_steps=200_000,
         )
         cold = run_robustness(spec, cache=store)
-        counter = robustness_mod.EXECUTION_COUNTER.count
+        counter = runner_mod.EXECUTION_COUNTER.count
         warm = run_robustness(spec, cache=store)
-        assert robustness_mod.EXECUTION_COUNTER.count == counter
+        assert runner_mod.EXECUTION_COUNTER.count == counter
         assert warm.to_json() == cold.to_json()
 
     def test_run_trials_uses_the_cache_for_registry_specs(self, tmp_path):
@@ -439,9 +585,7 @@ class TestJobService:
             return job.status_dict()
 
         status = self.run(scenario())
-        from repro.core.serialization import experiment_spec_from_dict
-
-        assert experiment_spec_from_dict(status["spec"]) == SPEC
+        assert ExperimentSpec.from_dict(status["spec"]) == SPEC
         assert status["state"] == "done"
         assert status["completed"] == status["total"]
 
@@ -555,11 +699,44 @@ class TestHttpService(_ClientTests):
         with pytest.raises(ServiceError, match="unknown job"):
             self.client(live_service).status("job-999")
 
-    def test_bad_spec_is_a_clean_400(self, live_service):
+    @pytest.mark.parametrize(
+        "kind, payload",
+        [
+            ("sweep", {"nonsense": True}),
+            (
+                "sweep",
+                {k: v for k, v in SPEC.to_dict().items() if k != "engine"},
+            ),
+            ("sweep", {**SPEC.to_dict(), "sizes": 8}),
+            ("sweep", {**SPEC.to_dict(), "trials": "2"}),
+            ("sweep", {**SPEC.to_dict(), "scenario": "x"}),
+            ("sweep", {**SPEC.to_dict(), "trails": 3}),
+            (
+                "robustness",
+                {
+                    k: v
+                    for k, v in RobustnessSpec(
+                        protocols=("cycle-cover",), loads=(0,), n=8,
+                        trials=1, max_steps=200_000,
+                    ).to_dict().items()
+                    if k != "n"
+                },
+            ),
+        ],
+        ids=[
+            "nonsense", "no-engine", "sizes-int", "trials-str",
+            "scenario-str", "unknown-field", "robustness-no-n",
+        ],
+    )
+    def test_bad_spec_is_a_clean_400(self, live_service, kind, payload):
         from repro.service.client import ServiceError
 
-        with pytest.raises(ServiceError):
-            self.client(live_service).submit({"nonsense": True})
+        client = self.client(live_service)
+        before = len(client.jobs())
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(payload, kind=kind)
+        assert excinfo.value.status == 400
+        assert len(client.jobs()) == before
 
     def test_store_stats_and_gc_endpoints(self, live_service):
         client = self.client(live_service)
@@ -697,7 +874,6 @@ class TestPoolMap:
             return real(fn, items, jobs)
 
         monkeypatch.setattr(runner_mod, "pool_map", recording)
-        monkeypatch.setattr(robustness_mod, "pool_map", recording)
         spec = ExperimentSpec(protocol="cycle-cover", sizes=(8,), trials=1)
         grid = RobustnessSpec(
             protocols=("cycle-cover",), loads=(0,), n=8, trials=1,
@@ -706,6 +882,4 @@ class TestPoolMap:
         for cache in (None, ResultStore(tmp_path)):
             Runner(cache=cache).run(spec)
             run_robustness(grid, cache=cache)
-        assert calls == [
-            runner_mod.run_trial, robustness_mod.run_robustness_trial,
-        ] * 2
+        assert calls == [runner_mod.run_trial] * 4

@@ -309,9 +309,10 @@ class TestCli:
             ]
         ) == 0
         assert "fit: skipped" in capsys.readouterr().out
-        from repro.core.serialization import load_sweep_result
+        from repro.analysis.runner import SweepResult
+        from repro.core.serialization import load
 
-        result = load_sweep_result(str(out_path))
+        result = load(SweepResult, str(out_path))
         assert len(result.records) == 6
 
     def test_sweep_jobs_and_out(self, capsys, tmp_path):
@@ -322,9 +323,10 @@ class TestCli:
                 "--jobs", "2", "--out", str(out_path),
             ]
         ) == 0
-        from repro.core.serialization import load_sweep_result
+        from repro.analysis.runner import SweepResult
+        from repro.core.serialization import load
 
-        result = load_sweep_result(str(out_path))
+        result = load(SweepResult, str(out_path))
         assert result.spec.protocol == "cycle-cover"
         assert len(result.records) == 4
 
