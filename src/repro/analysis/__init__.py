@@ -1,6 +1,6 @@
 """Measurement and estimation toolkit: the declarative sweep runner,
-robustness grids, power-law fitting and table rendering behind the
-``benchmarks/`` figure tests and the CLI.  Every sweep runs as an
+robustness grids and power-law fitting behind the ``benchmarks/``
+figure tests and the CLI.  Every sweep runs as an
 :class:`ExperimentSpec` through a :class:`Runner`."""
 
 from repro.analysis.fitting import (
@@ -27,7 +27,6 @@ from repro.analysis.runner import (
     run_trial,
     summarize,
 )
-from repro.analysis.tables import format_mean_ci, render_table
 
 __all__ = [
     "ExperimentSpec",
@@ -45,8 +44,6 @@ __all__ = [
     "crossover_size",
     "empirical_ratio_curve",
     "fit_power_law",
-    "format_mean_ci",
-    "render_table",
     "run_robustness",
     "run_trial",
     "summarize",

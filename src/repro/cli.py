@@ -96,7 +96,9 @@ symmetry-reduced exhaustive model checker (no engine in the loop; see
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+from contextlib import redirect_stdout
 
 from repro.analysis import fit_power_law
 from repro.analysis.robustness import (
@@ -116,10 +118,9 @@ from repro.analysis.runner import (
 )
 from repro.core.errors import ReproError
 from repro.core.faults import FAULTS, survivors
-from repro.core.params import SpecError
+from repro.core.params import SpecError, format_spec
 from repro.core.scenario import INITS, Scenario, resolve_engine
 from repro.core.scheduler import SCHEDULERS
-from repro.core.serialization import dump
 from repro.core.simulator import ENGINES
 from repro.protocols import registry
 from repro.service.api import DEFAULT_HOST, DEFAULT_PORT, ExperimentService
@@ -131,67 +132,123 @@ from repro.viz import component_summary, state_summary
 #: engine (or injects unbounded faults) and the user gave no --max-steps.
 DEFAULT_SCENARIO_BUDGET = 10_000_000
 
+#: Every spec registry as (kind, ``list`` flag, ``list`` title,
+#: registry): ``list`` takes its flags and sections from it, and
+#: ``describe`` tries the registries in this order.
+REGISTRIES = (
+    ("protocol", None, None, registry.PROTOCOLS),
+    ("scheduler", "schedulers", "schedulers", SCHEDULERS),
+    ("fault model", "faults", "fault models", FAULTS),
+    ("initial configuration", "inits", "initial configurations", INITS),
+)
 
-def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
-    """The three environment axes, shared by ``run`` and ``sweep``."""
-    parser.add_argument(
+
+def _comma_list(convert):
+    """An argparse ``type=``: comma-separated ``convert`` items, none
+    empty (``--sizes 10,,20`` is a usage error, not a traceback)."""
+
+    def parse(text: str) -> tuple:
+        items = [item.strip() for item in text.split(",")]
+        if not all(items):
+            raise argparse.ArgumentTypeError(f"empty item in {text!r}")
+        try:
+            return tuple(convert(item) for item in items)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"not a comma-separated {convert.__name__} list: {text!r}"
+            ) from None
+
+    return parse
+
+
+def _shared_flags() -> dict[str, argparse.ArgumentParser]:
+    """The parent parsers: each shared flag is declared once, here."""
+    engine = argparse.ArgumentParser(add_help=False)
+    engine.add_argument(
+        "--seed", type=int, default=0,
+        help="seed of the run (sweeps: the base seed; default: 0)",
+    )
+    engine.add_argument(
+        "--engine", choices=sorted(ENGINES), default="indexed",
+        help="simulation engine (default: indexed)",
+    )
+    engine.add_argument(
+        "--max-steps", type=int, default=None,
+        help="per-run step budget (required by --engine sequential; "
+        "scenario runs and robustness default it to "
+        f"{DEFAULT_SCENARIO_BUDGET})",
+    )
+
+    scenario = argparse.ArgumentParser(add_help=False)
+    scenario.add_argument(
         "--scheduler", default="uniform", metavar="SPEC",
         help="scheduler spec ('uniform', 'round-robin', "
         "'laggard:bias=0.9,lagged=0..4'; see 'list --schedulers')",
     )
-    parser.add_argument(
+    scenario.add_argument(
         "--faults", action="append", default=None, metavar="SPEC",
         help="fault model spec, repeatable ('crash:count=2,at=0', "
         "'edge-drop:rate=0.001'; see 'list --faults')",
     )
-    parser.add_argument(
+    scenario.add_argument(
         "--init", default="", metavar="SPEC",
         help="initial-configuration override ('doped:state=l', "
         "'graph:graph=ring-8'; see 'list --inits')",
     )
 
+    sweep = argparse.ArgumentParser(
+        add_help=False, parents=[engine, scenario]
+    )
+    sweep.add_argument("protocol", help="registry spec (see 'run')")
+    sweep.add_argument(
+        "--sizes", type=_comma_list(int), default="10,20,40",
+        help="comma-separated population sizes",
+    )
+    sweep.add_argument("--trials", type=int, default=10)
+    sweep.add_argument(
+        "--measure", choices=sorted(MEASURES), default="output",
+        help="which time to read off each run (default: output)",
+    )
+    sweep.add_argument(
+        "--seed-policy", choices=sorted(SEED_POLICIES), default="hashed",
+        help="per-trial seed derivation (default: hashed; 'legacy' "
+        "reproduces seed-era numbers)",
+    )
 
-def _add_cache_arguments(parser: argparse.ArgumentParser) -> None:
-    """The content-addressed store flags, shared by ``run``, ``sweep``
-    and ``robustness``."""
-    parser.add_argument(
+    cache = argparse.ArgumentParser(add_help=False)
+    cache.add_argument(
         "--cache", nargs="?", const=".repro-store", default=None,
         metavar="DIR",
         help="consult and fill a content-addressed result store "
         "(bare --cache uses .repro-store); cached trials skip the engine",
     )
-    parser.add_argument(
+    cache.add_argument(
         "--no-cache", action="store_true",
         help="force recomputation: neither read nor write the store",
     )
 
+    jobs = argparse.ArgumentParser(add_help=False)
+    jobs.add_argument(
+        "--jobs", type=int, default=1,
+        help="parallel worker processes (default: 1 = in-process serial)",
+    )
 
-def _add_submit_arguments(parser: argparse.ArgumentParser) -> None:
-    """The sweep-shaped spec flags shared by ``sweep`` and ``submit``."""
-    parser.add_argument("protocol", help="registry spec (see 'run')")
-    parser.add_argument(
-        "--sizes", default="10,20,40", help="comma-separated population sizes"
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument(
+        "--out", default=None, metavar="PATH",
+        help="write the result as JSON ('-': the JSON alone on stdout, "
+        "the report on stderr)",
     )
-    parser.add_argument("--trials", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--engine", choices=sorted(ENGINES), default="indexed",
-        help="simulation engine (default: indexed)",
+
+    url = argparse.ArgumentParser(add_help=False)
+    url.add_argument(
+        "--url", default=DEFAULT_URL,
+        help=f"service endpoint (default: {DEFAULT_URL})",
     )
-    parser.add_argument(
-        "--max-steps", type=int, default=None,
-        help="per-run step budget (required by --engine sequential)",
-    )
-    parser.add_argument(
-        "--measure", choices=sorted(MEASURES), default="output",
-        help="which time to read off each run (default: output)",
-    )
-    parser.add_argument(
-        "--seed-policy", choices=sorted(SEED_POLICIES), default="hashed",
-        help="per-trial seed derivation (default: hashed; 'legacy' "
-        "reproduces seed-era numbers)",
-    )
-    _add_scenario_arguments(parser)
+    return {
+        "engine": engine, "scenario": scenario, "sweep": sweep,
+        "cache": cache, "jobs": jobs, "out": out, "url": url,
+    }
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -200,42 +257,36 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Network constructors (Michail & Spirakis, PODC 2014)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = _shared_flags()
 
-    run_p = sub.add_parser("run", help="run one protocol to stabilization")
+    def command(name, handler, summary, *parents):
+        cmd = sub.add_parser(
+            name, help=summary, parents=[shared[p] for p in parents]
+        )
+        cmd.set_defaults(handler=handler)
+        return cmd
+
+    run_p = command(
+        "run", _cmd_run, "run one protocol to stabilization",
+        "engine", "scenario", "cache",
+    )
     run_p.add_argument(
         "protocol",
         help="registry spec: a name ('global-star'), a parameterized spec "
         "('c-cliques:c=4') or a shorthand ('3rc', '4-cliques')",
     )
     run_p.add_argument("-n", type=int, default=20, help="population size")
-    run_p.add_argument("--seed", type=int, default=0)
-    run_p.add_argument(
-        "--max-steps", type=int, default=None,
-        help="step budget (default: none; required by --engine sequential)",
-    )
-    run_p.add_argument(
-        "--engine", choices=sorted(ENGINES), default="indexed",
-        help="simulation engine (default: indexed)",
-    )
-    _add_scenario_arguments(run_p)
-    _add_cache_arguments(run_p)
 
-    sweep_p = sub.add_parser("sweep", help="measure convergence across sizes")
-    _add_submit_arguments(sweep_p)
-    sweep_p.add_argument(
-        "--jobs", type=int, default=1,
-        help="parallel worker processes (default: 1 = in-process serial)",
+    command(
+        "sweep", _cmd_sweep, "measure convergence across sizes",
+        "sweep", "jobs", "out", "cache",
     )
-    sweep_p.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="write the full SweepResult as JSON ('-' for stdout)",
-    )
-    _add_cache_arguments(sweep_p)
 
-    robust_p = sub.add_parser(
-        "robustness",
-        help="sweep protocols over increasing fault load "
+    robust_p = command(
+        "robustness", _cmd_robustness,
+        "sweep protocols over increasing fault load "
         "(survival / re-stabilization curves)",
+        "engine", "jobs", "out", "cache",
     )
     robust_p.add_argument(
         "protocols", nargs="+",
@@ -247,14 +298,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="fault family to sweep (default: crash)",
     )
     robust_p.add_argument(
-        "--loads", default="0,1,2,4",
+        "--loads", type=_comma_list(float), default="0,1,2,4",
         help="comma-separated fault loads (crash/byzantine: node counts; "
         "edge-drop/edge-rate/churn: per-step rates; 0 = fault-free "
         "baseline)",
     )
     robust_p.add_argument("-n", type=int, default=32, help="population size")
     robust_p.add_argument("--trials", type=int, default=10)
-    robust_p.add_argument("--seed", type=int, default=0)
     robust_p.add_argument(
         "--at", type=int, default=None,
         help="step at which one-shot faults fire (default: n*n)",
@@ -265,31 +315,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "(non-uniform schedulers run on the sequential engine)",
     )
     robust_p.add_argument(
-        "--engine", choices=sorted(ENGINES), default="indexed",
-        help="simulation engine (default: indexed)",
-    )
-    robust_p.add_argument(
         "--measure", choices=sorted(MEASURES), default="output",
         help="re-stabilization measure (default: output)",
     )
-    robust_p.add_argument(
-        "--max-steps", type=int, default=None,
-        help="per-run step budget (default: "
-        f"{DEFAULT_SCENARIO_BUDGET}; a wrecked run may never stabilize)",
-    )
-    robust_p.add_argument(
-        "--jobs", type=int, default=1,
-        help="parallel worker processes (default: 1 = in-process serial)",
-    )
-    robust_p.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="write the full RobustnessResult as JSON ('-' for stdout)",
-    )
-    _add_cache_arguments(robust_p)
 
-    serve_p = sub.add_parser(
-        "serve",
-        help="run the experiment service: HTTP job queue + "
+    serve_p = command(
+        "serve", _cmd_serve,
+        "run the experiment service: HTTP job queue + "
         "content-addressed result store",
     )
     serve_p.add_argument("--host", default=DEFAULT_HOST)
@@ -304,103 +336,62 @@ def _build_parser() -> argparse.ArgumentParser:
         help="result-store directory (default: .repro-store; "
         "'' disables caching)",
     )
-    serve_p.add_argument(
-        "--batch-size", type=int, default=None,
-        help="trials dispatched per progress batch "
-        "(default: max(8, workers*4))",
-    )
 
-    submit_p = sub.add_parser(
-        "submit", help="submit a sweep to a running experiment service"
-    )
-    _add_submit_arguments(submit_p)
-    submit_p.add_argument(
-        "--url", default=DEFAULT_URL,
-        help=f"service endpoint (default: {DEFAULT_URL})",
+    submit_p = command(
+        "submit", _cmd_submit,
+        "submit a sweep to a running experiment service",
+        "sweep", "url", "out",
     )
     submit_p.add_argument(
         "--wait", action="store_true",
-        help="poll until the job finishes and print its summary",
+        help="poll until the job finishes and print its summary "
+        "(and write --out)",
     )
     submit_p.add_argument(
         "--stream", action="store_true",
         help="ask the service to publish per-trial census frames on the "
         "job's event stream (for its /watch page; workers=1 services only)",
     )
-    submit_p.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="with --wait: write the finished SweepResult as JSON "
-        "('-' for stdout)",
-    )
 
-    status_p = sub.add_parser(
-        "status", help="show job status on a running experiment service"
+    status_p = command(
+        "status", _cmd_status,
+        "show job status on a running experiment service", "url",
     )
     status_p.add_argument(
         "job", nargs="?", default=None,
         help="job id (default: list every job)",
     )
-    status_p.add_argument(
-        "--url", default=DEFAULT_URL,
-        help=f"service endpoint (default: {DEFAULT_URL})",
-    )
 
-    results_p = sub.add_parser(
-        "results", help="fetch a job's (possibly partial) result"
+    results_p = command(
+        "results", _cmd_results,
+        "fetch a job's (possibly partial) result", "url", "out",
     )
     results_p.add_argument("job", help="job id")
-    results_p.add_argument(
-        "--url", default=DEFAULT_URL,
-        help=f"service endpoint (default: {DEFAULT_URL})",
-    )
     results_p.add_argument(
         "--wait", action="store_true",
         help="poll until the job finishes before fetching",
     )
-    results_p.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="write the result as JSON ('-' for stdout)",
-    )
 
-    cancel_p = sub.add_parser(
-        "cancel", help="cancel a job on a running experiment service"
+    cancel_p = command(
+        "cancel", _cmd_cancel,
+        "cancel a job on a running experiment service", "url",
     )
     cancel_p.add_argument("job", help="job id")
-    cancel_p.add_argument(
-        "--url", default=DEFAULT_URL,
-        help=f"service endpoint (default: {DEFAULT_URL})",
-    )
 
-    watch_p = sub.add_parser(
-        "watch",
-        help="live dashboard: print a service job's /watch URL, or run a "
+    watch_p = command(
+        "watch", _cmd_watch,
+        "live dashboard: print a service job's /watch URL, or run a "
         "protocol as a one-trial job on an in-process service",
+        "engine", "scenario", "url",
     )
     watch_p.add_argument(
         "target",
         help="a job id ('job-1' on the service at --url) or a protocol "
-        "registry spec (run as a one-trial job; see 'run')",
+        "registry spec (run as a one-trial job with the seed of 'run')",
     )
     watch_p.add_argument(
         "-n", type=int, default=100,
         help="population size for a spec target (default: 100)",
-    )
-    watch_p.add_argument(
-        "--seed", type=int, default=0,
-        help="seed of a spec target's trial, as in 'run' (default: 0)",
-    )
-    watch_p.add_argument(
-        "--engine", choices=sorted(ENGINES), default="indexed",
-        help="engine for a spec target (default: indexed)",
-    )
-    watch_p.add_argument(
-        "--max-steps", type=int, default=None,
-        help="step budget for a spec target",
-    )
-    _add_scenario_arguments(watch_p)
-    watch_p.add_argument(
-        "--url", default=DEFAULT_URL,
-        help=f"service endpoint for job targets (default: {DEFAULT_URL})",
     )
     watch_p.add_argument(
         "--host", default="127.0.0.1",
@@ -418,10 +409,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "(default: until Ctrl-C)",
     )
 
-    bench_p = sub.add_parser(
-        "bench",
-        help="run the robustness grid (engine and service timings: "
-        "python3 perfbench/run.py)",
+    bench_p = command(
+        "bench", _cmd_bench,
+        "run the robustness grid into BENCH_robustness.json, or --out "
+        "(engine and service timings: python3 perfbench/run.py)",
+        "jobs", "out",
     )
     bench_p.add_argument(
         "--robustness", action="store_true", required=True,
@@ -430,39 +422,25 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     bench_p.add_argument("--trials", type=int, default=4)
     bench_p.add_argument("--seed", type=int, default=0)
-    bench_p.add_argument(
-        "--jobs", type=int, default=1, help="worker processes",
-    )
-    bench_p.add_argument(
-        "--out", default="BENCH_robustness.json",
-        help="output JSON path ('-' to skip writing; default: "
-        "BENCH_robustness.json)",
-    )
 
-    list_p = sub.add_parser(
-        "list", help="list registered protocols (or other registries)"
+    list_p = command(
+        "list", _cmd_list, "list registered protocols (or other registries)"
     )
-    list_p.add_argument(
-        "--schedulers", action="store_true",
-        help="list the scheduler registry instead",
-    )
-    list_p.add_argument(
-        "--faults", action="store_true",
-        help="list the fault-model registry instead",
-    )
-    list_p.add_argument(
-        "--inits", action="store_true",
-        help="list the initial-configuration registry instead",
-    )
+    for kind, flag, _, _ in REGISTRIES:
+        if flag is not None:
+            list_p.add_argument(
+                f"--{flag}", action="store_true",
+                help=f"list the {kind} registry instead",
+            )
     list_p.add_argument(
         "--engines", action="store_true",
         help="list the simulation engines with their per-scenario "
         "support (probed via each engine's supports())",
     )
 
-    conform_p = sub.add_parser(
-        "conformance",
-        help="run the registry-wide protocol conformance suite",
+    conform_p = command(
+        "conformance", _cmd_conformance,
+        "run the registry-wide protocol conformance suite",
     )
     conform_p.add_argument(
         "protocols", nargs="*", metavar="spec",
@@ -481,9 +459,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="list the available checks and exit",
     )
 
-    verify_p = sub.add_parser(
-        "verify",
-        help="statically verify protocols: rule-table lints + "
+    verify_p = command(
+        "verify", _cmd_verify,
+        "statically verify protocols: rule-table lints + "
         "symmetry-reduced exhaustive model check",
     )
     verify_p.add_argument(
@@ -498,7 +476,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "4,5,3,2,6; protocols rejecting the explicit size are skipped)",
     )
     verify_p.add_argument(
-        "--checks", default="lints,model", metavar="NAMES",
+        "--checks", type=_comma_list(str), default="lints,model",
+        metavar="NAMES",
         help="comma-separated subset of {lints,model} (default: both)",
     )
     verify_p.add_argument(
@@ -517,13 +496,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "(reused across runs; violations are never cached)",
     )
 
-    describe_p = sub.add_parser(
-        "describe",
-        help="show one registry entry in full (protocol, scheduler, "
+    describe_p = command(
+        "describe", _cmd_describe,
+        "show one registry entry in full (protocol, scheduler, "
         "fault model or initial configuration)",
     )
     describe_p.add_argument(
-        "protocol", metavar="spec",
+        "spec",
         help="registry spec: a protocol ('global-star', '3rc'), a "
         "scheduler ('round-robin'), a fault model ('crash:count=2') or "
         "an initial configuration ('doped:state=l')",
@@ -532,20 +511,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _scenario_from_args(args: argparse.Namespace) -> Scenario:
-    """Build (and thereby validate) the Scenario named by the CLI flags."""
-    return Scenario(
+    """Build (and thereby validate) the Scenario named by the CLI flags.
+
+    A non-default scenario also resolves the engine and defaults the
+    step budget when the resolved path needs one (sequential fallback,
+    sustained faults), announcing both decisions.
+    """
+    scenario = Scenario(
         scheduler=args.scheduler,
         faults=tuple(args.faults or ()),
         init=args.init,
     )
-
-
-def _apply_scenario_defaults(
-    args: argparse.Namespace, scenario: Scenario
-) -> None:
-    """Resolve the engine for ``scenario`` and default the step budget
-    when the resolved path needs one (sequential fallback, sustained
-    faults), announcing both decisions."""
+    if scenario.is_default:
+        return scenario
     resolved = resolve_engine(args.engine, scenario, warn=False)
     if resolved != args.engine:
         print(
@@ -558,6 +536,7 @@ def _apply_scenario_defaults(
     ):
         args.max_steps = DEFAULT_SCENARIO_BUDGET
         print(f"note: defaulting --max-steps to {DEFAULT_SCENARIO_BUDGET}")
+    return scenario
 
 
 def _store_from_args(args: argparse.Namespace) -> ResultStore | None:
@@ -575,51 +554,61 @@ def _report_cache(store: ResultStore | None, total: int) -> None:
     print(f"\ncache: {stats.hits}/{total} trials cached ({store.root})")
 
 
+def _write_json(text: str, out, gap: str = "\n") -> None:
+    """Write one JSON document to the ``--out`` path, or to the stdout
+    that :func:`main` keeps for it alone on ``--out -``."""
+    if isinstance(out, str):
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        print(f"{gap}wrote {out}")
+    else:
+        out.write(text)
+
+
+def _finish_batch(args: argparse.Namespace, store, result) -> int:
+    """The cache line and ``--out`` that end ``sweep`` and ``robustness``."""
+    _report_cache(store, len(result.records))
+    if args.out is not None:
+        _write_json(result.to_json() + "\n", args.out)
+    return 0
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     protocol = registry.instantiate(args.protocol)
     scenario = _scenario_from_args(args)
-    if not scenario.is_default:
-        _apply_scenario_defaults(args, scenario)
     trial = TrialSpec(
         protocol=registry.canonical_spec(args.protocol), n=args.n, trial=0,
         seed=args.seed, engine=args.engine, max_steps=args.max_steps,
         scenario=scenario,
     )
     store = _store_from_args(args)
+    record = result = None
     if store is not None:
         from repro.service.keys import trial_key
 
         key = trial_key(trial)
         record = store.get(key)
-        if record is not None:
-            print(f"protocol      : {protocol.name}")
-            print(f"population    : {args.n}")
-            if not scenario.is_default:
-                print(f"scenario      : {scenario.describe()}")
-                print(f"engine        : {args.engine}")
-            print(f"converged     : {record.converged} ({record.stop_reason})")
-            print(f"steps         : {record.steps}")
-            print(f"effective     : {record.effective_steps}")
-            print(f"convergence t : {record.value}")
-            print(
-                "cache         : hit — engine skipped (final-configuration "
-                "summaries need --no-cache)"
-            )
-            _report_cache(store, 1)
-            return 0
-    record, result = run_one(protocol, trial)
-    if store is not None:
-        store.put(key, record, trial.kind)
-    alive = survivors(result.config)
+    if record is None:
+        record, result = run_one(protocol, trial)
+        if store is not None:
+            store.put(key, record, trial.kind)
     print(f"protocol      : {protocol.name}")
     print(f"population    : {args.n}")
     if not scenario.is_default:
         print(f"scenario      : {scenario.describe()}")
         print(f"engine        : {args.engine}")
-    print(f"converged     : {result.converged} ({result.stop_reason})")
-    print(f"steps         : {result.steps}")
-    print(f"effective     : {result.effective_steps}")
-    print(f"convergence t : {result.convergence_time}")
+    print(f"converged     : {record.converged} ({record.stop_reason})")
+    print(f"steps         : {record.steps}")
+    print(f"effective     : {record.effective_steps}")
+    print(f"convergence t : {record.value}")
+    if result is None:
+        print(
+            "cache         : hit — engine skipped (final-configuration "
+            "summaries need --no-cache)"
+        )
+        _report_cache(store, 1)
+        return 0
+    alive = survivors(result.config)
     if len(alive) < args.n:
         print(f"survivors     : {len(alive)} of {args.n}")
     print(f"target reached: {protocol.target_reached(result.config)}")
@@ -627,6 +616,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print("components    :")
     print(component_summary(result.config))
     return 0
+
+
+def _sweep_spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
+    scenario = _scenario_from_args(args)
+    return ExperimentSpec(
+        protocol=args.protocol,
+        sizes=args.sizes,
+        trials=args.trials,
+        engine=args.engine,
+        measure=args.measure,
+        seed_policy=args.seed_policy,
+        base_seed=args.seed,
+        max_steps=args.max_steps,
+        scenario=scenario,
+    )
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -654,24 +658,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             print(f"\nfit: skipped ({exc})")
         else:
             print(f"\nfit: {fit.describe()}")
-    _report_cache(store, len(result.records))
-    if args.out == "-":
-        print(result.to_json())
-    elif args.out is not None:
-        dump(result, args.out)
-        print(f"\nwrote {args.out}")
-    return 0
+    return _finish_batch(args, store, result)
 
 
 def _cmd_robustness(args: argparse.Namespace) -> int:
-    max_steps = args.max_steps
-    if max_steps is None:
-        max_steps = DEFAULT_SCENARIO_BUDGET
+    if args.max_steps is None:
+        args.max_steps = DEFAULT_SCENARIO_BUDGET
         print(f"note: defaulting --max-steps to {DEFAULT_SCENARIO_BUDGET}")
     spec = RobustnessSpec(
         protocols=tuple(args.protocols),
         # The spec normalizes loads (ints stay ints) on construction.
-        loads=tuple(float(x) for x in args.loads.split(",")),
+        loads=args.loads,
         n=args.n,
         trials=args.trials,
         faults=args.faults,
@@ -680,7 +677,7 @@ def _cmd_robustness(args: argparse.Namespace) -> int:
         engine=args.engine,
         measure=args.measure,
         base_seed=args.seed,
-        max_steps=max_steps,
+        max_steps=args.max_steps,
     )
     print(
         f"robustness: {args.faults} loads={','.join(map(str, spec.loads))} "
@@ -715,13 +712,7 @@ def _cmd_robustness(args: argparse.Namespace) -> int:
                 else "does NOT dominate"
             )
             print(f"\n{challenger} {verdict} {baseline} under {args.faults} load")
-    _report_cache(store, len(result.records))
-    if args.out == "-":
-        print(result.to_json())
-    elif args.out is not None:
-        dump(result, args.out)
-        print(f"\nwrote {args.out}")
-    return 0
+    return _finish_batch(args, store, result)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -732,26 +723,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         workers=args.workers,
         store_dir=args.store or None,
-        batch_size=args.batch_size,
     )
     return 0
-
-
-def _sweep_spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
-    scenario = _scenario_from_args(args)
-    if not scenario.is_default:
-        _apply_scenario_defaults(args, scenario)
-    return ExperimentSpec(
-        protocol=args.protocol,
-        sizes=tuple(int(s) for s in args.sizes.split(",")),
-        trials=args.trials,
-        engine=args.engine,
-        measure=args.measure,
-        seed_policy=args.seed_policy,
-        base_seed=args.seed,
-        max_steps=args.max_steps,
-        scenario=scenario,
-    )
 
 
 def _print_job_status(status: dict) -> None:
@@ -766,18 +739,11 @@ def _print_job_status(status: dict) -> None:
         print(f"error     : {status['error']}")
 
 
-def _write_result_payload(payload: dict, out: str) -> None:
+def _write_result_payload(payload: dict, out) -> None:
     """Persist a fetched result — canonical key order, so two fetches of
     identical results are byte-identical files (the CI contract)."""
-    import json
-
     text = json.dumps(payload["result"], indent=2, sort_keys=True) + "\n"
-    if out == "-":
-        print(text, end="")
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
-        print(f"wrote {out}")
+    _write_json(text, out, gap="")
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
@@ -854,8 +820,6 @@ def _cmd_watch(args: argparse.Namespace) -> int:
         print(f"{client.url}/jobs/{args.target}/watch")
         return 0
     scenario = _scenario_from_args(args)
-    if not scenario.is_default:
-        _apply_scenario_defaults(args, scenario)
     # The legacy seed policy gives trial 0 the seed --seed: the trial
     # `repro-net run <spec> -n N --seed S` runs.
     spec = ExperimentSpec(
@@ -889,13 +853,17 @@ def _cmd_watch(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    out = None if args.out == "-" else args.out
+    out = args.out or "BENCH_robustness.json"
+    to_file = isinstance(out, str)
     record = bench_robustness(
-        trials=args.trials, jobs=args.jobs, base_seed=args.seed, out=out,
+        trials=args.trials, jobs=args.jobs, base_seed=args.seed,
+        out=out if to_file else None,
     )
     print(format_bench_robustness(record))
-    if out is not None:
+    if to_file:
         print(f"\nwrote {out}")
+    else:
+        out.write(json.dumps(record, indent=2) + "\n")
     return 0
 
 
@@ -944,19 +912,15 @@ def _print_engine_table() -> None:
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
-    extra = args.schedulers or args.faults or args.inits or args.engines
-    if args.schedulers:
-        _print_registry_table(SCHEDULERS.available(), "schedulers")
-    if args.faults:
-        _print_registry_table(FAULTS.available(), "fault models")
-    if args.inits:
-        _print_registry_table(INITS.available(), "initial configurations")
+    listed = False
+    for _, flag, title, spec_registry in REGISTRIES:
+        if flag is not None and getattr(args, flag):
+            _print_registry_table(spec_registry.available(), title)
+            listed = True
     if args.engines:
         _print_engine_table()
-    if not extra:
+    elif not listed:
         _print_registry_table(registry.available())
-        # The PR-4-era registry-coverage gap is closed: the Theorem-14
-        # machines are first-class specs now.
         print(
             "\nregistry coverage: complete — the tm/ machines and the "
             "universal constructor\nrun as 'line-tm', 'tm-decider' and "
@@ -1009,7 +973,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         run_lints,
     )
 
-    checks = [c.strip() for c in args.checks.split(",") if c.strip()]
+    checks = args.checks
     unknown = set(checks) - {"lints", "model"}
     if unknown:
         raise SpecError(
@@ -1103,35 +1067,47 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _describe_spec_entry(kind: str, registry_obj, spec: str) -> int:
-    """Describe a scheduler/fault/init registry entry (the lighter
-    :class:`~repro.core.params.SpecRegistry` records).
-
-    Bare names describe the entry itself even when it has required
-    parameters without defaults (``describe edge-drop`` after ``list
-    --faults`` must work); given parameter values are still validated,
-    and the canonical line appears once every required value is bound.
-    """
-    from repro.core.params import split_spec
-
-    name, given = split_spec(spec)
-    entry = registry_obj.get(name)
-    by_name = {p.name: p for p in entry.params}
-    unknown = set(given) - set(by_name)
+def _cmd_describe(args: argparse.Namespace) -> int:
+    """Show the entry of the first registry in :data:`REGISTRIES` that
+    knows the spec.  A bare name is described even when a parameter has
+    no default (``describe edge-drop``); given values are validated, and
+    the canonical spec (a protocol: its state and rule counts) appears
+    once every parameter is bound."""
+    first_error = None
+    for kind, _, _, spec_registry in REGISTRIES:
+        try:
+            entry, given = spec_registry.lookup(args.spec)
+        except SpecError as exc:
+            first_error = first_error or exc
+        else:
+            break
+    else:
+        raise first_error
+    declared = {p.name for p in entry.params}
+    unknown = set(given) - declared
     if unknown:
-        raise SpecError(
+        raise spec_registry.error(
             f"{kind} {entry.name!r} has no parameter(s) {sorted(unknown)}; "
-            f"declared: {sorted(by_name) or 'none'}"
+            f"declared: {sorted(declared) or 'none'}"
         )
     bound = {
-        p.name: p.coerce(given[p.name]) if p.name in given else p.default
+        p.name: (
+            p.coerce(given[p.name], error=spec_registry.error)
+            if p.name in given else p.default
+        )
         for p in entry.params
     }
     fully_bound = all(value is not None for value in bound.values())
-    print(f"kind        : {kind}")
+    protocol = None
+    if kind != "protocol":
+        print(f"kind        : {kind}")
+    elif fully_bound:
+        protocol = entry.instantiate(**bound)
     print(f"name        : {entry.name}")
     if entry.aliases:
         print(f"aliases     : {', '.join(entry.aliases)}")
+    if getattr(entry, "shorthand", None):
+        print(f"shorthand   : {entry.shorthand}")
     print(f"class       : {entry.factory.__module__}.{entry.factory.__name__}")
     print(f"description : {entry.description}")
     if entry.params:
@@ -1147,63 +1123,15 @@ def _describe_spec_entry(kind: str, registry_obj, spec: str) -> int:
             )
     else:
         print("parameters  : none")
-    if fully_bound:
-        print(f"canonical   : {registry_obj.canonical(spec)}")
-    doc = (entry.factory.__doc__ or "").strip()
-    if doc:
-        first_paragraph = doc.split("\n\n")[0]
-        print("doc         :")
-        for line in first_paragraph.splitlines():
-            print(f"  {line.strip()}")
-    return 0
-
-
-def _cmd_describe(args: argparse.Namespace) -> int:
-    try:
-        entry, params = registry.parse_spec(args.protocol)
-    except SpecError as protocol_error:
-        # Not a protocol: try the scenario-axis registries so one
-        # describe command covers every spec the CLI accepts.  Match on
-        # the bare name first, so a bad parameter on a known fault
-        # model reports the fault model's error, not "unknown protocol".
-        name = args.protocol.partition(":")[0].strip()
-        for kind, registry_obj in (
-            ("scheduler", SCHEDULERS),
-            ("fault model", FAULTS),
-            ("initial configuration", INITS),
-        ):
-            try:
-                registry_obj.get(name)
-            except SpecError:
-                continue
-            return _describe_spec_entry(kind, registry_obj, args.protocol)
-        raise protocol_error
-    protocol = entry.instantiate(**params)
-    print(f"name        : {entry.name}")
-    if entry.aliases:
-        print(f"aliases     : {', '.join(entry.aliases)}")
-    if entry.shorthand:
-        print(f"shorthand   : {entry.shorthand}")
-    print(f"class       : {entry.factory.__module__}.{entry.factory.__name__}")
-    print(f"description : {entry.description}")
-    if entry.params:
-        print("parameters  :")
-        for p in entry.params:
-            bound = params.get(p.name)
-            extra = f" (>= {p.minimum})" if p.minimum is not None else ""
-            help_text = f" — {p.help}" if p.help else ""
-            print(
-                f"  {p.name}: {p.type.__name__} = {bound}"
-                f"{extra}{help_text}"
-            )
-    else:
-        print("parameters  : none")
-    size = getattr(protocol, "size", None)
-    if size is not None:
-        print(f"states      : {size}")
-    rules = getattr(protocol, "rules", None)
-    if callable(rules):
-        print(f"rules       : {len(rules())}")
+    if protocol is not None:
+        size = getattr(protocol, "size", None)
+        if size is not None:
+            print(f"states      : {size}")
+        rules = getattr(protocol, "rules", None)
+        if callable(rules):
+            print(f"rules       : {len(rules())}")
+    elif fully_bound:
+        print(f"canonical   : {format_spec(entry.name, bound, entry.params)}")
     doc = (entry.factory.__doc__ or "").strip()
     if doc:
         first_paragraph = doc.split("\n\n")[0]
@@ -1226,42 +1154,19 @@ def main(argv: list[str] | None = None) -> int:
         # Scenario runs default their own budget; an explicitly requested
         # sequential engine without one is still a usage error.
         parser.error("--engine sequential requires a finite --max-steps budget")
+    report = sys.stdout
+    if getattr(args, "out", None) == "-":
+        # stdout carries the one JSON document; the report goes to stderr.
+        args.out, report = sys.stdout, sys.stderr
     try:
-        if args.command == "list":
-            return _cmd_list(args)
-        if args.command == "conformance":
-            return _cmd_conformance(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "describe":
-            return _cmd_describe(args)
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "robustness":
-            return _cmd_robustness(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
-        if args.command == "serve":
-            return _cmd_serve(args)
-        if args.command == "submit":
-            return _cmd_submit(args)
-        if args.command == "status":
-            return _cmd_status(args)
-        if args.command == "results":
-            return _cmd_results(args)
-        if args.command == "cancel":
-            return _cmd_cancel(args)
-        if args.command == "watch":
-            return _cmd_watch(args)
+        with redirect_stdout(report):
+            return args.handler(args)
     except ReproError as exc:
         # Expected model/simulation failures (budget exhausted, unknown
         # protocol spec, bad configuration...) get a clean one-liner, not
         # a traceback.
         print(f"repro-net: error: {exc}", file=sys.stderr)
         return 1
-    return 1  # pragma: no cover - argparse enforces choices
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -55,7 +55,7 @@ _GRAPH_FAMILIES: dict = {
     "clique": (("complete",), lambda k: nx.complete_graph(k)),
 }
 
-_GRAPH_ALIASES = {
+_FAMILY_OF_ALIAS = {
     alias: family
     for family, (aliases, _) in _GRAPH_FAMILIES.items()
     for alias in aliases
@@ -83,11 +83,11 @@ def _parse_graph_name(name: str) -> tuple[str, int, int | None]:
                 f"unknown graph name {name!r} (expected e.g. ring-16, path-8, "
                 "star-5, clique-4, gnp-8-42)"
             )
-        family = _GRAPH_ALIASES.get(match["family"], match["family"])
+        family = _FAMILY_OF_ALIAS.get(match["family"], match["family"])
         if family not in _GRAPH_FAMILIES:
             raise ValueError(
                 f"unknown graph family {match['family']!r} in {name!r}; "
-                f"choose from {sorted(_GRAPH_FAMILIES) + sorted(_GRAPH_ALIASES)}"
+                f"choose from {sorted(_GRAPH_FAMILIES) + sorted(_FAMILY_OF_ALIAS)}"
             )
     k = int(match["k"])
     minimum = _GRAPH_MINIMUM[family]

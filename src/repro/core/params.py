@@ -13,9 +13,9 @@ initial-configuration registries (:mod:`repro.core.faults`,
 
 and the :class:`Param` declaration/coercion model, so a spec string is
 one canonical, JSON-safe serialization of any registered object.  The
-protocol registry keeps its richer lookup rules (aliases *and*
-shorthand regexes) but is built from the same pieces; the lighter
-registries instantiate :class:`SpecRegistry` directly.
+lighter registries instantiate :class:`SpecRegistry` directly; the
+protocol registry subclasses it to add shorthand regexes (``3rc``) and
+fill itself on first use.
 
 A registry is a dict of named factories plus their declared
 :class:`Param` s; :meth:`SpecRegistry.canonical` normalizes any
@@ -250,7 +250,7 @@ def format_pair_list(pairs: Iterable[tuple[int, int]]) -> str:
 
 
 # ----------------------------------------------------------------------
-# Generic spec registry (schedulers, fault models, initial configs)
+# The spec registry (protocols, schedulers, fault models, initial configs)
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -277,8 +277,10 @@ class SpecEntry:
 
 class SpecRegistry:
     """A name -> parameterized-factory registry over the shared spec
-    grammar.  Lighter than the protocol registry: exact names and
-    aliases only, no shorthand regexes, populated eagerly at import."""
+    grammar: exact names and aliases, populated at import.  Failed
+    lookups and bad registrations raise :attr:`error`."""
+
+    error: type[SpecError] = SpecError
 
     def __init__(self, kind: str) -> None:
         self.kind = kind
@@ -312,7 +314,7 @@ class SpecRegistry:
     def add(self, entry: SpecEntry) -> None:
         for key in (entry.name, *entry.aliases):
             if key in self._entries or key in self._aliases:
-                raise SpecError(
+                raise self.error(
                     f"{self.kind} name {key!r} already registered"
                 )
         self._entries[entry.name] = entry
@@ -330,19 +332,24 @@ class SpecRegistry:
         try:
             return self._entries[canonical]
         except KeyError:
-            raise SpecError(
+            raise self.error(
                 f"unknown {self.kind} {name!r}; "
                 f"choose from {', '.join(self.names())}"
             ) from None
 
+    def lookup(self, spec: str) -> tuple[SpecEntry, dict[str, Any]]:
+        """The entry a spec string names, with its raw (unresolved)
+        parameter values."""
+        name, given = split_spec(spec, error=self.error)
+        return self.get(name), given
+
     def parse(self, spec: str) -> tuple[SpecEntry, dict[str, Any]]:
         """Parse a spec string into ``(entry, resolved params)``."""
-        name, given = split_spec(spec)
-        entry = self.get(name)
-        resolved = resolve_params(
-            f"{self.kind} {entry.name!r}", entry.params, given
+        entry, given = self.lookup(spec)
+        owner = f"{self.kind} {entry.name!r}"
+        return entry, resolve_params(
+            owner, entry.params, given, error=self.error
         )
-        return entry, resolved
 
     def canonical(self, spec: str) -> str:
         """Normalize a spec string (validates it as a side effect)."""

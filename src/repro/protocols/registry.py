@@ -36,13 +36,16 @@ from typing import Any, Callable
 
 from repro.core.params import (
     Param,
+    SpecEntry,
     SpecError,
+    SpecRegistry,
     format_spec,
     resolve_params,
     split_spec,
 )
 
 __all__ = [
+    "PROTOCOLS",
     "Param",
     "ProtocolEntry",
     "RegistryError",
@@ -140,12 +143,8 @@ def target_predicate(protocol: Any) -> Callable[[Any], bool] | None:
     """
     from repro.core.protocol import Protocol
 
-    ensure_populated()
-    target_name = None
-    for entry in _REGISTRY.values():
-        if type(protocol) is entry.factory:
-            target_name = entry.target
-            break
+    entry = _entry_of(protocol)
+    target_name = entry.target if entry is not None else None
     if target_name is None:
         overridden = (
             type(protocol).target_reached is not Protocol.target_reached
@@ -167,14 +166,9 @@ class RegistryError(SpecError):
 
 
 @dataclass(frozen=True)
-class ProtocolEntry:
+class ProtocolEntry(SpecEntry):
     """Registry record for one protocol family."""
 
-    name: str
-    factory: Callable[..., Any]
-    params: tuple[Param, ...] = ()
-    description: str = ""
-    aliases: tuple[str, ...] = ()
     shorthand: str | None = None
     #: Declared stable-network target: a :data:`TARGETS` key, or ``None``
     #: when the protocol has no target notion.  Consumed by the static
@@ -183,16 +177,6 @@ class ProtocolEntry:
     _shorthand_re: re.Pattern | None = field(
         default=None, repr=False, compare=False
     )
-
-    def signature(self) -> str:
-        """Render ``name(k=3)``-style parameter signature for listings."""
-        if not self.params:
-            return self.name
-        inner = ", ".join(
-            f"{p.name}={p.default!r}" if p.default is not None else p.name
-            for p in self.params
-        )
-        return f"{self.name}({inner})"
 
     def resolve_params(self, given: dict[str, Any]) -> dict[str, Any]:
         """Validate/coerce ``given`` against the declared params, filling
@@ -206,11 +190,6 @@ class ProtocolEntry:
         return self.factory(**self.resolve_params(params))
 
 
-#: canonical name -> entry (single source of truth).
-_REGISTRY: dict[str, ProtocolEntry] = {}
-#: alias -> canonical name.
-_ALIASES: dict[str, str] = {}
-
 #: Modules whose import populates the registry.  Kept as dotted names so
 #: this module never imports protocol code at load time (the protocol
 #: modules import *us* for the decorator).
@@ -223,6 +202,67 @@ _PROTOCOL_MODULES = (
 )
 
 _populated = False
+
+
+def ensure_populated() -> None:
+    """Import the protocol packages so their decorators run.
+
+    The flag is only set once every import succeeded, so a failing
+    protocol module keeps raising its real ImportError on every lookup
+    instead of leaving a silently half-populated registry.
+    """
+    global _populated
+    if _populated:
+        return
+    for module in _PROTOCOL_MODULES:
+        importlib.import_module(module)
+    _populated = True
+
+
+class _ProtocolRegistry(SpecRegistry):
+    """The spec registry plus shorthand regexes, filled on first use."""
+
+    error = RegistryError
+
+    def available(self) -> list[SpecEntry]:
+        ensure_populated()
+        return super().available()
+
+    def get(self, name: str) -> SpecEntry:
+        ensure_populated()
+        return super().get(name)
+
+    def lookup(self, spec: str) -> tuple[SpecEntry, dict[str, Any]]:
+        """Exact names and aliases win; shorthands are tried after."""
+        ensure_populated()
+        name, given = split_spec(spec, error=RegistryError)
+        canonical = self._aliases.get(name, name)
+        if canonical in self._entries:
+            return self._entries[canonical], given
+        if not given:
+            for entry in self._entries.values():
+                if entry._shorthand_re is None:
+                    continue
+                match = entry._shorthand_re.fullmatch(name)
+                if match:
+                    return entry, match.groupdict()
+        raise RegistryError(
+            f"unknown protocol spec {spec!r}; choose from "
+            f"{', '.join(self.names())} "
+            "(shorthands like '3rc' or '4-cliques' also work)"
+        )
+
+
+#: Every class registered with :func:`register_protocol`.
+PROTOCOLS = _ProtocolRegistry("protocol")
+
+# ``parse_spec`` maps ``name``, ``name:k=3,c=2`` or a shorthand (``3rc``)
+# to ``(entry, resolved params)``; ``canonical_spec`` renders one
+# ``name:k=3`` form for every spelling (``3rc`` and
+# ``k-regular-connected:k=3``), the key for seed derivation and
+# serialized experiment specs.
+available, names, get = PROTOCOLS.available, PROTOCOLS.names, PROTOCOLS.get
+parse_spec, canonical_spec = PROTOCOLS.parse, PROTOCOLS.canonical
 
 
 def register_protocol(
@@ -252,7 +292,7 @@ def register_protocol(
         )
 
     def decorate(cls):
-        entry = ProtocolEntry(
+        PROTOCOLS.add(ProtocolEntry(
             name=name,
             factory=cls,
             params=params,
@@ -261,100 +301,18 @@ def register_protocol(
             shorthand=shorthand,
             target=target,
             _shorthand_re=re.compile(shorthand) if shorthand else None,
-        )
-        _add_entry(entry)
+        ))
         return cls
 
     return decorate
 
 
-def _add_entry(entry: ProtocolEntry) -> None:
-    if entry.name in _REGISTRY or entry.name in _ALIASES:
-        raise RegistryError(f"protocol name {entry.name!r} already registered")
-    for alias in entry.aliases:
-        if alias in _REGISTRY or alias in _ALIASES:
-            raise RegistryError(f"protocol alias {alias!r} already registered")
-    _REGISTRY[entry.name] = entry
-    for alias in entry.aliases:
-        _ALIASES[alias] = entry.name
-
-
-def ensure_populated() -> None:
-    """Import the protocol packages so their decorators run.
-
-    The flag is only set once every import succeeded, so a failing
-    protocol module keeps raising its real ImportError on every lookup
-    instead of leaving a silently half-populated registry.
-    """
-    global _populated
-    if _populated:
-        return
-    for module in _PROTOCOL_MODULES:
-        importlib.import_module(module)
-    _populated = True
-
-
-def available() -> list[ProtocolEntry]:
-    """All registered entries, sorted by canonical name."""
-    ensure_populated()
-    return sorted(_REGISTRY.values(), key=lambda e: e.name)
-
-
-def names() -> list[str]:
-    """All canonical names, sorted."""
-    return [entry.name for entry in available()]
-
-
-def get(name: str) -> ProtocolEntry:
-    """Exact lookup by canonical name or alias."""
-    ensure_populated()
-    canonical = _ALIASES.get(name, name)
-    try:
-        return _REGISTRY[canonical]
-    except KeyError:
-        raise RegistryError(
-            f"unknown protocol {name!r}; choose from {', '.join(names())}"
-        ) from None
-
-
-def parse_spec(spec: str) -> tuple[ProtocolEntry, dict[str, Any]]:
-    """Parse a spec string into ``(entry, resolved params)``.
-
-    Accepts ``name``, ``name:k=3,c=2``, or any registered shorthand
-    (``3rc``, ``4-cliques``).  Exact names/aliases win over shorthands.
-    """
-    ensure_populated()
-    name, given = split_spec(spec, error=RegistryError)
-    canonical = _ALIASES.get(name, name)
-    if canonical in _REGISTRY:
-        entry = _REGISTRY[canonical]
-        return entry, entry.resolve_params(given)
-    if not given:
-        for entry in _REGISTRY.values():
-            if entry._shorthand_re is None:
-                continue
-            match = entry._shorthand_re.fullmatch(name)
-            if match:
-                return entry, entry.resolve_params(match.groupdict())
-    raise RegistryError(
-        f"unknown protocol spec {spec!r}; choose from {', '.join(names())} "
-        "(shorthands like '3rc' or '4-cliques' also work)"
-    )
-
-
-def _format_spec(entry: ProtocolEntry, params: dict[str, Any]) -> str:
-    return format_spec(entry.name, params, entry.params)
-
-
-def canonical_spec(spec: str) -> str:
-    """Normalize a spec string to ``name`` / ``name:k=3`` form.
-
-    Stable across shorthand spellings (``3rc`` and
-    ``k-regular-connected:k=3`` normalize identically), so it is the right
-    key for seed derivation and serialized experiment specs.
-    """
-    entry, params = parse_spec(spec)
-    return _format_spec(entry, params)
+def _entry_of(protocol: Any) -> Any:
+    """The registry entry whose factory is exactly ``type(protocol)``."""
+    for entry in available():
+        if type(protocol) is entry.factory:
+            return entry
+    return None
 
 
 def name_for_factory(factory: Any) -> str | None:
@@ -363,8 +321,7 @@ def name_for_factory(factory: Any) -> str | None:
     Returns ``None`` for unregistered callables and for parameterized
     entries (a bare class does not pin its parameters down).
     """
-    ensure_populated()
-    for entry in _REGISTRY.values():
+    for entry in available():
         if factory is entry.factory and not entry.params:
             return entry.name
     return None
@@ -378,18 +335,15 @@ def spec_for(protocol: Any) -> str | None:
     attribute of the same name).  Lets factory-based callers share seed
     derivation with spec-based ones.
     """
-    ensure_populated()
-    for entry in _REGISTRY.values():
-        if type(protocol) is entry.factory:
-            params = {
-                p.name: getattr(protocol, p.name) for p in entry.params
-            }
-            if any(value is None for value in params.values()):
-                # The instance does not pin a declared param down (e.g.
-                # it was built from a raw value the param cannot render).
-                return None
-            return _format_spec(entry, params)
-    return None
+    entry = _entry_of(protocol)
+    if entry is None:
+        return None
+    params = {p.name: getattr(protocol, p.name) for p in entry.params}
+    if any(value is None for value in params.values()):
+        # The instance does not pin a declared param down (e.g. it was
+        # built from a raw value the param cannot render).
+        return None
+    return format_spec(entry.name, params, entry.params)
 
 
 def instantiate(spec: str, **overrides: Any):

@@ -156,11 +156,8 @@ class ExperimentService:
         workers: int = 1,
         host: str = DEFAULT_HOST,
         port: int = DEFAULT_PORT,
-        batch_size: int | None = None,
     ) -> None:
-        self.jobs = JobService(
-            store=store, workers=workers, batch_size=batch_size
-        )
+        self.jobs = JobService(store=store, workers=workers)
         self.store = store
         self.workers = workers
         self.host = host
@@ -195,16 +192,23 @@ class ExperimentService:
         return self.host, self.port
 
     def stop(self) -> list[str]:
-        """Shut the HTTP server, its open connections and the loop down
-        (idempotent).
+        """Cancel every unfinished job, then shut the HTTP server, its
+        open connections and the loop down (idempotent).
 
-        Each worker thread gets a bounded ``join``; a thread still alive
-        afterwards is a *wedged shutdown* — its name is returned and a
-        :class:`RuntimeWarning` fires, instead of the old silent
-        fall-through that reported success while threads kept running.
-        An empty list means everything actually stopped.
+        A batch still running is abandoned on its daemon thread, so
+        stopping never waits for a trial.  Each service thread gets a
+        bounded ``join``; a thread still alive afterwards is a *wedged
+        shutdown* — its name is returned and a :class:`RuntimeWarning`
+        fires, instead of the old silent fall-through that reported
+        success while threads kept running.  An empty list means
+        everything actually stopped.
         """
         wedged: list[str] = []
+        if self._loop is not None:
+            try:
+                self.call(self.jobs.shutdown(), timeout=5)
+            except TimeoutError:
+                pass  # a wedged loop: the join below reports it
         if self._httpd is not None:
             self._httpd.shutdown()
             self._httpd.server_close()
@@ -457,14 +461,12 @@ def serve(
     port: int = DEFAULT_PORT,
     workers: int = 1,
     store_dir: str | None = None,
-    batch_size: int | None = None,
 ) -> None:
     """Run the service until interrupted (the ``repro-net serve``
     entry point)."""
     store = ResultStore(store_dir) if store_dir else None
     service = ExperimentService(
-        store=store, workers=workers, host=host, port=port,
-        batch_size=batch_size,
+        store=store, workers=workers, host=host, port=port
     )
     host, port = service.start()
     where = store.root if store else "(no store: every trial recomputes)"

@@ -14,8 +14,9 @@ one submitted :class:`~repro.analysis.runner.ExperimentSpec` or
 3. misses are **sharded in batches** across the process-pool worker
    fleet via :func:`repro.analysis.runner.pool_map` — the same entry
    point the Runner and ``run_robustness`` use — with each batch
-   awaited off-loop (``asyncio.to_thread``), so the event loop keeps
-   answering status queries while engines grind;
+   awaited off-loop on the service's daemon batch thread, so the event
+   loop keeps answering status queries while engines grind, and a
+   stopping service never waits for a batch;
 4. fresh records are **stored back**, making every later submission of
    an overlapping spec cheaper.
 
@@ -24,7 +25,9 @@ Progress is incremental by construction: ``completed``/``cached``/
 :class:`~repro.analysis.runner.SweepResult` is available at any time.
 Cancellation is cooperative — the flag is honored at the next batch
 boundary (a batch already on the fleet runs to completion and is still
-cached: the work is done, keep it).
+cached: the work is done, keep it).  :meth:`JobService.shutdown` is the
+exception: it cancels every unfinished job at once and abandons the
+batches still running.
 
 Everything here runs on one event loop; the HTTP layer
 (:mod:`repro.service.api`) bridges its handler threads in via
@@ -35,6 +38,8 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import queue
+import threading
 import time
 from typing import Union
 
@@ -65,6 +70,32 @@ JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
 
 class JobError(ReproError):
     """A job submission or lookup failed."""
+
+
+def _settle(future: asyncio.Future, result, error) -> None:
+    """Resolve a batch's future on its loop (a cancelled job's future is
+    left as it is)."""
+    if future.done():
+        return
+    if error is None:
+        future.set_result(result)
+    else:
+        future.set_exception(error)
+
+
+def _run_batches(batches: queue.SimpleQueue) -> None:
+    """A :class:`JobService`'s batch thread: run each queued batch in
+    turn until the ``None`` that :meth:`JobService.shutdown` queues."""
+    while (item := batches.get()) is not None:
+        loop, future, fn, args = item
+        try:
+            outcome = (fn(*args), None)
+        except Exception as exc:
+            outcome = (None, exc)
+        try:
+            loop.call_soon_threadsafe(_settle, future, *outcome)
+        except RuntimeError:
+            pass  # the loop closed while the batch ran: nobody awaits it
 
 
 def kind_of(spec: ServiceSpec) -> str:
@@ -170,26 +201,22 @@ class JobService:
 
     ``workers`` is the process-pool width misses are sharded across
     (1 = in-process serial, the :func:`pool_map` contract).
-    ``batch_size`` is the progress granularity — how many trials go to
-    the fleet per awaited batch; the default gives each worker a few
-    chunks per batch without starving status updates.
+    :attr:`batch_size` is the progress granularity — how many trials go
+    to the fleet per awaited batch: a few chunks per worker, without
+    starving status updates.
     """
 
     def __init__(
-        self,
-        store: ResultStore | None = None,
-        workers: int = 1,
-        batch_size: int | None = None,
+        self, store: ResultStore | None = None, workers: int = 1
     ) -> None:
         if workers < 1:
             raise JobError(f"workers must be >= 1, got {workers}")
-        if batch_size is not None and batch_size < 1:
-            raise JobError(f"batch_size must be >= 1, got {batch_size}")
         self.store = store
         self.workers = workers
-        self.batch_size = batch_size or max(8, workers * 4)
+        self.batch_size = max(8, workers * 4)
         self._jobs: dict[str, Job] = {}
         self._ids = itertools.count(1)
+        self._batches: queue.SimpleQueue | None = None
 
     # ------------------------------------------------------------------
     def get(self, job_id: str) -> Job:
@@ -248,6 +275,39 @@ class JobService:
                 # _execute's finally block: settle the stream here.
                 self._finish_events(job)
         return job
+
+    async def shutdown(self) -> None:
+        """Cancel every unfinished job now (the service is stopping):
+        each ends ``cancelled`` with its end frame, and a batch still
+        running is abandoned to the batch thread, which then exits."""
+        tasks = []
+        for job in self.jobs():
+            if not job.finished:
+                await self.cancel(job.id)
+                tasks.append(job.task)
+                job.task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
+        if self._batches is not None:
+            self._batches.put(None)
+            self._batches = None
+
+    async def _off_loop(self, fn, *args):
+        """Await ``fn(*args)`` run on this service's batch thread.
+
+        One daemon thread runs the batches in turn: the interpreter
+        joins ``asyncio.to_thread``'s executor threads at exit, so a
+        process stopping mid-trial would wait for the trial.
+        """
+        if self._batches is None:
+            self._batches = queue.SimpleQueue()
+            threading.Thread(
+                target=_run_batches, args=(self._batches,),
+                name="repro-job-batches", daemon=True,
+            ).start()
+        loop = asyncio.get_running_loop()
+        future = loop.create_future()
+        self._batches.put((loop, future, fn, args))
+        return await future
 
     @staticmethod
     def _finish_events(job: Job) -> None:
@@ -316,11 +376,11 @@ class JobService:
                 try:
                     batch_trials = [trial for _, trial, _ in batch]
                     if self._wants_census(job):
-                        records = await asyncio.to_thread(
+                        records = await self._off_loop(
                             self._stream_batch, run_fn, batch_trials, job,
                         )
                     else:
-                        records = await asyncio.to_thread(
+                        records = await self._off_loop(
                             pool_map, run_fn, batch_trials, self.workers,
                         )
                 finally:

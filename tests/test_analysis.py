@@ -13,8 +13,6 @@ from repro.analysis import (
     crossover_size,
     empirical_ratio_curve,
     fit_power_law,
-    format_mean_ci,
-    render_table,
     summarize,
 )
 from repro.protocols.bounds import (
@@ -118,18 +116,6 @@ class TestTrialRunner:
         sweep = Runner().run(spec).summaries()
         assert set(sweep) == {6, 8}
         assert all(s.trials == 4 for s in sweep.values())
-
-
-class TestTables:
-    def test_render_table_contains_cells(self):
-        text = render_table(
-            ["proto", "time"], [["star", 123], ["line", 456]], title="T"
-        )
-        assert "star" in text and "456" in text and text.startswith("T")
-
-    def test_format_mean_ci(self):
-        assert "±" in format_mean_ci(12345.0, 678.0)
-        assert "±" in format_mean_ci(12.3, 1.2)
 
 
 class TestLowerBounds:

@@ -745,6 +745,20 @@ class TestHttpService(_ClientTests):
         gc = client.store_gc()
         assert gc["removed_tmp"] == 0
 
+    def test_results_out_dash_writes_only_json_to_stdout(
+        self, live_service, capsys
+    ):
+        from repro.cli import main
+
+        client = self.client(live_service)
+        job = client.submit(SPEC.to_dict())
+        client.wait(job["id"], poll=0.05, timeout=120)
+        argv = ["results", job["id"], "--url", live_service.url, "--out", "-"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == client.result(job["id"])["result"]
+        assert "state     : done" in captured.err
+
 
 class TestConnections(_ClientTests):
     """The client's kept-alive connections across a job's round trip,
@@ -852,6 +866,46 @@ class TestConnections(_ClientTests):
         head, _, body = raw.partition(b"\r\n\r\n")
         assert head.startswith(b"HTTP/1.1 400 ")
         assert "Content-Length" in json.loads(body)["error"]
+
+
+class TestShutdown:
+    def test_stop_cancels_a_running_job_without_waiting_for_its_batch(
+        self, monkeypatch
+    ):
+        import threading
+        import time
+
+        from repro.service import jobs as jobs_mod
+        from repro.service.api import ExperimentService
+
+        started, release = threading.Event(), threading.Event()
+
+        def long_batch(fn, trials, workers):
+            # Stands in for a batch of trials that run for minutes.
+            started.set()
+            release.wait(60)
+            return []
+
+        monkeypatch.setattr(jobs_mod, "pool_map", long_batch)
+        before = set(threading.enumerate())
+        service = ExperimentService(port=0)
+        service.start()
+        try:
+            job = service.call(service.jobs.submit(SPEC))
+            assert started.wait(30)
+            assert job.state == "running"
+            start = time.perf_counter()
+            assert service.stop() == []
+            assert time.perf_counter() - start < 2
+            assert job.state == "cancelled"
+            assert job.events.frames()[-1] == {
+                "type": "end", "state": "cancelled", "error": "",
+            }
+            lingering = set(threading.enumerate()) - before
+            assert all(thread.daemon for thread in lingering)
+        finally:
+            release.set()
+            service.stop()
 
 
 class TestPoolMap:

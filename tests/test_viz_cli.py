@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -334,3 +336,32 @@ class TestCli:
         for entry in registry.available():
             protocol = entry.instantiate()
             assert protocol.name, entry.name
+
+    @pytest.mark.parametrize("argv, flag", [
+        ("sweep global-star --sizes 10,,20 --trials 1", "--sizes"),
+        ("robustness global-star --loads 0,x -n 8 --trials 1", "--loads"),
+        ("verify --checks , --protocol global-star", "--checks"),
+    ])
+    def test_malformed_comma_list_is_a_usage_error(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        assert exc.value.code == 2
+        assert f"error: argument {flag}" in capsys.readouterr().err
+
+    def test_sweep_out_dash_writes_only_json_to_stdout(self, capsys):
+        assert main(
+            ["sweep", "cycle-cover", "--sizes", "8,10", "--trials", "2",
+             "--out", "-"]
+        ) == 0
+        captured = capsys.readouterr()
+        assert len(json.loads(captured.out)["records"]) == 4
+        assert "mean" in captured.err
+
+    def test_robustness_out_dash_writes_only_json_to_stdout(self, capsys):
+        assert main(
+            ["robustness", "simple-global-line", "ft-global-line",
+             "--loads", "0,1", "-n", "8", "--trials", "1", "--out", "-"]
+        ) == 0
+        captured = capsys.readouterr()
+        assert len(json.loads(captured.out)["records"]) == 4
+        assert "survival" in captured.err
