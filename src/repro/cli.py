@@ -447,7 +447,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="protocol specs to check (default: every registered protocol)",
     )
     conform_p.add_argument(
-        "--checks", default=None, metavar="NAMES",
+        "--checks", type=_comma_list(str), default=None, metavar="NAMES",
         help="comma-separated check names (default: all; see --list-checks)",
     )
     conform_p.add_argument(
@@ -951,7 +951,7 @@ def _cmd_conformance(args: argparse.Namespace) -> int:
         settings = replace(settings, seeds=args.seeds)
     outcomes = run_conformance(
         specs=args.protocols or None,
-        checks=args.checks.split(",") if args.checks else None,
+        checks=args.checks,
         settings=settings,
     )
     print(format_outcomes(outcomes))

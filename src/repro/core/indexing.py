@@ -39,6 +39,20 @@ and the incremental bookkeeping on :class:`~repro.core.configuration.Configurati
   refresh therefore pops and re-inserts every visited effective class,
   changed weight or not, in a fixed visit order.
 
+  ``refresh_involving`` memoizes its *visit plan*: the effective
+  classes its visit reaches, in visit order.  The key is the changed
+  state ids in iteration order plus the present states in ``nodes``
+  order, which together fix the visit order (the target set is built
+  from exactly those ids, in exactly that order).  The first refresh
+  under a key runs the visit, asking the oracle about each new pair as
+  always; every later one only recounts the plan's classes, popping and
+  re-inserting them in the same order.  Replaying is exact because the
+  per-pair memo only grows, never changing an entry, and weight updates
+  never change what a visit sees: whether a visited pair is skipped
+  depends on that memo alone.  Plans live as long as the index (one
+  engine run), up to a fixed ``_PLAN_CAP`` cells (a few MB at most);
+  past that, new keys are visited unmemoized.
+
 States here are the dense integer ids produced by
 :meth:`repro.core.protocol.Protocol.compile`; the index never looks at raw
 state values.
@@ -53,10 +67,10 @@ from typing import Callable, Hashable, Iterable, Iterator
 class IndexedSet:
     """A set with O(1) add/discard/contains and O(1) uniform sampling.
 
-    :class:`PairClassIndex` inlines ``add``/``discard``/``sample`` on its
-    hot paths, reading ``_items`` and ``_index`` directly; the inlined
-    copies must keep exactly this swap-remove order, which seeded draws
-    depend on."""
+    :class:`PairClassIndex` and the indexed engine's walk inline
+    ``add``/``discard``/``sample`` on their hot paths, reading ``_items``
+    and ``_index`` directly; the inlined copies must keep exactly this
+    swap-remove order, which seeded draws depend on."""
 
     __slots__ = ("_items", "_index")
 
@@ -111,6 +125,18 @@ EffectivenessOracle = Callable[[int, int, int], bool]
 #: constructions (<= n-1 active edges) never approach that regime.
 _REJECTION_CAP = 64
 
+#: Cells of memoized visit plans one index may hold (see the module
+#: docstring): a plan costs one cell per item of its key and one per
+#: entry, an 8-byte reference to an entry shared with ``_classes``.
+#: With each plan's tuple headers and dict slot, that bounds the memo to
+#: a few MB per index.  A new plan that no longer fits is visited
+#: unmemoized.
+_PLAN_CAP = 1 << 16
+
+#: One visited state pair with an effective class: ``((lo, hi), keys)``,
+#: ``keys`` being the ``(lo, hi, c)`` of its effective classes.
+_Entry = tuple[tuple[int, int], tuple[tuple[int, int, int], ...]]
+
 
 class PairClassIndex:
     """Candidate-pair census grouped by state class ``(a, b, c)``.
@@ -126,13 +152,20 @@ class PairClassIndex:
         it resolves rules, so asking earlier would renumber states.
     """
 
-    __slots__ = ("_eff", "_classes", "nodes", "edges", "weights", "total")
+    __slots__ = (
+        "_eff", "_classes", "_plans", "_room", "nodes", "edges", "weights",
+        "total",
+    )
 
     def __init__(self, is_effective: EffectivenessOracle) -> None:
         self._eff = is_effective
-        #: (lo, hi) -> the keys (lo, hi, c) of its effective classes,
-        #: memoized by the first refresh that visits the pair
-        self._classes: dict[tuple[int, int], tuple[tuple[int, int, int], ...]] = {}
+        #: (lo, hi) -> its plan entry, or () if it has no effective
+        #: class; memoized by the first refresh that visits the pair
+        self._classes: dict[tuple[int, int], _Entry | tuple[()]] = {}
+        #: refresh_involving's key -> its visit plan (a tuple of entries)
+        self._plans: dict[tuple[int, ...], tuple[_Entry, ...]] = {}
+        #: cells of _PLAN_CAP not yet used by _plans
+        self._room = _PLAN_CAP
         #: state id -> IndexedSet of node ids (present states only)
         self.nodes: dict[int, IndexedSet] = {}
         #: (lo, hi) state-id pair -> IndexedSet of active edges (u, v),
@@ -241,7 +274,12 @@ class PairClassIndex:
     def refresh_pair(self, a: int, b: int) -> None:
         """Recompute the weights of the effective classes over the state
         pair."""
-        self._refresh((a,), (b,))
+        pair = (a, b) if a <= b else (b, a)
+        entry = self._classes.get(pair)
+        if entry is None:
+            self._recount(self._plan((a,), (b,)))
+        elif entry:
+            self._recount((entry,))
 
     def refresh_involving(self, states: set[int]) -> None:
         """Recompute every effective class that involves one of ``states``.
@@ -250,51 +288,72 @@ class PairClassIndex:
         new state of a changed node can have gained or lost pairs.  The
         visit order (each of ``states`` against every present state and
         every one of ``states``, in set iteration order) is part of the
-        seeded law."""
-        targets = set(self.nodes)
-        targets.update(states)
-        self._refresh(states, targets)
+        seeded law.  The visit plan is memoized under ``states`` in
+        iteration order plus the present states in ``nodes`` order (see
+        the module docstring)."""
+        key = (*states, -1, *self.nodes)
+        plan = self._plans.get(key)
+        if plan is None:
+            targets = set(self.nodes)
+            targets.update(states)
+            plan = self._plan(states, targets)
+            cost = len(key) + len(plan)
+            if cost <= self._room:
+                self._room -= cost
+                self._plans[key] = plan
+        self._recount(plan)
 
-    def _refresh(self, states: Iterable[int], targets: Iterable[int]) -> None:
-        """Recount every effective class pairing one of ``states`` with
-        one of ``targets``, each unordered pair once, in visit order.
-        Pairs with no effective class are skipped before any counting;
-        every other visited class is popped from ``weights`` and
-        re-inserted, changed weight or not."""
-        nodes = self.nodes
-        edges = self.edges
-        weights = self.weights
+    def _plan(
+        self, states: Iterable[int], targets: Iterable[int]
+    ) -> tuple[_Entry, ...]:
+        """The visit plan pairing each of ``states`` with each of
+        ``targets``, each unordered pair once, in visit order: the entry
+        of every visited pair with an effective class.  The oracle is
+        asked about a pair the first time any visit reaches it."""
         known = self._classes
-        total = self.total
+        plan = []
         done: set[int] = set()
         for x in states:
             for t in targets:
                 if t in done:
                     continue
-                lo, hi = pair = (x, t) if x <= t else (t, x)
-                classes = known.get(pair)
-                if classes is None:
-                    classes = known[pair] = tuple(
+                pair = (x, t) if x <= t else (t, x)
+                entry = known.get(pair)
+                if entry is None:
+                    lo, hi = pair
+                    classes = tuple(
                         (lo, hi, c) for c in (0, 1) if self._eff(lo, hi, c)
                     )
-                if not classes:
-                    continue
-                a = nodes.get(lo)
-                na = len(a._items) if a is not None else 0
-                if lo == hi:
-                    pairs = na * (na - 1) // 2
-                else:
-                    b = nodes.get(hi)
-                    pairs = na * len(b._items) if b is not None else 0
-                bucket = edges.get(pair)
-                n_edges = len(bucket._items) if bucket is not None else 0
-                for key in classes:
-                    weight = n_edges if key[2] else pairs - n_edges
-                    old = weights.pop(key, 0)
-                    if weight:
-                        weights[key] = weight
-                    total += weight - old
+                    entry = known[pair] = (pair, classes) if classes else ()
+                if entry:
+                    plan.append(entry)
             done.add(x)
+        return tuple(plan)
+
+    def _recount(self, plan: tuple[_Entry, ...]) -> None:
+        """Recount every class of ``plan`` in order: pop it from
+        ``weights`` and re-insert it, changed weight or not."""
+        nodes = self.nodes
+        edges = self.edges
+        weights = self.weights
+        total = self.total
+        for pair, classes in plan:
+            lo, hi = pair
+            a = nodes.get(lo)
+            na = len(a._items) if a is not None else 0
+            if lo == hi:
+                pairs = na * (na - 1) // 2
+            else:
+                b = nodes.get(hi)
+                pairs = na * len(b._items) if b is not None else 0
+            bucket = edges.get(pair)
+            n_edges = len(bucket._items) if bucket is not None else 0
+            for key in classes:
+                weight = n_edges if key[2] else pairs - n_edges
+                old = weights.pop(key, 0)
+                if weight:
+                    weights[key] = weight
+                total += weight - old
         self.total = total
 
     def rebuild(self) -> None:

@@ -110,7 +110,7 @@ from typing import Any, Callable, NamedTuple
 from repro.core.configuration import Configuration
 from repro.core.errors import ConvergenceError, SimulationError
 from repro.core.faults import DEAD, FaultModel, compile_fault_plan
-from repro.core.indexing import PairClassIndex
+from repro.core.indexing import IndexedSet, PairClassIndex
 from repro.core.protocol import Protocol, resolve, sample_outcome
 from repro.core.scheduler import Scheduler, UniformRandomScheduler
 from repro.core.trace import (
@@ -589,9 +589,11 @@ class IndexedSimulator(_ExactEngine):
     ``Geometric(k/m) - 1`` skip, and the two-stage class-then-pair draw
     is exactly a uniform draw over the effective pairs.  Upkeep is
     confined to the changed states: only the effective class weights
-    touching them are recomputed and the changed nodes' O(degree)
-    incident active edges re-filed.  With no trace or bus attached, an
-    effective interaction builds no ``Event`` or ``InteractionResult``.
+    touching them are recomputed (by replaying a memoized visit plan),
+    and each changed node's state, node bucket and O(degree) incident
+    active edges are re-filed in one pass.  With no trace or bus
+    attached, an effective interaction builds no ``Event`` or
+    ``InteractionResult``.
     """
 
     engine_name = "indexed"
@@ -615,7 +617,10 @@ class IndexedSimulator(_ExactEngine):
         intern = compiled.intern
         state_of = compiled.state_of
         sid = [intern(cfg.state(u)) for u in range(n)]
-        adj = cfg._adj  # engine-internal: avoids a frozenset copy per move
+        # Engine-internal: move_node re-files these in place.
+        adj = cfg._adj
+        raw_states = cfg._states
+        by_state = cfg._by_state
 
         index = PairClassIndex(compiled.is_effective)
         for u in range(n):
@@ -629,11 +634,70 @@ class IndexedSimulator(_ExactEngine):
         edge_state = cfg.edge_state
         out = protocol.output_states
 
+        nodes = index.nodes
+        edges = index.edges
+        known = index._classes
+
         def move_node(w: int, old: int, new: int) -> None:
-            cfg.set_state(w, state_of(new))
+            """Move ``w`` from state id ``old`` to ``new`` in one pass:
+            ``cfg.set_state``, then ``index.move_edge`` for each incident
+            active edge, then ``index.move_node``, inlined with their
+            swap-remove and append order."""
+            raw = raw_states[w]
+            bucket = by_state[raw]
+            bucket.discard(w)
+            if not bucket:
+                del by_state[raw]
+            raw = raw_states[w] = state_of(new)
+            bucket = by_state.get(raw)
+            if bucket is None:
+                by_state[raw] = {w}
+            else:
+                bucket.add(w)
             for x in adj[w]:
-                index.move_edge(w, x, old, sid[x], new)
-            index.move_node(w, old, new)
+                sx = sid[x]
+                edge = (w, x) if w < x else (x, w)
+                bucket = edges.get((old, sx) if old <= sx else (sx, old))
+                if bucket is not None:
+                    where = bucket._index
+                    idx = where.pop(edge, None)
+                    if idx is not None:
+                        items = bucket._items
+                        last = items.pop()
+                        if idx < len(items):
+                            items[idx] = last
+                            where[last] = idx
+                        elif not items:
+                            del edges[(old, sx) if old <= sx else (sx, old)]
+                key = (new, sx) if new <= sx else (sx, new)
+                if known.get(key, True):
+                    bucket = edges.get(key)
+                    if bucket is None:
+                        bucket = edges[key] = IndexedSet()
+                    where = bucket._index
+                    if edge not in where:
+                        items = bucket._items
+                        where[edge] = len(items)
+                        items.append(edge)
+            bucket = nodes[old]
+            where = bucket._index
+            idx = where.pop(w, None)
+            if idx is not None:
+                items = bucket._items
+                last = items.pop()
+                if idx < len(items):
+                    items[idx] = last
+                    where[last] = idx
+                elif not items:
+                    del nodes[old]
+            bucket = nodes.get(new)
+            if bucket is None:
+                bucket = nodes[new] = IndexedSet()
+            where = bucket._index
+            if w not in where:
+                items = bucket._items
+                where[w] = len(items)
+                items.append(w)
             sid[w] = new
 
         def advance(steps, fault_next, max_steps):
@@ -700,15 +764,15 @@ class IndexedSimulator(_ExactEngine):
                         index.add_edge(u, v, sid[u], sid[v])
                     else:
                         index.remove_edge(u, v, sid[u], sid[v])
-                if u_changed or v_changed:
-                    dirty = set()
-                    if u_changed:
-                        dirty.add(su)
-                        dirty.add(new_u)
+                # The dirty set's insertion order fixes its iteration
+                # order, which the refresh visits in.
+                if u_changed:
                     if v_changed:
-                        dirty.add(sv)
-                        dirty.add(new_v)
-                    index.refresh_involving(dirty)
+                        index.refresh_involving({su, new_u, sv, new_v})
+                    else:
+                        index.refresh_involving({su, new_u})
+                elif v_changed:
+                    index.refresh_involving({sv, new_v})
                 else:
                     index.refresh_pair(sid[u], sid[v])
 

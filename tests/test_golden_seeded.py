@@ -27,6 +27,12 @@ result's active edges in ``active_edges()`` iteration order, which pins
 how ``from_census`` lays the edges out and in which order each node's
 adjacency set receives them.
 
+The paper-scale fixture, ``tests/data/golden_scale.json``, holds long
+indexed-engine runs at the sizes the benchmarks use (the cells of
+:data:`SCALE_CELLS`): thousands of effective interactions per run, so
+every memoized refresh plan of ``PairClassIndex`` is replayed many
+times over.  Its cells store the fields of the conformance grids.
+
 Regenerate the fixtures only for a change that is meant to alter the
 seeded law, and say so in the change::
 
@@ -99,6 +105,19 @@ COUNT_CELLS: dict[str, tuple[str, int, int | None, tuple[str, ...]]] = {
 #: Seeds per leap-regime cell.
 COUNT_SEEDS = (1, 2)
 
+#: Paper-scale indexed-engine cells by label: (spec, n, seeds).  Every
+#: run stabilizes far inside :data:`SCALE_BUDGET`.
+SCALE_CELLS: dict[str, tuple[str, int, tuple[int, ...]]] = {
+    "simple-global-line | n=240": ("simple-global-line", 240, (1, 2, 3)),
+    "fast-global-line | n=240": ("fast-global-line", 240, (1, 2, 3)),
+    "faster-global-line | n=240": ("faster-global-line", 240, (1, 2, 3)),
+    "global-ring | n=60": ("global-ring", 60, (1, 2, 3)),
+    "2rc | n=16": ("2rc", 16, (1,)),
+}
+
+#: Step budget of a paper-scale cell.
+SCALE_BUDGET = 10**10
+
 
 def fixture_path(engine: str) -> Path:
     return DATA / f"golden_{engine}.json"
@@ -168,6 +187,27 @@ def count_cell(label: str, seed: int) -> dict:
     }
 
 
+def scale_cell(label: str, seed: int) -> dict:
+    """One seeded paper-scale run of the indexed engine, reduced to the
+    fields of :func:`golden_cell`."""
+    spec, n, _ = SCALE_CELLS[label]
+    protocol = registry.instantiate(spec)
+    scenario = Scenario()
+    sim = make_scenario_engine("indexed", seed, scenario)
+    result = sim.run(
+        protocol, n, SCALE_BUDGET, config=scenario.build_initial(protocol, n)
+    )
+    return result_fields(n, result)
+
+
+def scale_cells() -> dict[str, tuple[str, int]]:
+    """Fixture key -> (cell label, seed) for the paper-scale fixture."""
+    return {
+        f"{label} | seed={seed}": (label, seed)
+        for label, (_, _, seeds) in SCALE_CELLS.items() for seed in seeds
+    }
+
+
 def count_cells() -> dict[str, tuple[str, int]]:
     """Fixture key -> (cell label, seed) for the leap-regime fixture."""
     return {
@@ -197,7 +237,7 @@ def cells(engine: str, spec: str) -> dict[str, tuple[str, str, str, str, int]]:
 def golden() -> dict:
     return {
         engine: json.loads(fixture_path(engine).read_text(encoding="utf-8"))
-        for engine in (*BUDGETS, "count")
+        for engine in (*BUDGETS, "count", "scale")
     }
 
 
@@ -206,6 +246,7 @@ def test_fixture_covers_the_registry(golden):
         expected = {key for spec in conformance_specs() for key in cells(engine, spec)}
         assert set(golden[engine]) == expected, engine
     assert set(golden["count"]) == set(count_cells())
+    assert set(golden["scale"]) == set(scale_cells())
 
 
 @pytest.mark.parametrize("spec", conformance_specs())
@@ -232,6 +273,17 @@ def test_count_leap_results_unchanged(golden, label):
     assert not mismatches, json.dumps(mismatches, indent=1)
 
 
+@pytest.mark.parametrize("label", SCALE_CELLS)
+def test_scale_results_unchanged(golden, label):
+    mismatches = {}
+    for key, cell in scale_cells().items():
+        if cell[0] == label:
+            got = scale_cell(*cell)
+            if got != golden["scale"][key]:
+                mismatches[key] = {"golden": golden["scale"][key], "got": got}
+    assert not mismatches, json.dumps(mismatches, indent=1)
+
+
 def write_fixture(engine: str, record: dict) -> None:
     path = fixture_path(engine)
     path.parent.mkdir(exist_ok=True)
@@ -252,4 +304,7 @@ if __name__ == "__main__":
         })
     write_fixture("count", {
         key: count_cell(*cell) for key, cell in count_cells().items()
+    })
+    write_fixture("scale", {
+        key: scale_cell(*cell) for key, cell in scale_cells().items()
     })

@@ -88,6 +88,23 @@ class LazyEpidemic(TableProtocol):
         return config.count_in_state("a") == config.n
 
 
+@pytest.fixture
+def indexes(monkeypatch):
+    """Every PairClassIndex the engine builds, with its oracle."""
+    from repro.core import simulator
+
+    built = []
+
+    class Recording(PairClassIndex):
+        def __init__(self, is_effective):
+            super().__init__(is_effective)
+            self.oracle = is_effective
+            built.append(self)
+
+    monkeypatch.setattr(simulator, "PairClassIndex", Recording)
+    return built
+
+
 class TestIndexedSet:
     def test_add_discard_contains(self):
         s = IndexedSet()
@@ -176,6 +193,66 @@ class TestPairClassIndex:
         index.refresh_involving({b, a})
         assert index.total == 0
 
+    def test_dense_class_fallback_samples_non_edges_uniformly(self, monkeypatch):
+        """Past the rejection cap, ``sample_pair`` enumerates the class's
+        non-edges: it must return only those, uniformly, for a same-state
+        class and for a two-state class whose pairs are mostly active."""
+        from repro.core import indexing
+
+        monkeypatch.setattr(indexing, "_REJECTION_CAP", 0)
+        a_nodes, b_nodes = range(5), range(5, 9)
+        gaps = {
+            (0, 0, 0): {(0, 1), (2, 3), (1, 4)},
+            (0, 1, 0): {(0, 5), (3, 7), (4, 8)},
+        }
+        active = {(u, v) for u in a_nodes for v in a_nodes if u < v}
+        active |= {(u, v) for u in a_nodes for v in b_nodes}
+        active -= gaps[(0, 0, 0)] | gaps[(0, 1, 0)]
+        state = {u: 0 for u in a_nodes} | {v: 1 for v in b_nodes}
+        # Only the two non-edge classes under test are effective.
+        index = PairClassIndex(lambda lo, hi, c: (lo, hi, c) in gaps)
+        for u, s in state.items():
+            index.add_node(u, s)
+        for u, v in sorted(active):
+            index.add_edge(u, v, state[u], state[v])
+        index.rebuild()
+        assert index.weights == {(0, 0, 0): 3, (0, 1, 0): 3}
+
+        def edge_state(u, v):
+            return 1 if (min(u, v), max(u, v)) in active else 0
+
+        rng = random.Random(11)
+        for key, non_edges in gaps.items():
+            hits = dict.fromkeys(non_edges, 0)
+            for _ in range(3000):
+                u, v = index.sample_pair(key, rng, edge_state)
+                assert (state[u], state[v]) == key[:2]
+                pair = (min(u, v), max(u, v))
+                assert pair in non_edges, (key, pair)
+                hits[pair] += 1
+            # 1000 expected per non-edge; the sd is about 26.
+            assert all(850 < h < 1150 for h in hits.values()), (key, hits)
+
+    def test_plan_memo_stays_within_its_cap(self, indexes, monkeypatch):
+        """A refresh whose visit plan no longer fits under the cap runs
+        unmemoized, and the seeded run is the one an uncapped memo gives."""
+        from repro.core import indexing
+        from repro.protocols import registry
+
+        def run():
+            protocol = registry.instantiate("global-ring")
+            result = IndexedSimulator(seed=1).run(protocol, 30, None)
+            edges = sorted(result.config.active_edges())
+            return result.steps, result.effective_steps, result.config.states(), edges
+
+        def cells(index):
+            return sum(len(key) + len(plan) for key, plan in index._plans.items())
+
+        free = run()
+        monkeypatch.setattr(indexing, "_PLAN_CAP", 40)
+        assert run() == free
+        assert cells(indexes[0]) > 40 >= cells(indexes[1]) > 0
+
 
 class TestPairClassIndexUnderFaults:
     """The engine's own index equals a brute-force recount of the live
@@ -192,22 +269,6 @@ class TestPairClassIndexUnderFaults:
         "arrive": ("arrive:count=2,at=10",),
         "revive": ("crash:count=2,at=5", "recover:count=2,at=10,delay=5"),
     }
-
-    @pytest.fixture
-    def indexes(self, monkeypatch):
-        """Every PairClassIndex the engine builds, with its oracle."""
-        from repro.core import simulator
-
-        built = []
-
-        class Recording(PairClassIndex):
-            def __init__(self, is_effective):
-                super().__init__(is_effective)
-                self.oracle = is_effective
-                built.append(self)
-
-        monkeypatch.setattr(simulator, "PairClassIndex", Recording)
-        return built
 
     @staticmethod
     def check(index, protocol, cfg):

@@ -157,8 +157,8 @@ class TestEngineEquivalence:
 class TestEngineSpeed:
     """The indexed engine exists to skip ineffective steps; on the
     Figure 2 line it must stay well ahead of the step-by-step reference
-    (about 57x at seed 0 on a 2-CPU host; the 5x bar leaves room for a
-    loaded machine)."""
+    (54-61x at seed 0 on a 2-CPU host, medians of 12 repeats, with a
+    40-79x range; the 5x bar leaves room for a loaded machine)."""
 
     def test_indexed_at_least_5x_faster_than_sequential_on_line(self):
         seconds = {}

@@ -341,6 +341,7 @@ class TestCli:
         ("sweep global-star --sizes 10,,20 --trials 1", "--sizes"),
         ("robustness global-star --loads 0,x -n 8 --trials 1", "--loads"),
         ("verify --checks , --protocol global-star", "--checks"),
+        ("conformance --checks , global-star", "--checks"),
     ])
     def test_malformed_comma_list_is_a_usage_error(self, argv, flag, capsys):
         with pytest.raises(SystemExit) as exc:
