@@ -449,11 +449,22 @@ def run_one(
 def run_trial(trial: TrialSpec, bus=None) -> TrialRecord:
     """Execute one :class:`TrialSpec` (module-level: picklable).
 
+    The protocol comes from :func:`repro.protocols.registry.shared`, one
+    instance per spec string per process, so the trials of one spec
+    (a sweep, a robustness grid, a service batch) compile it once.  For
+    a protocol that declares its state set they share one rule table,
+    with its resolutions and the indexed engine's pair-class and plan
+    memos; a lazily interning protocol still compiles a fresh table per
+    run.  Every memo is a pure function of the rules and ids are fixed
+    at compile time, so a record never depends on which trials ran
+    before it in the process (see
+    :meth:`~repro.core.protocol.Protocol.compile`).
+
     ``bus`` (an optional :class:`~repro.core.trace.TraceBus`) streams
     the run's events/census/fault frames; only an in-process run
     (``jobs=1``) can pass one — process workers run unobserved.
     """
-    record, _ = run_one(registry.instantiate(trial.protocol), trial, bus)
+    record, _ = run_one(registry.shared(trial.protocol), trial, bus)
     return record
 
 

@@ -164,8 +164,13 @@ def derive_edge_census(counts, ends, total_edges):
             rows.append([(a, b), lo, expected - lo, cap])
             floored += lo
     remainder = min(total_edges - floored, sum(r[3] - r[1] for r in rows))
-    if remainder > 0:
-        for row in sorted(rows, key=lambda r: r[2], reverse=True):
+    # One edge per class per round, largest fraction first, until the
+    # remainder is placed: it can exceed the number of classes (a class
+    # whose expectation was capped leaves its share to the others), and
+    # it never exceeds their room left.
+    order = sorted(rows, key=lambda r: r[2], reverse=True)
+    while remainder > 0:
+        for row in order:
             if remainder <= 0:
                 break
             if row[1] < row[3]:

@@ -49,9 +49,20 @@ and the incremental bookkeeping on :class:`~repro.core.configuration.Configurati
   re-inserting them in the same order.  Replaying is exact because the
   per-pair memo only grows, never changing an entry, and weight updates
   never change what a visit sees: whether a visited pair is skipped
-  depends on that memo alone.  Plans live as long as the index (one
-  engine run), up to a fixed ``_PLAN_CAP`` cells (a few MB at most);
-  past that, new keys are visited unmemoized.
+  depends on that memo alone.
+
+  Both memos depend on the rule table only, so the index takes them
+  from the :class:`~repro.core.protocol.CompiledProtocol` it is built
+  over, and every run on that table shares them: for a protocol that
+  declares its state set, every run on one instance (see
+  :meth:`~repro.core.protocol.Protocol.compile`).  Sharing is exact by
+  the replay argument above, across runs as within one: a plan is a
+  pure function of its key, and the pair memo only grows.  The one
+  difference is at set-up: an initial active edge whose pair an earlier
+  run already found to have no effective class is not filed, and such
+  an edge is never sampled or counted.  A table's plans stay within
+  ``_PLAN_CAP`` cells (~130 kB); past that, new keys are visited
+  unmemoized.
 
 States here are the dense integer ids produced by
 :meth:`repro.core.protocol.Protocol.compile`; the index never looks at raw
@@ -61,7 +72,11 @@ state values.
 from __future__ import annotations
 
 import random
-from typing import Callable, Hashable, Iterable, Iterator
+import threading
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Iterator
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.core.protocol import CompiledProtocol
 
 
 class IndexedSet:
@@ -125,13 +140,18 @@ EffectivenessOracle = Callable[[int, int, int], bool]
 #: constructions (<= n-1 active edges) never approach that regime.
 _REJECTION_CAP = 64
 
-#: Cells of memoized visit plans one index may hold (see the module
-#: docstring): a plan costs one cell per item of its key and one per
-#: entry, an 8-byte reference to an entry shared with ``_classes``.
-#: With each plan's tuple headers and dict slot, that bounds the memo to
-#: a few MB per index.  A new plan that no longer fits is visited
-#: unmemoized.
-_PLAN_CAP = 1 << 16
+#: Cells of memoized visit plans one compiled table may hold (see the
+#: module docstring): a plan costs one cell per item of its key and one
+#: per entry, an 8-byte reference to an entry shared with the pair memo.
+#: With each plan's tuple headers and dict slot, that measured 14-16
+#: bytes a cell, so ~130 kB per full table.  The memo lives as long as
+#: its table (for a shared table, as long as the protocol instance),
+#: which is why the cap is small.  A new plan that no longer fits is
+#: visited unmemoized.
+_PLAN_CAP = 1 << 13
+
+#: Guards filing a new plan and counting its cells against ``_PLAN_CAP``.
+_PLAN_LOCK = threading.Lock()
 
 #: One visited state pair with an effective class: ``((lo, hi), keys)``,
 #: ``keys`` being the ``(lo, hi, c)`` of its effective classes.
@@ -143,29 +163,34 @@ class PairClassIndex:
 
     Parameters
     ----------
-    is_effective:
-        Memoized oracle ``(a_id, b_id, c) -> bool``; only effective
-        classes contribute weight (their pair count) to :attr:`total`.
-        It is asked about a state pair once, ``c = 0`` before ``c = 1``,
-        the first time a ``refresh_*`` call visits the pair, and never
-        from edge upkeep: a lazily interning oracle assigns state ids as
-        it resolves rules, so asking earlier would renumber states.
+    table:
+        The :class:`~repro.core.protocol.CompiledProtocol` the states
+        are interned by.  Its memoized oracle ``is_effective(a_id, b_id,
+        c)`` decides which classes contribute weight (their pair count)
+        to :attr:`total`.  It is asked about a state pair once, ``c = 0``
+        before ``c = 1``, the first time a ``refresh_*`` call visits the
+        pair, and never from edge upkeep: a lazily interning oracle
+        assigns state ids as it resolves rules, so asking earlier would
+        renumber states.  The index keeps its pair-class memo, plan memo
+        and plan budget on the table (``pair_classes``, ``plans``,
+        ``plan_cells``), shared with every other index over it.
     """
 
     __slots__ = (
-        "_eff", "_classes", "_plans", "_room", "nodes", "edges", "weights",
+        "table", "_eff", "_classes", "_plans", "nodes", "edges", "weights",
         "total",
     )
 
-    def __init__(self, is_effective: EffectivenessOracle) -> None:
-        self._eff = is_effective
+    def __init__(self, table: CompiledProtocol) -> None:
+        self.table = table
+        self._eff: EffectivenessOracle = table.is_effective
         #: (lo, hi) -> its plan entry, or () if it has no effective
         #: class; memoized by the first refresh that visits the pair
-        self._classes: dict[tuple[int, int], _Entry | tuple[()]] = {}
+        self._classes: dict[tuple[int, int], _Entry | tuple[()]] = (
+            table.pair_classes
+        )
         #: refresh_involving's key -> its visit plan (a tuple of entries)
-        self._plans: dict[tuple[int, ...], tuple[_Entry, ...]] = {}
-        #: cells of _PLAN_CAP not yet used by _plans
-        self._room = _PLAN_CAP
+        self._plans: dict[tuple[int, ...], tuple[_Entry, ...]] = table.plans
         #: state id -> IndexedSet of node ids (present states only)
         self.nodes: dict[int, IndexedSet] = {}
         #: (lo, hi) state-id pair -> IndexedSet of active edges (u, v),
@@ -298,9 +323,13 @@ class PairClassIndex:
             targets.update(states)
             plan = self._plan(states, targets)
             cost = len(key) + len(plan)
-            if cost <= self._room:
-                self._room -= cost
-                self._plans[key] = plan
+            table = self.table
+            # Runs in other threads may share the table, and may have
+            # filed this key since the miss.
+            with _PLAN_LOCK:
+                if key not in self._plans and table.plan_cells + cost <= _PLAN_CAP:
+                    table.plan_cells += cost
+                    self._plans[key] = plan
         self._recount(plan)
 
     def _plan(

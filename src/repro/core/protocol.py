@@ -31,7 +31,7 @@ implementation accepts arbitrary distributions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Hashable, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Hashable, Iterable, Mapping
 
 from repro.core.errors import ProtocolError
 
@@ -266,8 +266,24 @@ class Protocol:
         :class:`~repro.core.simulator.IndexedSimulator`: states become
         dense ints and ``resolve``/effectiveness results are memoized per
         triple, so table *and* code-defined ``delta`` protocols both pay
-        at most one resolution per distinct ``(a, b, c)``."""
-        return CompiledProtocol(self)
+        at most one resolution per distinct ``(a, b, c)``.
+
+        A protocol that declares :attr:`states` compiles once: every run
+        on this instance shares the table, with its resolutions and the
+        indexed engine's pair-class and plan memos.  Its ids are fixed
+        at compile time and every memo is a pure function of the rules,
+        so a run never depends on which runs came before it.  A table
+        that had to intern a state outside the declared set (say, from
+        an ``init`` override) is not handed out again: the next call
+        compiles a fresh one.  Lazily interning protocols (``states`` is
+        ``None``) get a fresh table per call, because their ids follow
+        encounter order."""
+        compiled: CompiledProtocol | None = self.__dict__.get("_compiled")
+        if compiled is None or not compiled.closed:
+            compiled = CompiledProtocol(self)
+            if self.states is not None:
+                self._compiled = compiled
+        return compiled
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -366,9 +382,17 @@ class CompiledProtocol:
     (``generic/``, ``tm/``) intern lazily in encounter order and memoize
     each ``delta`` resolution the first time a triple is seen — the
     transparent fallback for code-defined transition functions.
+
+    The table also owns the rule-only memos of
+    :class:`~repro.core.indexing.PairClassIndex`: ``pair_classes``,
+    ``plans`` and ``plan_cells`` (see :mod:`repro.core.indexing`), so
+    every index built over one table shares them.
     """
 
-    __slots__ = ("protocol", "_ids", "_states", "_resolved", "_effective")
+    __slots__ = (
+        "protocol", "_ids", "_states", "_resolved", "_effective", "_declared",
+        "pair_classes", "plans", "plan_cells",
+    )
 
     def __init__(self, protocol: Protocol) -> None:
         self.protocol = protocol
@@ -378,14 +402,29 @@ class CompiledProtocol:
             tuple[int, int, int], tuple[CompiledDistribution, bool] | None
         ] = {}
         self._effective: dict[tuple[int, int, int], bool] = {}
+        #: (lo, hi) id pair -> PairClassIndex's entry for it
+        self.pair_classes: dict[tuple[int, int], Any] = {}
+        #: refresh_involving's key -> its memoized visit plan
+        self.plans: dict[tuple[int, ...], Any] = {}
+        #: cells ``plans`` holds (bounded by indexing._PLAN_CAP)
+        self.plan_cells = 0
+        self._declared: int | None = None
         if protocol.states is not None:
             for state in sorted(protocol.states, key=repr):
                 self.intern(state)
+            self._declared = len(self._states)
 
     @property
     def n_states(self) -> int:
         """Number of distinct states interned so far."""
         return len(self._states)
+
+    @property
+    def closed(self) -> bool:
+        """True while the table is eagerly interned and has interned no
+        state beyond the declared set: its ids are then those of a fresh
+        compile, so runs may share it."""
+        return self._declared == len(self._states)
 
     def intern(self, state: State) -> int:
         """The dense id of ``state``, assigning a fresh one if new."""

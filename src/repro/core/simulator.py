@@ -622,7 +622,7 @@ class IndexedSimulator(_ExactEngine):
         raw_states = cfg._states
         by_state = cfg._by_state
 
-        index = PairClassIndex(compiled.is_effective)
+        index = PairClassIndex(compiled)
         for u in range(n):
             index.add_node(u, sid[u])
         for u, v in cfg.active_edges():
@@ -636,7 +636,7 @@ class IndexedSimulator(_ExactEngine):
 
         nodes = index.nodes
         edges = index.edges
-        known = index._classes
+        known = compiled.pair_classes
 
         def move_node(w: int, old: int, new: int) -> None:
             """Move ``w`` from state id ``old`` to ``new`` in one pass:

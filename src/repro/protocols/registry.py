@@ -29,6 +29,7 @@ Typical use::
 
 from __future__ import annotations
 
+import functools
 import importlib
 import re
 from dataclasses import dataclass, field
@@ -351,3 +352,25 @@ def instantiate(spec: str, **overrides: Any):
     entry, params = parse_spec(spec)
     params.update(overrides)
     return entry.instantiate(**params)
+
+
+#: How many protocol instances :func:`shared` keeps (least recently used
+#: out first).  It must be no smaller than the cycle of specs a client
+#: repeats: a service client cycling through eleven protocols would
+#: miss on every call under an LRU of ten.  Each instance holds at most
+#: one compiled table: rule memos of at most |Q|^2 entries plus a plan
+#: memo capped at ``indexing._PLAN_CAP`` cells (~130 kB), so ~4 MB of
+#: plans at worst.
+SHARED_INSTANCES = 32
+
+
+@functools.lru_cache(maxsize=SHARED_INSTANCES)
+def shared(spec: str):
+    """The process's reusable instance of a canonical spec string.
+
+    Trial runners take their protocol from here, so every trial of one
+    spec compiles it once and shares its rule table (see
+    :meth:`~repro.core.protocol.Protocol.compile`).  No protocol keeps
+    per-run state on its instance, so reuse changes no record.  Callers
+    must not mutate the instance."""
+    return instantiate(spec)

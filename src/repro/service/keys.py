@@ -59,14 +59,15 @@ def code_digest(protocol_spec: str) -> str:
     """The code-version digest of one protocol spec.
 
     Hashes the protocol's transition behavior together with
-    :data:`SCHEMA_VERSION`; memoized per canonical spec.
+    :data:`SCHEMA_VERSION`; memoized per canonical spec.  The instance
+    it hashes is the one trials of that spec run on
+    (:func:`repro.protocols.registry.shared`).
     """
     spec = registry.canonical_spec(protocol_spec)
     cached = _DIGEST_CACHE.get(spec)
     if cached is not None:
         return cached
-    protocol = registry.instantiate(spec)
-    digest = behavior_digest(protocol)
+    digest = behavior_digest(registry.shared(spec))
     _DIGEST_CACHE[spec] = digest
     return digest
 

@@ -709,12 +709,28 @@ def check_adversarial(protocol, spec, settings):
     n = conformance_population(protocol, settings)
     if n < 3:
         return _skip(spec, "adversarial", f"population n={n} too small")
-    # Notification-hook contract: enumerable protocols must map every
-    # declared state to None (no repair) or another declared state —
-    # the engines write the return value back verbatim.
+    # Closure of the declared state set: enumerable protocols must map
+    # every declared state to None (no repair) or another declared
+    # state — the engines write the return value back verbatim — and
+    # nodes joining a run (arrive/recover) or a byzantine node claiming
+    # leadership (always-leader) must enter a declared state too.  With
+    # the rules closed over it, every state a run can intern is
+    # interned at compile time, which is what lets runs share one
+    # compiled table (see Protocol.compile).
     hook_note = "hooks unchecked (structured states)"
     if protocol.states is not None:
         declared = set(protocol.states)
+        joins = [("initial_state", protocol.initial_state)] + [
+            ("leader_states", state)
+            for state in sorted(protocol.leader_states or (), key=repr)
+        ]
+        for attr, state in joins:
+            if state is not None and state not in declared:
+                return _fail(
+                    spec, "adversarial",
+                    f"{attr} holds {state!r}, which is not in the "
+                    "declared state set",
+                )
         for hook_name in ("on_edge_loss", "on_neighbor_crash"):
             hook = getattr(protocol, hook_name)
             for state in sorted(declared, key=repr):
@@ -725,7 +741,7 @@ def check_adversarial(protocol, spec, settings):
                         f"{hook_name}({state!r}) returned {replacement!r}, "
                         "which is not in the declared state set",
                     )
-        hook_note = f"hooks closed over |Q|={len(declared)}"
+        hook_note = f"hooks, joins and claims closed over |Q|={len(declared)}"
     # Byzantine lies + a crash on the indexed engine: the structural
     # DEAD invariants may not bend even while states are corrupted.
     byz = Scenario(

@@ -103,11 +103,20 @@ class LineMachineProtocol(Protocol):
             raise SimulationError(
                 f"population size {n} != tape length {len(self.tape)}"
             )
+        return self._line(self.tape, self.head_at)
+
+    @staticmethod
+    def _line(tape: list[str], head_at: int) -> Configuration:
+        """The line of ``len(tape)`` agents holding ``tape``, the head on
+        agent ``head_at``.  Subclasses that size the tape per run pass
+        it here instead of storing it, so one instance can serve runs
+        of different sizes at once."""
+        n = len(tape)
         states = []
-        for i, symbol in enumerate(self.tape):
+        for i, symbol in enumerate(tape):
             kind = END if i in (0, n - 1) else MID
             head = None
-            if i == self.head_at:
+            if i == head_at:
                 # Starting on an endpoint skips the wander phase: that
                 # endpoint is immediately the designated RIGHT end.
                 head = SWEEP if kind == END else WANDER

@@ -180,11 +180,8 @@ class LineTM(LineMachineProtocol):
         self.name = f"Line-TM[{program}]"
 
     def initial_configuration(self, n: int) -> Configuration:
-        entry = self._program_entry
-        tape = entry.tape(n)  # raises MachineError below the program minimum
-        self.tape = tape
-        self.head_at = n - 1
-        return super().initial_configuration(n)
+        # entry.tape raises MachineError below the program minimum.
+        return self._line(self._program_entry.tape(n), n - 1)
 
     def target_reached(self, config: Configuration) -> bool:
         verdict = self.verdict(config)
@@ -225,9 +222,9 @@ class TMDeciderOnLine(LineMachineProtocol):
                 f"deciding {self.graph!r} needs a line of >= {self.min_n} "
                 f"agents (encoding plus sentinel), got {n}"
             )
-        self.tape = self._base_tape + [BLANK] * (n - len(self._base_tape))
-        self.head_at = n - 1
-        return super().initial_configuration(n)
+        return self._line(
+            self._base_tape + [BLANK] * (n - len(self._base_tape)), n - 1
+        )
 
     def target_reached(self, config: Configuration) -> bool:
         want = "accept" if self._expected else "reject"

@@ -234,6 +234,29 @@ class TestCheckersDetectViolations:
         assert not outcome.passed
         assert "on_edge_loss" in outcome.detail and "zzz" in outcome.detail
 
+    @pytest.mark.parametrize("attr, value", [
+        ("initial_state", "zzz"),
+        ("leader_states", frozenset({"zzz"})),
+    ])
+    def test_adversarial_catches_undeclared_joins_and_claims(self, attr, value):
+        """Arrivals join in ``initial_state`` and an always-leader liar
+        claims a ``leader_states`` member mid-run: both must be declared
+        for every state a run interns to be interned at compile time."""
+
+        class Leaky(Protocol):
+            name = "leaky"
+            initial_state = "a"
+            states = frozenset({"a"})
+
+            def delta(self, a, b, c):
+                return None
+
+        protocol = Leaky()
+        setattr(protocol, attr, value)
+        outcome = check_adversarial(protocol, "leaky", DEFAULT_SETTINGS)
+        assert not outcome.passed
+        assert attr in outcome.detail and "zzz" in outcome.detail
+
     def test_unknown_check_name_rejected(self):
         with pytest.raises(ConformanceError, match="unknown check"):
             conformance_cases(checks=["no-such-check"])

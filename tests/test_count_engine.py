@@ -32,7 +32,7 @@ import statistics
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.configuration import Census, Configuration, census_pair_key
@@ -367,6 +367,13 @@ class TestCensusRoundTrip:
         assert Configuration.from_census(census).census() == census
 
     @given(configurations())
+    # Complete on a:3, b:2: the capped expectations floor to 8 of 10
+    # edges and only the a-b class has room for the other two, more
+    # than the one extra edge per class a single largest-remainder pass
+    # hands out.
+    @example(Configuration(
+        ["a", "a", "a", "b", "b"], itertools.combinations(range(5), 2)
+    ))
     @settings(max_examples=80, deadline=None)
     def test_derive_edge_census_conserves_totals(self, cfg):
         census = cfg.census()

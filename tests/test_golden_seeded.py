@@ -33,6 +33,14 @@ indexed-engine runs at the sizes the benchmarks use (the cells of
 every memoized refresh plan of ``PairClassIndex`` is replayed many
 times over.  Its cells store the fields of the conformance grids.
 
+A protocol that declares its state set compiles once per instance, and
+every run on that instance shares the compiled table and the indexed
+engine's pair-class and plan memos on it.  The grids above build a
+fresh instance per cell, so they only ever see a cold table; the
+warm-table tests run the indexed grid on one instance per spec in
+reverse fixture order, and the paper-scale cells on one instance per
+label with the seeds reversed, against the same fixtures.
+
 Regenerate the fixtures only for a change that is meant to alter the
 seeded law, and say so in the change::
 
@@ -134,12 +142,15 @@ def config_digest(config: Configuration) -> str:
 
 
 def golden_cell(
-    engine: str, spec: str, scheduler: str, setting: str, seed: int
+    engine: str, spec: str, scheduler: str, setting: str, seed: int,
+    protocol=None,
 ) -> dict:
-    """One seeded run, reduced to the values the fixture stores.  A run
+    """One seeded run, reduced to the values the fixture stores, on a
+    fresh instance of ``spec`` unless ``protocol`` is given.  A run
     the engine refuses (population events on a protocol without an
     ``initial_state``) stores the exception class instead."""
-    protocol = registry.instantiate(spec)
+    if protocol is None:
+        protocol = registry.instantiate(spec)
     n = conformance_population(protocol)
     scenario = Scenario(scheduler=scheduler, faults=FAULT_SETTINGS[setting])
     sim = make_scenario_engine(engine, seed, scenario)
@@ -187,11 +198,13 @@ def count_cell(label: str, seed: int) -> dict:
     }
 
 
-def scale_cell(label: str, seed: int) -> dict:
+def scale_cell(label: str, seed: int, protocol=None) -> dict:
     """One seeded paper-scale run of the indexed engine, reduced to the
-    fields of :func:`golden_cell`."""
+    fields of :func:`golden_cell`, on a fresh instance unless
+    ``protocol`` is given."""
     spec, n, _ = SCALE_CELLS[label]
-    protocol = registry.instantiate(spec)
+    if protocol is None:
+        protocol = registry.instantiate(spec)
     scenario = Scenario()
     sim = make_scenario_engine("indexed", seed, scenario)
     result = sim.run(
@@ -279,6 +292,40 @@ def test_scale_results_unchanged(golden, label):
     for key, cell in scale_cells().items():
         if cell[0] == label:
             got = scale_cell(*cell)
+            if got != golden["scale"][key]:
+                mismatches[key] = {"golden": golden["scale"][key], "got": got}
+    assert not mismatches, json.dumps(mismatches, indent=1)
+
+
+def test_indexed_cells_on_a_warm_table(golden):
+    """The indexed grid on one instance per spec, in reverse fixture
+    order: each cell runs on the compiled table the cells before it
+    warmed, and must still give its fixture value."""
+    grid = {
+        key: cell
+        for spec in conformance_specs()
+        for key, cell in cells("indexed", spec).items()
+    }
+    instances: dict = {}
+    mismatches = {}
+    for key in reversed(list(golden["indexed"])):
+        spec = grid[key][1]
+        if spec not in instances:
+            instances[spec] = registry.instantiate(spec)
+        got = golden_cell(*grid[key], protocol=instances[spec])
+        if got != golden["indexed"][key]:
+            mismatches[key] = {"golden": golden["indexed"][key], "got": got}
+    assert not mismatches, json.dumps(mismatches, indent=1)
+
+
+def test_scale_cells_on_a_warm_table(golden):
+    """The paper-scale cells on one instance per label, seeds reversed."""
+    mismatches = {}
+    for label, (spec, _, seeds) in SCALE_CELLS.items():
+        protocol = registry.instantiate(spec)
+        for seed in reversed(seeds):
+            key = f"{label} | seed={seed}"
+            got = scale_cell(label, seed, protocol=protocol)
             if got != golden["scale"][key]:
                 mismatches[key] = {"golden": golden["scale"][key], "got": got}
     assert not mismatches, json.dumps(mismatches, indent=1)

@@ -90,15 +90,15 @@ class LazyEpidemic(TableProtocol):
 
 @pytest.fixture
 def indexes(monkeypatch):
-    """Every PairClassIndex the engine builds, with its oracle."""
+    """Every PairClassIndex the engine builds (each holds the compiled
+    table it was built over as ``table``)."""
     from repro.core import simulator
 
     built = []
 
     class Recording(PairClassIndex):
-        def __init__(self, is_effective):
-            super().__init__(is_effective)
-            self.oracle = is_effective
+        def __init__(self, table):
+            super().__init__(table)
             built.append(self)
 
     monkeypatch.setattr(simulator, "PairClassIndex", Recording)
@@ -155,7 +155,7 @@ class TestPairClassIndex:
         n = 12
         cfg = protocol.initial_configuration(n)
         sid = [compiled.intern(cfg.state(u)) for u in range(n)]
-        index = PairClassIndex(compiled.is_effective)
+        index = PairClassIndex(compiled)
         for u in range(n):
             index.add_node(u, sid[u])
         index.rebuild()
@@ -166,7 +166,7 @@ class TestPairClassIndex:
         # against brute force.
         result = IndexedSimulator(seed=5).run(protocol, n, None)
         final = result.config
-        index = PairClassIndex(compiled.is_effective)
+        index = PairClassIndex(compiled)
         for u in range(n):
             index.add_node(u, compiled.intern(final.state(u)))
         for u, v in final.active_edges():
@@ -181,7 +181,7 @@ class TestPairClassIndex:
             "t", "a", {("a", "b", 1): ("a", "a", 1)}
         ).compile()
         a, b = compiled.intern("a"), compiled.intern("b")
-        index = PairClassIndex(compiled.is_effective)
+        index = PairClassIndex(compiled)
         index.add_node(0, a)
         index.add_node(1, b)
         index.add_edge(0, 1, a, b)
@@ -209,8 +209,13 @@ class TestPairClassIndex:
         active |= {(u, v) for u in a_nodes for v in b_nodes}
         active -= gaps[(0, 0, 0)] | gaps[(0, 1, 0)]
         state = {u: 0 for u in a_nodes} | {v: 1 for v in b_nodes}
-        # Only the two non-edge classes under test are effective.
-        index = PairClassIndex(lambda lo, hi, c: (lo, hi, c) in gaps)
+        # Only the two non-edge classes under test are effective: ids
+        # follow repr order, so "a" is 0 and "b" is 1.
+        compiled = TableProtocol(
+            "gaps", "a", {("a", "a", 0): ("a", "a", 1), ("a", "b", 0): ("a", "b", 1)}
+        ).compile()
+        assert [compiled.intern(s) for s in "ab"] == [0, 1]
+        index = PairClassIndex(compiled)
         for u, s in state.items():
             index.add_node(u, s)
         for u, v in sorted(active):
@@ -235,7 +240,8 @@ class TestPairClassIndex:
 
     def test_plan_memo_stays_within_its_cap(self, indexes, monkeypatch):
         """A refresh whose visit plan no longer fits under the cap runs
-        unmemoized, and the seeded run is the one an uncapped memo gives."""
+        unmemoized, and the seeded run is the one an uncapped memo gives.
+        The memo lives on the compiled table, which counts its cells."""
         from repro.core import indexing
         from repro.protocols import registry
 
@@ -246,7 +252,10 @@ class TestPairClassIndex:
             return result.steps, result.effective_steps, result.config.states(), edges
 
         def cells(index):
-            return sum(len(key) + len(plan) for key, plan in index._plans.items())
+            plans = index.table.plans
+            used = sum(len(key) + len(plan) for key, plan in plans.items())
+            assert used == index.table.plan_cells
+            return used
 
         free = run()
         monkeypatch.setattr(indexing, "_PLAN_CAP", 40)
@@ -277,7 +286,7 @@ class TestPairClassIndexUnderFaults:
         # The engine interned every live state already, so intern() only
         # looks ids up; effectiveness is asked of the raw protocol so the
         # check interns no outcome states of its own.
-        compiled = index.oracle.__self__
+        compiled = index.table
         sid = {}
         nodes: dict = {}
         for u in range(cfg.n):

@@ -4,6 +4,8 @@ parallel execution, seed policies, serialization)."""
 from __future__ import annotations
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -16,12 +18,13 @@ from repro.analysis.runner import (
     Runner,
     SweepResult,
     TrialSpec,
+    run_one,
     run_trial,
     summarize,
 )
 from repro.core.serialization import dump, load
 from repro.core.simulator import make_engine
-from repro.protocols import CycleCover
+from repro.protocols import CycleCover, registry
 from tests.conftest import trial_times
 
 SMALL_SPEC = ExperimentSpec(
@@ -178,6 +181,54 @@ class TestExecutors:
         assert [r.deterministic() for r in pooled.records] == [
             r.deterministic() for r in serial.records
         ]
+
+
+class TestSharedTables:
+    """Trials of one spec share its protocol instance and compiled
+    table; records must not depend on it."""
+
+    SPEC = ExperimentSpec(protocol="global-ring", sizes=(8, 12, 16), trials=10)
+
+    def test_shared_instance_compiles_once(self):
+        protocol = registry.shared("global-ring")
+        assert registry.shared("global-ring") is protocol
+        assert protocol.compile() is protocol.compile()
+
+    def test_two_threads_on_one_table(self):
+        """Two threads run the same trials through run_trial at once, on
+        one cold shared table (the overlap of a stopped service's batch
+        with the next service's), and both return the records of cold
+        serial runs on fresh instances."""
+        trials = self.SPEC.expand()
+        serial = [
+            run_one(registry.instantiate(t.protocol), t)[0].deterministic()
+            for t in trials
+        ]
+        registry.shared.cache_clear()
+        # Switch threads as often as possible while both fill the table.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        barrier = threading.Barrier(2)
+        out: list = [None, None]
+
+        def work(slot):
+            barrier.wait(timeout=60)
+            out[slot] = [run_trial(t).deterministic() for t in trials]
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in (0, 1)]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert out[0] == serial and out[1] == serial
+        # No plan budget update was lost between the threads.
+        table = registry.shared("global-ring").compile()
+        cells = sum(len(key) + len(plan) for key, plan in table.plans.items())
+        assert table.plan_cells == cells > 0
 
 
 class TestCompatibilityShims:
