@@ -84,29 +84,19 @@ def _crash_family(load: float, at: int) -> str | None:
     return f"crash:count={count},at={at}" if count else None
 
 
-def _edge_drop_family(load: float, at: int) -> str | None:
-    if load < 0 or load >= 1:
-        raise ExperimentError(
-            f"edge-drop loads are per-step rates in [0, 1), got {load!r}"
-        )
-    return f"edge-drop:rate={load}" if load else None
+def _rate_family(
+    name: str, unit: str = "per-step rates"
+) -> Callable[[float, int], str | None]:
+    """The family of a sustained model whose load is its ``rate``."""
 
+    def family(load: float, at: int) -> str | None:
+        if load < 0 or load >= 1:
+            raise ExperimentError(
+                f"{name} loads are {unit} in [0, 1), got {load!r}"
+            )
+        return f"{name}:rate={load}" if load else None
 
-def _churn_family(load: float, at: int) -> str | None:
-    if load < 0 or load >= 1:
-        raise ExperimentError(
-            f"churn loads are per-step rates in [0, 1), got {load!r}"
-        )
-    return f"churn:rate={load}" if load else None
-
-
-def _edge_rate_family(load: float, at: int) -> str | None:
-    if load < 0 or load >= 1:
-        raise ExperimentError(
-            f"edge-rate loads are per-edge per-step rates in [0, 1), "
-            f"got {load!r}"
-        )
-    return f"edge-rate:rate={load}" if load else None
+    return family
 
 
 def _byzantine_family(load: float, at: int) -> str | None:
@@ -133,14 +123,11 @@ def _byzantine_family(load: float, at: int) -> str | None:
 #: ignore it.
 FAULT_FAMILIES: dict[str, Callable[[float, int], str | None]] = {
     "crash": _crash_family,
-    "edge-drop": _edge_drop_family,
-    "edge-rate": _edge_rate_family,
-    "churn": _churn_family,
+    "edge-drop": _rate_family("edge-drop"),
+    "edge-rate": _rate_family("edge-rate", "per-edge per-step rates"),
+    "churn": _rate_family("churn"),
     "byzantine": _byzantine_family,
 }
-
-#: Sustained families whose positive loads perturb the run forever.
-UNBOUNDED_FAMILIES = frozenset({"edge-drop", "edge-rate", "churn", "byzantine"})
 
 
 def _format_load(load: float) -> float | int:

@@ -40,13 +40,19 @@ Execution model
 A :class:`FaultModel` is a serializable description; :meth:`compile`
 binds it to a population size and a dedicated random stream (derived
 from the trial seed, so fault randomness never perturbs the scheduler's
-stream) producing a :class:`FaultPlan`.  Plans are *step-indexed*:
+stream) producing a :class:`FaultPlan`.  Every model compiles to that
+one plan class: a clock — a one-shot step, or a per-step Bernoulli rate
+clock with geometric gaps — plus the model's firing rule, which turns a
+firing into concrete :class:`FaultAction` s.  Plans are *step-indexed*:
 ``next_step`` names the next step at which something fires and
-``actions_at`` yields concrete :class:`FaultAction` s for that step, so
-the event-driven engines can cap their geometric skips at the next
-fault event instead of walking every step.  A fault scheduled at step
-``f`` is applied after the scheduler's pick number ``f`` and before
-pick ``f + 1`` (``at=0`` fires before the first pick).
+``actions_at`` yields the actions for that step, so the event-driven
+engines can cap their geometric skips at the next fault event instead
+of walking every step.  A fault scheduled at step ``f`` is applied
+after the scheduler's pick number ``f`` and before pick ``f + 1``
+(``at=0`` fires before the first pick).  All models of a run draw from
+one fault stream, so the order of their draws is part of the seeded
+law: rate clocks draw their first gap at compile time, in model order,
+and a firing that finds nothing to act on draws nothing.
 
 >>> import random
 >>> plan = FAULTS.instantiate("arrive:count=3,at=100").compile(
@@ -85,8 +91,9 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, TypeVar
 
 from repro.core.configuration import Configuration
 from repro.core.errors import SimulationError
@@ -261,8 +268,47 @@ class FaultAction:
     silent: bool = False
 
 
+#: A fault model's firing rule ``fire(step, config, alive)``: the
+#: concrete actions of one firing at ``step``, given the configuration
+#: and its alive node ids.  A firing that finds nothing to act on
+#: returns ``[]`` without drawing from the fault stream.
+FireRule = Callable[[int, Configuration, list[int]], list[FaultAction]]
+
+
+def _geometric_gap(after: int, rate: float, rng: random.Random) -> int:
+    """The next event time of a per-step Bernoulli(``rate``) process,
+    strictly after ``after`` (inverse-CDF geometric draw).  A rate of 1
+    fires at every step and draws nothing; a gap too long for a float
+    (``rate`` below ~1e-307) is capped far beyond any step budget."""
+    if rate >= 1.0:
+        return after + 1
+    skip = math.log(1.0 - rng.random()) / math.log1p(-rate)
+    return after + 1 + int(min(skip, sys.float_info.max))
+
+
 class FaultPlan:
-    """A fault model bound to one run: a step-indexed event stream."""
+    """A fault model bound to one run: a step-indexed event stream.
+
+    A plan is a clock plus the model's firing rule ``fire``.  The clock
+    is either a one-shot step ``at``, which is also the plan's
+    :attr:`horizon`, or a rate clock: a per-step Bernoulli(``rate``)
+    process whose geometric gaps are drawn from ``rng``, the first one
+    when the plan is built.  A plan with neither never fires.
+
+    >>> import random
+    >>> plan = FaultPlan(
+    ...     lambda step, config, alive: [FaultAction(step, "arrive", count=1)],
+    ...     rate=0.25, rng=random.Random(3), mutates_population=True)
+    >>> steps = [plan.next_step(-1)]
+    >>> for _ in range(4):
+    ...     steps.append(plan.next_step(steps[-1]))
+    >>> steps
+    [1, 4, 6, 10, 14]
+    >>> [a.kind for a in plan.actions_at(14, Configuration([]), [])]
+    ['arrive']
+    >>> plan.actions_at(15, Configuration([]), []), plan.horizon
+    ([], -1)
+    """
 
     #: Last step at which a *scheduled one-shot* event fires (``-1``
     #: when the plan has none).  Engines refuse to declare stabilization
@@ -278,17 +324,48 @@ class FaultPlan:
     #: effective pairs out of nothing.
     mutates_population: bool = False
 
+    def __init__(
+        self,
+        fire: FireRule,
+        *,
+        at: int | None = None,
+        rate: float = 0.0,
+        rng: random.Random | None = None,
+        mutates_population: bool = False,
+    ) -> None:
+        self.fire = fire
+        self.at = at
+        self.rate = rate
+        self.rng = rng
+        self.mutates_population = mutates_population
+        self._next: int | None = None
+        if at is not None:
+            self.horizon = at
+            self._next = at
+        elif rate > 0.0:
+            self._next = self._gap(0)
+
+    def _gap(self, after: int) -> int:
+        assert self.rng is not None, "a rate clock draws from an rng"
+        return _geometric_gap(after, self.rate, self.rng)
+
     def next_step(self, after: int) -> int | None:
         """The next step strictly greater than ``after`` at which this
         plan fires, or ``None`` when nothing is left."""
-        raise NotImplementedError
+        if self.at is not None:
+            return self.at if after < self.at else None
+        while self._next is not None and self._next <= after:
+            self._next = self._gap(self._next)
+        return self._next
 
     def actions_at(
         self, step: int, config: Configuration, alive: list[int]
     ) -> list[FaultAction]:
         """Concrete actions firing at ``step`` (may be empty — e.g. a
         deletion attempt finding no active edge)."""
-        raise NotImplementedError
+        if step != self._next:
+            return []
+        return self.fire(step, config, alive)
 
 
 class FaultModel:
@@ -308,6 +385,18 @@ class FaultModel:
         but protocol-aware adversaries (:class:`ByzantineFaults`) need its
         declared state set / leader states to fabricate lies."""
         raise NotImplementedError
+
+
+class _RateFaults(FaultModel):
+    """Base of the sustained models driven by one per-step ``rate``."""
+
+    bounded = False
+
+    def __init__(self, rate: float) -> None:
+        try:
+            self.rate = probability(rate)
+        except (TypeError, ValueError) as exc:
+            raise SimulationError(str(exc)) from None
 
 
 # ----------------------------------------------------------------------
@@ -340,7 +429,15 @@ class CrashFaults(FaultModel):
     def compile(
         self, n: int, rng: random.Random, protocol: Protocol | None = None
     ) -> FaultPlan:
-        return _OneShotPlan(self.at, "crash", self.count, (), rng)
+        count = self.count
+
+        def fire(
+            step: int, config: Configuration, alive: list[int]
+        ) -> list[FaultAction]:
+            victims = rng.sample(sorted(alive), min(count, len(alive)))
+            return [FaultAction(step, "crash", nodes=tuple(sorted(victims)))]
+
+        return FaultPlan(fire, at=self.at)
 
 
 @register_fault(
@@ -370,44 +467,19 @@ class EdgeCutFaults(FaultModel):
     def compile(
         self, n: int, rng: random.Random, protocol: Protocol | None = None
     ) -> FaultPlan:
-        for u, v in self.edges:
+        edges = self.edges
+        for u, v in edges:
             if u >= n or v >= n:
                 raise SimulationError(
                     f"cut edge {(u, v)} out of range for n={n}"
                 )
-        return _OneShotPlan(self.at, "cut", 0, self.edges, rng)
 
+        def fire(
+            step: int, config: Configuration, alive: list[int]
+        ) -> list[FaultAction]:
+            return [FaultAction(step, "cut", edges=edges)]
 
-class _OneShotPlan(FaultPlan):
-    """Shared plan for the scheduled one-shot models (crash / cut)."""
-
-    def __init__(
-        self,
-        at: int,
-        kind: str,
-        count: int,
-        edges: tuple[tuple[int, int], ...],
-        rng: random.Random,
-    ) -> None:
-        self.at = at
-        self.kind = kind
-        self.count = count
-        self.edges = edges
-        self.rng = rng
-        self.horizon = at
-
-    def next_step(self, after: int) -> int | None:
-        return self.at if after < self.at else None
-
-    def actions_at(
-        self, step: int, config: Configuration, alive: list[int]
-    ) -> list[FaultAction]:
-        if step != self.at:
-            return []
-        if self.kind == "crash":
-            victims = self.rng.sample(sorted(alive), min(self.count, len(alive)))
-            return [FaultAction(step, "crash", nodes=tuple(sorted(victims)))]
-        return [FaultAction(step, "cut", edges=self.edges)]
+        return FaultPlan(fire, at=self.at)
 
 
 @register_fault(
@@ -419,70 +491,81 @@ class _OneShotPlan(FaultPlan):
     aliases=("edge-deletion",),
     description="each step w.p. `rate` delete one uniform active edge",
 )
-class EdgeDropFaults(FaultModel):
+class EdgeDropFaults(_RateFaults):
     """Sustained random edge deletion: at every scheduler step, with
     probability ``rate``, one uniformly-chosen active edge is
     deactivated.  Attempt times are geometric, hence step-indexed, so
     the skip-ahead engines handle this model exactly."""
 
-    bounded = False
-
-    def __init__(self, rate: float) -> None:
-        try:
-            self.rate = probability(rate)
-        except (TypeError, ValueError) as exc:
-            raise SimulationError(str(exc)) from None
-
     def compile(
         self, n: int, rng: random.Random, protocol: Protocol | None = None
     ) -> FaultPlan:
-        return _DropPlan(self.rate, rng)
+        def fire(
+            step: int, config: Configuration, alive: list[int]
+        ) -> list[FaultAction]:
+            active = sorted(config.active_edges())
+            if not active:
+                return []
+            edge = active[rng.randrange(len(active))]
+            return [FaultAction(step, "cut", edges=(edge,))]
+
+        return FaultPlan(fire, rate=self.rate, rng=rng)
 
 
-def _geometric_gap(after: int, rate: float, rng: random.Random) -> int:
-    """The next event time of a per-step Bernoulli(``rate``) process,
-    strictly after ``after`` (inverse-CDF geometric draw)."""
-    u = rng.random()
-    return after + 1 + int(math.log(1.0 - u) / math.log(1.0 - rate))
+def _unrank_pairs(
+    slots: Iterable[int], n: int
+) -> Iterator[tuple[int, int]]:
+    """The pairs ``(u, v)``, ``u < v``, at the increasing ``slots`` of
+    the lexicographic order over the ``n * (n - 1) / 2`` unordered
+    pairs, in one pass over the rows.
 
-
-class _DropPlan(FaultPlan):
-    def __init__(self, rate: float, rng: random.Random) -> None:
-        self.rate = rate
-        self.rng = rng
-        self._next = _geometric_gap(0, rate, rng)
-
-    def next_step(self, after: int) -> int | None:
-        while self._next <= after:
-            self._next = _geometric_gap(self._next, self.rate, self.rng)
-        return self._next
-
-    def actions_at(
-        self, step: int, config: Configuration, alive: list[int]
-    ) -> list[FaultAction]:
-        if step != self._next:
-            return []
-        active = sorted(config.active_edges())
-        if not active:
-            return []
-        u, v = active[self.rng.randrange(len(active))]
-        return [FaultAction(step, "cut", edges=((u, v),))]
-
-
-def _unrank_pair(index: int, n: int) -> tuple[int, int]:
-    """The ``index``-th pair ``(u, v)``, ``u < v``, in lexicographic
-    order over the ``n * (n - 1) / 2`` unordered pairs.
-
-    >>> [_unrank_pair(i, 4) for i in range(6)]
+    >>> list(_unrank_pairs(range(6), 4))
     [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
     """
     u = 0
-    row = n - 1
-    while index >= row:
-        index -= row
-        u += 1
-        row -= 1
-    return (u, u + 1 + index)
+    first = 0  # the slot of (u, u + 1)
+    for slot in slots:
+        while slot >= first + n - 1 - u:
+            first += n - 1 - u
+            u += 1
+        yield (u, u + 1 + slot - first)
+
+
+def _firing_slots(
+    m: int, rate: float, p_total: float, rng: random.Random
+) -> list[int]:
+    """The slots, in increasing order, whose Bernoulli(``rate``) clocks
+    fire at one event of their union clock of rate ``p_total`` — that
+    is, conditioned on at least one of the ``m`` firing.
+
+    The number ``K`` that fire is drawn by an exact inverse-CDF walk
+    over ``P(K = k) = C(m, k) rate^k (1-rate)^(m-k) / p_total`` from
+    ``P(K = 1)``, and the slots are a uniform ``K``-sample.  Once
+    ``(1 - rate)^(m - 1)`` falls below the normal float range
+    (``(m - 1) * -ln(1 - rate)`` above ~708), ``P(K = 1)`` loses
+    precision and then underflows to 0.0; the walk's mass can fall
+    short of the roll, and then it fires every slot.  There the slot
+    clocks run themselves: geometric skips over the ``m`` slots,
+    redrawn in the (< 1e-300) case that none fires.
+    """
+    quiet = math.pow(1.0 - rate, m - 1)  # P(some m - 1 slots stay quiet)
+    if quiet < sys.float_info.min:
+        slots: list[int] = []
+        while not slots:
+            slot = _geometric_gap(-1, rate, rng)
+            while slot < m:
+                slots.append(slot)
+                slot = _geometric_gap(slot, rate, rng)
+        return slots
+    pk = m * rate * quiet  # P(K = 1)
+    roll = rng.random() * p_total
+    k = 1
+    acc = pk
+    while roll >= acc and k < m:
+        pk *= (m - k) / (k + 1) * rate / (1.0 - rate)
+        k += 1
+        acc += pk
+    return sorted(rng.sample(range(m), k))
 
 
 @register_fault(
@@ -494,7 +577,7 @@ def _unrank_pair(index: int, n: int) -> tuple[int, int]:
     aliases=("edge-failure",),
     description="each active edge independently fails w.p. `rate` per step",
 )
-class EdgeRateFaults(FaultModel):
+class EdgeRateFaults(_RateFaults):
     """Per-edge independent failure: every *active* edge, at every
     scheduler step, fails independently with probability ``rate``.
 
@@ -505,9 +588,9 @@ class EdgeRateFaults(FaultModel):
     step-indexed: all ``m = n(n-1)/2`` pair slots carry independent
     per-step Bernoulli(``rate``) clocks; a clock firing on an *inactive*
     pair is a no-op, so the marginal law on active edges is exactly
-    independent failure.  The first firing time is geometric with
+    independent failure.  The plan's clock is their union, of rate
     ``p = 1 - (1 - rate)^m``, and the firing set at an event is drawn
-    from the exact conditional size distribution — the skip-ahead
+    exactly given that one fired, at any ``m * rate`` — the skip-ahead
     engines never walk the quiet steps.
 
     The slot set is fixed at the compile-time population size: edges
@@ -515,77 +598,26 @@ class EdgeRateFaults(FaultModel):
     (combine with ``edge-drop`` if arriving nodes must be at risk too).
     """
 
-    bounded = False
-
-    def __init__(self, rate: float) -> None:
-        try:
-            self.rate = probability(rate)
-        except (TypeError, ValueError) as exc:
-            raise SimulationError(str(exc)) from None
-
     def compile(
         self, n: int, rng: random.Random, protocol: Protocol | None = None
     ) -> FaultPlan:
-        return _EdgeRatePlan(self.rate, n, rng)
-
-
-class _EdgeRatePlan(FaultPlan):
-    def __init__(self, rate: float, n: int, rng: random.Random) -> None:
-        self.rate = rate
-        self.n = n
-        self.m = n * (n - 1) // 2
-        self.rng = rng
+        rate = self.rate
+        m = n * (n - 1) // 2
         # P(at least one of the m clocks fires this step).
-        self.p_total = -math.expm1(self.m * math.log1p(-rate))
-        self._next: int | None = (
-            self._gap(0) if self.m and self.p_total < 1.0 else (1 if self.m else None)
-        )
+        p_total = -math.expm1(m * math.log1p(-rate))
 
-    def _gap(self, after: int) -> int:
-        return _geometric_gap(after, self.p_total, self.rng)
+        def fire(
+            step: int, config: Configuration, alive: list[int]
+        ) -> list[FaultAction]:
+            slots = _firing_slots(m, rate, p_total, rng)
+            dead = {u for u in range(config.n) if config.state(u) == DEAD}
+            cut = tuple(
+                (u, v) for u, v in _unrank_pairs(slots, n)
+                if u not in dead and v not in dead and config.edge_state(u, v)
+            )
+            return [FaultAction(step, "cut", edges=cut)] if cut else []
 
-    def next_step(self, after: int) -> int | None:
-        nxt = self._next
-        if nxt is None:
-            return None
-        while nxt <= after:
-            nxt = self._gap(nxt) if self.p_total < 1.0 else nxt + 1
-        self._next = nxt
-        return nxt
-
-    def _firing_count(self) -> int:
-        """Exact draw of the number of firing clocks conditioned on at
-        least one firing: inverse-CDF walk over
-        ``P(K = k) = C(m, k) rate^k (1-rate)^(m-k) / p_total``."""
-        m, rate = self.m, self.rate
-        roll = self.rng.random() * self.p_total
-        pk = m * rate * math.pow(1.0 - rate, m - 1)  # P(K = 1)
-        k = 1
-        acc = pk
-        while roll >= acc and k < m:
-            pk *= (m - k) / (k + 1) * rate / (1.0 - rate)
-            k += 1
-            acc += pk
-        return k
-
-    def actions_at(
-        self, step: int, config: Configuration, alive: list[int]
-    ) -> list[FaultAction]:
-        if step != self._next:
-            return []
-        k = self._firing_count()
-        slots = self.rng.sample(range(self.m), k)
-        dead = {u for u in range(config.n) if config.state(u) == DEAD}
-        cut: list[tuple[int, int]] = []
-        for slot in sorted(slots):
-            u, v = _unrank_pair(slot, self.n)
-            if u in dead or v in dead:
-                continue
-            if config.edge_state(u, v):
-                cut.append((u, v))
-        if not cut:
-            return []
-        return [FaultAction(step, "cut", edges=tuple(cut))]
+        return FaultPlan(fire, rate=p_total, rng=rng)
 
 
 #: Byzantine lie modes: how a corrupted node fabricates its claimed state.
@@ -608,7 +640,7 @@ BYZANTINE_MODES = ("random-state", "replay", "always-leader")
     description="`count` byzantine nodes lie about state/edge-flags "
                 "(modes: random-state, replay, always-leader)",
 )
-class ByzantineFaults(FaultModel):
+class ByzantineFaults(_RateFaults):
     """``count`` nodes, chosen uniformly at compile time, behave
     byzantinely: at geometric times (per-step probability ``rate``) one
     of them *lies* about its protocol state, and with probability
@@ -637,8 +669,6 @@ class ByzantineFaults(FaultModel):
       :attr:`~repro.core.protocol.Protocol.leader_states`).
     """
 
-    bounded = False
-
     def __init__(
         self,
         count: int = 1,
@@ -650,10 +680,7 @@ class ByzantineFaults(FaultModel):
             raise SimulationError(
                 f"byzantine count must be >= 1, got {count}"
             )
-        try:
-            self.rate = probability(rate)
-        except (TypeError, ValueError) as exc:
-            raise SimulationError(str(exc)) from None
+        super().__init__(rate)
         if mode not in BYZANTINE_MODES:
             raise SimulationError(
                 f"unknown byzantine mode {mode!r}; "
@@ -675,8 +702,9 @@ class ByzantineFaults(FaultModel):
                 "byzantine faults are protocol-aware: compile with the "
                 "protocol under attack (engines do this automatically)"
             )
+        mode, lie = self.mode, self.lie
         state_pool: tuple[State, ...] = ()
-        if self.mode == "random-state":
+        if mode == "random-state":
             if protocol.states is None:
                 raise SimulationError(
                     f"byzantine mode 'random-state' needs an enumerable "
@@ -685,84 +713,49 @@ class ByzantineFaults(FaultModel):
                 )
             state_pool = tuple(sorted(protocol.states, key=repr))
         leader_lie: State | None = None
-        if self.mode == "always-leader":
+        if mode == "always-leader":
             if not protocol.leader_states:
                 raise SimulationError(
                     f"byzantine mode 'always-leader' needs leader_states, "
                     f"but {protocol.name} declares none"
                 )
             leader_lie = min(protocol.leader_states, key=repr)
+        initial_state = protocol.initial_state
+        replayed: dict[int, State] = {}
+        # The victims are drawn before the clock's first gap.
         victims = tuple(sorted(rng.sample(range(n), min(self.count, n))))
-        return _ByzantinePlan(
-            victims, self.rate, self.mode, self.lie,
-            state_pool, leader_lie, protocol.initial_state, rng,
-        )
 
+        def fire(
+            step: int, config: Configuration, alive: list[int]
+        ) -> list[FaultAction]:
+            alive_set = set(alive)
+            active = [v for v in victims if v in alive_set]
+            if not active:
+                return []
+            victim = active[rng.randrange(len(active))]
+            current = config.state(victim)
+            if mode == "random-state":
+                claim = state_pool[rng.randrange(len(state_pool))]
+            elif mode == "replay":
+                fallback = current if initial_state is None else initial_state
+                claim = replayed.get(victim, fallback)
+                replayed[victim] = current
+            else:  # always-leader
+                claim = leader_lie
+            actions = [
+                FaultAction(step, "corrupt", nodes=(victim,), states=(claim,))
+            ]
+            if rng.random() < lie:
+                nbrs = sorted(config.neighbors(victim))
+                if nbrs:
+                    x = nbrs[rng.randrange(len(nbrs))]
+                    edge = (victim, x) if victim < x else (x, victim)
+                    actions.append(
+                        FaultAction(step, "cut", edges=(edge,), silent=True)
+                    )
+            return actions
 
-class _ByzantinePlan(FaultPlan):
-    def __init__(
-        self,
-        victims: tuple[int, ...],
-        rate: float,
-        mode: str,
-        lie_p: float,
-        state_pool: tuple[State, ...],
-        leader_lie: State | None,
-        initial_state: State,
-        rng: random.Random,
-    ) -> None:
-        self.victims = victims
-        self.rate = rate
-        self.mode = mode
-        self.lie_p = lie_p
-        self.state_pool = state_pool
-        self.leader_lie = leader_lie
-        self.initial_state = initial_state
-        self.rng = rng
-        self._replayed: dict[int, object] = {}
-        self._next = _geometric_gap(0, rate, rng)
-
-    def next_step(self, after: int) -> int | None:
-        while self._next <= after:
-            self._next = _geometric_gap(self._next, self.rate, self.rng)
-        return self._next
-
-    def actions_at(
-        self, step: int, config: Configuration, alive: list[int]
-    ) -> list[FaultAction]:
-        if step != self._next:
-            return []
-        rng = self.rng
-        alive_set = set(alive)
-        active = [v for v in self.victims if v in alive_set]
-        if not active:
-            return []
-        victim = active[rng.randrange(len(active))]
-        current = config.state(victim)
-        if self.mode == "random-state":
-            claim = self.state_pool[rng.randrange(len(self.state_pool))]
-        elif self.mode == "replay":
-            fallback = (
-                self.initial_state
-                if self.initial_state is not None
-                else current
-            )
-            claim = self._replayed.get(victim, fallback)
-            self._replayed[victim] = current
-        else:  # always-leader
-            claim = self.leader_lie
-        actions = [
-            FaultAction(step, "corrupt", nodes=(victim,), states=(claim,))
-        ]
-        if rng.random() < self.lie_p:
-            nbrs = sorted(config.neighbors(victim))
-            if nbrs:
-                x = nbrs[rng.randrange(len(nbrs))]
-                edge = (victim, x) if victim < x else (x, victim)
-                actions.append(
-                    FaultAction(step, "cut", edges=(edge,), silent=True)
-                )
-        return actions
+        return FaultPlan(fire, rate=self.rate, rng=rng)
 
 
 # ----------------------------------------------------------------------
@@ -797,26 +790,14 @@ class ArrivalFaults(FaultModel):
     def compile(
         self, n: int, rng: random.Random, protocol: Protocol | None = None
     ) -> FaultPlan:
-        return _ArrivalPlan(self.at, self.count)
+        count = self.count
 
+        def fire(
+            step: int, config: Configuration, alive: list[int]
+        ) -> list[FaultAction]:
+            return [FaultAction(step, "arrive", count=count)]
 
-class _ArrivalPlan(FaultPlan):
-    mutates_population = True
-
-    def __init__(self, at: int, count: int) -> None:
-        self.at = at
-        self.count = count
-        self.horizon = at
-
-    def next_step(self, after: int) -> int | None:
-        return self.at if after < self.at else None
-
-    def actions_at(
-        self, step: int, config: Configuration, alive: list[int]
-    ) -> list[FaultAction]:
-        if step != self.at:
-            return []
-        return [FaultAction(step, "arrive", count=self.count)]
+        return FaultPlan(fire, at=self.at, mutates_population=True)
 
 
 @register_fault(
@@ -853,31 +834,20 @@ class RecoverFaults(FaultModel):
     def compile(
         self, n: int, rng: random.Random, protocol: Protocol | None = None
     ) -> FaultPlan:
-        return _RecoverPlan(self.at + self.delay, self.count, rng)
+        count = self.count
 
+        def fire(
+            step: int, config: Configuration, alive: list[int]
+        ) -> list[FaultAction]:
+            dead = dead_nodes(config)
+            if not dead:
+                return []
+            revived = rng.sample(dead, min(count, len(dead)))
+            return [FaultAction(step, "revive", nodes=tuple(sorted(revived)))]
 
-class _RecoverPlan(FaultPlan):
-    mutates_population = True
-
-    def __init__(self, at: int, count: int, rng: random.Random) -> None:
-        self.at = at
-        self.count = count
-        self.rng = rng
-        self.horizon = at
-
-    def next_step(self, after: int) -> int | None:
-        return self.at if after < self.at else None
-
-    def actions_at(
-        self, step: int, config: Configuration, alive: list[int]
-    ) -> list[FaultAction]:
-        if step != self.at:
-            return []
-        dead = dead_nodes(config)
-        if not dead:
-            return []
-        revived = self.rng.sample(dead, min(self.count, len(dead)))
-        return [FaultAction(step, "revive", nodes=tuple(sorted(revived)))]
+        return FaultPlan(
+            fire, at=self.at + self.delay, mutates_population=True
+        )
 
 
 @register_fault(
@@ -889,7 +859,7 @@ class _RecoverPlan(FaultPlan):
     aliases=("turnover",),
     description="each step w.p. `rate` crash one node and add one fresh node",
 )
-class ChurnFaults(FaultModel):
+class ChurnFaults(_RateFaults):
     """Sustained population turnover: at every scheduler step, with
     probability ``rate``, one uniformly-chosen alive node crash-stops
     and one fresh node joins in the protocol's initial state — paired
@@ -897,43 +867,23 @@ class ChurnFaults(FaultModel):
     while its membership keeps rotating.  Event times are geometric,
     hence step-indexed, so the skip-ahead engines handle churn exactly."""
 
-    bounded = False
-
-    def __init__(self, rate: float) -> None:
-        try:
-            self.rate = probability(rate)
-        except (TypeError, ValueError) as exc:
-            raise SimulationError(str(exc)) from None
-
     def compile(
         self, n: int, rng: random.Random, protocol: Protocol | None = None
     ) -> FaultPlan:
-        return _ChurnPlan(self.rate, rng)
+        def fire(
+            step: int, config: Configuration, alive: list[int]
+        ) -> list[FaultAction]:
+            if not alive:
+                return []
+            victim = sorted(alive)[rng.randrange(len(alive))]
+            return [
+                FaultAction(step, "crash", nodes=(victim,)),
+                FaultAction(step, "arrive", count=1),
+            ]
 
-
-class _ChurnPlan(FaultPlan):
-    mutates_population = True
-
-    def __init__(self, rate: float, rng: random.Random) -> None:
-        self.rate = rate
-        self.rng = rng
-        self._next = _geometric_gap(0, rate, rng)
-
-    def next_step(self, after: int) -> int | None:
-        while self._next <= after:
-            self._next = _geometric_gap(self._next, self.rate, self.rng)
-        return self._next
-
-    def actions_at(
-        self, step: int, config: Configuration, alive: list[int]
-    ) -> list[FaultAction]:
-        if step != self._next or not alive:
-            return []
-        victim = sorted(alive)[self.rng.randrange(len(alive))]
-        return [
-            FaultAction(step, "crash", nodes=(victim,)),
-            FaultAction(step, "arrive", count=1),
-        ]
+        return FaultPlan(
+            fire, rate=self.rate, rng=rng, mutates_population=True
+        )
 
 
 class CompositeFaultPlan(FaultPlan):

@@ -94,10 +94,6 @@ def uniform_pairs(n: int, rng: random.Random) -> Iterator[tuple[int, int]]:
 class Scheduler:
     """Base class: a stream of unordered pairs ``(u, v)``, ``u != v``."""
 
-    #: True when the scheduler is the uniform random one, whose law the
-    #: geometric skips of the event-driven engines encode.
-    uniform_random = False
-
     #: True when the scheduler reads the live configuration while
     #: scheduling.  Adaptive schedulers implement
     #: ``pairs(n, rng, config=..., protocol=...)``; the sequential
@@ -124,8 +120,6 @@ class Scheduler:
 class UniformRandomScheduler(Scheduler):
     """The paper's timing model: each step selects one of the
     ``n(n-1)/2`` pairs independently and uniformly at random."""
-
-    uniform_random = True
 
     def pairs(self, n: int, rng: random.Random) -> Iterator[tuple[int, int]]:
         self._check(n)

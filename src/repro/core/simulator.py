@@ -136,17 +136,6 @@ def _join_state(protocol: Protocol):
     return state
 
 
-@dataclass(frozen=True)
-class InteractionResult:
-    """What one applied interaction changed."""
-
-    changed: bool
-    u_state_changed: bool
-    v_state_changed: bool
-    edge_changed: bool
-    event: Event | None = None
-
-
 def apply_interaction(
     protocol: Protocol,
     config: Configuration,
@@ -154,13 +143,14 @@ def apply_interaction(
     v: int,
     rng: random.Random,
     step: int = 0,
-) -> InteractionResult:
+) -> Event | None:
     """Apply one interaction between nodes ``u`` and ``v`` in place.
 
     Implements the full Section 3.1 semantics: partial-function
     orientation resolution, probabilistic outcome sampling (PREL), and the
     equiprobable symmetry breaking for ``(a, a, c) -> (a', b', c')`` rules
-    with ``a' != b'``.
+    with ``a' != b'``.  Returns the :class:`~repro.core.trace.Event` of
+    the change, or ``None`` when the interaction changed nothing.
     """
     if u == v:
         raise SimulationError(f"node {u} cannot interact with itself")
@@ -168,7 +158,7 @@ def apply_interaction(
     c = config.edge_state(u, v)
     resolved = resolve(protocol, a, b, c)
     if resolved is None:
-        return InteractionResult(False, False, False, False)
+        return None
     dist, swapped = resolved
     outcome = sample_outcome(dist, rng)
     if swapped:
@@ -185,15 +175,14 @@ def apply_interaction(
     v_changed = new_v != b
     edge_changed = new_edge != c
     if not (u_changed or v_changed or edge_changed):
-        return InteractionResult(False, False, False, False)
+        return None
     if u_changed:
         config.set_state(u, new_u)
     if v_changed:
         config.set_state(v, new_v)
     if edge_changed:
         config.set_edge(u, v, new_edge)
-    event = Event(step, u, v, a, new_u, b, new_v, c, new_edge)
-    return InteractionResult(True, u_changed, v_changed, edge_changed, event)
+    return Event(step, u, v, a, new_u, b, new_v, c, new_edge)
 
 
 @dataclass
@@ -239,26 +228,20 @@ class RunResult:
         return self.last_output_change_step
 
 
-def _output_affected(
-    protocol: Protocol, result: InteractionResult, event: Event
-) -> bool:
-    """Did this interaction possibly change the output graph G(C)?"""
+def _output_affected(protocol: Protocol, event: Event) -> bool:
+    """Did this interaction possibly change the output graph G(C)?  (A
+    state that did not change cannot flip its output membership.)"""
     out = protocol.output_states
     if out is None:
-        return result.edge_changed
-    if result.u_state_changed and (
+        return event.edge_changed
+    return (
         (event.u_before in out) != (event.u_after in out)
-    ):
-        return True
-    if result.v_state_changed and (
-        (event.v_before in out) != (event.v_after in out)
-    ):
-        return True
-    if result.edge_changed:
+        or (event.v_before in out) != (event.v_after in out)
         # Conservative: an edge touching at least one output node counts
         # only if both endpoints are output nodes.
-        return event.u_after in out and event.v_after in out
-    return False
+        or (event.edge_changed
+            and event.u_after in out and event.v_after in out)
+    )
 
 
 # Where a walk's ``advance`` stopped the clock: at an applied change
@@ -539,12 +522,11 @@ class SequentialSimulator(_ExactEngine):
                     # every engine.
                     continue
                 steps += 1
-                result = apply_interaction(protocol, cfg, u, v, rng, steps)
-                if result.changed:
-                    event = result.event
+                event = apply_interaction(protocol, cfg, u, v, rng, steps)
+                if event is not None:
                     if publish is not None:
                         publish.interaction(event, cfg)
-                    if _output_affected(protocol, result, event):
+                    if _output_affected(protocol, event):
                         return steps, _APPLIED_OUTPUT
                     return steps, _APPLIED
                 if fault_next is not None and fault_next <= steps:
@@ -592,8 +574,7 @@ class IndexedSimulator(_ExactEngine):
     touching them are recomputed (by replaying a memoized visit plan),
     and each changed node's state, node bucket and O(degree) incident
     active edges are re-filed in one pass.  With no trace or bus
-    attached, an effective interaction builds no ``Event`` or
-    ``InteractionResult``.
+    attached, an effective interaction builds no ``Event``.
     """
 
     engine_name = "indexed"
@@ -783,8 +764,7 @@ class IndexedSimulator(_ExactEngine):
                         state_of(sv), state_of(new_v),
                         c, new_edge,
                     ), cfg)
-                # _output_affected, without the per-step Event and
-                # InteractionResult it takes.
+                # _output_affected, without the per-step Event it takes.
                 if out is None:
                     if edge_changed:
                         return steps, _APPLIED_OUTPUT

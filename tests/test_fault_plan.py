@@ -1,0 +1,141 @@
+"""The fault plan: the shared fault stream and the rate clocks.
+
+Every fault model of a run draws from one fault rng
+(:func:`~repro.core.faults.compile_fault_plan`), so the order in which
+the models draw is part of the seeded law.  The golden grids run each
+model alone (plus one crash + recover pair); the stream pin below walks
+one plan built from every model at once.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import math
+import random
+import sys
+
+import pytest
+
+from repro.core.configuration import Configuration
+from repro.core.faults import DEAD, FAULTS, compile_fault_plan, survivors
+from repro.core.scenario import Scenario, make_scenario_engine
+from repro.protocols import registry
+
+#: One of each fault model; byzantine in all three lie modes.
+STREAM_MODELS = (
+    "crash:count=2,at=5",
+    "cut:edges=0-1+4-5,at=7",
+    "edge-drop:rate=0.05",
+    "edge-rate:rate=0.01",
+    "byzantine:count=2,mode=random-state,rate=0.05",
+    "byzantine:count=2,mode=replay,rate=0.05",
+    "byzantine:count=3,lie=1,mode=always-leader,rate=0.05",
+    "arrive:count=2,at=9",
+    "recover:at=10,count=1,delay=6",
+    "recover:at=13,count=2",
+    "churn:rate=0.05",
+)
+
+#: sha256 over every firing step and every action's fields, seeds 1-3.
+STREAM_DIGEST = (
+    "db2fbb1032ff3ccfe0f26cc597ecbb2e956afb4f86a90ab6be910533379a54f1"
+)
+STREAM_ACTIONS = 237
+
+
+def _stream_configs() -> tuple[Configuration, ...]:
+    """The walk's three fixed 12-node configurations: two ``DEAD`` nodes
+    and six active edges; everyone alive with no edge (``edge-drop`` and
+    ``recover`` find nothing to act on); everyone ``DEAD`` (``crash``,
+    ``byzantine`` and ``churn`` find no alive node)."""
+    states = ["q0", "q1", "l", DEAD, "w", "q2", "q0", "l", DEAD, "q1",
+              "w", "q0"]
+    main = Configuration(
+        states, [(0, 1), (1, 2), (4, 5), (5, 6), (9, 10), (10, 11)]
+    )
+    return main, Configuration.uniform(12, "q0"), Configuration([DEAD] * 12)
+
+
+def _stream_lines(seed: int) -> list[str]:
+    """One line per firing step up to step 240, then one per action."""
+    protocol = registry.instantiate("simple-global-line")
+    models = tuple(FAULTS.instantiate(spec) for spec in STREAM_MODELS)
+    plan = compile_fault_plan(models, 12, seed, protocol)
+    assert plan is not None
+    main, bare, wiped = _stream_configs()
+    lines = []
+    step = plan.next_step(-1)
+    while step is not None and step <= 240:
+        config = bare if step % 6 == 1 else wiped if step % 6 == 4 else main
+        lines.append(f"step {step}")
+        for a in plan.actions_at(step, config, survivors(config)):
+            lines.append(repr((
+                a.step, a.kind, a.nodes, a.edges, a.count, a.states,
+                a.silent,
+            )))
+        step = plan.next_step(step)
+    return lines
+
+
+class TestSharedFaultStream:
+    def test_every_model_draws_in_the_pinned_order(self):
+        lines = [
+            line for seed in (1, 2, 3) for line in _stream_lines(seed)
+        ]
+        actions = sum(1 for line in lines if not line.startswith("step"))
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert (actions, digest) == (STREAM_ACTIONS, STREAM_DIGEST)
+
+
+class TestEdgeRateUnderflow:
+    @pytest.mark.parametrize("n, rate", [
+        # m = 79,800 slots: P(K = 1) = m rate (1-rate)^(m-1) underflows
+        # to 0.0, and the firing-count walk used to fire every slot.
+        (400, 0.02),
+        # m = 33,411: (1-rate)^(m-1) is subnormal, P(K = 1) is computed
+        # 11% low, and the walk used to fire every slot ~11% of the time.
+        (259, 0.022),
+    ])
+    def test_a_path_loses_its_rate_share_of_edges_per_firing(self, n, rate):
+        firings = 100
+        m = n * (n - 1) // 2
+        assert math.pow(1.0 - rate, m - 1) < sys.float_info.min
+        plan = FAULTS.instantiate(f"edge-rate:rate={rate}").compile(
+            n, random.Random(3)
+        )
+        path = Configuration(["a"] * n, [(u, u + 1) for u in range(n - 1)])
+        alive = list(range(n))
+        cuts = []
+        step = -1
+        for _ in range(firings):
+            step = plan.next_step(step)
+            actions = plan.actions_at(step, path, alive)
+            cuts.append(sum(len(action.edges) for action in actions))
+        # Each of the n - 1 path edges fails independently per firing.
+        expected = (n - 1) * rate
+        stderr = math.sqrt((n - 1) * rate * (1.0 - rate) / firings)
+        assert abs(sum(cuts) / firings - expected) < 4 * stderr
+
+
+class TestTinyRates:
+    @pytest.mark.parametrize("spec", [
+        "edge-drop:rate=1e-17",
+        "churn:rate=1e-17",
+        "byzantine:count=1,rate=1e-17",
+        "edge-rate:rate=1e-20",
+        "edge-drop:rate=1e-320",
+    ])
+    def test_a_tiny_rate_compiles_to_a_far_first_event(self, spec):
+        protocol = registry.instantiate("simple-global-line")
+        plan = FAULTS.instantiate(spec).compile(
+            8, random.Random(5), protocol=protocol
+        )
+        assert plan.next_step(-1) > 10**12
+
+    def test_a_run_under_a_tiny_rate_stabilizes(self):
+        scenario = Scenario(faults=("edge-drop:rate=1e-17",))
+        sim = make_scenario_engine("indexed", 1, scenario)
+        result = sim.run(
+            registry.instantiate("simple-global-line"), 10, 100_000
+        )
+        assert result.converged

@@ -112,7 +112,7 @@ class TestInteractionSemantics:
         before = (a, b, edge)
         result = apply_interaction(protocol, config, 0, 1, rng, step=1)
         after = (config.state(0), config.state(1), config.edge_state(0, 1))
-        if not result.changed:
+        if result is None:
             assert after == before
             return
         dist = protocol.delta(a, b, edge)

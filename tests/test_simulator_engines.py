@@ -35,7 +35,7 @@ class TestApplyInteraction:
         import random
 
         result = apply_interaction(protocol, config, 0, 1, random.Random(0))
-        assert not result.changed
+        assert result is None
 
     def test_swapped_orientation_applies_to_right_nodes(self):
         protocol = TableProtocol("t", "a", {("a", "b", 0): ("x", "y", 1)})
@@ -43,7 +43,7 @@ class TestApplyInteraction:
         import random
 
         result = apply_interaction(protocol, config, 0, 1, random.Random(0))
-        assert result.changed
+        assert result is not None
         assert config.state(0) == "y"  # node 0 held 'b', the second slot
         assert config.state(1) == "x"
         assert config.edge_state(0, 1) == 1
