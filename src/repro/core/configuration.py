@@ -10,6 +10,7 @@ typically sparse.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -86,9 +87,13 @@ class Census:
 class Configuration:
     """Mutable system configuration: node states plus the active-edge set.
 
-    Storage is one state list, one adjacency entry per node, and a
-    nodes-by-state index of builtin ``set`` buckets, kept incrementally.
-    Costs:
+    Storage is one state list, one adjacency entry per node, and a state
+    histogram (state -> count), kept incrementally.  Its keys keep
+    first-appearance order: a state enters when its first node does and
+    leaves with its last, so :meth:`state_counts` and :meth:`census`
+    list states in that order.  The nodes of each state are filed in
+    per-state ``set`` buckets only when :meth:`nodes_in_state` is first
+    called; from then on every mutation keeps them in step.  Costs:
 
     * O(1): :meth:`state`, :meth:`set_state`, :meth:`count_in_state`,
       :meth:`set_edge`, :meth:`edge_state`, :meth:`degree`,
@@ -97,11 +102,12 @@ class Configuration:
     * O(distinct states): :meth:`state_counts`, and :meth:`census` when
       no edge is active.
     * O(n) in C loops, with no Python-level loop and no container per
-      node: :meth:`uniform`, and :meth:`from_census` plus one
-      :meth:`set_edge` per edge.
+      node: :meth:`uniform`, :meth:`from_census` plus one
+      :meth:`set_edge` per edge, and the ``Configuration(states,
+      edges)`` constructor plus one :meth:`set_edge` per edge.
     * O(n) in one Python loop: :meth:`copy`, which copies only the sets
-      of nodes with an active edge, and the
-      ``Configuration(states, edges)`` constructor.
+      of nodes with an active edge, and the first
+      :meth:`nodes_in_state` call.
 
     A node that has never had an active edge holds one shared empty
     ``frozenset``.  :meth:`set_edge` replaces it in place with a fresh
@@ -111,12 +117,24 @@ class Configuration:
     node of every configuration.  Each node's set sees the same adds and
     discards, in the same order, as with one set per node from the
     start, so :meth:`active_edges` iterates in the same order.  The
-    adjacency list itself is never rebound: an engine may hold it and
-    re-read its entries.
+    adjacency list and the histogram are never rebound: an engine may
+    hold them and re-read their entries.
 
     Configurations are mutable and therefore **unhashable** (``__hash__``
     is explicitly ``None``); use :meth:`signature` to obtain an immutable
     snapshot usable as a dict key or set member.
+
+    >>> config = Configuration(["b", "a", "b"], [(0, 1)])
+    >>> config.state_counts()
+    {'b': 2, 'a': 1}
+    >>> config.set_state(0, "a")
+    >>> config.state_counts(), config.count_in_state("a")
+    ({'b': 1, 'a': 2}, 2)
+    >>> config.nodes_in_state("a")
+    [0, 1]
+    >>> config.set_state(2, "c")
+    >>> config.state_counts(), config.nodes_in_state("b"), config.nodes_in_state("c")
+    ({'a': 2, 'c': 1}, [], [2])
 
     Parameters
     ----------
@@ -126,7 +144,7 @@ class Configuration:
         Iterable of node pairs that are initially active.
     """
 
-    __slots__ = ("_states", "_adj", "_n_active", "_by_state")
+    __slots__ = ("_states", "_adj", "_n_active", "_counts", "_nodes")
 
     def __init__(
         self,
@@ -136,13 +154,9 @@ class Configuration:
         self._states: list[State] = list(states)
         self._adj: list[set[int] | frozenset[int]] = [_NO_EDGES] * len(self._states)
         self._n_active = 0
-        self._by_state: dict[State, set[int]] = {}
-        for u, s in enumerate(self._states):
-            bucket = self._by_state.get(s)
-            if bucket is None:
-                self._by_state[s] = {u}
-            else:
-                bucket.add(u)
+        self._counts: dict[State, int] = dict(Counter(self._states))
+        #: Per-state node sets, built by the first nodes_in_state call.
+        self._nodes: dict[State, set[int]] | None = None
         for u, v in active_edges:
             self.set_edge(u, v, 1)
 
@@ -156,16 +170,16 @@ class Configuration:
         distinct; empty blocks are skipped."""
         cfg = cls.__new__(cls)
         states: list[State] = []
-        by_state: dict[State, set[int]] = {}
+        counts: dict[State, int] = {}
         for state, count in blocks:
             if count:
-                start = len(states)
                 states += [state] * count
-                by_state[state] = set(range(start, start + count))
+                counts[state] = count
         cfg._states = states
         cfg._adj = [_NO_EDGES] * len(states)
         cfg._n_active = 0
-        cfg._by_state = by_state
+        cfg._counts = counts
+        cfg._nodes = None
         return cfg
 
     @classmethod
@@ -220,13 +234,12 @@ class Configuration:
     def census(self) -> Census:
         """The anonymous :class:`Census` of this configuration: state
         histogram plus per-class active-edge histogram."""
-        counts = {s: len(bucket) for s, bucket in self._by_state.items()}
         edges: dict[tuple[State, State], int] = {}
         if self._n_active:
             for u, v in self.active_edges():
                 key = census_pair_key(self._states[u], self._states[v])
                 edges[key] = edges.get(key, 0) + 1
-        return Census(counts, edges)
+        return Census(dict(self._counts), edges)
 
     def copy(self) -> "Configuration":
         clone = Configuration.__new__(Configuration)
@@ -236,23 +249,27 @@ class Configuration:
         # copy of the empty set.
         clone._adj = [set(a) if a else _NO_EDGES for a in self._adj]
         clone._n_active = self._n_active
-        clone._by_state = {s: set(b) for s, b in self._by_state.items()}
+        clone._counts = dict(self._counts)
+        clone._nodes = None
         return clone
 
     def add_node(self, state: State) -> int:
         """Grow the population by one node in ``state`` (no active edges)
         and return its id — the dynamic-population primitive behind the
-        ``arrive``/``churn`` fault models.  Existing node ids, edges and
-        the by-state index are untouched; engines re-derive their pair
-        counts after every population event."""
+        ``arrive``/``churn`` fault models.  Existing node ids and edges
+        are untouched; engines re-derive their pair counts after every
+        population event."""
         u = len(self._states)
         self._states.append(state)
         self._adj.append(_NO_EDGES)
-        bucket = self._by_state.get(state)
-        if bucket is None:
-            self._by_state[state] = {u}
-        else:
-            bucket.add(u)
+        self._counts[state] = self._counts.get(state, 0) + 1
+        nodes = self._nodes
+        if nodes is not None:
+            bucket = nodes.get(state)
+            if bucket is None:
+                nodes[state] = {u}
+            else:
+                bucket.add(u)
         return u
 
     # ------------------------------------------------------------------
@@ -270,17 +287,25 @@ class Configuration:
         old = self._states[u]
         if old == state:
             return
-        by_state = self._by_state
-        bucket = by_state[old]
-        bucket.discard(u)
-        if not bucket:
-            del by_state[old]
-        bucket = by_state.get(state)
-        if bucket is None:
-            by_state[state] = {u}
+        counts = self._counts
+        left = counts[old] - 1
+        if left:
+            counts[old] = left
         else:
-            bucket.add(u)
+            del counts[old]
+        counts[state] = counts.get(state, 0) + 1
         self._states[u] = state
+        nodes = self._nodes
+        if nodes is not None:
+            bucket = nodes[old]
+            bucket.discard(u)
+            if not bucket:
+                del nodes[old]
+            bucket = nodes.get(state)
+            if bucket is None:
+                nodes[state] = {u}
+            else:
+                bucket.add(u)
 
     def states(self) -> list[State]:
         """A copy of the node-state vector."""
@@ -288,16 +313,30 @@ class Configuration:
 
     def state_counts(self) -> dict[State, int]:
         """Multiset of node states (histogram) — O(distinct states)."""
-        return {s: len(bucket) for s, bucket in self._by_state.items()}
+        return dict(self._counts)
 
     def count_in_state(self, state: State) -> int:
         """Number of nodes currently in ``state`` — O(1)."""
-        bucket = self._by_state.get(state)
-        return len(bucket) if bucket is not None else 0
+        return self._counts.get(state, 0)
 
     def nodes_in_state(self, state: State) -> list[int]:
-        """Nodes currently in ``state``, ascending — O(k log k)."""
-        bucket = self._by_state.get(state)
+        """Nodes currently in ``state``, ascending.
+
+        The first call files every node in a per-state ``set``, O(n);
+        later calls cost O(k log k) for the ``k`` nodes returned, as
+        every mutation keeps the sets in step.  A :meth:`copy` starts
+        without them.
+        """
+        nodes = self._nodes
+        if nodes is None:
+            nodes = self._nodes = {}
+            for u, s in enumerate(self._states):
+                bucket = nodes.get(s)
+                if bucket is None:
+                    nodes[s] = {u}
+                else:
+                    bucket.add(u)
+        bucket = nodes.get(state)
         return sorted(bucket) if bucket is not None else []
 
     def nodes_where(self, predicate) -> list[int]:

@@ -7,7 +7,10 @@ represents a run as ``(state -> count)`` plus the per-class active-edge
 census (O(present states) hot-path memory, not O(n)), and between
 structural/fault events it draws multinomial interaction *counts* per
 pair class in one batch (tau-leaping, Gillespie-style) instead of one
-Python iteration per effective interaction.
+Python iteration per effective interaction.  Only a run's start, when
+the protocol scripts one, and its result are per-node: each is a
+:class:`~repro.core.configuration.Configuration`, two O(n) lists
+(states and adjacency) with no per-node index.
 
 Two regimes, one engine
 -----------------------
@@ -552,8 +555,7 @@ class CountSimulator(IndexedSimulator):
             changed = False
             kinds: list[str] = []
             facade = _PlanFacade(alive, dead_count)
-            synthetic_alive = list(range(alive))
-            for action in plan.actions_at(at, facade, synthetic_alive):
+            for action in plan.actions_at(at, facade, range(alive)):
                 kinds.append(action.kind)
                 if action.kind == "crash":
                     k = min(len(action.nodes), alive)

@@ -93,7 +93,7 @@ import math
 import random
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from repro.core.configuration import Configuration
 from repro.core.errors import SimulationError
@@ -270,9 +270,11 @@ class FaultAction:
 
 #: A fault model's firing rule ``fire(step, config, alive)``: the
 #: concrete actions of one firing at ``step``, given the configuration
-#: and its alive node ids.  A firing that finds nothing to act on
-#: returns ``[]`` without drawing from the fault stream.
-FireRule = Callable[[int, Configuration, list[int]], list[FaultAction]]
+#: and its alive node ids in ascending order, as a list or a ``range``
+#: (``random.sample`` and indexing pick the same ids from either).  A
+#: firing that finds nothing to act on returns ``[]`` without drawing
+#: from the fault stream.
+FireRule = Callable[[int, Configuration, Sequence[int]], list[FaultAction]]
 
 
 def _geometric_gap(after: int, rate: float, rng: random.Random) -> int:
@@ -359,7 +361,7 @@ class FaultPlan:
         return self._next
 
     def actions_at(
-        self, step: int, config: Configuration, alive: list[int]
+        self, step: int, config: Configuration, alive: Sequence[int]
     ) -> list[FaultAction]:
         """Concrete actions firing at ``step`` (may be empty — e.g. a
         deletion attempt finding no active edge)."""
@@ -432,9 +434,9 @@ class CrashFaults(FaultModel):
         count = self.count
 
         def fire(
-            step: int, config: Configuration, alive: list[int]
+            step: int, config: Configuration, alive: Sequence[int]
         ) -> list[FaultAction]:
-            victims = rng.sample(sorted(alive), min(count, len(alive)))
+            victims = rng.sample(alive, min(count, len(alive)))
             return [FaultAction(step, "crash", nodes=tuple(sorted(victims)))]
 
         return FaultPlan(fire, at=self.at)
@@ -475,7 +477,7 @@ class EdgeCutFaults(FaultModel):
                 )
 
         def fire(
-            step: int, config: Configuration, alive: list[int]
+            step: int, config: Configuration, alive: Sequence[int]
         ) -> list[FaultAction]:
             return [FaultAction(step, "cut", edges=edges)]
 
@@ -501,11 +503,11 @@ class EdgeDropFaults(_RateFaults):
         self, n: int, rng: random.Random, protocol: Protocol | None = None
     ) -> FaultPlan:
         def fire(
-            step: int, config: Configuration, alive: list[int]
+            step: int, config: Configuration, alive: Sequence[int]
         ) -> list[FaultAction]:
-            active = sorted(config.active_edges())
-            if not active:
+            if not config.n_active_edges:
                 return []
+            active = sorted(config.active_edges())
             edge = active[rng.randrange(len(active))]
             return [FaultAction(step, "cut", edges=(edge,))]
 
@@ -607,13 +609,14 @@ class EdgeRateFaults(_RateFaults):
         p_total = -math.expm1(m * math.log1p(-rate))
 
         def fire(
-            step: int, config: Configuration, alive: list[int]
+            step: int, config: Configuration, alive: Sequence[int]
         ) -> list[FaultAction]:
             slots = _firing_slots(m, rate, p_total, rng)
-            dead = {u for u in range(config.n) if config.state(u) == DEAD}
+            state = config.state
             cut = tuple(
                 (u, v) for u, v in _unrank_pairs(slots, n)
-                if u not in dead and v not in dead and config.edge_state(u, v)
+                if state(u) != DEAD and state(v) != DEAD
+                and config.edge_state(u, v)
             )
             return [FaultAction(step, "cut", edges=cut)] if cut else []
 
@@ -726,10 +729,9 @@ class ByzantineFaults(_RateFaults):
         victims = tuple(sorted(rng.sample(range(n), min(self.count, n))))
 
         def fire(
-            step: int, config: Configuration, alive: list[int]
+            step: int, config: Configuration, alive: Sequence[int]
         ) -> list[FaultAction]:
-            alive_set = set(alive)
-            active = [v for v in victims if v in alive_set]
+            active = [v for v in victims if v in alive]
             if not active:
                 return []
             victim = active[rng.randrange(len(active))]
@@ -793,7 +795,7 @@ class ArrivalFaults(FaultModel):
         count = self.count
 
         def fire(
-            step: int, config: Configuration, alive: list[int]
+            step: int, config: Configuration, alive: Sequence[int]
         ) -> list[FaultAction]:
             return [FaultAction(step, "arrive", count=count)]
 
@@ -837,7 +839,7 @@ class RecoverFaults(FaultModel):
         count = self.count
 
         def fire(
-            step: int, config: Configuration, alive: list[int]
+            step: int, config: Configuration, alive: Sequence[int]
         ) -> list[FaultAction]:
             dead = dead_nodes(config)
             if not dead:
@@ -871,11 +873,11 @@ class ChurnFaults(_RateFaults):
         self, n: int, rng: random.Random, protocol: Protocol | None = None
     ) -> FaultPlan:
         def fire(
-            step: int, config: Configuration, alive: list[int]
+            step: int, config: Configuration, alive: Sequence[int]
         ) -> list[FaultAction]:
             if not alive:
                 return []
-            victim = sorted(alive)[rng.randrange(len(alive))]
+            victim = alive[rng.randrange(len(alive))]
             return [
                 FaultAction(step, "crash", nodes=(victim,)),
                 FaultAction(step, "arrive", count=1),
@@ -904,7 +906,7 @@ class CompositeFaultPlan(FaultPlan):
         return min(steps) if steps else None
 
     def actions_at(
-        self, step: int, config: Configuration, alive: list[int]
+        self, step: int, config: Configuration, alive: Sequence[int]
     ) -> list[FaultAction]:
         actions: list[FaultAction] = []
         for plan in self.plans:

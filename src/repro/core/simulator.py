@@ -352,7 +352,10 @@ class _ExactEngine:
         def apply_faults(at: int) -> bool:
             changed = False
             kinds: list[str] = []
-            alive = [u for u in range(cfg.n) if u not in dead]
+            alive = (
+                [u for u in range(cfg.n) if u not in dead] if dead
+                else range(cfg.n)
+            )
             for action in plan.actions_at(at, cfg, alive):
                 kinds.append(action.kind)
                 if action.kind == "crash":
@@ -601,7 +604,7 @@ class IndexedSimulator(_ExactEngine):
         # Engine-internal: move_node re-files these in place.
         adj = cfg._adj
         raw_states = cfg._states
-        by_state = cfg._by_state
+        counts = cfg._counts
 
         index = PairClassIndex(compiled)
         for u in range(n):
@@ -624,17 +627,19 @@ class IndexedSimulator(_ExactEngine):
             ``cfg.set_state``, then ``index.move_edge`` for each incident
             active edge, then ``index.move_node``, inlined with their
             swap-remove and append order."""
-            raw = raw_states[w]
-            bucket = by_state[raw]
-            bucket.discard(w)
-            if not bucket:
-                del by_state[raw]
-            raw = raw_states[w] = state_of(new)
-            bucket = by_state.get(raw)
-            if bucket is None:
-                by_state[raw] = {w}
+            if cfg._nodes is None:
+                raw = raw_states[w]
+                left = counts[raw] - 1
+                if left:
+                    counts[raw] = left
+                else:
+                    del counts[raw]
+                raw = raw_states[w] = state_of(new)
+                counts[raw] = counts.get(raw, 0) + 1
             else:
-                bucket.add(w)
+                # A certificate has asked for the per-state node sets,
+                # which set_state keeps in step.
+                cfg.set_state(w, state_of(new))
             for x in adj[w]:
                 sx = sid[x]
                 edge = (w, x) if w < x else (x, w)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import settings
@@ -154,8 +155,8 @@ class TestHashability:
 
 
 class TestStateIndex:
-    """The incremental nodes-by-state index behind state_counts and
-    nodes_in_state."""
+    """The incremental state histogram behind state_counts, and the
+    on-demand node sets behind nodes_in_state."""
 
     def test_counts_track_mutations(self):
         config = Configuration.uniform(4, "a")
@@ -190,6 +191,54 @@ class TestStateIndex:
             ("free",): 1,
             ("leaf",): 1,
         }
+
+
+class TestMemory:
+    """A configuration stores its states, its adjacency and a state
+    histogram: two lists of n pointers and nothing per node besides.
+    The count engine builds one at the start of a run (for its census)
+    and one for the result, so at n = 10^5 each must cost two 0.8 MB
+    lists.  Filing every node in a per-state set as well peaked at
+    18.6 MB for the census path below."""
+
+    N = 10**5
+
+    @staticmethod
+    def peak(build):
+        tracemalloc.start()
+        try:
+            kept = build()
+            return tracemalloc.get_traced_memory()[1], kept
+        finally:
+            tracemalloc.stop()
+
+    def test_census_path_builds_no_per_node_index(self):
+        n = self.N
+
+        def census_path():
+            config = Configuration.uniform(n, "b")
+            config.set_state(0, "a")
+            census = config.census()
+            return config, census, Configuration.from_census(Census({"a": n}, {}))
+
+        peak, (config, census, result) = self.peak(census_path)
+        assert census == Census({"b": n - 1, "a": 1}, {})
+        assert result.state_counts() == {"a": n}
+        assert peak < 4 * 10**6, peak
+        # The sets are built on demand and kept in step from then on.
+        assert config.nodes_in_state("a") == [0]
+        config.set_state(1, "a")
+        assert config.nodes_in_state("a") == [0, 1]
+
+    def test_constructor_and_copy_build_no_per_node_index(self):
+        states = ["b"] * self.N
+        states[0] = "a"
+        peak, config = self.peak(lambda: Configuration(states))
+        assert peak < 2 * 10**6, peak
+        assert config.nodes_in_state("a") == [0]
+        peak, clone = self.peak(config.copy)
+        assert peak < 2 * 10**6, peak
+        assert clone.state_counts() == {"a": 1, "b": self.N - 1}
 
 
 # ----------------------------------------------------------------------
@@ -238,6 +287,9 @@ class _Model:
         self.states.append(state)
         self.counts[state] = self.counts.get(state, 0) + 1
         return len(self.states) - 1
+
+    def nodes_in_state(self, state):
+        return [u for u, t in enumerate(self.states) if t == state]
 
     def census(self):
         edges = {}
@@ -291,11 +343,14 @@ def censuses(draw):
 
 
 class ConfigurationMachine(RuleBasedStateMachine):
-    """Random ``set_state`` / ``set_edge`` / ``add_node`` / ``copy()``
-    sequences over every constructor, each configuration (the original
-    and every copy) checked against its own reference model after every
-    step.  A copy that shared mutable storage with its source, such as
-    one adjacency set, would break the other's model."""
+    """Random ``set_state`` / ``set_edge`` / ``add_node`` / ``copy()`` /
+    ``nodes_in_state`` sequences over every constructor, each
+    configuration (the original and every copy) checked against its own
+    reference model after every step.  A copy that shared mutable
+    storage with its source, such as one adjacency set, would break the
+    other's model.  Node sets are built on the first ``nodes_in_state``
+    call, so a rule may mutate a configuration before or after its sets
+    exist."""
 
     def __init__(self):
         super().__init__()
@@ -354,6 +409,14 @@ class ConfigurationMachine(RuleBasedStateMachine):
             cfg, model = self._pick(which)
             self.pairs.append((cfg.copy(), model.copy()))
 
+    @rule(which=st.integers(0, 99), state=st.sampled_from(STATES))
+    def nodes_in_state(self, which, state):
+        # The first call files the nodes in per-state sets, so later
+        # rules mutate a configuration whose sets exist; until a probe,
+        # they mutate one whose sets do not.
+        cfg, model = self._pick(which)
+        assert cfg.nodes_in_state(state) == model.nodes_in_state(state)
+
     @invariant()
     def matches_model(self):
         for cfg, model in self.pairs:
@@ -361,11 +424,12 @@ class ConfigurationMachine(RuleBasedStateMachine):
             assert cfg.n == n
             assert cfg.states() == model.states
             assert list(cfg.state_counts().items()) == list(model.counts.items())
+            # A fresh copy has no node sets yet: probing it leaves the
+            # machine's own configuration as the rules left it.
+            fresh = cfg.copy()
             for s in STATES:
                 assert cfg.count_in_state(s) == model.counts.get(s, 0)
-                assert cfg.nodes_in_state(s) == [
-                    u for u, t in enumerate(model.states) if t == s
-                ]
+                assert fresh.nodes_in_state(s) == model.nodes_in_state(s)
             for u in range(n):
                 nbrs = {v for e in model.edges if u in e for v in e if v != u}
                 assert cfg.degree(u) == len(nbrs)

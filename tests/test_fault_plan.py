@@ -13,9 +13,11 @@ import hashlib
 import math
 import random
 import sys
+import tracemalloc
 
 import pytest
 
+from repro.core import simulator
 from repro.core.configuration import Configuration
 from repro.core.faults import DEAD, FAULTS, compile_fault_plan, survivors
 from repro.core.scenario import Scenario, make_scenario_engine
@@ -139,3 +141,110 @@ class TestTinyRates:
             registry.instantiate("simple-global-line"), 10, 100_000
         )
         assert result.converged
+
+
+class TestAliveSequence:
+    """A firing rule gets the alive ids in ascending order, as a list or
+    a ``range``; engines pass a ``range`` when every node is alive, so
+    the rules must pick from it without copying it."""
+
+    @pytest.mark.parametrize("spec", [
+        "crash:count=3,at=4",
+        "churn:rate=0.2",
+        "byzantine:count=4,rate=0.2",
+    ])
+    def test_a_range_picks_what_the_equal_list_picks(self, spec):
+        protocol = registry.instantiate("simple-global-line")
+        config = Configuration.uniform(40, "q0")
+        picks = []
+        for alive in (range(40), list(range(40))):
+            plan = FAULTS.instantiate(spec).compile(
+                40, random.Random(7), protocol=protocol
+            )
+            fired = []
+            step = plan.next_step(-1)
+            for _ in range(30):
+                if step is None:
+                    break
+                fired += plan.actions_at(step, config, alive)
+                step = plan.next_step(step)
+            picks.append(fired)
+        assert picks[0] and picks[0] == picks[1]
+
+    @pytest.mark.parametrize("spec", ["crash:count=2,at=0", "churn:rate=0.5"])
+    def test_picking_from_a_large_range_copies_nothing(self, spec):
+        n = 10**5
+        plan = FAULTS.instantiate(spec).compile(n, random.Random(7))
+        tracemalloc.start()
+        try:
+            actions = plan.actions_at(plan.next_step(-1), None, range(n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert actions[0].kind == "crash"
+        # Sorting a copy of the ids held 0.8 MB.
+        assert peak < 10_000, peak
+
+    def test_edge_drop_without_active_edges_skips_the_scan(self):
+        class NoScan(Configuration):
+            def active_edges(self):
+                raise AssertionError("the rule scanned the adjacency")
+
+        rng = random.Random(3)
+        plan = FAULTS.instantiate("edge-drop:rate=0.5").compile(5, rng)
+        before = rng.getstate()
+        config = NoScan.uniform(5, "q0")
+        assert plan.actions_at(plan.next_step(-1), config, range(5)) == []
+        assert rng.getstate() == before
+
+    def test_edge_rate_reads_the_states_of_fired_pairs_only(self):
+        reads = []
+
+        class Counted(Configuration):
+            def state(self, u):
+                reads.append(u)
+                return super().state(u)
+
+        n = 2000
+        plan = FAULTS.instantiate("edge-rate:rate=1e-6").compile(
+            n, random.Random(3)
+        )
+        config = Counted.uniform(n, "q0")
+        step = -1
+        for _ in range(20):
+            step = plan.next_step(step)
+            assert plan.actions_at(step, config, range(n)) == []
+        # Two reads per fired pair; a scan for DEAD nodes read all n
+        # states at every firing.
+        assert 0 < len(reads) < n
+
+    def test_exact_engines_pass_a_range_while_no_node_is_dead(
+        self, monkeypatch
+    ):
+        compile_plan = simulator.compile_fault_plan
+        seen = []
+
+        def recording_plan(*args, **kwargs):
+            plan = compile_plan(*args, **kwargs)
+            actions_at = plan.actions_at
+
+            def recorded(step, config, alive):
+                seen.append((alive, survivors(config)))
+                return actions_at(step, config, alive)
+
+            plan.actions_at = recorded
+            return plan
+
+        monkeypatch.setattr(simulator, "compile_fault_plan", recording_plan)
+        scenario = Scenario(faults=("edge-drop:rate=0.01", "crash:at=300"))
+        for engine in ("indexed", "sequential"):
+            seen.clear()
+            make_scenario_engine(engine, 2, scenario).run(
+                registry.instantiate("simple-global-line"), 20, 20_000
+            )
+            assert {isinstance(alive, range) for alive, _ in seen} == {
+                True, False,
+            }
+            for alive, expected in seen:
+                assert list(alive) == expected
+                assert isinstance(alive, range) == (len(expected) == 20)

@@ -28,6 +28,7 @@ from repro.core.protocol import (
     deterministic,
     resolve,
 )
+from repro.core.scenario import Scenario
 from repro.core.simulator import (
     ENGINES,
     IndexedSimulator,
@@ -38,7 +39,7 @@ from repro.core.simulator import (
 from repro.core.trace import Trace
 from repro.generic import ACTIVATE, AddressedEdgeOps
 from repro.processes import OneWayEpidemic, one_way_epidemic_expectation
-from repro.protocols import GlobalStar, SimpleGlobalLine
+from repro.protocols import CycleCover, GlobalStar, SimpleGlobalLine
 from tests.conftest import trial_times
 
 
@@ -500,6 +501,30 @@ class TestIndexedEngineBasics:
     def test_rejects_tiny_population(self):
         with pytest.raises(SimulationError):
             IndexedSimulator(seed=0).run(GlobalStar(), 1, None)
+
+    @pytest.mark.parametrize("factory", [GlobalStar, CycleCover])
+    @pytest.mark.parametrize("n", [16, 60])
+    @pytest.mark.parametrize("faults", [
+        (),
+        ("arrive:count=3,at=200",),
+        ("crash:count=2,at=100", "recover:count=2,at=100,delay=300"),
+    ], ids=["none", "arrive", "crash-recover"])
+    def test_node_sets_built_mid_walk_stay_in_step(self, factory, n, faults):
+        """Both certificates call ``nodes_in_state`` once their last
+        phase starts, which files the nodes in per-state sets; from then
+        on the walk's re-file, crashes, revivals and arrivals must keep
+        the sets in step.  Across these seeds the faults land before
+        the sets exist in some runs and after in others."""
+        for seed in range(3):
+            sim = IndexedSimulator(
+                seed=seed, faults=Scenario(faults=faults).make_faults()
+            )
+            config = sim.run(factory(), n, 2_000_000).config
+            states = config.states()
+            for s in set(states):
+                assert config.nodes_in_state(s) == [
+                    u for u, t in enumerate(states) if t == s
+                ]
 
 
 def _mean_ci(times):
