@@ -12,19 +12,24 @@ the protocol scripts one, and its result are per-node: each is a
 :class:`~repro.core.configuration.Configuration`, two O(n) lists
 (states and adjacency) with no per-node index.
 
-Two regimes, one engine
------------------------
+Two regimes, one run loop
+-------------------------
+Both regimes run through the loop every engine shares
+(:meth:`repro.core.simulator._ExactEngine.run`: the clock, the fault
+plan, the horizon gate, the budget and the certificate poll); they
+differ in the *walk* :meth:`CountSimulator._walk` hands it.
 
 * **Exact regime** (``n < leap_threshold``, or whenever the run needs
   per-node structure: traces, identity-based faults such as ``cut`` /
   ``byzantine``, or a stabilization certificate that inspects graph
-  geometry): the engine *is* the state-indexed engine —
+  geometry): the walk *is* the state-indexed engine's —
   :class:`CountSimulator` subclasses
-  :class:`~repro.core.simulator.IndexedSimulator` and delegates, so the
-  distribution (and the rng stream) is identical by construction.  This
-  is the regime the KS/CI-band equivalence harness gates.
+  :class:`~repro.core.simulator.IndexedSimulator`, so the distribution
+  (and the rng stream) is identical by construction.  This is the
+  regime the KS/CI-band equivalence harness gates.
 
-* **Leap regime** (large ``n``): census-only stepping.  Each leap picks
+* **Leap regime** (large ``n``): a *census walk*, census-only stepping
+  whose every ``advance`` is one leap.  Each leap picks
   a firing budget ``K`` by the standard tau-leap drift bound (expected
   relative change of any state count at most ``LEAP_EPSILON``), draws
   per-class firing counts ``Multinomial(K, w/W)``, advances the
@@ -50,11 +55,15 @@ Two regimes, one engine
   (z = 24.3), 200 seeds each with ``leap_threshold=0``.  ROADMAP.md
   ("Replace the tau-leap with an exact census sampler") tracks the
   fix.  Leaps shrink to single firings near fault horizons and the
-  engine polls the stabilization certificate every leap, so runs stop
-  on the same certificate as the exact engines.
+  loop polls the stabilization certificate after every leap, so runs
+  stop on the same certificate as the exact engines.  A leap whose
+  firings were all identity outcomes moves the clock and changes
+  nothing.  With a ``bus`` attached, the census walk publishes a
+  sampled census frame at most once per alive-population steps, and
+  the last one with the result.
 
-Faults are applied census-wise in the leap regime: ``crash`` / ``churn``
-victims are drawn by multivariate-hypergeometric state selection
+The census walk applies faults census-wise: ``crash`` / ``churn``
+victims are drawn by one multivariate-hypergeometric state selection
 (:func:`repro.core.faults.census_sample_states`), ``arrive`` / ``revive``
 add initial-state counts, and crashed nodes shed their incident-edge
 endpoints by the annealed share (surviving far endpoints get the
@@ -72,7 +81,7 @@ imported on the first leap run, not with the engines.
 from __future__ import annotations
 
 from repro.core.configuration import Census, Configuration, census_pair_key
-from repro.core.errors import ConvergenceError, SimulationError
+from repro.core.errors import SimulationError
 from repro.core.protocol import Protocol
 from repro.core.faults import (
     DEAD,
@@ -81,10 +90,21 @@ from repro.core.faults import (
     CrashFaults,
     RecoverFaults,
     census_sample_states,
-    compile_fault_plan,
 )
-from repro.core.simulator import ENGINES, IndexedSimulator, RunResult, _join_state
-from repro.core.trace import CensusFrame, FaultFrame, RunMeta, TraceBus
+from repro.core.simulator import (
+    _APPLIED,
+    _APPLIED_OUTPUT,
+    _AT_BUDGET,
+    _AT_FAULT,
+    _IDLE,
+    _MOVED,
+    ENGINES,
+    IndexedSimulator,
+    _ExactEngine,
+    _join_state,
+    _Walk,
+)
+from repro.core.trace import CensusFrame, TraceBus
 
 #: Fault spec names whose semantics name concrete node/edge identities;
 #: anonymity-aware routing declines them (see :meth:`CountSimulator.supports`).
@@ -238,7 +258,7 @@ class _PlanFacade:
 class CountSimulator(IndexedSimulator):
     """Anonymous count-based engine: census representation plus
     tau-leaped batched stepping above ``leap_threshold``, the exact
-    state-indexed path below it (see the module docstring for the
+    state-indexed walk below it (see the module docstring for the
     regime split and its semantics).
 
     Parameters
@@ -247,16 +267,11 @@ class CountSimulator(IndexedSimulator):
         As for every engine.
     leap_threshold:
         Population size at which the census leap regime engages; below
-        it the run delegates to the (distributionally exact) indexed
-        path.  ``None`` uses :data:`DEFAULT_LEAP_THRESHOLD`.
-    census_interval:
-        Minimum scheduler steps between the census frames the leap
-        regime publishes to a ``bus`` (0 = one frame per applied leap).
-        ``None`` auto-scales to the alive population, keeping frame
-        volume logarithmic-ish in the run length.
+        it the run takes the (distributionally exact) indexed walk.
+        ``None`` uses :data:`DEFAULT_LEAP_THRESHOLD`.
     """
 
-    #: Below this population the exact indexed path runs; above it the
+    #: Below this population the exact indexed walk runs; above it the
     #: census leap regime engages (when the run is census-representable).
     DEFAULT_LEAP_THRESHOLD = 4096
 
@@ -270,19 +285,21 @@ class CountSimulator(IndexedSimulator):
     #: Registry name, stamped into :class:`~repro.core.trace.RunMeta`.
     engine_name = "count"
 
+    # Defined in this class body (not only inherited) so tooling can
+    # wrap the count engine's run alone, e.g. to time it.
+    run = _ExactEngine.run
+
     def __init__(
         self,
         seed: int | None = None,
         faults: tuple = (),
         *,
         leap_threshold: int | None = None,
-        census_interval: int | None = None,
     ) -> None:
         super().__init__(seed, faults)
         self.leap_threshold = (
             self.DEFAULT_LEAP_THRESHOLD if leap_threshold is None else leap_threshold
         )
-        self.census_interval = census_interval
         #: Optional observer called as ``(steps, counts, ends, k)`` after
         #: every applied leap — state counts and active-endpoint masses
         #: keyed by interned ids.  Used by the test harness and handy for
@@ -309,70 +326,33 @@ class CountSimulator(IndexedSimulator):
     # ------------------------------------------------------------------
     # Regime selection
     # ------------------------------------------------------------------
-    def _leap_eligible(self, n, trace) -> bool:
-        if n < self.leap_threshold or trace is not None:
-            return False
-        return all(isinstance(f, _LEAPABLE_FAULTS) for f in self.faults)
-
-    def run(
-        self,
-        protocol,
-        n: int,
-        max_steps: int | None = None,
-        *,
-        config: Configuration | None = None,
-        stop=None,
-        trace=None,
-        bus: TraceBus | None = None,
-        check_interval: int = 1,
-        require_convergence: bool = False,
-        copy_config: bool = True,
-    ) -> RunResult:
+    def _walk(
+        self, protocol, n, config, copy_config, publish, stabilized, max_steps
+    ) -> _Walk:
         # A trace (per-event storage) disqualifies leaping; a bus does
-        # not — the leap regime streams sampled census frames instead,
+        # not — the census walk streams sampled census frames instead,
         # so observability composes with tau-leaping.
-        result = None
-        if self._leap_eligible(n, trace):
-            # None when the stabilization certificate needs per-node
-            # structure the census cannot provide.
-            result = self._run_leap(
-                protocol,
-                n,
-                max_steps,
-                config=config,
-                stop=stop,
-                bus=bus,
-                require_convergence=require_convergence,
-            )
-        if result is None:
-            return super().run(
-                protocol,
-                n,
-                max_steps,
-                config=config,
-                stop=stop,
-                trace=trace,
-                bus=bus,
-                check_interval=check_interval,
-                require_convergence=require_convergence,
-                copy_config=copy_config,
-            )
-        return result
+        if (
+            n >= self.leap_threshold
+            and (publish is None or isinstance(publish, TraceBus))
+            and all(isinstance(f, _LEAPABLE_FAULTS) for f in self.faults)
+        ):
+            walk = self._census_walk(protocol, n, config, publish, stabilized)
+            if walk is not None:
+                return walk
+        return super()._walk(
+            protocol, n, config, copy_config, publish, stabilized, max_steps
+        )
 
     # ------------------------------------------------------------------
     # Leap regime
     # ------------------------------------------------------------------
-    def _run_leap(
-        self,
-        protocol,
-        n: int,
-        max_steps: int | None,
-        *,
-        config: Configuration | None,
-        stop,
-        bus: TraceBus | None = None,
-        require_convergence: bool,
-    ) -> RunResult | None:
+    def _census_walk(
+        self, protocol, n: int, config: Configuration | None, publish, stabilized,
+    ) -> _Walk | None:
+        """The leap regime as a walk of the shared run loop: each
+        ``advance`` takes one leap.  ``None`` when the stabilization
+        certificate needs per-node structure the census cannot provide."""
         if n < 2:
             raise SimulationError("need at least 2 nodes")
         if config is not None and config.n != n:
@@ -384,7 +364,6 @@ class CountSimulator(IndexedSimulator):
         state_of = compiled.state_of
         is_effective = compiled.is_effective
         resolved = compiled.resolved
-        stabilized = stop if stop is not None else protocol.stabilized
         leap = make_leap_rng(self.seed)
 
         # Census keyed by interned state ids; DEAD tracked separately.
@@ -423,6 +402,64 @@ class CountSimulator(IndexedSimulator):
                 n_edges += e
         alive = sum(counts.values())
 
+        def raw_census() -> dict:
+            raw = {state_of(s): c for s, c in counts.items() if c > 0}
+            if dead_count:
+                raw[DEAD] = dead_count
+            return raw
+
+        # Probe the certificate: if it needs per-node structure, the
+        # indexed walk runs instead.  Probing first also keeps the bus
+        # quiet until the leap regime is committed.
+        try:
+            bool(stabilized(_CensusConfigView(raw_census(), n_edges)))
+        except Exception:
+            return None
+
+        def materialize() -> Configuration:
+            """A census-faithful :class:`Configuration`: per-class edge
+            counts are derived from the annealed closure's endpoint
+            masses (:func:`derive_edge_census`), then realized with the
+            canonical geometry of :meth:`Configuration.from_census`."""
+            raw_counts = raw_census()
+            raw_edges: dict = {}
+            for (a, b), e in derive_edge_census(counts, ends, n_edges).items():
+                key = census_pair_key(state_of(a), state_of(b))
+                raw_edges[key] = raw_edges.get(key, 0) + e
+            census = Census(raw_counts, raw_edges)
+            clamped = {
+                key: min(e, census.class_pairs(*key))
+                for key, e in raw_edges.items()
+            }
+            return Configuration.from_census(Census(raw_counts, clamped))
+
+        def certificate() -> bool:
+            try:
+                return bool(stabilized(_CensusConfigView(raw_census(), n_edges)))
+            except Exception:
+                # Worked at step 0 but needs structure now: materialize a
+                # census-faithful configuration and ask the real question.
+                return bool(stabilized(materialize()))
+
+        effective = 0
+        last_census_step = -1
+
+        def emit_census(step: int, force: bool = False) -> None:
+            """Publish a sampled census frame: at most one per ``alive``
+            steps, plus the forced frame at termination."""
+            nonlocal last_census_step
+            if step == last_census_step:
+                return  # already published for this step
+            if not force and step - last_census_step < max(1, alive):
+                return
+            last_census_step = step
+            publish.census(CensusFrame(step, raw_census(), n_edges, effective))
+
+        def final(steps: int) -> Configuration:
+            if publish is not None:
+                emit_census(steps, force=True)
+            return materialize()
+
         def pairs(a: int, b: int) -> int:
             na = counts.get(a, 0)
             if a == b:
@@ -448,67 +485,6 @@ class CountSimulator(IndexedSimulator):
             if a == b:
                 return ea * ea / (4.0 * n_edges)
             return ea * ends.get(b, 0) / (2.0 * n_edges)
-
-        def view() -> _CensusConfigView:
-            raw = {state_of(s): c for s, c in counts.items() if c > 0}
-            if dead_count:
-                raw[DEAD] = dead_count
-            return _CensusConfigView(raw, n_edges)
-
-        # Probe the certificate: if it needs per-node structure, the
-        # caller falls back to the exact engine (no steps consumed yet).
-        # Probing first also keeps the bus quiet until the leap regime
-        # is committed — a fallback run re-publishes from the exact path.
-        try:
-            probe = bool(stabilized(view()))
-        except Exception:
-            return None
-
-        def raw_census() -> dict:
-            raw = {state_of(s): c for s, c in counts.items() if c > 0}
-            if dead_count:
-                raw[DEAD] = dead_count
-            return raw
-
-        last_census_step = -1
-
-        def emit_census(step: int, force: bool = False) -> None:
-            """Publish a sampled census frame: at most one per
-            ``census_interval`` steps (auto: one per ``alive`` steps),
-            plus forced frames at termination."""
-            nonlocal last_census_step
-            stride = (
-                self.census_interval
-                if self.census_interval is not None
-                else max(1, alive)
-            )
-            if step == last_census_step:
-                return  # already published for this step
-            if not force and step - last_census_step < stride:
-                return
-            last_census_step = step
-            bus.census(CensusFrame(step, raw_census(), n_edges, effective))
-
-        if bus is not None:
-            bus.run_started(RunMeta(
-                protocol.name, n, self.engine_name, raw_census(), n_edges,
-            ))
-
-        def certificate() -> bool:
-            try:
-                return bool(stabilized(view()))
-            except Exception:
-                # Worked at step 0 but needs structure now: materialize a
-                # census-faithful configuration and ask the real question.
-                return bool(
-                    stabilized(
-                        self._materialize(counts, ends, n_edges, dead_count, state_of)
-                    )
-                )
-
-        plan = compile_fault_plan(self.faults, n, self.seed, protocol)
-        fault_next = plan.next_step(-1) if plan is not None else None
-        horizon = plan.horizon if plan is not None else -1
 
         out_states = protocol.output_states
         notify_crash = protocol.on_neighbor_crash
@@ -550,7 +526,10 @@ class CountSimulator(IndexedSimulator):
                 eadd(s, -moved)
                 eadd(s2, moved)
 
-        def apply_census_faults(at: int) -> bool:
+        def faults(plan, at: int) -> tuple[str, ...]:
+            """Apply the plan's actions at ``at`` census-wise: the plan
+            sees the synthetic ids of :class:`_PlanFacade`, and a crash
+            is one hypergeometric draw of the victims' states."""
             nonlocal alive, dead_count, n_edges
             changed = False
             kinds: list[str] = []
@@ -618,9 +597,7 @@ class CountSimulator(IndexedSimulator):
                     raise SimulationError(
                         f"fault kind {action.kind!r} is not census-representable"
                     )
-            if changed and bus is not None:
-                bus.fault(FaultFrame(at, tuple(kinds), raw_census(), n_edges))
-            return changed
+            return tuple(kinds) if changed else ()
 
         def class_weights() -> list[tuple[tuple[int, int, int], float]]:
             present = [s for s, c in counts.items() if c > 0]
@@ -705,191 +682,82 @@ class CountSimulator(IndexedSimulator):
                             break
             return changed, out_changed
 
-        steps = 0
-        effective = 0
-        last_change = 0
-        last_output = 0
-
-        while fault_next is not None and fault_next <= 0:
-            apply_census_faults(fault_next)
-            fault_next = plan.next_step(fault_next)
-
-        del probe  # only needed to validate the census view
-        if certificate() and 0 >= horizon:
-            if bus is not None:
-                emit_census(0, force=True)
-            return self._result(
-                True, 0, 0, 0, 0, "stabilized",
-                counts, ends, n_edges, dead_count, state_of,
-            )
-
         prev_k = 0
         k_ceiling = self.MAX_LEAP
-        while True:
-            if fault_next is not None and fault_next <= steps:
-                fault_changed = False
-                while fault_next is not None and fault_next <= steps:
-                    fault_changed |= apply_census_faults(fault_next)
-                    fault_next = plan.next_step(fault_next)
-                if fault_changed:
-                    last_change = steps
-                    last_output = steps
-                if steps >= horizon and certificate():
-                    if bus is not None:
-                        emit_census(steps, force=True)
-                    return self._result(
-                        True, steps, effective, last_change, last_output,
-                        "stabilized", counts, ends, n_edges, dead_count, state_of,
-                    )
-            ws = class_weights()
-            total_weight = sum(w for _, w in ws)
-            if total_weight <= 0.0:
-                if fault_next is not None and (
-                    horizon > steps
-                    or n_edges > 0
-                    or plan.mutates_population
-                ):
-                    if max_steps is not None and fault_next > max_steps:
-                        steps = max_steps
-                        break
-                    steps = fault_next
-                    continue
-                if bus is not None:
-                    emit_census(steps, force=True)
-                return self._result(
-                    True, steps, effective, last_change, last_output,
-                    "quiescent", counts, ends, n_edges, dead_count, state_of,
-                )
-            m = alive * (alive - 1) // 2
-            k = min(choose_k(ws, total_weight, prev_k), k_ceiling)
-            k_ceiling = self.MAX_LEAP
-            jump_to_fault = False
-            hit_budget = False
+
+        def advance(steps, fault_next, max_steps):
+            """One leap: a firing budget ``K`` from the drift bound,
+            halved until its clock advance stays before the next fault
+            and within the budget, split multinomially over the
+            effective classes, and retried smaller on an overshoot."""
+            nonlocal n_edges, effective, prev_k, k_ceiling
             while True:
-                failures = leap.geometric_failures(k, total_weight / m)
-                elapsed = k + failures
-                if fault_next is not None and steps + elapsed > fault_next:
-                    if k > 1:
-                        k = k // 2
-                        continue
-                    # The single firing lands past the fault; the skip is
-                    # memoryless, so jump the clock to the fault and redraw.
-                    if max_steps is not None and fault_next > max_steps:
-                        steps = max_steps
-                        hit_budget = True
-                        break
-                    steps = fault_next
-                    jump_to_fault = True
+                ws = class_weights()
+                total_weight = sum(w for _, w in ws)
+                if total_weight <= 0.0:
+                    return steps, _IDLE, 0
+                m = alive * (alive - 1) // 2
+                k = min(choose_k(ws, total_weight, prev_k), k_ceiling)
+                k_ceiling = self.MAX_LEAP
+                while True:
+                    elapsed = k + leap.geometric_failures(k, total_weight / m)
+                    if fault_next is not None and steps + elapsed > fault_next:
+                        if k > 1:
+                            k = k // 2
+                            continue
+                        # The single firing lands past the fault; the skip
+                        # is memoryless, so jump the clock to the fault and
+                        # redraw.
+                        if max_steps is not None and fault_next > max_steps:
+                            return max_steps, _AT_BUDGET, 0
+                        return fault_next, _AT_FAULT, 0
+                    if max_steps is not None and steps + elapsed > max_steps:
+                        if k > 1:
+                            k = k // 2
+                            continue
+                        return max_steps, _AT_BUDGET, 0
                     break
-                if max_steps is not None and steps + elapsed > max_steps:
-                    if k > 1:
-                        k = k // 2
-                        continue
-                    steps = max_steps
-                    hit_budget = True
-                    break
-                break
-            if hit_budget:
-                break
-            if jump_to_fault:
-                continue
-            split = leap.multinomial(k, [float(w) for _, w in ws])
-            snap_counts = dict(counts)
-            snap_ends = dict(ends)
-            snap_n_edges = n_edges
-            changed = 0
-            out_any = False
-            for ((a, b, c), _w), kc in zip(ws, split):
-                if kc > 0:
-                    ch, oc = apply_class(a, b, c, kc)
-                    changed += ch
-                    out_any = out_any or oc
-            if (
-                n_edges < 0
-                or any(v < 0 for v in counts.values())
-                or any(v < 0 for v in ends.values())
-            ):
-                # Tau-leap overshoot: restore and retry with a smaller leap.
-                counts.clear()
-                counts.update(snap_counts)
-                ends.clear()
-                ends.update(snap_ends)
-                n_edges = snap_n_edges
-                k_ceiling = max(1, k // 2)
-                prev_k = 0
-                continue
-            counts_gc = [s for s, c in counts.items() if c == 0]
-            for s in counts_gc:
-                del counts[s]
-            steps += elapsed
-            effective += changed
-            prev_k = k
-            if self.leap_hook is not None:
-                self.leap_hook(steps, counts, ends, k)
-            if bus is not None:
-                emit_census(steps)
-            if changed:
-                last_change = steps
-            if out_any:
-                last_output = steps
-            if certificate() and steps >= horizon and (
-                fault_next is None or fault_next > steps
-            ):
-                if bus is not None:
-                    emit_census(steps, force=True)
-                return self._result(
-                    True, steps, effective, last_change, last_output,
-                    "stabilized", counts, ends, n_edges, dead_count, state_of,
-                )
-        if require_convergence:
-            raise ConvergenceError(
-                f"{protocol.name} did not stabilize within budget (n={n})",
-                steps,
-            )
-        if bus is not None:
-            emit_census(steps, force=True)
-        return self._result(
-            False, steps, effective, last_change, last_output,
-            "max_steps", counts, ends, n_edges, dead_count, state_of,
-        )
+                split = leap.multinomial(k, [float(w) for _, w in ws])
+                snap_counts = dict(counts)
+                snap_ends = dict(ends)
+                snap_n_edges = n_edges
+                changed = 0
+                out_any = False
+                for ((a, b, c), _w), kc in zip(ws, split):
+                    if kc > 0:
+                        ch, oc = apply_class(a, b, c, kc)
+                        changed += ch
+                        out_any = out_any or oc
+                if (
+                    n_edges < 0
+                    or any(v < 0 for v in counts.values())
+                    or any(v < 0 for v in ends.values())
+                ):
+                    # Tau-leap overshoot: restore and retry with a smaller
+                    # leap.
+                    counts.clear()
+                    counts.update(snap_counts)
+                    ends.clear()
+                    ends.update(snap_ends)
+                    n_edges = snap_n_edges
+                    k_ceiling = max(1, k // 2)
+                    prev_k = 0
+                    continue
+                for s in [s for s, c in counts.items() if c == 0]:
+                    del counts[s]
+                steps += elapsed
+                effective += changed
+                prev_k = k
+                if self.leap_hook is not None:
+                    self.leap_hook(steps, counts, ends, k)
+                if publish is not None:
+                    emit_census(steps)
+                if out_any:
+                    return steps, _APPLIED_OUTPUT, changed
+                return steps, _APPLIED if changed else _MOVED, changed
 
-    # ------------------------------------------------------------------
-    # Result materialization
-    # ------------------------------------------------------------------
-    def _materialize(
-        self, counts, ends, n_edges, dead_count, state_of
-    ) -> Configuration:
-        """A census-faithful :class:`Configuration`: per-class edge counts
-        are derived from the annealed closure's endpoint masses
-        (:func:`derive_edge_census`), then realized with the canonical
-        geometry of :meth:`Configuration.from_census`."""
-        raw_counts: dict = {}
-        for s, c in counts.items():
-            if c > 0:
-                raw = state_of(s)
-                raw_counts[raw] = raw_counts.get(raw, 0) + c
-        if dead_count:
-            raw_counts[DEAD] = raw_counts.get(DEAD, 0) + dead_count
-        derived = derive_edge_census(counts, ends, n_edges)
-        raw_edges: dict = {}
-        for (a, b), e in derived.items():
-            key = census_pair_key(state_of(a), state_of(b))
-            raw_edges[key] = raw_edges.get(key, 0) + e
-        census = Census(raw_counts, raw_edges)
-        clamped = {
-            key: min(e, census.class_pairs(*key))
-            for key, e in raw_edges.items()
-        }
-        return Configuration.from_census(Census(raw_counts, clamped))
-
-    def _result(
-        self, converged, steps, effective, last_change, last_output,
-        reason, counts, ends, n_edges, dead_count, state_of,
-    ) -> RunResult:
-        cfg = self._materialize(counts, ends, n_edges, dead_count, state_of)
-        return RunResult(
-            converged, steps, effective, last_change, last_output,
-            cfg, reason, None,
+        return _Walk(
+            advance, faults, certificate, raw_census, lambda: n_edges, final
         )
 
 

@@ -517,19 +517,24 @@ class EdgeDropFaults(_RateFaults):
 def _unrank_pairs(
     slots: Iterable[int], n: int
 ) -> Iterator[tuple[int, int]]:
-    """The pairs ``(u, v)``, ``u < v``, at the increasing ``slots`` of
-    the lexicographic order over the ``n * (n - 1) / 2`` unordered
-    pairs, in one pass over the rows.
+    """The pairs ``(u, v)``, ``u < v``, at the ``slots`` of the
+    lexicographic order over the ``n * (n - 1) / 2`` unordered pairs.
+
+    Row ``u`` starts at slot ``u * (2n - 1 - u) / 2``, so a slot's row
+    is the smaller root of that quadratic, rounded down.
+    :func:`math.isqrt` of the discriminant gives that row or the next
+    one, and one integer step corrects it: O(1) per slot.
 
     >>> list(_unrank_pairs(range(6), 4))
     [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
     """
-    u = 0
-    first = 0  # the slot of (u, u + 1)
+    b = 2 * n - 1
     for slot in slots:
-        while slot >= first + n - 1 - u:
-            first += n - 1 - u
-            u += 1
+        u = (b - math.isqrt(b * b - 8 * slot)) // 2
+        first = u * (b - u) // 2  # the slot of (u, u + 1)
+        if first > slot:
+            u -= 1
+            first = u * (b - u) // 2
         yield (u, u + 1 + slot - first)
 
 

@@ -37,14 +37,15 @@ the ``sequential`` reference engine accepts every scenario but needs a
 finite step budget.  :func:`resolve_engine` applies that capability
 check and falls back to ``sequential`` (with a warning) instead of
 letting a uniform-only fast path silently misrepresent a non-uniform
-scheduler.
+scheduler; :func:`repro.core.simulator.make_engine` then builds the
+resolved engine for the scenario.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Any, Callable, ClassVar, TypeVar
+from typing import Callable, ClassVar, TypeVar
 
 from repro.core.configuration import Configuration
 from repro.core.errors import SimulationError
@@ -284,15 +285,9 @@ def resolve_engine(
     >>> resolve_engine("indexed", Scenario(scheduler="round-robin"), warn=False)
     'sequential'
     """
-    from repro.core.simulator import ENGINES
+    from repro.core.simulator import engine_class
 
-    try:
-        cls = ENGINES[engine]
-    except KeyError:
-        raise SimulationError(
-            f"unknown engine {engine!r}; choose from {sorted(ENGINES)}"
-        ) from None
-    if scenario is None or cls.supports(scenario):
+    if scenario is None or engine_class(engine).supports(scenario):
         return engine
     if warn:
         warnings.warn(
@@ -303,24 +298,3 @@ def resolve_engine(
             stacklevel=3,
         )
     return "sequential"
-
-
-def make_scenario_engine(
-    engine: str, seed: int | None, scenario: Scenario
-) -> Any:
-    """Instantiate ``engine`` wired up for ``scenario`` (scheduler for
-    the sequential engine, compiled-on-run fault models for all)."""
-    from repro.core.simulator import ENGINES
-
-    cls = ENGINES[engine]
-    if not cls.supports(scenario):
-        raise SimulationError(
-            f"engine {engine!r} does not support scenario "
-            f"({scenario.describe()}); use resolve_engine() first"
-        )
-    kwargs: dict = {"seed": seed}
-    if scenario.has_faults:
-        kwargs["faults"] = scenario.make_faults()
-    if engine == "sequential":
-        kwargs["scheduler"] = scenario.make_scheduler()
-    return cls(**kwargs)

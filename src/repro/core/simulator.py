@@ -31,30 +31,42 @@ Engine-selection guide
   engine below a population threshold, a census-only tau-leaping
   sampler above it (see :mod:`repro.core.counting`).
 
-Use the :data:`ENGINES` registry (``"sequential"``, ``"indexed"``,
-``"count"``) to select an engine by name in CLIs and experiment
-runners.  All engines measure the paper's convergence time: the last
-step at which the output graph changed (``RunResult.convergence_time``).
+Use :func:`make_engine` over the :data:`ENGINES` registry
+(``"sequential"``, ``"indexed"``, ``"count"``) to select an engine by
+name in CLIs and experiment runners.  All engines measure the paper's
+convergence time: the last step at which the output graph changed
+(``RunResult.convergence_time``).
 
 One run loop
 ------------
-The two exact engines share one run loop, :meth:`_ExactEngine.run`.  It
-owns everything around the interaction step: the configuration copy and
-its validation, the fault plan and its
+All three engines share one run loop, :meth:`_ExactEngine.run`.  It
+owns the clock: the fault plan and its
 :class:`~repro.core.trace.FaultFrame` s, the horizon gate, the jump over
 idle stretches and quiescence, the step budget, the certificate poll
-every ``check_interval`` effective steps, and the :class:`RunResult`.
-An engine supplies a *walk* (:class:`_Walk`), built afresh per run:
+every ``check_interval`` advances, the
+:class:`~repro.core.trace.RunMeta` and the :class:`RunResult`.  An
+engine supplies a *walk* (:class:`_Walk`), built afresh per run around
+its own state — a copied configuration, or a census:
 
 * ``advance(steps, fault_next, max_steps)`` moves the clock to the next
   applied change, or stops it first at the next fault step, at the
   budget, or where no alive pair can change anything.  The sequential
   walk takes one scheduler pick at a time and applies it with
   :func:`apply_interaction`; the indexed walk draws a geometric skip,
-  then a class, then a pair, and applies the compiled rule.
-* ``crash``, ``cut``, ``corrupt``, ``arrive`` and ``revive`` apply one
-  fault to the configuration and keep the engine's own view in step:
-  the scheduler's pair stream, or the class census.
+  then a class, then a pair, and applies the compiled rule; the count
+  engine's census walk takes one tau-leap, which may apply many
+  interactions or, when every firing was an identity, none.
+* ``faults(plan, step)`` applies the plan's actions at one step.  The
+  exact walks share one dispatch (:func:`_exact_walk`): it keeps the
+  dead nodes and the ascending alive list the plan draws victims from,
+  and calls the walk's ``crash``, ``cut``, ``corrupt``, ``arrive`` and
+  ``revive``, which keep the engine's own view in step (the scheduler's
+  pair stream, or the class census).  The census walk applies crashes
+  and joins to its counts.
+* ``certificate()``, ``counts()``, ``active_edges()`` and
+  ``final(steps)`` read the walk's state: whether the stabilization
+  certificate holds, the census the frames carry, and the final
+  configuration.
 
 Scenario support
 ----------------
@@ -104,7 +116,9 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, NamedTuple
 
 from repro.core.configuration import Configuration
@@ -112,6 +126,7 @@ from repro.core.errors import ConvergenceError, SimulationError
 from repro.core.faults import DEAD, FaultModel, compile_fault_plan
 from repro.core.indexing import IndexedSet, PairClassIndex
 from repro.core.protocol import Protocol, resolve, sample_outcome
+from repro.core.scenario import DEFAULT_SCENARIO, resolve_engine
 from repro.core.scheduler import Scheduler, UniformRandomScheduler
 from repro.core.trace import (
     Event,
@@ -245,39 +260,104 @@ def _output_affected(protocol: Protocol, event: Event) -> bool:
 
 
 # Where a walk's ``advance`` stopped the clock: at an applied change
-# that may have changed the output graph, or one that cannot have; at
-# the next fault step; at the budget; or with no alive pair able to
-# change anything.
-_APPLIED, _APPLIED_OUTPUT, _AT_FAULT, _AT_BUDGET, _IDLE = range(5)
+# that may have changed the output graph, or one that cannot have; after
+# a census leap whose firings were all identities (the clock moved,
+# nothing changed); at the next fault step; at the budget; or with no
+# alive pair able to change anything.
+_APPLIED, _APPLIED_OUTPUT, _MOVED, _AT_FAULT, _AT_BUDGET, _IDLE = range(6)
 
 
 class _Walk(NamedTuple):
     """What an engine supplies to the shared run loop (see the module
-    docstring).  The loop passes only alive nodes and edges that are
-    active between alive nodes, and keeps the set of dead nodes itself."""
+    docstring)."""
 
-    #: ``(steps, fault_next, max_steps) -> (steps, reached)``.
-    advance: Callable[[int, Any, Any], tuple[int, int]]
-    #: Crash-stop an alive node: drop its edges, notify its neighbors.
-    crash: Callable[[int], None]
-    #: Deactivate an edge; notify both endpoints unless ``silent``.
-    cut: Callable[[int, int, bool], None]
-    #: Set an alive node to a different claimed state.
-    corrupt: Callable[[int, Any], None]
-    #: Append ``count`` nodes in the join state.
-    arrive: Callable[[int], None]
-    #: Return these dead nodes to the join state.
-    revive: Callable[[list], None]
+    #: ``(steps, fault_next, max_steps) -> (steps, reached, applied)``,
+    #: ``applied`` being the number of interactions that changed
+    #: something (1 per applied change on the exact walks).
+    advance: Callable[[int, Any, Any], tuple[int, int, int]]
+    #: ``(plan, step) -> kinds``: apply the plan's actions at ``step``;
+    #: the kinds of all its actions if any changed something, else ``()``.
+    faults: Callable[[Any, int], tuple[str, ...]]
+    #: Does the stabilization certificate hold now?
+    certificate: Callable[[], Any]
+    #: The state histogram, ``DEAD`` included.
+    counts: Callable[[], dict]
+    #: The number of active edges.
+    active_edges: Callable[[], int]
+    #: ``steps -> configuration``: the run's final configuration.
+    final: Callable[[int], Configuration]
+
+
+def _exact_walk(
+    cfg: Configuration, stabilized, dead: set[int],
+    advance, crash, cut, corrupt, arrive, revive,
+) -> _Walk:
+    """An exact engine's walk over ``cfg``: its ``advance`` and one method
+    per fault kind behind the fault dispatch both exact engines share.
+
+    The dispatch passes the methods only alive nodes and edges active
+    between alive nodes.  It keeps the crashed nodes in ``dead`` and,
+    from the first death on, the alive ids in one ascending list, which
+    the plan picks its victims from (a ``range`` while no node is dead):
+    a crash or a revival moves one id by bisection, an arrival appends.
+    """
+    alive: list[int] = []
+
+    def faults(plan, at: int) -> tuple[str, ...]:
+        changed = False
+        kinds: list[str] = []
+        for action in plan.actions_at(at, cfg, alive if dead else range(cfg.n)):
+            kinds.append(action.kind)
+            if action.kind == "crash":
+                for w in action.nodes:
+                    if w not in dead:
+                        if not dead:
+                            alive[:] = range(cfg.n)
+                        crash(w)
+                        dead.add(w)
+                        del alive[bisect_left(alive, w)]
+                        changed = True
+            elif action.kind == "cut":
+                for a, b in action.edges:
+                    if a not in dead and b not in dead and cfg.edge_state(a, b):
+                        cut(a, b, action.silent)
+                        changed = True
+            elif action.kind == "corrupt":
+                for w, claim in zip(action.nodes, action.states):
+                    if w not in dead and cfg.state(w) != claim:
+                        corrupt(w, claim)
+                        changed = True
+            elif action.kind == "arrive":
+                first = cfg.n
+                arrive(action.count)
+                if dead:
+                    alive.extend(range(first, cfg.n))
+                changed = True
+            else:  # revive
+                revived = [w for w in action.nodes if w in dead]
+                if revived:
+                    dead.difference_update(revived)
+                    if dead:
+                        for w in revived:
+                            insort(alive, w)
+                    revive(revived)
+                    changed = True
+        return tuple(kinds) if changed else ()
+
+    return _Walk(
+        advance, faults, partial(stabilized, cfg), cfg.state_counts,
+        lambda: cfg.n_active_edges, lambda steps: cfg,
+    )
 
 
 class _ExactEngine:
-    """The run loop shared by the exact engines; a subclass supplies one
+    """The run loop every engine shares; a subclass supplies one
     :class:`_Walk` per run through ``_walk``.
 
     Parameters
     ----------
     seed:
-        Seed for the engine-owned :class:`random.Random`.
+        Seed for the engine-owned random streams.
     faults:
         Fault models applied between scheduler picks (compiled per run).
     """
@@ -293,13 +373,31 @@ class _ExactEngine:
         self.seed = seed
         self.faults = tuple(faults)
 
+    def _start(
+        self,
+        protocol: Protocol,
+        n: int,
+        config: Configuration | None,
+        copy_config: bool,
+    ) -> tuple[Configuration, random.Random]:
+        """An exact walk's own state: the configuration it evolves and
+        the seeded :class:`random.Random` it draws from."""
+        if config is None:
+            cfg = protocol.initial_configuration(n)
+        else:
+            cfg = config.copy() if copy_config else config
+        if cfg.n != n:
+            raise SimulationError(f"configuration has {cfg.n} nodes, expected {n}")
+        return cfg, random.Random(self.seed)
+
     def _walk(
         self,
         protocol: Protocol,
-        cfg: Configuration,
-        rng: random.Random,
-        dead: set[int],
+        n: int,
+        config: Configuration | None,
+        copy_config: bool,
         publish,
+        stabilized: StopPredicate,
         max_steps: int | None,
     ) -> _Walk:
         raise NotImplementedError
@@ -322,80 +420,41 @@ class _ExactEngine:
         more, or ``max_steps`` scheduler steps have elapsed.
 
         The protocol's ``stabilized`` certificate (or the ``stop``
-        override) is polled every ``check_interval`` effective steps and
-        after every fault.  ``require_convergence`` raises
-        :class:`ConvergenceError` when the budget runs out.
-        ``copy_config=False`` evolves the caller's configuration in place
-        (used when running several protocol phases over one population).
+        override) is polled every ``check_interval`` advances of the
+        walk (an applied change on the exact engines, a leap on the
+        count engine's census walk) and after every fault.
+        ``require_convergence`` raises :class:`ConvergenceError` when the
+        budget runs out.  ``copy_config=False`` evolves the caller's
+        configuration in place (used when running several protocol
+        phases over one population).
         """
-        rng = random.Random(self.seed)
-        if config is None:
-            cfg = protocol.initial_configuration(n)
-        else:
-            cfg = config.copy() if copy_config else config
-        if cfg.n != n:
-            raise SimulationError(f"configuration has {cfg.n} nodes, expected {n}")
         stabilized = stop if stop is not None else protocol.stabilized
         publish = merge_sinks(trace, bus)
-        dead: set[int] = set()
-        walk = self._walk(protocol, cfg, rng, dead, publish, max_steps)
+        walk = self._walk(
+            protocol, n, config, copy_config, publish, stabilized, max_steps
+        )
+        advance, apply_faults, certificate, counts, active_edges, final = walk
         if publish is not None:
             publish.run_started(RunMeta(
-                protocol.name, n, self.engine_name,
-                dict(cfg.state_counts()), cfg.n_active_edges,
+                protocol.name, n, self.engine_name, counts(), active_edges(),
             ))
 
         plan = compile_fault_plan(self.faults, n, self.seed, protocol)
         fault_next = plan.next_step(-1) if plan is not None else None
         horizon = plan.horizon if plan is not None else -1
 
-        def apply_faults(at: int) -> bool:
-            changed = False
-            kinds: list[str] = []
-            alive = (
-                [u for u in range(cfg.n) if u not in dead] if dead
-                else range(cfg.n)
-            )
-            for action in plan.actions_at(at, cfg, alive):
-                kinds.append(action.kind)
-                if action.kind == "crash":
-                    for w in action.nodes:
-                        if w not in dead:
-                            walk.crash(w)
-                            dead.add(w)
-                            changed = True
-                elif action.kind == "cut":
-                    for a, b in action.edges:
-                        if a not in dead and b not in dead and cfg.edge_state(a, b):
-                            walk.cut(a, b, action.silent)
-                            changed = True
-                elif action.kind == "corrupt":
-                    for w, claim in zip(action.nodes, action.states):
-                        if w not in dead and cfg.state(w) != claim:
-                            walk.corrupt(w, claim)
-                            changed = True
-                elif action.kind == "arrive":
-                    walk.arrive(action.count)
-                    changed = True
-                else:  # revive
-                    revived = [w for w in action.nodes if w in dead]
-                    if revived:
-                        dead.difference_update(revived)
-                        walk.revive(revived)
-                        changed = True
-            if changed and publish is not None:
-                publish.fault(FaultFrame(
-                    at, tuple(kinds),
-                    dict(cfg.state_counts()), cfg.n_active_edges,
-                ))
-            return changed
-
         def drain(steps: int) -> bool:
             """Apply every fault due at or before ``steps``."""
             nonlocal fault_next
             changed = False
             while fault_next is not None and fault_next <= steps:
-                changed |= apply_faults(fault_next)
+                kinds = apply_faults(plan, fault_next)
+                if kinds:
+                    changed = True
+                    if publish is not None:
+                        publish.fault(FaultFrame(
+                            fault_next, kinds, counts(), active_edges(),
+                        ))
                 fault_next = plan.next_step(fault_next)
             return changed
 
@@ -404,10 +463,9 @@ class _ExactEngine:
         last_change = 0
         last_output_change = 0
         since_check = 0
-        advance = walk.advance
 
         drain(0)  # faults due before the first pick
-        reason = "stabilized" if stabilized(cfg) and steps >= horizon else None
+        reason = "stabilized" if certificate() and steps >= horizon else None
         while reason is None:
             if fault_next is not None and fault_next <= steps:
                 if drain(steps):
@@ -417,26 +475,27 @@ class _ExactEngine:
                 # have held for a while, suppressed only by the horizon
                 # gate, and no further effective step may come to
                 # re-trigger the poll below.
-                if steps >= horizon and stabilized(cfg):
+                if steps >= horizon and certificate():
                     reason = "stabilized"
                     break
-            steps, reached = advance(steps, fault_next, max_steps)
-            if reached <= _APPLIED_OUTPUT:
-                effective += 1
-                last_change = steps
-                if reached == _APPLIED_OUTPUT:
-                    last_output_change = steps
+            steps, reached, applied = advance(steps, fault_next, max_steps)
+            if reached <= _MOVED:
+                if applied:
+                    effective += applied
+                    last_change = steps
+                    if reached == _APPLIED_OUTPUT:
+                        last_output_change = steps
                 since_check += 1
                 if since_check >= check_interval:
                     since_check = 0
-                    if stabilized(cfg) and steps >= horizon and (
+                    if certificate() and steps >= horizon and (
                         fault_next is None or fault_next > steps
                     ):
                         reason = "stabilized"
             elif reached == _IDLE:
                 if fault_next is None or not (
                     horizon > steps
-                    or cfg.n_active_edges > 0
+                    or active_edges() > 0
                     or plan.mutates_population
                 ):
                     reason = "quiescent"
@@ -454,11 +513,11 @@ class _ExactEngine:
         if reason == "max_steps" and require_convergence:
             raise ConvergenceError(
                 f"{protocol.name} did not stabilize within {max_steps} steps "
-                f"(n={cfg.n})", steps,
+                f"(n={n})", steps,
             )
         return RunResult(
             reason != "max_steps", steps, effective, last_change,
-            last_output_change, cfg, reason, trace,
+            last_output_change, final(steps), reason, trace,
         )
 
 
@@ -492,7 +551,10 @@ class SequentialSimulator(_ExactEngine):
         scheduler pick), at the price of a finite ``max_steps`` budget."""
         return True
 
-    def _walk(self, protocol, cfg, rng, dead, publish, max_steps) -> _Walk:
+    def _walk(
+        self, protocol, n, config, copy_config, publish, stabilized, max_steps
+    ) -> _Walk:
+        cfg, rng = self._start(protocol, n, config, copy_config)
         if max_steps is None:
             raise SimulationError(
                 "the sequential engine walks every step and needs a finite "
@@ -501,6 +563,7 @@ class SequentialSimulator(_ExactEngine):
         scheduler = self.scheduler
         adaptive = getattr(scheduler, "adaptive", False)
         stream = None
+        dead: set[int] = set()
 
         def advance(steps, fault_next, max_steps):
             nonlocal stream
@@ -516,7 +579,7 @@ class SequentialSimulator(_ExactEngine):
                     stream = scheduler.pairs(cfg.n, rng)
             while steps < max_steps:
                 if dead and cfg.n - len(dead) < 2:
-                    return steps, _IDLE
+                    return steps, _IDLE, 0
                 u, v = next(stream)
                 if dead and (u in dead or v in dead):
                     # Crashed nodes left the interaction graph: this
@@ -530,11 +593,11 @@ class SequentialSimulator(_ExactEngine):
                     if publish is not None:
                         publish.interaction(event, cfg)
                     if _output_affected(protocol, event):
-                        return steps, _APPLIED_OUTPUT
-                    return steps, _APPLIED
+                        return steps, _APPLIED_OUTPUT, 1
+                    return steps, _APPLIED, 1
                 if fault_next is not None and fault_next <= steps:
-                    return steps, _AT_FAULT
-            return steps, _AT_BUDGET
+                    return steps, _AT_FAULT, 0
+            return steps, _AT_BUDGET, 0
 
         def renotify(x: int, hook) -> None:
             new_state = hook(cfg.state(x))
@@ -563,7 +626,10 @@ class SequentialSimulator(_ExactEngine):
             for w in nodes:
                 cfg.set_state(w, _join_state(protocol))
 
-        return _Walk(advance, crash, cut, cfg.set_state, arrive, revive)
+        return _exact_walk(
+            cfg, stabilized, dead, advance, crash, cut, cfg.set_state, arrive,
+            revive,
+        )
 
 
 class IndexedSimulator(_ExactEngine):
@@ -593,8 +659,10 @@ class IndexedSimulator(_ExactEngine):
         overrides are fine."""
         return scenario.uses_uniform_scheduler
 
-    def _walk(self, protocol, cfg, rng, dead, publish, max_steps) -> _Walk:
-        n = cfg.n
+    def _walk(
+        self, protocol, n, config, copy_config, publish, stabilized, max_steps
+    ) -> _Walk:
+        cfg, rng = self._start(protocol, n, config, copy_config)
         if n < 2:
             raise SimulationError("need at least 2 nodes")
         compiled = protocol.compile()
@@ -690,7 +758,7 @@ class IndexedSimulator(_ExactEngine):
             while True:
                 k = index.total
                 if k == 0:
-                    return steps, _IDLE
+                    return steps, _IDLE, 0
                 if k == m:
                     skip = 0
                 else:
@@ -701,10 +769,10 @@ class IndexedSimulator(_ExactEngine):
                     # A fault fires before the next effective pick; the
                     # skip is memoryless, so jump to the fault and redraw.
                     if max_steps is not None and fault_next > max_steps:
-                        return max_steps, _AT_BUDGET
-                    return fault_next, _AT_FAULT
+                        return max_steps, _AT_BUDGET, 0
+                    return fault_next, _AT_FAULT, 0
                 if max_steps is not None and steps + skip + 1 > max_steps:
-                    return max_steps, _AT_BUDGET
+                    return max_steps, _AT_BUDGET, 0
                 steps += skip + 1
 
                 key = index.sample_class(rng)
@@ -737,7 +805,7 @@ class IndexedSimulator(_ExactEngine):
                     # An effective class may sample an identity outcome
                     # in a probabilistic rule; the step still elapsed.
                     if fault_next is not None and fault_next <= steps:
-                        return steps, _AT_FAULT
+                        return steps, _AT_FAULT, 0
                     continue
 
                 if u_changed:
@@ -772,7 +840,7 @@ class IndexedSimulator(_ExactEngine):
                 # _output_affected, without the per-step Event it takes.
                 if out is None:
                     if edge_changed:
-                        return steps, _APPLIED_OUTPUT
+                        return steps, _APPLIED_OUTPUT, 1
                 elif (
                     (u_changed
                      and (state_of(su) in out) != (state_of(new_u) in out))
@@ -781,8 +849,8 @@ class IndexedSimulator(_ExactEngine):
                     or (edge_changed
                         and state_of(new_u) in out and state_of(new_v) in out)
                 ):
-                    return steps, _APPLIED_OUTPUT
-                return steps, _APPLIED
+                    return steps, _APPLIED_OUTPUT, 1
+                return steps, _APPLIED, 1
 
         def resize(joined: int) -> None:
             nonlocal alive, m
@@ -845,7 +913,9 @@ class IndexedSimulator(_ExactEngine):
             index.refresh_involving({s_join})
             resize(len(nodes))
 
-        return _Walk(advance, crash, cut, corrupt, arrive, revive)
+        return _exact_walk(
+            cfg, stabilized, set(), advance, crash, cut, corrupt, arrive, revive
+        )
 
 
 #: Engine registry: name -> engine class taking ``seed=`` and
@@ -862,15 +932,43 @@ ENGINES: dict[str, type] = {
 }
 
 
-def make_engine(engine: str, seed: int | None = None):
-    """Instantiate an engine from the :data:`ENGINES` registry by name."""
+def engine_class(engine: str) -> type:
+    """The :data:`ENGINES` class registered under ``engine``."""
     try:
-        cls = ENGINES[engine]
+        return ENGINES[engine]
     except KeyError:
         raise SimulationError(
             f"unknown engine {engine!r}; choose from {sorted(ENGINES)}"
         ) from None
-    return cls(seed=seed)
+
+
+def make_engine(engine: str, seed: int | None = None, scenario=None):
+    """Instantiate an engine by name, wired for ``scenario`` when one is
+    given: its fault models, and its scheduler on the sequential engine.
+    An engine that does not support the scenario is refused;
+    :func:`~repro.core.scenario.resolve_engine` picks one that does.
+
+    >>> from repro.core.scenario import Scenario
+    >>> sim = make_engine("sequential", 3, Scenario(scheduler="round-robin"))
+    >>> type(sim).__name__, type(sim.scheduler).__name__
+    ('SequentialSimulator', 'RoundRobinScheduler')
+    >>> make_engine("count", 3, Scenario(faults="cut:edges=0-1,at=5"))
+    Traceback (most recent call last):
+        ...
+    repro.core.errors.SimulationError: engine 'count' does not support scenario (scheduler=uniform faults=cut:at=5,edges=0-1); use resolve_engine() first
+    """
+    cls = engine_class(engine)
+    if scenario is None:
+        return cls(seed=seed)
+    if not cls.supports(scenario):
+        raise SimulationError(
+            f"engine {engine!r} does not support scenario "
+            f"({scenario.describe()}); use resolve_engine() first"
+        )
+    faults = scenario.make_faults()
+    if cls is SequentialSimulator:
+        return cls(scenario.make_scheduler(), seed=seed, faults=faults)
+    return cls(seed=seed, faults=faults)
 
 
 def run_summary(result: RunResult) -> dict:
@@ -903,34 +1001,28 @@ def _execute(
     """Resolve, build and run one engine, then publish ``run_finished``:
     the one dispatch path of every driver.
 
-    The default scenario runs the named engine from the protocol's own
-    start (``config=None``, which the count engine turns into an O(1)
-    census) and, when ``raise_on_budget``, raises
-    :class:`ConvergenceError` if a finite ``max_steps`` runs out.  Any
-    other scenario resolves the engine through ``supports(scenario)``
-    (warning on a fallback when ``warn``) and never raises on budget
-    exhaustion: the result says ``converged=False`` instead.
+    The engine is resolved through ``supports(scenario)`` (warning on a
+    fallback when ``warn``), built for the scenario, and run from the
+    scenario's initial configuration (``None`` for the protocol's own
+    start, which the count engine turns into an O(1) census).  Only the
+    default scenario raises :class:`ConvergenceError` when a finite
+    ``max_steps`` runs out, and only when ``raise_on_budget``; any other
+    scenario's result says ``converged=False`` instead.
     """
-    if scenario is None or scenario.is_default:
-        sim = make_engine(engine, seed=seed)
-        config = None
-        require_convergence = raise_on_budget and max_steps is not None
-    else:
-        from repro.core.scenario import make_scenario_engine, resolve_engine
-
-        engine = resolve_engine(engine, scenario, warn=warn)
-        sim = make_scenario_engine(engine, seed, scenario)
-        config = scenario.build_initial(protocol, n)
-        require_convergence = False
-    result = sim.run(
+    if scenario is None:
+        scenario = DEFAULT_SCENARIO
+    engine = resolve_engine(engine, scenario, warn=warn)
+    result = make_engine(engine, seed, scenario).run(
         protocol,
         n,
         max_steps,
-        config=config,
+        config=scenario.build_initial(protocol, n),
         trace=trace,
         bus=bus,
         check_interval=check_interval,
-        require_convergence=require_convergence,
+        require_convergence=(
+            raise_on_budget and max_steps is not None and scenario.is_default
+        ),
     )
     if bus is not None:
         # Engines publish start/interaction/census/fault; the driver

@@ -94,7 +94,7 @@ from typing import Callable, Iterable, Iterator
 from repro.core.errors import ReproError
 from repro.core.faults import DEAD
 from repro.core.protocol import Protocol, resolve
-from repro.core.scenario import Scenario, make_scenario_engine, resolve_engine
+from repro.core.scenario import Scenario, resolve_engine
 from repro.core.simulator import ENGINES, make_engine
 from repro.core.trace import Trace
 from repro.protocols import registry
@@ -770,7 +770,7 @@ def check_adversarial(protocol, spec, settings):
     # it; the run and the final certificate must be exception-free.
     targeted = Scenario(scheduler="targeted:aim=leader")
     fresh = registry.instantiate(spec)
-    sim = make_scenario_engine("sequential", 4, targeted)
+    sim = make_engine("sequential", 4, targeted)
     starved = sim.run(
         fresh, n, settings.fault_budget, require_convergence=False
     )
@@ -860,7 +860,7 @@ def check_scenario_matrix(protocol, spec, settings):
         for engine in supporting:
             seed = _matrix_rank(settings, spec, f"{scenario.describe()}|{engine}") % 2**16
             fresh = registry.instantiate(spec)
-            sim = make_scenario_engine(engine, seed, scenario)
+            sim = make_engine(engine, seed, scenario)
             result = sim.run(
                 fresh, n, settings.fault_budget, require_convergence=False
             )

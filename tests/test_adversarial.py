@@ -20,7 +20,7 @@ from repro.core.faults import DEAD, FAULTS, compact_survivors
 from repro.core.graphs import is_spanning_line
 from repro.core.params import SpecError
 from repro.core.protocol import Protocol
-from repro.core.scenario import Scenario, make_scenario_engine, resolve_engine
+from repro.core.scenario import Scenario, resolve_engine
 from repro.core.scheduler import SCHEDULERS
 from repro.core.simulator import ENGINES, make_engine, run_to_convergence
 from repro.protocols import RCGlobalLine, registry
@@ -132,7 +132,7 @@ class TestByzantineFaults:
             pytest.skip(f"{engine} declines identity-based faults")
         signatures = []
         for _ in range(2):
-            sim = make_scenario_engine(engine, 7, scenario)
+            sim = make_engine(engine, 7, scenario)
             result = sim.run(
                 registry.instantiate("ft-global-line"), 8, 30_000,
                 require_convergence=False,
@@ -148,7 +148,7 @@ class TestByzantineFaults:
         scenario = Scenario(
             faults=("byzantine:count=6,mode=replay,lie=1,rate=0.01",)
         )
-        sim = make_scenario_engine("indexed", 11, scenario)
+        sim = make_engine("indexed", 11, scenario)
         result = sim.run(Recorder(), 6, 50_000, require_convergence=False)
         assert result.config.n_active_edges < 5  # edges did get dropped
         assert result.config.count_in_state("x") == 0
@@ -229,14 +229,14 @@ class TestTargetedScheduler:
             assert not ENGINES[engine].supports(scenario)
             assert resolve_engine(engine, scenario, warn=False) == "sequential"
         with pytest.raises(SimulationError, match="does not support"):
-            make_scenario_engine("indexed", 0, scenario)
+            make_engine("indexed", 0, scenario)
 
     @pytest.mark.parametrize("aim", ["leader", "bridge"])
     def test_starved_construction_still_converges(self, aim):
         # Fair-with-probability-1: the adversary may slow the line down
         # but cannot stop it.
         scenario = Scenario(scheduler=f"targeted:aim={aim}")
-        sim = make_scenario_engine("sequential", 1, scenario)
+        sim = make_engine("sequential", 1, scenario)
         protocol = registry.instantiate("simple-global-line")
         result = sim.run(protocol, 8, 3_000_000, require_convergence=False)
         assert result.converged
@@ -265,7 +265,7 @@ class TestEdgeLossNotifications:
         scenario = Scenario(faults=("cut:edges=1-2,at=5",))
         if not ENGINES[engine].supports(scenario):
             pytest.skip(f"{engine} declines identity-based faults")
-        sim = make_scenario_engine(engine, 0, scenario)
+        sim = make_engine(engine, 0, scenario)
         result = sim.run(Recorder(), 4, 1_000, require_convergence=False)
         config = result.config
         assert config.edge_state(1, 2) == 0
@@ -276,7 +276,7 @@ class TestEdgeLossNotifications:
         scenario = Scenario(faults=("edge-drop:rate=0.05",))
         if not ENGINES[engine].supports(scenario):
             pytest.skip(f"{engine} declines identity-based faults")
-        sim = make_scenario_engine(engine, 1, scenario)
+        sim = make_engine(engine, 1, scenario)
         result = sim.run(Recorder(), 5, 50_000, require_convergence=False)
         config = result.config
         assert config.n_active_edges == 0
@@ -330,7 +330,7 @@ class TestRCGlobalLine:
     def test_survives_mid_run_crashes(self, engine):
         protocol = RCGlobalLine()
         scenario = Scenario(faults=("crash:count=2,at=2000",))
-        sim = make_scenario_engine(engine, 3, scenario)
+        sim = make_engine(engine, 3, scenario)
         result = sim.run(protocol, 12, 5_000_000, require_convergence=False)
         assert result.converged
         assert protocol.target_reached(compact_survivors(result.config))
@@ -338,7 +338,7 @@ class TestRCGlobalLine:
     def test_survives_sustained_edge_drop(self):
         protocol = RCGlobalLine()
         scenario = Scenario(faults=("edge-drop:rate=0.0002",))
-        sim = make_scenario_engine("indexed", 5, scenario)
+        sim = make_engine("indexed", 5, scenario)
         result = sim.run(protocol, 16, 10_000_000, require_convergence=False)
         assert result.converged
         assert protocol.target_reached(compact_survivors(result.config))
@@ -346,7 +346,7 @@ class TestRCGlobalLine:
     def test_survives_byzantine_state_lies(self):
         protocol = RCGlobalLine()
         scenario = Scenario(faults=("byzantine:count=1,rate=0.0001,lie=0",))
-        sim = make_scenario_engine("indexed", 7, scenario)
+        sim = make_engine("indexed", 7, scenario)
         result = sim.run(protocol, 16, 10_000_000, require_convergence=False)
         assert result.converged
         assert protocol.target_reached(compact_survivors(result.config))

@@ -3,8 +3,9 @@
 The count engine (:class:`repro.core.counting.CountSimulator`) is the
 anonymity-native fourth engine: a run is a ``(state -> count)`` census
 plus the annealed edge statistic, stepped in tau-leaped batches above
-``leap_threshold`` and delegated verbatim to the indexed engine below
-it.  This suite pins the contract from both sides:
+``leap_threshold`` and run on the indexed engine's walk below it, both
+through the one run loop every engine shares.  This suite pins the
+contract from both sides:
 
 * **routing** — ``supports()`` declines exactly the identity-based
   scenarios (cut/byzantine faults, doped/graph inits, non-uniform
@@ -37,7 +38,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core import counting
+from repro.core import simulator
 from repro.core.configuration import Census, Configuration, census_pair_key
 from repro.core.counting import (
     IDENTITY_FAULTS,
@@ -45,10 +46,16 @@ from repro.core.counting import (
     CountSimulator,
     derive_edge_census,
 )
-from repro.core.errors import SimulationError
+from repro.core.errors import ConvergenceError, SimulationError
 from repro.core.faults import DEAD, census_sample_states
-from repro.core.scenario import Scenario, make_scenario_engine, resolve_engine
-from repro.core.simulator import ENGINES, IndexedSimulator, make_engine
+from repro.core.scenario import Scenario, resolve_engine
+from repro.core.simulator import (
+    ENGINES,
+    IndexedSimulator,
+    SequentialSimulator,
+    make_engine,
+    run_to_convergence,
+)
 from repro.processes import OneWayEpidemic, one_way_epidemic_expectation
 from repro.protocols import FTGlobalLine, SimpleGlobalLine
 
@@ -98,7 +105,7 @@ class TestEngineRouting:
         # rather than running an anonymity-unsafe census.
         assert resolve_engine("count", scenario, warn=False) == "sequential"
         with pytest.raises(SimulationError):
-            make_scenario_engine("count", 0, scenario)
+            make_engine("count", 0, scenario)
 
     def test_identity_sets_cover_the_declined_prefixes(self):
         assert IDENTITY_FAULTS == {"cut", "byzantine"}
@@ -135,6 +142,34 @@ class TestExactRegime:
             CountSimulator.DEFAULT_LEAP_THRESHOLD
         )
         assert CountSimulator(seed=0, leap_threshold=17).leap_threshold == 17
+
+
+class TestOneRunLoop:
+    """Every engine runs through one loop, ``_ExactEngine.run``; the leap
+    regime is the count engine's census walk of it."""
+
+    def test_every_engine_runs_the_one_loop(self):
+        assert SequentialSimulator.run is IndexedSimulator.run is CountSimulator.run
+        # Each is also bound in its own class body, so tooling can wrap
+        # one engine's run alone.
+        assert "run" in IndexedSimulator.__dict__
+        assert "run" in CountSimulator.__dict__
+
+    def test_leap_budget_exhaustion_raises(self, monkeypatch):
+        walks = []
+        census_walk = CountSimulator._census_walk
+
+        def recorded(self, *args):
+            walks.append(census_walk(self, *args))
+            return walks[-1]
+
+        monkeypatch.setattr(CountSimulator, "_census_walk", recorded)
+        with pytest.raises(ConvergenceError) as info:
+            run_to_convergence(
+                SimpleGlobalLine(), 5000, engine="count", max_steps=10, seed=1
+            )
+        assert info.value.steps == 10
+        assert len(walks) == 1 and walks[0] is not None, "not a leap run"
 
 
 class TestLeapRegime:
@@ -230,7 +265,7 @@ class TestLeapRegime:
         picks its victim without copying them; building and sorting a
         10^5-id list per event made this run take ~14 s instead of
         ~0.5 s.  The seeded outcome is pinned."""
-        compile_plan = counting.compile_fault_plan
+        compile_plan = simulator.compile_fault_plan
         costs = []
 
         def measured_plan(*args, **kwargs):
@@ -250,7 +285,7 @@ class TestLeapRegime:
             plan.actions_at = measured
             return plan
 
-        monkeypatch.setattr(counting, "compile_fault_plan", measured_plan)
+        monkeypatch.setattr(simulator, "compile_fault_plan", measured_plan)
         faults = Scenario(faults=("churn:rate=0.001",)).make_faults()
         result = CountSimulator(seed=1, faults=faults).run(
             OneWayEpidemic(), 100_000, 3_000_000
@@ -278,7 +313,7 @@ def _times(engine, protocol_factory, n, scenario, budget, seeds, *,
     """Convergence-measure samples of one engine over a scenario."""
     times = []
     for seed in seeds:
-        sim = make_scenario_engine(engine, seed, scenario)
+        sim = make_engine(engine, seed, scenario)
         result = sim.run(
             protocol_factory(), n, budget,
             require_convergence=require_convergence,

@@ -10,17 +10,27 @@ one plan built from every model at once.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import random
 import sys
 import tracemalloc
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core import simulator
 from repro.core.configuration import Configuration
-from repro.core.faults import DEAD, FAULTS, compile_fault_plan, survivors
-from repro.core.scenario import Scenario, make_scenario_engine
+from repro.core.faults import (
+    DEAD,
+    FAULTS,
+    _unrank_pairs,
+    compile_fault_plan,
+    survivors,
+)
+from repro.core.scenario import Scenario
+from repro.core.simulator import make_engine
 from repro.protocols import registry
 
 #: One of each fault model; byzantine in all three lie modes.
@@ -119,6 +129,32 @@ class TestEdgeRateUnderflow:
         assert abs(sum(cuts) / firings - expected) < 4 * stderr
 
 
+@st.composite
+def _slot_cases(draw):
+    """A population size and up to 20 distinct pair slots, ascending."""
+    n = draw(st.integers(2, 300))
+    slots = draw(st.lists(
+        st.integers(0, n * (n - 1) // 2 - 1), max_size=20, unique=True,
+    ))
+    return n, sorted(slots)
+
+
+class TestUnrankPairs:
+    """``edge-rate`` names its fired pairs by their lexicographic slot;
+    each slot's row is computed in closed form."""
+
+    @given(_slot_cases())
+    def test_slots_name_the_enumerated_pairs(self, case):
+        n, slots = case
+        pairs = list(itertools.combinations(range(n), 2))
+        assert list(_unrank_pairs(slots, n)) == [pairs[s] for s in slots]
+
+    def test_last_slot_of_a_million_nodes(self):
+        n = 10**6
+        last = n * (n - 1) // 2 - 1
+        assert list(_unrank_pairs([last], n)) == [(n - 2, n - 1)]
+
+
 class TestTinyRates:
     @pytest.mark.parametrize("spec", [
         "edge-drop:rate=1e-17",
@@ -136,7 +172,7 @@ class TestTinyRates:
 
     def test_a_run_under_a_tiny_rate_stabilizes(self):
         scenario = Scenario(faults=("edge-drop:rate=1e-17",))
-        sim = make_scenario_engine("indexed", 1, scenario)
+        sim = make_engine("indexed", 1, scenario)
         result = sim.run(
             registry.instantiate("simple-global-line"), 10, 100_000
         )
@@ -239,7 +275,7 @@ class TestAliveSequence:
         scenario = Scenario(faults=("edge-drop:rate=0.01", "crash:at=300"))
         for engine in ("indexed", "sequential"):
             seen.clear()
-            make_scenario_engine(engine, 2, scenario).run(
+            make_engine(engine, 2, scenario).run(
                 registry.instantiate("simple-global-line"), 20, 20_000
             )
             assert {isinstance(alive, range) for alive, _ in seen} == {
@@ -248,3 +284,39 @@ class TestAliveSequence:
             for alive, expected in seen:
                 assert list(alive) == expected
                 assert isinstance(alive, range) == (len(expected) == 20)
+
+    def test_exact_engines_keep_one_alive_list_after_the_first_death(
+        self, monkeypatch
+    ):
+        """Indexed one-way epidemic at n = 2*10^4 under
+        ``churn:rate=0.001``: from the first death on, every event hands
+        the plan the same list, kept equal to the alive ids instead of
+        being rebuilt from all n ids per event.  The seeded outcome is
+        pinned."""
+        compile_plan = simulator.compile_fault_plan
+        seen = []
+
+        def recording_plan(*args, **kwargs):
+            plan = compile_plan(*args, **kwargs)
+            actions_at = plan.actions_at
+
+            def recorded(step, config, alive):
+                seen.append((alive, list(alive) == survivors(config)))
+                return actions_at(step, config, alive)
+
+            plan.actions_at = recorded
+            return plan
+
+        monkeypatch.setattr(simulator, "compile_fault_plan", recording_plan)
+        scenario = Scenario(faults=("churn:rate=0.001",))
+        result = make_engine("indexed", 1, scenario).run(
+            registry.instantiate("one-way-epidemic"), 20_000, 300_000
+        )
+        assert (result.stop_reason, result.steps, result.effective_steps) == (
+            "max_steps", 300_000, 20_154,
+        )
+        assert len(seen) > 200
+        first, *rest = (alive for alive, _ in seen)
+        assert isinstance(first, range)
+        assert all(alive is rest[0] for alive in rest)
+        assert all(equal for _, equal in seen)

@@ -58,7 +58,8 @@ import pytest
 
 from repro.core.configuration import Configuration
 from repro.core.errors import SimulationError
-from repro.core.scenario import DEFAULT_SCHEDULER, Scenario, make_scenario_engine
+from repro.core.scenario import DEFAULT_SCHEDULER, Scenario
+from repro.core.simulator import make_engine
 from repro.protocols import registry
 from repro.testing import conformance_population, conformance_specs
 
@@ -153,7 +154,7 @@ def golden_cell(
         protocol = registry.instantiate(spec)
     n = conformance_population(protocol)
     scenario = Scenario(scheduler=scheduler, faults=FAULT_SETTINGS[setting])
-    sim = make_scenario_engine(engine, seed, scenario)
+    sim = make_engine(engine, seed, scenario)
     try:
         result = sim.run(
             protocol, n, BUDGETS[engine],
@@ -185,7 +186,7 @@ def count_cell(label: str, seed: int) -> dict:
     spec, n, budget, faults = COUNT_CELLS[label]
     protocol = registry.instantiate(spec)
     scenario = Scenario(faults=faults)
-    sim = make_scenario_engine("count", seed, scenario)
+    sim = make_engine("count", seed, scenario)
     leaps = []
     sim.leap_hook = lambda steps, counts, ends, k: leaps.append(k)
     result = sim.run(protocol, n, budget, config=scenario.build_initial(protocol, n))
@@ -206,7 +207,7 @@ def scale_cell(label: str, seed: int, protocol=None) -> dict:
     if protocol is None:
         protocol = registry.instantiate(spec)
     scenario = Scenario()
-    sim = make_scenario_engine("indexed", seed, scenario)
+    sim = make_engine("indexed", seed, scenario)
     result = sim.run(
         protocol, n, SCALE_BUDGET, config=scenario.build_initial(protocol, n)
     )

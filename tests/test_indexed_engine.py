@@ -643,11 +643,9 @@ class TestDistributionalEquivalence:
 
 def _scenario_times(engine, protocol_factory, n, scenario, budget, seeds):
     """Re-stabilization times of one engine over a faulted scenario."""
-    from repro.core.scenario import make_scenario_engine
-
     times = []
     for seed in seeds:
-        sim = make_scenario_engine(engine, seed, scenario)
+        sim = make_engine(engine, seed, scenario)
         result = sim.run(protocol_factory(), n, budget)
         times.append(result.last_output_change_step)
     return times

@@ -50,6 +50,7 @@ from repro.core.trace import (
     TraceTruncationWarning,
     merge_sinks,
 )
+from repro.processes import OneWayEpidemic
 from repro.protocols import SimpleGlobalLine
 
 
@@ -147,7 +148,7 @@ class TestCensusReplay:
         assert final.effective == result.effective_steps
 
     def test_tracker_resyncs_from_fault_frames(self):
-        from repro.core.scenario import Scenario, make_scenario_engine
+        from repro.core.scenario import Scenario
 
         scenario = Scenario(faults=("crash:count=2,at=50",))
         frames = []
@@ -156,7 +157,7 @@ class TestCensusReplay:
         bus = TraceBus()
         bus.subscribe(tracker)
         bus.subscribe(probe)
-        sim = make_scenario_engine("indexed", 9, scenario)
+        sim = make_engine("indexed", 9, scenario)
         protocol = SimpleGlobalLine()
         config = scenario.build_initial(protocol, 16)
         result = sim.run(protocol, 16, 300_000, config=config, bus=bus)
@@ -167,14 +168,14 @@ class TestCensusReplay:
 
 
 class TestLeapCensusStreaming:
-    def run_leap(self, n=256, census_interval=None, seed=0):
+    def run_leap(self, protocol=None, n=256, budget=2_000_000, stop=None):
         probe = _EventProbe()
         bus = TraceBus()
         bus.subscribe(probe)
-        sim = CountSimulator(
-            seed=seed, leap_threshold=0, census_interval=census_interval
+        sim = CountSimulator(seed=0, leap_threshold=0)
+        result = sim.run(
+            protocol or SimpleGlobalLine(), n, budget, stop=stop, bus=bus
         )
-        result = sim.run(SimpleGlobalLine(), n, 2_000_000, bus=bus)
         return result, probe
 
     def test_leap_regime_streams_sampled_census(self):
@@ -192,10 +193,23 @@ class TestLeapCensusStreaming:
         assert final.counts == result.config.state_counts()
         assert final.effective == result.effective_steps
 
-    def test_census_interval_zero_samples_every_leap(self):
-        _, sparse = self.run_leap(census_interval=None)
-        _, dense = self.run_leap(census_interval=0)
-        assert len(dense.census) >= len(sparse.census)
+    @pytest.mark.parametrize("reason", ["stabilized", "max_steps", "quiescent"])
+    def test_every_leap_exit_ends_with_the_result_census(self, reason):
+        if reason == "max_steps":
+            result, probe = self.run_leap(budget=1_000)
+        else:
+            # Without its certificate the epidemic runs until nobody is
+            # left to infect.
+            stop = (lambda config: False) if reason == "quiescent" else None
+            result, probe = self.run_leap(
+                OneWayEpidemic(), budget=None, stop=stop
+            )
+        assert result.stop_reason == reason
+        assert probe.events == [] and probe.census
+        final = probe.census[-1]
+        assert (final.step, final.counts, final.effective) == (
+            result.steps, result.config.state_counts(), result.effective_steps,
+        )
 
     def test_exact_fallback_still_publishes_events(self):
         # Below the threshold the count engine is the indexed engine;

@@ -22,7 +22,7 @@ from repro.core.faults import (
 )
 from repro.core.graphs import is_spanning_line
 from repro.core.scenario import Scenario
-from repro.core.simulator import run_to_convergence
+from repro.core.simulator import make_engine, run_to_convergence
 from repro.protocols import FTGlobalLine, GlobalStar, SimpleGlobalLine
 
 ENGINES = ("indexed", "sequential")
@@ -396,14 +396,12 @@ class TestEdgeLossRecovery:
     def test_ft_line_recovers_from_a_scheduled_cut(self, engine):
         # Build the line to completion, then cut one of its actual
         # edges and require a re-stabilized spanning line.
-        from repro.core.scenario import make_scenario_engine
-
         protocol = FTGlobalLine()
         built = run_to_convergence(protocol, 8, seed=21)
         assert protocol.target_reached(built.config)
         u, v = sorted(built.config.active_edges())[1]
         scenario = Scenario(faults=(f"cut:edges={u}-{v},at=10",))
-        sim = make_scenario_engine(engine, 22, scenario)
+        sim = make_engine(engine, 22, scenario)
         result = sim.run(
             protocol, 8, 5_000_000, config=built.config,
             require_convergence=False,
@@ -426,8 +424,6 @@ class TestEdgeLossRecovery:
         # The contrast pin: without the hook, cutting one interior edge
         # of a finished plain line is unrepairable — no rule ever
         # reconnects two q2 stubs.
-        from repro.core.scenario import make_scenario_engine
-
         protocol = SimpleGlobalLine()
         built = run_to_convergence(protocol, 8, seed=21)
         interior = [
@@ -435,7 +431,7 @@ class TestEdgeLossRecovery:
             if built.config.state(u) == "q2" and built.config.state(v) == "q2"
         ]
         scenario = Scenario(faults=(f"cut:edges={interior[0][0]}-{interior[0][1]},at=10",))
-        sim = make_scenario_engine("indexed", 22, scenario)
+        sim = make_engine("indexed", 22, scenario)
         result = sim.run(
             protocol, 8, 2_000_000, config=built.config,
             require_convergence=False,
