@@ -24,6 +24,21 @@ and the incremental bookkeeping on :class:`~repro.core.configuration.Configurati
   the class (directly for edge classes, by rejection against the active
   adjacency for non-edge classes).
 
+  Every present state has a node count in ``counts``, but only the
+  states a non-edge draw can reach have a node bucket in ``nodes``.
+  For a closed table (one that interns exactly its declared states),
+  :attr:`~repro.core.protocol.CompiledProtocol.count_only` lists the
+  declared states that form no effective non-edge class with any
+  declared state — the line's ``q1``, ``q2`` and ``w``.  Both states of
+  an effective non-edge class are outside that set by definition, so
+  filing their nodes is all a draw needs, and moving a node between two
+  count-only states (the walk of the line's leader) only changes
+  counts.  A table that interns lazily, or has interned a state
+  outside its declared set, has no count-only states.  A protocol that
+  reaches an undeclared state forming an effective non-edge class with
+  a count-only one gets that class counted exactly; drawing from it
+  raises :class:`~repro.core.errors.SimulationError` naming the state.
+
   The index memoizes, per unordered state pair, which of its two classes
   are effective.  Maintenance after an interaction then costs the
   effective classes that touch the changed states (pairs with no
@@ -33,15 +48,19 @@ and the incremental bookkeeping on :class:`~repro.core.configuration.Configurati
   pair known to have no effective class (say the interior ``q2``–``q2``
   edges of a line) are not filed at all.
 
-  ``weights`` is a dict walked in insertion order by ``sample_class``,
-  so that order is part of the seeded law, as is the swap-remove order
-  of the node and edge buckets that ``sample_pair`` draws from.  A
-  refresh therefore pops and re-inserts every visited effective class,
-  changed weight or not, in a fixed visit order.
+  The seeded law depends on four structures only: the item order of
+  ``weights``, which ``sample_class`` walks; the swap-remove order of
+  the node buckets and of the edge buckets, which ``sample_pair`` draws
+  from; and each refresh's visit order, which the present states in
+  ``counts`` order fix.  A refresh therefore pops and re-inserts every
+  visited effective class, changed weight or not, in a fixed visit
+  order.  Everything else (the order of ``nodes`` and ``edges``
+  themselves, how a draw is coded) is free to change, as long as each
+  draw takes the bits :func:`randbelow` takes.
 
   ``refresh_involving`` memoizes its *visit plan*: the effective
   classes its visit reaches, in visit order.  The key is the changed
-  state ids in iteration order plus the present states in ``nodes``
+  state ids in iteration order plus the present states in ``counts``
   order, which together fix the visit order (the target set is built
   from exactly those ids, in exactly that order).  The first refresh
   under a key runs the visit, asking the oracle about each new pair as
@@ -49,9 +68,15 @@ and the incremental bookkeeping on :class:`~repro.core.configuration.Configurati
   re-inserting them in the same order.  Replaying is exact because the
   per-pair memo only grows, never changing an entry, and weight updates
   never change what a visit sees: whether a visited pair is skipped
-  depends on that memo alone.
+  depends on that memo alone.  By the same argument a plan is a pure
+  function of its *visit order*, the changed ids and then the targets,
+  each in iteration order: many keys differing only in present-state
+  order give one visit order (a set of small ints iterates mostly in
+  ascending order).  A key seen for the first time therefore looks its
+  plan up in ``visits`` by visit order before visiting, and points at
+  the plan it finds.
 
-  Both memos depend on the rule table only, so the index takes them
+  The memos depend on the rule table only, so the index takes them
   from the :class:`~repro.core.protocol.CompiledProtocol` it is built
   over, and every run on that table shares them: for a protocol that
   declares its state set, every run on one instance (see
@@ -60,9 +85,14 @@ and the incremental bookkeeping on :class:`~repro.core.configuration.Configurati
   pure function of its key, and the pair memo only grows.  The one
   difference is at set-up: an initial active edge whose pair an earlier
   run already found to have no effective class is not filed, and such
-  an edge is never sampled or counted.  A table's plans stay within
-  ``_PLAN_CAP`` cells (~130 kB); past that, new keys are visited
-  unmemoized.
+  an edge is never sampled or counted.  A table's visit orders and
+  their plans stay within ``_PLAN_CAP`` cells, and its keys within as
+  many again (~260 kB in all); past that, a new visit order is visited
+  unmemoized, and a new key finds its plan by visit order.
+
+  The indexed walk inlines the draws, the recount of a memoized plan
+  and the node upkeep on its hot path; the methods here do the same
+  work for every other caller, and draw exactly what the walk draws.
 
 States here are the dense integer ids produced by
 :meth:`repro.core.protocol.Protocol.compile`; the index never looks at raw
@@ -73,7 +103,10 @@ from __future__ import annotations
 
 import random
 import threading
+from collections import Counter
 from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Iterator
+
+from repro.core.errors import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.protocol import CompiledProtocol
@@ -130,6 +163,19 @@ class IndexedSet:
 #: Effectiveness oracle over interned state-id triples ``(a, b, c)``.
 EffectivenessOracle = Callable[[int, int, int], bool]
 
+
+def randbelow(getrandbits: Callable[[int], int], n: int) -> int:
+    """``Random.randrange(n)`` for ``n >= 1``, drawing exactly the bits
+    it draws: ``n.bit_length()`` bits, drawn again while the value is
+    ``>= n``.  The indexed walk inlines this loop for its class and pair
+    draws, so a change here changes the seeded law."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 #: How many rejection attempts to make when sampling a non-edge pair
 #: before falling back to explicit enumeration.  Per-attempt success
 #: probability is (non-edge pairs)/(all pairs) of the class; whenever it
@@ -140,17 +186,22 @@ EffectivenessOracle = Callable[[int, int, int], bool]
 #: constructions (<= n-1 active edges) never approach that regime.
 _REJECTION_CAP = 64
 
-#: Cells of memoized visit plans one compiled table may hold (see the
-#: module docstring): a plan costs one cell per item of its key and one
-#: per entry, an 8-byte reference to an entry shared with the pair memo.
-#: With each plan's tuple headers and dict slot, that measured 14-16
-#: bytes a cell, so ~130 kB per full table.  The memo lives as long as
+#: Cells of memoized visit plans one compiled table may hold, and again
+#: of keys pointing at them (see the module docstring): a visit order
+#: costs one cell per item of the order and one per entry of its plan,
+#: an 8-byte reference to an entry shared with the pair memo; a key
+#: costs one cell per item, its plan being the shared one of its visit
+#: order.  With each tuple's header and dict slot, that measured 14-16
+#: bytes a cell, so ~260 kB per full table.  The memo lives as long as
 #: its table (for a shared table, as long as the protocol instance),
-#: which is why the cap is small.  A new plan that no longer fits is
-#: visited unmemoized.
+#: which is why the cap is small.  Keys get their own budget because
+#: they outnumber visit orders several times over and would otherwise
+#: crowd them out.  A visit order that no longer fits is visited
+#: unmemoized; a key that no longer fits finds its plan by visit order.
 _PLAN_CAP = 1 << 13
 
-#: Guards filing a new plan and counting its cells against ``_PLAN_CAP``.
+#: Guards filing a new plan or key and counting its cells against
+#: ``_PLAN_CAP``.
 _PLAN_LOCK = threading.Lock()
 
 #: One visited state pair with an effective class: ``((lo, hi), keys)``,
@@ -171,14 +222,24 @@ class PairClassIndex:
         before ``c = 1``, the first time a ``refresh_*`` call visits the
         pair, and never from edge upkeep: a lazily interning oracle
         assigns state ids as it resolves rules, so asking earlier would
-        renumber states.  The index keeps its pair-class memo, plan memo
-        and plan budget on the table (``pair_classes``, ``plans``,
-        ``plan_cells``), shared with every other index over it.
+        renumber states.  The index keeps its pair-class memo, plan
+        memos and their budgets on the table (``pair_classes``,
+        ``plans``, ``visits``, ``plan_cells``, ``key_cells``), shared
+        with every other index over it, and takes its
+        :attr:`count_only` states from it.
+
+    Every present state has a node count in :attr:`counts`; only the
+    states outside :attr:`count_only` have a node bucket in
+    :attr:`nodes`, the only buckets a non-edge pair draw reads.  The
+    seeded law depends on four structures only: the item order of
+    :attr:`weights`, the item order of the node buckets and of the
+    edge buckets, and each refresh's visit order, which the present
+    states in :attr:`counts` order fix.
     """
 
     __slots__ = (
-        "table", "_eff", "_classes", "_plans", "nodes", "edges", "weights",
-        "total",
+        "table", "_eff", "_classes", "_plans", "_visits", "count_only",
+        "counts", "nodes", "edges", "weights", "total",
     )
 
     def __init__(self, table: CompiledProtocol) -> None:
@@ -191,7 +252,17 @@ class PairClassIndex:
         )
         #: refresh_involving's key -> its visit plan (a tuple of entries)
         self._plans: dict[tuple[int, ...], tuple[_Entry, ...]] = table.plans
-        #: state id -> IndexedSet of node ids (present states only)
+        #: a visit order -> its plan, which every key of the order shares
+        self._visits: dict[tuple[int, ...], tuple[_Entry, ...]] = table.visits
+        #: state ids no non-edge pair draw can reach: counted, never
+        #: filed in a node bucket (see CompiledProtocol.count_only)
+        self.count_only: frozenset[int] = table.count_only
+        #: state id -> node count, every present state.  A state enters
+        #: with its first node and leaves with its last, so the key
+        #: order is the present-state order refresh plans are keyed on.
+        self.counts: dict[int, int] = {}
+        #: state id -> IndexedSet of node ids (present states outside
+        #: count_only only)
         self.nodes: dict[int, IndexedSet] = {}
         #: (lo, hi) state-id pair -> IndexedSet of active edges (u, v),
         #: u < v.  Edges of a pair known to have no effective class are
@@ -208,41 +279,83 @@ class PairClassIndex:
     # Structural updates (no weight maintenance; call refresh_* after)
     # ------------------------------------------------------------------
     def add_node(self, u: int, state: int) -> None:
-        bucket = self.nodes.get(state)
-        if bucket is None:
-            bucket = self.nodes[state] = IndexedSet()
-        bucket.add(u)
+        counts = self.counts
+        counts[state] = counts.get(state, 0) + 1
+        if state not in self.count_only:
+            bucket = self.nodes.get(state)
+            if bucket is None:
+                bucket = self.nodes[state] = IndexedSet()
+            bucket.add(u)
+
+    def add_nodes(self, sid: list[int]) -> None:
+        """File nodes ``0 .. len(sid) - 1`` in states ``sid`` into an empty
+        index: what ``add_node`` on each in ascending id files, with the
+        same ``counts`` order and bucket item order, in one pass over
+        ``sid`` after a C-level count."""
+        counts = self.counts
+        counts.update(Counter(sid))
+        count_only = self.count_only
+        filed: dict[int, list[int]] = {
+            s: [] for s in counts if s not in count_only
+        }
+        if filed:
+            for u, s in enumerate(sid):
+                items = filed.get(s)
+                if items is not None:
+                    items.append(u)
+        nodes = self.nodes
+        for s, items in filed.items():
+            bucket = nodes[s] = IndexedSet()
+            bucket._items = items
+            bucket._index = dict(zip(items, range(len(items))))
 
     def move_node(self, u: int, old: int, new: int) -> None:
+        counts = self.counts
+        left = counts[old] - 1
+        if left:
+            counts[old] = left
+        else:
+            del counts[old]
+        counts[new] = counts.get(new, 0) + 1
         nodes = self.nodes
-        bucket = nodes[old]
-        index = bucket._index
-        idx = index.pop(u, None)
-        if idx is not None:
-            items = bucket._items
-            last = items.pop()
-            if idx < len(items):
-                items[idx] = last
-                index[last] = idx
-            elif not items:
-                del nodes[old]
-        bucket = nodes.get(new)
-        if bucket is None:
-            bucket = nodes[new] = IndexedSet()
-        index = bucket._index
-        if u not in index:
-            index[u] = len(bucket._items)
-            bucket._items.append(u)
+        count_only = self.count_only
+        if old not in count_only:
+            bucket = nodes[old]
+            index = bucket._index
+            idx = index.pop(u, None)
+            if idx is not None:
+                items = bucket._items
+                last = items.pop()
+                if idx < len(items):
+                    items[idx] = last
+                    index[last] = idx
+                elif not items:
+                    del nodes[old]
+        if new not in count_only:
+            bucket = nodes.get(new)
+            if bucket is None:
+                bucket = nodes[new] = IndexedSet()
+            index = bucket._index
+            if u not in index:
+                index[u] = len(bucket._items)
+                bucket._items.append(u)
 
     def remove_node(self, u: int, state: int) -> None:
         """Drop ``u`` from the census entirely (crash-stop faults): the
         node stops contributing candidate pairs of any class."""
-        bucket = self.nodes.get(state)
-        if bucket is None:
+        counts = self.counts
+        left = counts.get(state, 0) - 1
+        if left < 0:
             return
-        bucket.discard(u)
-        if not bucket:
-            del self.nodes[state]
+        if left:
+            counts[state] = left
+        else:
+            del counts[state]
+        bucket = self.nodes.get(state)
+        if bucket is not None:
+            bucket.discard(u)
+            if not bucket:
+                del self.nodes[state]
 
     def add_edge(self, u: int, v: int, su: int, sv: int) -> None:
         key = (su, sv) if su <= sv else (sv, su)
@@ -314,23 +427,45 @@ class PairClassIndex:
         visit order (each of ``states`` against every present state and
         every one of ``states``, in set iteration order) is part of the
         seeded law.  The visit plan is memoized under ``states`` in
-        iteration order plus the present states in ``nodes`` order (see
+        iteration order plus the present states in ``counts`` order (see
         the module docstring)."""
-        key = (*states, -1, *self.nodes)
+        key = (*states, -1, *self.counts)
         plan = self._plans.get(key)
         if plan is None:
-            targets = set(self.nodes)
-            targets.update(states)
-            plan = self._plan(states, targets)
-            cost = len(key) + len(plan)
-            table = self.table
-            # Runs in other threads may share the table, and may have
-            # filed this key since the miss.
-            with _PLAN_LOCK:
-                if key not in self._plans and table.plan_cells + cost <= _PLAN_CAP:
-                    table.plan_cells += cost
-                    self._plans[key] = plan
+            plan = self._memo_plan(key, states)
         self._recount(plan)
+
+    def _memo_plan(
+        self, key: tuple[int, ...], states: set[int]
+    ) -> tuple[_Entry, ...]:
+        """The plan of ``refresh_involving``'s ``key``, on a miss: taken
+        from ``visits`` under its visit order (``states``, then the
+        targets, each in iteration order) or visited afresh, then filed
+        under the order and under ``key``, as far as ``_PLAN_CAP``
+        allows.  Keys that differ only in present-state order often give
+        one visit order, and then share its plan."""
+        targets = set(self.counts)
+        targets.update(states)
+        order = (*states, -1, *targets)
+        visits = self._visits
+        plan = visits.get(order)
+        if plan is None:
+            plan = self._plan(states, targets)
+        table = self.table
+        # Runs in other threads may share the table, and may have filed
+        # the order or the key since the miss.
+        with _PLAN_LOCK:
+            if order not in visits:
+                cost = len(order) + len(plan)
+                if table.plan_cells + cost > _PLAN_CAP:
+                    return plan
+                visits[order] = plan
+                table.plan_cells += cost
+            plan = visits[order]
+            if key not in self._plans and table.key_cells + len(key) <= _PLAN_CAP:
+                self._plans[key] = plan
+                table.key_cells += len(key)
+        return plan
 
     def _plan(
         self, states: Iterable[int], targets: Iterable[int]
@@ -362,19 +497,17 @@ class PairClassIndex:
     def _recount(self, plan: tuple[_Entry, ...]) -> None:
         """Recount every class of ``plan`` in order: pop it from
         ``weights`` and re-insert it, changed weight or not."""
-        nodes = self.nodes
+        counts = self.counts
         edges = self.edges
         weights = self.weights
         total = self.total
         for pair, classes in plan:
             lo, hi = pair
-            a = nodes.get(lo)
-            na = len(a._items) if a is not None else 0
+            na = counts.get(lo, 0)
             if lo == hi:
                 pairs = na * (na - 1) // 2
             else:
-                b = nodes.get(hi)
-                pairs = na * len(b._items) if b is not None else 0
+                pairs = na * counts.get(hi, 0)
             bucket = edges.get(pair)
             n_edges = len(bucket._items) if bucket is not None else 0
             for key in classes:
@@ -389,17 +522,18 @@ class PairClassIndex:
         """Recompute all weights from scratch (initialization)."""
         self.weights.clear()
         self.total = 0
-        present = list(self.nodes)
+        present = list(self.counts)
         for i, a in enumerate(present):
             for b in present[i:]:
                 self.refresh_pair(a, b)
 
     # ------------------------------------------------------------------
-    # Sampling
+    # Sampling (the indexed walk inlines both draws; these methods draw
+    # exactly what it draws)
     # ------------------------------------------------------------------
     def sample_class(self, rng: random.Random) -> tuple[int, int, int]:
         """Draw a class with probability proportional to its pair count."""
-        r = rng.randrange(self.total)
+        r = randbelow(rng.getrandbits, self.total)
         for key, weight in self.weights.items():
             r -= weight
             if r < 0:
@@ -416,23 +550,36 @@ class PairClassIndex:
         in state ``key[0]``, the second in ``key[1]`` (for edge classes the
         orientation is by node id — callers resolve rules by state)."""
         lo, hi, c = key
-        randrange = rng.randrange
+        getrandbits = rng.getrandbits
         if c == 1:
             items = self.edges[(lo, hi)]._items
-            return items[randrange(len(items))]
-        a = self.nodes[lo]
-        b = self.nodes[hi]
-        a_items = a._items
-        b_items = b._items
+            return items[randbelow(getrandbits, len(items))]
+        try:
+            a_items = self.nodes[lo]._items
+            b_items = self.nodes[hi]._items
+        except KeyError:
+            raise self.unfiled(key) from None
         for _ in range(_REJECTION_CAP):
-            u = a_items[randrange(len(a_items))]
-            v = b_items[randrange(len(b_items))]
+            u = a_items[randbelow(getrandbits, len(a_items))]
+            v = b_items[randbelow(getrandbits, len(b_items))]
             if u == v:
                 continue
             if not edge_state(u, v):
                 return (u, v)
-        # Dense class: most candidate pairs are active edges.  Enumerate
-        # the non-edges explicitly; this path is cold by construction.
+        return self.sample_dense(lo, hi, rng, edge_state)
+
+    def sample_dense(
+        self,
+        lo: int,
+        hi: int,
+        rng: random.Random,
+        edge_state: Callable[[int, int], int],
+    ) -> tuple[int, int]:
+        """A uniform non-edge pair of class ``(lo, hi, 0)`` by explicit
+        enumeration: the fallback once ``_REJECTION_CAP`` rejection
+        draws all hit an active edge (a dense class: most candidate pairs
+        are active edges).  Cold by construction."""
+        a = self.nodes[lo]
         if lo == hi:
             members = list(a)
             candidates = [
@@ -442,7 +589,24 @@ class PairClassIndex:
                 if not edge_state(u, v)
             ]
         else:
+            b = self.nodes[hi]
             candidates = [
                 (u, v) for u in a for v in b if not edge_state(u, v)
             ]
         return candidates[rng.randrange(len(candidates))]
+
+    def unfiled(self, key: tuple[int, int, int]) -> SimulationError:
+        """The error for a draw from the non-edge class ``key`` that
+        reaches a count-only state.  Only a protocol whose declared
+        ``states`` miss a state it reaches can get there: the count-only
+        set is exact over the declared states."""
+        lo, hi, _ = key
+        state, other = (hi, lo) if lo in self.nodes else (lo, hi)
+        table = self.table
+        return SimulationError(
+            f"{table.protocol.name}: state {table.state_of(state)!r} forms "
+            f"no effective non-edge class with a declared state, so its "
+            f"nodes are counted, not filed, but it forms one with "
+            f"{table.state_of(other)!r}; declare every state the protocol "
+            f"reaches in its `states`"
+        )

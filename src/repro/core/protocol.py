@@ -385,13 +385,16 @@ class CompiledProtocol:
 
     The table also owns the rule-only memos of
     :class:`~repro.core.indexing.PairClassIndex`: ``pair_classes``,
-    ``plans`` and ``plan_cells`` (see :mod:`repro.core.indexing`), so
-    every index built over one table shares them.
+    ``plans``, ``visits`` and their budgets ``plan_cells`` and
+    ``key_cells`` (see :mod:`repro.core.indexing`), so every index built
+    over one table shares them, and the index's :attr:`count_only`
+    states.
     """
 
     __slots__ = (
         "protocol", "_ids", "_states", "_resolved", "_effective", "_declared",
-        "pair_classes", "plans", "plan_cells",
+        "_count_only", "pair_classes", "plans", "visits", "plan_cells",
+        "key_cells",
     )
 
     def __init__(self, protocol: Protocol) -> None:
@@ -406,9 +409,14 @@ class CompiledProtocol:
         self.pair_classes: dict[tuple[int, int], Any] = {}
         #: refresh_involving's key -> its memoized visit plan
         self.plans: dict[tuple[int, ...], Any] = {}
-        #: cells ``plans`` holds (bounded by indexing._PLAN_CAP)
+        #: a visit order -> its plan, shared by every key of that order
+        self.visits: dict[tuple[int, ...], Any] = {}
+        #: cells ``visits`` holds, and cells of ``plans``' keys (each
+        #: bounded by indexing._PLAN_CAP)
         self.plan_cells = 0
+        self.key_cells = 0
         self._declared: int | None = None
+        self._count_only: frozenset[int] | None = None
         if protocol.states is not None:
             for state in sorted(protocol.states, key=repr):
                 self.intern(state)
@@ -435,9 +443,45 @@ class CompiledProtocol:
             self._states.append(state)
         return i
 
+    def intern_all(self, states: list[State]) -> list[int]:
+        """The ids of ``states``, in order: :meth:`intern` on each, with
+        one dict lookup per state when none is new."""
+        try:
+            return list(map(self._ids.__getitem__, states))
+        except KeyError:
+            return [self.intern(state) for state in states]
+
     def state_of(self, i: int) -> State:
         """The raw state behind id ``i``."""
         return self._states[i]
+
+    @property
+    def count_only(self) -> frozenset[int]:
+        """The ids of the declared states that form no effective non-edge
+        class with any declared state, or none while the table is not
+        :attr:`closed`.  No non-edge pair draw can reach such a state, so
+        :class:`~repro.core.indexing.PairClassIndex` counts its nodes
+        without filing them.
+
+        Computed once, from the raw protocol's ``is_effective`` over the
+        declared states, so asking interns nothing."""
+        if not self.closed:
+            return frozenset()
+        found = self._count_only
+        if found is None:
+            states = self._states
+            effective = self.protocol.is_effective
+            drawable: set[int] = set()
+            for i, a in enumerate(states):
+                for j in range(i, len(states)):
+                    if (i not in drawable or j not in drawable) and effective(
+                        a, states[j], 0
+                    ):
+                        drawable.update((i, j))
+            found = self._count_only = frozenset(
+                i for i in range(len(states)) if i not in drawable
+            )
+        return found
 
     def resolved(
         self, a: int, b: int, c: EdgeState

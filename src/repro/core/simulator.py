@@ -124,7 +124,7 @@ from typing import Any, Callable, NamedTuple
 from repro.core.configuration import Configuration
 from repro.core.errors import ConvergenceError, SimulationError
 from repro.core.faults import DEAD, FaultModel, compile_fault_plan
-from repro.core.indexing import IndexedSet, PairClassIndex
+from repro.core.indexing import _REJECTION_CAP, IndexedSet, PairClassIndex
 from repro.core.protocol import Protocol, resolve, sample_outcome
 from repro.core.scenario import DEFAULT_SCENARIO, resolve_engine
 from repro.core.scheduler import Scheduler, UniformRandomScheduler
@@ -641,8 +641,21 @@ class IndexedSimulator(_ExactEngine):
     is exactly a uniform draw over the effective pairs.  Upkeep is
     confined to the changed states: only the effective class weights
     touching them are recomputed (by replaying a memoized visit plan),
-    and each changed node's state, node bucket and O(degree) incident
-    active edges are re-filed in one pass.  With no trace or bus
+    and each changed node's state, state counts, node bucket and
+    O(degree) incident active edges are re-filed in one pass.  Nodes in
+    a count-only state (see :mod:`repro.core.indexing`) are counted but
+    not filed, so the line leader's walk between ``q2`` and ``w``
+    re-files only edges; and a swap of two nodes' states leaves both
+    histograms as they were, bar the end-of-dict move of a state whose
+    count passes through zero, which is what the two moves would do.
+
+    ``advance`` runs one effective interaction in one Python frame: it
+    draws the class and the pair itself, with the ``getrandbits`` loop
+    of ``Random.randrange`` (:func:`~repro.core.indexing.randbelow`),
+    reads the compiled rule memo directly and recounts a memoized plan
+    inline.  An edge flip, a plan-key miss, a dense class's fallback
+    enumeration and fault upkeep still call into
+    :class:`~repro.core.indexing.PairClassIndex`.  With no trace or bus
     attached, an effective interaction builds no ``Event``.
     """
 
@@ -667,47 +680,63 @@ class IndexedSimulator(_ExactEngine):
             raise SimulationError("need at least 2 nodes")
         compiled = protocol.compile()
         intern = compiled.intern
-        state_of = compiled.state_of
-        sid = [intern(cfg.state(u)) for u in range(n)]
-        # Engine-internal: move_node re-files these in place.
+        # The table's id -> state list (what state_of reads; it only grows).
+        raw_of = compiled._states
+        # Engine-internal: the walk re-files these in place.
         adj = cfg._adj
         raw_states = cfg._states
-        counts = cfg._counts
+        raw_counts = cfg._counts
+        sid = compiled.intern_all(raw_states)
 
         index = PairClassIndex(compiled)
-        for u in range(n):
-            index.add_node(u, sid[u])
+        index.add_nodes(sid)
         for u, v in cfg.active_edges():
             index.add_edge(u, v, sid[u], sid[v])
         index.rebuild()
         alive = n
         m = n * (n - 1) // 2
         log = math.log
-        edge_state = cfg.edge_state
+        getrandbits = rng.getrandbits
         out = protocol.output_states
 
+        counts = index.counts
+        count_only = index.count_only
         nodes = index.nodes
         edges = index.edges
+        weights = index.weights
         known = compiled.pair_classes
+        plans = compiled.plans
+        resolved = compiled._resolved
 
-        def move_node(w: int, old: int, new: int) -> None:
+        def move_node(w: int, old: int, new: int, counted: bool = False) -> None:
             """Move ``w`` from state id ``old`` to ``new`` in one pass:
-            ``cfg.set_state``, then ``index.move_edge`` for each incident
-            active edge, then ``index.move_node``, inlined with their
-            swap-remove and append order."""
-            if cfg._nodes is None:
-                raw = raw_states[w]
-                left = counts[raw] - 1
-                if left:
-                    counts[raw] = left
-                else:
-                    del counts[raw]
-                raw = raw_states[w] = state_of(new)
-                counts[raw] = counts.get(raw, 0) + 1
+            ``cfg.set_state`` and the index's count, then
+            ``index.move_edge`` for each incident active edge and
+            ``index.move_node``'s bucket upkeep, inlined with their
+            swap-remove and append order.  ``counted``: the caller has
+            kept both histograms in step already."""
+            if counted:
+                raw_states[w] = raw_of[new]
             else:
-                # A certificate has asked for the per-state node sets,
-                # which set_state keeps in step.
-                cfg.set_state(w, state_of(new))
+                if cfg._nodes is None:
+                    raw = raw_states[w]
+                    left = raw_counts[raw] - 1
+                    if left:
+                        raw_counts[raw] = left
+                    else:
+                        del raw_counts[raw]
+                    raw = raw_states[w] = raw_of[new]
+                    raw_counts[raw] = raw_counts.get(raw, 0) + 1
+                else:
+                    # A certificate has asked for the per-state node
+                    # sets, which set_state keeps in step.
+                    cfg.set_state(w, raw_of[new])
+                left = counts[old] - 1
+                if left:
+                    counts[old] = left
+                else:
+                    del counts[old]
+                counts[new] = counts.get(new, 0) + 1
             for x in adj[w]:
                 sx = sid[x]
                 edge = (w, x) if w < x else (x, w)
@@ -733,25 +762,27 @@ class IndexedSimulator(_ExactEngine):
                         items = bucket._items
                         where[edge] = len(items)
                         items.append(edge)
-            bucket = nodes[old]
-            where = bucket._index
-            idx = where.pop(w, None)
-            if idx is not None:
-                items = bucket._items
-                last = items.pop()
-                if idx < len(items):
-                    items[idx] = last
-                    where[last] = idx
-                elif not items:
-                    del nodes[old]
-            bucket = nodes.get(new)
-            if bucket is None:
-                bucket = nodes[new] = IndexedSet()
-            where = bucket._index
-            if w not in where:
-                items = bucket._items
-                where[w] = len(items)
-                items.append(w)
+            if old not in count_only:
+                bucket = nodes[old]
+                where = bucket._index
+                idx = where.pop(w, None)
+                if idx is not None:
+                    items = bucket._items
+                    last = items.pop()
+                    if idx < len(items):
+                        items[idx] = last
+                        where[last] = idx
+                    elif not items:
+                        del nodes[old]
+            if new not in count_only:
+                bucket = nodes.get(new)
+                if bucket is None:
+                    bucket = nodes[new] = IndexedSet()
+                where = bucket._index
+                if w not in where:
+                    items = bucket._items
+                    where[w] = len(items)
+                    items.append(w)
             sid[w] = new
 
         def advance(steps, fault_next, max_steps):
@@ -775,11 +806,57 @@ class IndexedSimulator(_ExactEngine):
                     return max_steps, _AT_BUDGET, 0
                 steps += skip + 1
 
-                key = index.sample_class(rng)
-                u, v = index.sample_pair(key, rng, edge_state)
+                # index.sample_class, then index.sample_pair, inlined
+                # with their draws (indexing.randbelow).
+                bits = k.bit_length()
+                r = getrandbits(bits)
+                while r >= k:
+                    r = getrandbits(bits)
+                for key, weight in weights.items():
+                    r -= weight
+                    if r < 0:
+                        break
+                else:
+                    raise AssertionError(
+                        "PairClassIndex weights out of sync with total"
+                    )
+                lo, hi, c = key
+                if c:
+                    items = edges[(lo, hi)]._items
+                    size = len(items)
+                    bits = size.bit_length()
+                    r = getrandbits(bits)
+                    while r >= size:
+                        r = getrandbits(bits)
+                    u, v = items[r]
+                else:
+                    try:
+                        a_items = nodes[lo]._items
+                        b_items = nodes[hi]._items
+                    except KeyError:
+                        raise index.unfiled(key) from None
+                    size_a = len(a_items)
+                    bits_a = size_a.bit_length()
+                    size_b = len(b_items)
+                    bits_b = size_b.bit_length()
+                    for _ in range(_REJECTION_CAP):
+                        r = getrandbits(bits_a)
+                        while r >= size_a:
+                            r = getrandbits(bits_a)
+                        u = a_items[r]
+                        r = getrandbits(bits_b)
+                        while r >= size_b:
+                            r = getrandbits(bits_b)
+                        v = b_items[r]
+                        if u != v and v not in adj[u]:
+                            break
+                    else:
+                        u, v = index.sample_dense(lo, hi, rng, cfg.edge_state)
                 su, sv = sid[u], sid[v]
-                c = key[2]
-                dist, swapped = compiled.resolved(su, sv, c)
+                rule = resolved.get((su, sv, c))
+                if rule is None:
+                    rule = compiled.resolved(su, sv, c)
+                dist, swapped = rule
                 if len(dist) == 1:
                     outcome = dist[0][1]
                 else:
@@ -808,33 +885,74 @@ class IndexedSimulator(_ExactEngine):
                         return steps, _AT_FAULT, 0
                     continue
 
-                if u_changed:
+                if u_changed and v_changed:
+                    if new_u == sv and new_v == su and cfg._nodes is None:
+                        # A swap (the line's walk): both histograms end
+                        # as they began, except that a state whose count
+                        # passes through zero (u's, when u is its only
+                        # node) moves to the end, as the two moves would
+                        # leave it.
+                        if counts[su] == 1:
+                            del counts[su]
+                            counts[su] = 1
+                        raw = raw_states[u]
+                        if raw_counts[raw] == 1:
+                            del raw_counts[raw]
+                            raw_counts[raw_of[su]] = 1
+                        move_node(u, su, new_u, True)
+                        move_node(v, sv, new_v, True)
+                    else:
+                        move_node(u, su, new_u)
+                        move_node(v, sv, new_v)
+                    # The dirty set's insertion order fixes its
+                    # iteration order, which the refresh visits in.
+                    dirty = {su, new_u, sv, new_v}
+                elif u_changed:
                     move_node(u, su, new_u)
-                if v_changed:
+                    dirty = {su, new_u}
+                elif v_changed:
                     move_node(v, sv, new_v)
+                    dirty = {sv, new_v}
                 if edge_changed:
                     cfg.set_edge(u, v, new_edge)
                     if new_edge:
                         index.add_edge(u, v, sid[u], sid[v])
                     else:
                         index.remove_edge(u, v, sid[u], sid[v])
-                # The dirty set's insertion order fixes its iteration
-                # order, which the refresh visits in.
-                if u_changed:
-                    if v_changed:
-                        index.refresh_involving({su, new_u, sv, new_v})
+                if u_changed or v_changed:
+                    # index.refresh_involving, replaying a memoized plan
+                    # inline (index._recount).
+                    plan = plans.get((*dirty, -1, *counts))
+                    if plan is None:
+                        index.refresh_involving(dirty)
                     else:
-                        index.refresh_involving({su, new_u})
-                elif v_changed:
-                    index.refresh_involving({sv, new_v})
+                        total = index.total
+                        for pair, classes in plan:
+                            x, y = pair
+                            na = counts.get(x, 0)
+                            if x == y:
+                                pairs = na * (na - 1) // 2
+                            else:
+                                pairs = na * counts.get(y, 0)
+                            bucket = edges.get(pair)
+                            n_edges = (
+                                len(bucket._items) if bucket is not None else 0
+                            )
+                            for cls in classes:
+                                weight = n_edges if cls[2] else pairs - n_edges
+                                was = weights.pop(cls, 0)
+                                if weight:
+                                    weights[cls] = weight
+                                total += weight - was
+                        index.total = total
                 else:
-                    index.refresh_pair(sid[u], sid[v])
+                    index.refresh_pair(su, sv)
 
                 if publish is not None:
                     publish.interaction(Event(
                         steps, u, v,
-                        state_of(su), state_of(new_u),
-                        state_of(sv), state_of(new_v),
+                        raw_of[su], raw_of[new_u],
+                        raw_of[sv], raw_of[new_v],
                         c, new_edge,
                     ), cfg)
                 # _output_affected, without the per-step Event it takes.
@@ -843,11 +961,11 @@ class IndexedSimulator(_ExactEngine):
                         return steps, _APPLIED_OUTPUT, 1
                 elif (
                     (u_changed
-                     and (state_of(su) in out) != (state_of(new_u) in out))
+                     and (raw_of[su] in out) != (raw_of[new_u] in out))
                     or (v_changed
-                        and (state_of(sv) in out) != (state_of(new_v) in out))
+                        and (raw_of[sv] in out) != (raw_of[new_v] in out))
                     or (edge_changed
-                        and state_of(new_u) in out and state_of(new_v) in out)
+                        and raw_of[new_u] in out and raw_of[new_v] in out)
                 ):
                     return steps, _APPLIED_OUTPUT, 1
                 return steps, _APPLIED, 1
@@ -876,7 +994,7 @@ class IndexedSimulator(_ExactEngine):
             cfg.set_state(w, DEAD)
             dirty = {sw}
             for x in nbrs:
-                renotify(x, protocol.on_neighbor_crash(state_of(sid[x])), dirty)
+                renotify(x, protocol.on_neighbor_crash(raw_of[sid[x]]), dirty)
             index.refresh_involving(dirty)
             resize(-1)
 
@@ -886,7 +1004,7 @@ class IndexedSimulator(_ExactEngine):
             dirty = {sid[a], sid[b]}
             if not silent:
                 for x in (a, b):
-                    renotify(x, protocol.on_edge_loss(state_of(sid[x])), dirty)
+                    renotify(x, protocol.on_edge_loss(raw_of[sid[x]]), dirty)
             index.refresh_involving(dirty)
 
         def corrupt(w: int, claim) -> None:

@@ -358,9 +358,9 @@ def instantiate(spec: str, **overrides: Any):
 #: out first).  It must be no smaller than the cycle of specs a client
 #: repeats: a service client cycling through eleven protocols would
 #: miss on every call under an LRU of ten.  Each instance holds at most
-#: one compiled table: rule memos of at most |Q|^2 entries plus a plan
-#: memo capped at ``indexing._PLAN_CAP`` cells (~130 kB), so ~4 MB of
-#: plans at worst.
+#: one compiled table: rule memos of at most |Q|^2 entries plus plan
+#: memos capped at ``indexing._PLAN_CAP`` cells of visit orders and as
+#: many of keys (~260 kB), so ~8 MB of plans at worst.
 SHARED_INSTANCES = 32
 
 

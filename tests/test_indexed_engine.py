@@ -242,7 +242,9 @@ class TestPairClassIndex:
     def test_plan_memo_stays_within_its_cap(self, indexes, monkeypatch):
         """A refresh whose visit plan no longer fits under the cap runs
         unmemoized, and the seeded run is the one an uncapped memo gives.
-        The memo lives on the compiled table, which counts its cells."""
+        The memo lives on the compiled table, which counts the cells of
+        its visit orders and of its keys, each against the cap; every
+        key points at the plan of a memoized visit order."""
         from repro.core import indexing
         from repro.protocols import registry
 
@@ -253,15 +255,49 @@ class TestPairClassIndex:
             return result.steps, result.effective_steps, result.config.states(), edges
 
         def cells(index):
-            plans = index.table.plans
-            used = sum(len(key) + len(plan) for key, plan in plans.items())
-            assert used == index.table.plan_cells
-            return used
+            table = index.table
+            orders = sum(
+                len(order) + len(plan) for order, plan in table.visits.items()
+            )
+            keys = sum(len(key) for key in table.plans)
+            assert (orders, keys) == (table.plan_cells, table.key_cells)
+            shared = {id(plan) for plan in table.visits.values()}
+            assert all(id(plan) in shared for plan in table.plans.values())
+            return orders, keys
 
         free = run()
         monkeypatch.setattr(indexing, "_PLAN_CAP", 40)
         assert run() == free
-        assert cells(indexes[0]) > 40 >= cells(indexes[1]) > 0
+        uncapped, capped = cells(indexes[0]), cells(indexes[1])
+        assert min(uncapped) > 40 >= max(capped) and min(capped) > 0
+        # Far more keys than visit orders: keys differing only in the
+        # present-state order share one order's plan.
+        assert len(indexes[0].table.plans) > 2 * len(indexes[0].table.visits)
+
+    def test_steady_state_refreshes_replay_memoized_plans(self, monkeypatch):
+        """On a shared table, a refresh whose key is new finds its plan by
+        visit order: after two warm passes of small global-ring and
+        fast-global-line trials (seeds new each pass), a third pass runs
+        few unmemoized visits."""
+        from repro.protocols import registry
+
+        visits = [0]
+        plan = PairClassIndex._plan
+
+        def counted(self, states, targets):
+            visits[0] += 1
+            return plan(self, states, targets)
+
+        monkeypatch.setattr(PairClassIndex, "_plan", counted)
+        protocols = [registry.instantiate(name)
+                     for name in ("global-ring", "fast-global-line")]
+        for rnd in range(3):
+            visits[0] = 0
+            for protocol in protocols:
+                for n in (8, 12, 16):
+                    for seed in range(10):
+                        IndexedSimulator(seed=1000 * rnd + seed).run(protocol, n)
+        assert visits[0] < 100
 
 
 class TestPairClassIndexUnderFaults:
@@ -306,7 +342,14 @@ class TestPairClassIndexUnderFaults:
                 if protocol.is_effective(cfg.state(u), cfg.state(v), c):
                     key = pair + (c,)
                     weights[key] = weights.get(key, 0) + 1
-        assert {s: set(b) for s, b in index.nodes.items()} == nodes
+        # Every present state is counted; only those outside count_only
+        # are filed, with exactly their nodes.
+        count_only = index.count_only
+        assert index.counts == {s: len(b) for s, b in nodes.items()}
+        assert not count_only & set(index.nodes)
+        assert {s: set(b) for s, b in index.nodes.items()} == {
+            s: b for s, b in nodes.items() if s not in count_only
+        }
         assert index.weights == weights
         assert index.total == sum(weights.values())
         for lo in nodes:
@@ -355,6 +398,100 @@ class TestPairClassIndexUnderFaults:
         check(indexes[-1], protocol, result.config)
         assert checks[0] >= result.effective_steps > 0
         assert fault in kinds
+
+
+class Misdeclared(Protocol):
+    """Declares ``{"a", "b"}`` but reaches ``"z"``: ``b`` forms no
+    effective non-edge class with a declared state, so the index counts
+    it without filing it, yet ``(z, b, 0)`` is effective."""
+
+    name = "Misdeclared"
+    initial_state = "a"
+    states = frozenset({"a", "b"})
+
+    def delta(self, a: State, b: State, c: int) -> Distribution | None:
+        if (a, b, c) == ("a", "a", 0):
+            return deterministic("b", "z", 0)
+        if (a, b, c) == ("z", "b", 0):
+            return deterministic("a", "a", 0)
+        return None
+
+
+class TestCountOnlyStates:
+    """States no non-edge pair draw can reach are counted, not filed."""
+
+    LAZY = ("addressed-edge-ops", "line-tm", "tm-decider", "universal")
+
+    def test_count_only_matches_a_scan_of_the_declared_pairs(self):
+        """For every registered protocol with a closed table, the
+        count-only set is exactly the declared states forming no
+        effective non-edge class with any declared state; asking
+        interns nothing.  Lazily interning tables have none."""
+        from repro.protocols import registry
+
+        registry.ensure_populated()
+        closed = []
+        for name in registry.names():
+            protocol = registry.instantiate(name)
+            table = protocol.compile()
+            if name in self.LAZY:
+                assert protocol.states is None and not table.closed
+                assert table.count_only == frozenset()
+                continue
+            states = sorted(protocol.states, key=repr)
+            expected = frozenset(
+                i for i, a in enumerate(states)
+                if not any(protocol.is_effective(a, b, 0) for b in states)
+            )
+            assert table.count_only == expected, name
+            assert table.closed and table.n_states == len(states), name
+            if expected:
+                closed.append(name)
+        assert {"simple-global-line", "global-ring", "fast-global-line"} <= set(closed)
+        line = SimpleGlobalLine().compile()
+        assert {line.state_of(i) for i in line.count_only} == {"q1", "q2", "w"}
+
+    def test_line_run_files_no_walker_state(self, indexes):
+        """A Figure-2 line run keeps no node bucket for q1, q2 or w, yet
+        counts them: at the end every interior node is a q2."""
+        protocol = SimpleGlobalLine()
+        result = IndexedSimulator(seed=4).run(protocol, 60)
+        assert result.converged
+        index = indexes[-1]
+        table = index.table
+        walkers = {table.intern(s) for s in ("q1", "q2", "w")}
+        assert index.count_only == walkers
+        assert not walkers & set(index.nodes)
+        assert index.counts == {
+            table.intern(state): count
+            for state, count in result.config.state_counts().items()
+        }
+        assert index.counts[table.intern("q2")] >= 57
+
+    def test_inlined_draw_is_randrange(self):
+        """The walk's class and pair draws inline ``indexing.randbelow``:
+        it returns ``randrange(n)``'s value and leaves the generator in
+        the same state, for every n up to 2^40."""
+        from hypothesis import given, strategies as st
+
+        from repro.core.indexing import randbelow
+
+        @given(st.integers(1, 1 << 40), st.integers(0, 1 << 32))
+        def draws_alike(n, seed):
+            inlined, reference = random.Random(seed), random.Random(seed)
+            assert randbelow(inlined.getrandbits, n) == reference.randrange(n)
+            assert inlined.getstate() == reference.getstate()
+
+        draws_alike()
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_misdeclared_protocol_is_refused_by_name(self, n):
+        """A draw from a non-edge class that reaches a count-only state
+        raises SimulationError naming it: never a KeyError, never a
+        pair from outside the class."""
+        for seed in range(1, 6):
+            with pytest.raises(SimulationError, match="state 'b'"):
+                IndexedSimulator(seed=seed).run(Misdeclared(), n, 10_000)
 
 
 class TestCompiledProtocol:

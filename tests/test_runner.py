@@ -227,8 +227,10 @@ class TestSharedTables:
         assert out[0] == serial and out[1] == serial
         # No plan budget update was lost between the threads.
         table = registry.shared("global-ring").compile()
-        cells = sum(len(key) + len(plan) for key, plan in table.plans.items())
-        assert table.plan_cells == cells > 0
+        orders = sum(len(order) + len(plan) for order, plan in table.visits.items())
+        keys = sum(len(key) for key in table.plans)
+        assert (table.plan_cells, table.key_cells) == (orders, keys)
+        assert orders > 0 and keys > 0
 
 
 class TestCompatibilityShims:
