@@ -63,6 +63,7 @@ from repro.analysis.runner import (
     _hashed_seed,
     cached_map,
     require_budget,
+    require_check_interval,
     require_distinct,
 )
 from repro.core.scenario import DEFAULT_SCHEDULER, Scenario
@@ -222,6 +223,7 @@ class RobustnessSpec(Serializable):
                 "faulted run may never stabilize nor quiesce"
             )
         require_budget(self.max_steps)
+        require_check_interval(self.check_interval)
         # Validate every load eagerly (and thereby the family's domain).
         for load in self.loads:
             self.fault_spec(load)

@@ -98,6 +98,15 @@ def require_budget(max_steps: object) -> None:
         )
 
 
+def require_check_interval(check_interval: object) -> None:
+    """Reject a certificate poll spacing no engine can run: one that is
+    not an ``int`` >= 1 (a ``bool`` is not one)."""
+    if type(check_interval) is not int or check_interval < 1:
+        raise ExperimentError(
+            f"check_interval must be an integer >= 1, got {check_interval!r}"
+        )
+
+
 # ----------------------------------------------------------------------
 # Seed policies
 # ----------------------------------------------------------------------
@@ -224,6 +233,7 @@ class ExperimentSpec(Serializable):
         if self.trials < 1:
             raise ExperimentError(f"trials must be >= 1, got {self.trials}")
         require_budget(self.max_steps)
+        require_check_interval(self.check_interval)
         if self.engine not in ENGINES:
             raise ExperimentError(
                 f"unknown engine {self.engine!r}; choose from {sorted(ENGINES)}"

@@ -695,7 +695,7 @@ class CountSimulator(IndexedSimulator):
                 ws = class_weights()
                 total_weight = sum(w for _, w in ws)
                 if total_weight <= 0.0:
-                    return steps, _IDLE, 0
+                    return steps, _IDLE, 0, 0, 0
                 m = alive * (alive - 1) // 2
                 k = min(choose_k(ws, total_weight, prev_k), k_ceiling)
                 k_ceiling = self.MAX_LEAP
@@ -709,13 +709,13 @@ class CountSimulator(IndexedSimulator):
                         # is memoryless, so jump the clock to the fault and
                         # redraw.
                         if max_steps is not None and fault_next > max_steps:
-                            return max_steps, _AT_BUDGET, 0
-                        return fault_next, _AT_FAULT, 0
+                            return max_steps, _AT_BUDGET, 0, 0, 0
+                        return fault_next, _AT_FAULT, 0, 0, 0
                     if max_steps is not None and steps + elapsed > max_steps:
                         if k > 1:
                             k = k // 2
                             continue
-                        return max_steps, _AT_BUDGET, 0
+                        return max_steps, _AT_BUDGET, 0, 0, 0
                     break
                 split = leap.multinomial(k, [float(w) for _, w in ws])
                 snap_counts = dict(counts)
@@ -753,8 +753,8 @@ class CountSimulator(IndexedSimulator):
                 if publish is not None:
                     emit_census(steps)
                 if out_any:
-                    return steps, _APPLIED_OUTPUT, changed
-                return steps, _APPLIED if changed else _MOVED, changed
+                    return steps, _APPLIED_OUTPUT, changed, 0, 0
+                return steps, _APPLIED if changed else _MOVED, changed, 0, 0
 
         return _Walk(
             advance, faults, certificate, raw_census, lambda: n_edges, final

@@ -387,14 +387,14 @@ class CompiledProtocol:
     :class:`~repro.core.indexing.PairClassIndex`: ``pair_classes``,
     ``plans``, ``visits`` and their budgets ``plan_cells`` and
     ``key_cells`` (see :mod:`repro.core.indexing`), so every index built
-    over one table shares them, and the index's :attr:`count_only`
-    states.
+    over one table shares them, the index's :attr:`count_only` states,
+    and whether the rules hold a state swap (:attr:`swaps`).
     """
 
     __slots__ = (
         "protocol", "_ids", "_states", "_resolved", "_effective", "_declared",
-        "_count_only", "pair_classes", "plans", "visits", "plan_cells",
-        "key_cells",
+        "_count_only", "_swaps", "pair_classes", "plans", "visits",
+        "plan_cells", "key_cells",
     )
 
     def __init__(self, protocol: Protocol) -> None:
@@ -417,6 +417,7 @@ class CompiledProtocol:
         self.key_cells = 0
         self._declared: int | None = None
         self._count_only: frozenset[int] | None = None
+        self._swaps: bool | None = None
         if protocol.states is not None:
             for state in sorted(protocol.states, key=repr):
                 self.intern(state)
@@ -480,6 +481,31 @@ class CompiledProtocol:
                         drawable.update((i, j))
             found = self._count_only = frozenset(
                 i for i in range(len(states)) if i not in drawable
+            )
+        return found
+
+    @property
+    def swaps(self) -> bool:
+        """True when some rule between two distinct declared states may
+        exchange them and keep their edge, ``(a, b, c) -> (b, a, c)``:
+        such a change leaves every state count and the edge count as
+        they were.  False while the table is not :attr:`closed`.
+
+        Computed once, from the raw protocol's ``delta`` over the
+        declared states, so asking interns nothing."""
+        if not self.closed:
+            return False
+        found = self._swaps
+        if found is None:
+            states = self._states
+            delta = self.protocol.delta
+            found = self._swaps = any(
+                out.as_triple() == (b, a, c)
+                for a in states
+                for b in states
+                if a != b
+                for c in (0, 1)
+                for _, out in delta(a, b, c) or ()
             )
         return found
 

@@ -55,7 +55,11 @@ its own state — a copied configuration, or a census:
   :func:`apply_interaction`; the indexed walk draws a geometric skip,
   then a class, then a pair, and applies the compiled rule; the count
   engine's census walk takes one tau-leap, which may apply many
-  interactions or, when every firing was an identity, none.
+  interactions or, when every firing was an identity, none.  The
+  indexed walk may also run through changes that leave the census as
+  it was while the certificate's False answer on it stands (see
+  :meth:`_ExactEngine.run`); it reports how many, and the step of the
+  last, and the loop counts each as if it had been returned.
 * ``faults(plan, step)`` applies the plan's actions at one step.  The
   exact walks share one dispatch (:func:`_exact_walk`): it keeps the
   dead nodes and the ascending alive list the plan draws victims from,
@@ -271,10 +275,13 @@ class _Walk(NamedTuple):
     """What an engine supplies to the shared run loop (see the module
     docstring)."""
 
-    #: ``(steps, fault_next, max_steps) -> (steps, reached, applied)``,
-    #: ``applied`` being the number of interactions that changed
-    #: something (1 per applied change on the exact walks).
-    advance: Callable[[int, Any, Any], tuple[int, int, int]]
+    #: ``(steps, fault_next, max_steps) -> (steps, reached, applied,
+    #: passed, passed_at)``: ``applied`` is the number of interactions
+    #: that changed something at the step that stopped the clock (1 per
+    #: applied change on the exact walks); ``passed`` is the number of
+    #: changes the walk ran through before it without returning (see
+    #: :meth:`_ExactEngine.run`), the last of them at step ``passed_at``.
+    advance: Callable[[int, Any, Any], tuple[int, int, int, int, int]]
     #: ``(plan, step) -> kinds``: apply the plan's actions at ``step``;
     #: the kinds of all its actions if any changed something, else ``()``.
     faults: Callable[[Any, int], tuple[str, ...]]
@@ -350,6 +357,28 @@ def _exact_walk(
     )
 
 
+class _CountView:
+    """A read-only view of a live configuration that offers only what a
+    census-only certificate reads: ``n``, ``n_active_edges`` and
+    ``count_in_state``.  An answer given through it is a function of
+    the census alone; a certificate that reads more raises
+    ``AttributeError``."""
+
+    __slots__ = ("_config", "count_in_state")
+
+    def __init__(self, config: Configuration) -> None:
+        self._config = config
+        self.count_in_state = config.count_in_state
+
+    @property
+    def n(self) -> int:
+        return self._config.n
+
+    @property
+    def n_active_edges(self) -> int:
+        return self._config.n_active_edges
+
+
 class _ExactEngine:
     """The run loop every engine shares; a subclass supplies one
     :class:`_Walk` per run through ``_walk``.
@@ -422,12 +451,29 @@ class _ExactEngine:
         The protocol's ``stabilized`` certificate (or the ``stop``
         override) is polled every ``check_interval`` advances of the
         walk (an applied change on the exact engines, a leap on the
-        count engine's census walk) and after every fault.
-        ``require_convergence`` raises :class:`ConvergenceError` when the
-        budget runs out.  ``copy_config=False`` evolves the caller's
-        configuration in place (used when running several protocol
-        phases over one population).
+        count engine's census walk; an ``int`` >= 1) and after every
+        fault.  It must be a function of the configuration it is
+        handed, and it is not asked again while the census it answered
+        False on stands: the indexed walk over a table that may swap two
+        states (:attr:`~repro.core.protocol.CompiledProtocol.swaps`)
+        asks it through a view offering only ``n``, ``n_active_edges``
+        and ``count_in_state``, and while that answer is False it runs
+        through each change that swaps two nodes' states over an edge
+        left as it was, without returning here.  Each such change counts
+        as an advance, and a poll due on it is skipped.  A certificate
+        that reads more raises ``AttributeError`` on the view, and is
+        asked on the configuration after every change for the rest of
+        the run.  ``require_convergence`` raises
+        :class:`ConvergenceError` when the budget runs out.
+        ``copy_config=False`` evolves the caller's configuration in
+        place (used when running several protocol phases over one
+        population).
         """
+        if type(check_interval) is not int or check_interval < 1:
+            raise SimulationError(
+                f"check_interval must be an integer >= 1, "
+                f"got {check_interval!r}"
+            )
         stabilized = stop if stop is not None else protocol.stabilized
         publish = merge_sinks(trace, bus)
         walk = self._walk(
@@ -478,7 +524,16 @@ class _ExactEngine:
                 if steps >= horizon and certificate():
                     reason = "stabilized"
                     break
-            steps, reached, applied = advance(steps, fault_next, max_steps)
+            steps, reached, applied, passed, passed_at = advance(
+                steps, fault_next, max_steps
+            )
+            if passed:
+                # Changes the walk ran through: each counts as returned,
+                # and a poll due on one would have met the False that
+                # stands, so it is skipped.
+                effective += passed
+                last_change = passed_at
+                since_check = (since_check + passed) % check_interval
             if reached <= _MOVED:
                 if applied:
                     effective += applied
@@ -579,7 +634,7 @@ class SequentialSimulator(_ExactEngine):
                     stream = scheduler.pairs(cfg.n, rng)
             while steps < max_steps:
                 if dead and cfg.n - len(dead) < 2:
-                    return steps, _IDLE, 0
+                    return steps, _IDLE, 0, 0, 0
                 u, v = next(stream)
                 if dead and (u in dead or v in dead):
                     # Crashed nodes left the interaction graph: this
@@ -593,11 +648,11 @@ class SequentialSimulator(_ExactEngine):
                     if publish is not None:
                         publish.interaction(event, cfg)
                     if _output_affected(protocol, event):
-                        return steps, _APPLIED_OUTPUT, 1
-                    return steps, _APPLIED, 1
+                        return steps, _APPLIED_OUTPUT, 1, 0, 0
+                    return steps, _APPLIED, 1, 0, 0
                 if fault_next is not None and fault_next <= steps:
-                    return steps, _AT_FAULT, 0
-            return steps, _AT_BUDGET, 0
+                    return steps, _AT_FAULT, 0, 0, 0
+            return steps, _AT_BUDGET, 0, 0, 0
 
         def renotify(x: int, hook) -> None:
             new_state = hook(cfg.state(x))
@@ -649,7 +704,7 @@ class IndexedSimulator(_ExactEngine):
     histograms as they were, bar the end-of-dict move of a state whose
     count passes through zero, which is what the two moves would do.
 
-    ``advance`` runs one effective interaction in one Python frame: it
+    ``advance`` runs each effective interaction in one Python frame: it
     draws the class and the pair itself, with the ``getrandbits`` loop
     of ``Random.randrange`` (:func:`~repro.core.indexing.randbelow`),
     reads the compiled rule memo directly and recounts a memoized plan
@@ -657,6 +712,16 @@ class IndexedSimulator(_ExactEngine):
     enumeration and fault upkeep still call into
     :class:`~repro.core.indexing.PairClassIndex`.  With no trace or bus
     attached, an effective interaction builds no ``Event``.
+
+    On a table that may swap two states
+    (:attr:`~repro.core.protocol.CompiledProtocol.swaps`), the walk asks
+    the certificate through a view offering only ``n``,
+    ``n_active_edges`` and ``count_in_state``.  While that answer is
+    False, ``advance`` does not return after a swap of two nodes' states
+    over an edge left as it was (the line leader's walk step), unless
+    it changed the output graph or came at a fault's step: the census,
+    and so the answer, stands.  It keeps ``log(1 - k/m)`` for as long
+    as ``k`` is unchanged.
     """
 
     engine_name = "indexed"
@@ -707,6 +772,11 @@ class IndexedSimulator(_ExactEngine):
         known = compiled.pair_classes
         plans = compiled.plans
         resolved = compiled._resolved
+        # While the certificate answers through ``view`` (reading the
+        # census alone), ``quiet`` says its last answer, False, stands:
+        # nothing has changed the census since.
+        view = _CountView(cfg) if compiled.swaps else None
+        quiet = False
 
         def move_node(w: int, old: int, new: int, counted: bool = False) -> None:
             """Move ``w`` from state id ``old`` to ``new`` in one pass:
@@ -786,24 +856,29 @@ class IndexedSimulator(_ExactEngine):
             sid[w] = new
 
         def advance(steps, fault_next, max_steps):
+            nonlocal quiet
+            passed = passed_at = 0
+            logged = 0  # the k that log_miss is log(1 - k/m) of
             while True:
                 k = index.total
                 if k == 0:
-                    return steps, _IDLE, 0
+                    return steps, _IDLE, 0, passed, passed_at
                 if k == m:
                     skip = 0
                 else:
                     # Number of failed (ineffective) picks before a success.
-                    p = k / m
-                    skip = int(log(1.0 - rng.random()) / log(1.0 - p))
+                    if k != logged:
+                        logged = k
+                        log_miss = log(1.0 - k / m)
+                    skip = int(log(1.0 - rng.random()) / log_miss)
                 if fault_next is not None and steps + skip + 1 > fault_next:
                     # A fault fires before the next effective pick; the
                     # skip is memoryless, so jump to the fault and redraw.
                     if max_steps is not None and fault_next > max_steps:
-                        return max_steps, _AT_BUDGET, 0
-                    return fault_next, _AT_FAULT, 0
+                        return max_steps, _AT_BUDGET, 0, passed, passed_at
+                    return fault_next, _AT_FAULT, 0, passed, passed_at
                 if max_steps is not None and steps + skip + 1 > max_steps:
-                    return max_steps, _AT_BUDGET, 0
+                    return max_steps, _AT_BUDGET, 0, passed, passed_at
                 steps += skip + 1
 
                 # index.sample_class, then index.sample_pair, inlined
@@ -882,7 +957,7 @@ class IndexedSimulator(_ExactEngine):
                     # An effective class may sample an identity outcome
                     # in a probabilistic rule; the step still elapsed.
                     if fault_next is not None and fault_next <= steps:
-                        return steps, _AT_FAULT, 0
+                        return steps, _AT_FAULT, 0, passed, passed_at
                     continue
 
                 if u_changed and v_changed:
@@ -958,7 +1033,8 @@ class IndexedSimulator(_ExactEngine):
                 # _output_affected, without the per-step Event it takes.
                 if out is None:
                     if edge_changed:
-                        return steps, _APPLIED_OUTPUT, 1
+                        quiet = False
+                        return steps, _APPLIED_OUTPUT, 1, passed, passed_at
                 elif (
                     (u_changed
                      and (raw_of[su] in out) != (raw_of[new_u] in out))
@@ -967,8 +1043,23 @@ class IndexedSimulator(_ExactEngine):
                     or (edge_changed
                         and raw_of[new_u] in out and raw_of[new_v] in out)
                 ):
-                    return steps, _APPLIED_OUTPUT, 1
-                return steps, _APPLIED, 1
+                    quiet = False
+                    return steps, _APPLIED_OUTPUT, 1, passed, passed_at
+                if quiet:
+                    if (
+                        not edge_changed and new_u == sv and new_v == su
+                        and su != sv
+                        and (fault_next is None or fault_next > steps)
+                    ):
+                        # A swap: the census, and so the certificate's
+                        # False, stands.  A change at a fault's step is
+                        # returned, so the loop drains the fault before
+                        # the next draw.
+                        passed += 1
+                        passed_at = steps
+                        continue
+                    quiet = False
+                return steps, _APPLIED, 1, passed, passed_at
 
         def resize(joined: int) -> None:
             nonlocal alive, m
@@ -1031,9 +1122,30 @@ class IndexedSimulator(_ExactEngine):
             index.refresh_involving({s_join})
             resize(len(nodes))
 
-        return _exact_walk(
+        walk = _exact_walk(
             cfg, stabilized, set(), advance, crash, cut, corrupt, arrive, revive
         )
+        if view is None:
+            return walk
+
+        def certificate():
+            nonlocal view, quiet
+            if view is not None:
+                try:
+                    held = stabilized(view)
+                except AttributeError:
+                    view = None  # it reads more than the census
+                else:
+                    quiet = not held
+                    return held
+            return stabilized(cfg)
+
+        def faults(plan, at: int) -> tuple[str, ...]:
+            nonlocal quiet
+            quiet = False  # a fault may change the census
+            return walk.faults(plan, at)
+
+        return walk._replace(certificate=certificate, faults=faults)
 
 
 #: Engine registry: name -> engine class taking ``seed=`` and

@@ -99,6 +99,9 @@ class TestRobustnessSpec:
         for budget in ("10", 0, -5, 2.5):
             with pytest.raises(ExperimentError, match="max_steps"):
                 _small_spec(max_steps=budget)
+        for interval in (0, -1, True, 2.5, "4"):
+            with pytest.raises(ExperimentError, match="check_interval"):
+                _small_spec(check_interval=interval)
 
     def test_families_registry(self):
         assert set(FAULT_FAMILIES) == {

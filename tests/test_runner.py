@@ -65,6 +65,11 @@ class TestExperimentSpec:
             (dict(sizes=(8,), trials=1, max_steps="10"), "max_steps"),
             (dict(sizes=(8,), trials=1, max_steps=0), "max_steps"),
             (dict(sizes=(8,), trials=1, max_steps=2.5), "max_steps"),
+            *(
+                (dict(sizes=(8,), trials=1, check_interval=bad),
+                 "check_interval")
+                for bad in (0, -1, True, 2.5, "4")
+            ),
         ],
     )
     def test_validation(self, kwargs, match):

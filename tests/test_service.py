@@ -711,6 +711,8 @@ class TestHttpService(_ClientTests):
             ("sweep", {**SPEC.to_dict(), "trials": "2"}),
             ("sweep", {**SPEC.to_dict(), "scenario": "x"}),
             ("sweep", {**SPEC.to_dict(), "trails": 3}),
+            ("sweep", {**SPEC.to_dict(), "check_interval": "4"}),
+            ("sweep", {**SPEC.to_dict(), "check_interval": 0}),
             (
                 "robustness",
                 {
@@ -722,10 +724,22 @@ class TestHttpService(_ClientTests):
                     if k != "n"
                 },
             ),
+            (
+                "robustness",
+                {
+                    **RobustnessSpec(
+                        protocols=("cycle-cover",), loads=(0,), n=8,
+                        trials=1, max_steps=200_000,
+                    ).to_dict(),
+                    "check_interval": True,
+                },
+            ),
         ],
         ids=[
             "nonsense", "no-engine", "sizes-int", "trials-str",
-            "scenario-str", "unknown-field", "robustness-no-n",
+            "scenario-str", "unknown-field", "check-interval-str",
+            "check-interval-zero", "robustness-no-n",
+            "robustness-check-interval-bool",
         ],
     )
     def test_bad_spec_is_a_clean_400(self, live_service, kind, payload):

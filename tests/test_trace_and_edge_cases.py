@@ -6,7 +6,11 @@ import pytest
 
 from repro.core.configuration import Configuration
 from repro.core.errors import ConvergenceError, SimulationError
-from repro.core.simulator import IndexedSimulator, run_to_convergence
+from repro.core.simulator import (
+    IndexedSimulator,
+    make_engine,
+    run_to_convergence,
+)
 from repro.core.trace import Event, Trace
 from repro.protocols import CycleCover, GlobalStar, SimpleGlobalLine
 
@@ -104,6 +108,15 @@ class TestReprSurfaces:
 
 
 class TestCheckIntervalThrottling:
+    @pytest.mark.parametrize("engine", ["sequential", "indexed", "count"])
+    @pytest.mark.parametrize("interval", [0, -1, True, 2.5, "4"])
+    def test_malformed_check_interval_is_refused(self, engine, interval):
+        """Only an ``int`` >= 1 spaces the polls; anything else is
+        refused before the run starts."""
+        sim = make_engine(engine, seed=1)
+        with pytest.raises(SimulationError, match="check_interval"):
+            sim.run(GlobalStar(), 8, 1000, check_interval=interval)
+
     def test_results_independent_of_check_interval(self):
         """The stabilization certificate may fire later with throttled
         checks, but the constructed network is the same."""
