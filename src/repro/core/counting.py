@@ -353,12 +353,6 @@ class CountSimulator(IndexedSimulator):
         """The leap regime as a walk of the shared run loop: each
         ``advance`` takes one leap.  ``None`` when the stabilization
         certificate needs per-node structure the census cannot provide."""
-        if n < 2:
-            raise SimulationError("need at least 2 nodes")
-        if config is not None and config.n != n:
-            raise SimulationError(
-                f"configuration has {config.n} nodes, expected {n}"
-            )
         compiled = protocol.compile()
         intern = compiled.intern
         state_of = compiled.state_of

@@ -90,35 +90,44 @@ and the incremental bookkeeping on :class:`~repro.core.configuration.Configurati
   many again (~260 kB in all); past that, a new visit order is visited
   unmemoized, and a new key finds its plan by visit order.
 
-  The indexed walk inlines the draws, the recount of a memoized plan
-  and the node upkeep on its hot path; the methods here do the same
-  work for every other caller, and draw exactly what the walk draws.
+  The index is built over the run's live configuration and runs the
+  indexed engine's walk over it (:meth:`PairClassIndex.walk`), so this
+  module alone knows the filing order the seeded law depends on.  The
+  walk and the engine's fault upkeep move nodes through one mover,
+  :meth:`~PairClassIndex.move_node`; ``sample_class`` and
+  ``sample_pair`` draw exactly what the walk's inline draw draws, and
+  are the tests' reference for it.
 
 States here are the dense integer ids produced by
-:meth:`repro.core.protocol.Protocol.compile`; the index never looks at raw
-state values.
+:meth:`repro.core.protocol.Protocol.compile`; the index reads raw state
+values only to keep the configuration in step, publish events and name
+states in errors.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import threading
 from collections import Counter
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Iterator
 
 from repro.core.errors import SimulationError
+from repro.core.trace import Event
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.protocol import CompiledProtocol
+    from repro.core.configuration import Configuration
+    from repro.core.protocol import CompiledProtocol, Protocol
 
 
 class IndexedSet:
     """A set with O(1) add/discard/contains and O(1) uniform sampling.
 
-    :class:`PairClassIndex` and the indexed engine's walk inline
-    ``add``/``discard``/``sample`` on their hot paths, reading ``_items``
-    and ``_index`` directly; the inlined copies must keep exactly this
-    swap-remove order, which seeded draws depend on."""
+    :meth:`PairClassIndex.move_node` and the indexed walk inline
+    ``add``/``discard``/``sample``, reading ``_items`` and ``_index``
+    directly; the inlined copies must keep exactly this swap-remove
+    order, which seeded draws depend on."""
 
     __slots__ = ("_items", "_index")
 
@@ -208,6 +217,35 @@ _PLAN_LOCK = threading.Lock()
 #: ``keys`` being the ``(lo, hi, c)`` of its effective classes.
 _Entry = tuple[tuple[int, int], tuple[tuple[int, int, int], ...]]
 
+# Where a walk's ``advance`` stopped the clock: at an applied change
+# that may have changed the output graph, or one that cannot have; after
+# a census leap whose firings were all identities (the clock moved,
+# nothing changed); at the next fault step; at the budget; or with no
+# alive pair able to change anything.
+_APPLIED, _APPLIED_OUTPUT, _MOVED, _AT_FAULT, _AT_BUDGET, _IDLE = range(6)
+
+
+class _CountView:
+    """A read-only view of a live configuration that offers only what a
+    census-only certificate reads: ``n``, ``n_active_edges`` and
+    ``count_in_state``.  An answer given through it is a function of
+    the census alone; a certificate that reads more raises
+    ``AttributeError``."""
+
+    __slots__ = ("_config", "count_in_state")
+
+    def __init__(self, config: Configuration) -> None:
+        self._config = config
+        self.count_in_state = config.count_in_state
+
+    @property
+    def n(self) -> int:
+        return self._config.n
+
+    @property
+    def n_active_edges(self) -> int:
+        return self._config.n_active_edges
+
 
 class PairClassIndex:
     """Candidate-pair census grouped by state class ``(a, b, c)``.
@@ -227,6 +265,11 @@ class PairClassIndex:
         ``plans``, ``visits``, ``plan_cells``, ``key_cells``), shared
         with every other index over it, and takes its
         :attr:`count_only` states from it.
+    config:
+        The live configuration, every node alive.  The index interns its
+        states into :attr:`sid`, files its nodes and active edges and
+        weighs every present pair; from then on :meth:`move_node` keeps
+        the configuration in step with the index.
 
     Every present state has a node count in :attr:`counts`; only the
     states outside :attr:`count_only` have a node bucket in
@@ -238,12 +281,18 @@ class PairClassIndex:
     """
 
     __slots__ = (
-        "table", "_eff", "_classes", "_plans", "_visits", "count_only",
-        "counts", "nodes", "edges", "weights", "total",
+        "table", "config", "sid", "_raw", "_eff", "_classes", "_plans",
+        "_visits", "count_only", "counts", "nodes", "edges", "weights",
+        "total",
     )
 
-    def __init__(self, table: CompiledProtocol) -> None:
+    def __init__(self, table: CompiledProtocol, config: Configuration) -> None:
         self.table = table
+        self.config = config
+        #: node id -> state id (a crashed node keeps its last one)
+        sid = self.sid = table.intern_all(config._states)
+        #: state id -> raw state (the table's own list; it only grows)
+        self._raw = table._states
         self._eff: EffectivenessOracle = table.is_effective
         #: (lo, hi) -> its plan entry, or () if it has no effective
         #: class; memoized by the first refresh that visits the pair
@@ -260,7 +309,7 @@ class PairClassIndex:
         #: state id -> node count, every present state.  A state enters
         #: with its first node and leaves with its last, so the key
         #: order is the present-state order refresh plans are keyed on.
-        self.counts: dict[int, int] = {}
+        self.counts: dict[int, int] = dict(Counter(sid))
         #: state id -> IndexedSet of node ids (present states outside
         #: count_only only)
         self.nodes: dict[int, IndexedSet] = {}
@@ -275,6 +324,25 @@ class PairClassIndex:
         #: total number of effective pairs
         self.total = 0
 
+        # File the nodes: what add_node on each in ascending id files,
+        # with the same counts order and bucket item order, in one pass
+        # over sid after a C-level count.
+        filed: dict[int, list[int]] = {
+            s: [] for s in self.counts if s not in self.count_only
+        }
+        if filed:
+            for u, s in enumerate(sid):
+                items = filed.get(s)
+                if items is not None:
+                    items.append(u)
+        for s, items in filed.items():
+            bucket = self.nodes[s] = IndexedSet()
+            bucket._items = items
+            bucket._index = dict(zip(items, range(len(items))))
+        for u, v in config.active_edges():
+            self.add_edge(u, v, sid[u], sid[v])
+        self.rebuild()
+
     # ------------------------------------------------------------------
     # Structural updates (no weight maintenance; call refresh_* after)
     # ------------------------------------------------------------------
@@ -287,58 +355,93 @@ class PairClassIndex:
                 bucket = self.nodes[state] = IndexedSet()
             bucket.add(u)
 
-    def add_nodes(self, sid: list[int]) -> None:
-        """File nodes ``0 .. len(sid) - 1`` in states ``sid`` into an empty
-        index: what ``add_node`` on each in ascending id files, with the
-        same ``counts`` order and bucket item order, in one pass over
-        ``sid`` after a C-level count."""
-        counts = self.counts
-        counts.update(Counter(sid))
-        count_only = self.count_only
-        filed: dict[int, list[int]] = {
-            s: [] for s in counts if s not in count_only
-        }
-        if filed:
-            for u, s in enumerate(sid):
-                items = filed.get(s)
-                if items is not None:
-                    items.append(u)
-        nodes = self.nodes
-        for s, items in filed.items():
-            bucket = nodes[s] = IndexedSet()
-            bucket._items = items
-            bucket._index = dict(zip(items, range(len(items))))
-
-    def move_node(self, u: int, old: int, new: int) -> None:
-        counts = self.counts
-        left = counts[old] - 1
-        if left:
-            counts[old] = left
+    def move_node(self, u: int, old: int, new: int, counted: bool = False) -> None:
+        """Move the alive node ``u`` from state id ``old`` to ``new`` in
+        one pass: the configuration's state and state count (and its
+        per-state node set, once a certificate has built those), the
+        index's count, the bucket of every incident active edge, ``u``'s
+        node bucket (drawable states only) and :attr:`sid`, with the
+        buckets' swap-remove and append order inlined.  ``counted``: the
+        caller has kept both histograms in step already."""
+        cfg = self.config
+        if counted:
+            cfg._states[u] = self._raw[new]
         else:
-            del counts[old]
-        counts[new] = counts.get(new, 0) + 1
-        nodes = self.nodes
+            if cfg._nodes is None:
+                states = cfg._states
+                hist = cfg._counts
+                raw = states[u]
+                left = hist[raw] - 1
+                if left:
+                    hist[raw] = left
+                else:
+                    del hist[raw]
+                raw = states[u] = self._raw[new]
+                hist[raw] = hist.get(raw, 0) + 1
+            else:
+                # A certificate has asked for the per-state node sets,
+                # which set_state keeps in step.
+                cfg.set_state(u, self._raw[new])
+            counts = self.counts
+            left = counts[old] - 1
+            if left:
+                counts[old] = left
+            else:
+                del counts[old]
+            counts[new] = counts.get(new, 0) + 1
+        sid = self.sid
+        edges = self.edges
+        # Re-file each incident edge as remove_edge, then add_edge, would.
+        for x in cfg._adj[u]:
+            sx = sid[x]
+            edge = (u, x) if u < x else (x, u)
+            key = (old, sx) if old <= sx else (sx, old)
+            bucket = edges.get(key)
+            if bucket is not None:
+                where = bucket._index
+                idx = where.pop(edge, None)
+                if idx is not None:
+                    items = bucket._items
+                    last = items.pop()
+                    if idx < len(items):
+                        items[idx] = last
+                        where[last] = idx
+                    elif not items:
+                        del edges[key]
+            key = (new, sx) if new <= sx else (sx, new)
+            if self._classes.get(key, True):
+                bucket = edges.get(key)
+                if bucket is None:
+                    bucket = edges[key] = IndexedSet()
+                where = bucket._index
+                if edge not in where:
+                    items = bucket._items
+                    where[edge] = len(items)
+                    items.append(edge)
         count_only = self.count_only
+        nodes = self.nodes
         if old not in count_only:
             bucket = nodes[old]
-            index = bucket._index
-            idx = index.pop(u, None)
+            where = bucket._index
+            idx = where.pop(u, None)
             if idx is not None:
                 items = bucket._items
                 last = items.pop()
                 if idx < len(items):
                     items[idx] = last
-                    index[last] = idx
+                    where[last] = idx
                 elif not items:
                     del nodes[old]
         if new not in count_only:
             bucket = nodes.get(new)
             if bucket is None:
                 bucket = nodes[new] = IndexedSet()
-            index = bucket._index
-            if u not in index:
-                index[u] = len(bucket._items)
-                bucket._items.append(u)
+            where = bucket._index
+            if u not in where:
+                items = bucket._items
+                where[u] = len(items)
+                items.append(u)
+        sid[u] = new
 
     def remove_node(self, u: int, state: int) -> None:
         """Drop ``u`` from the census entirely (crash-stop faults): the
@@ -378,33 +481,10 @@ class PairClassIndex:
             del self.edges[key]
 
     def move_edge(self, u: int, v: int, old_su: int, sv: int, new_su: int) -> None:
-        """Re-file the active edge ``(u, v)`` after ``u`` moved state:
-        ``remove_edge`` then ``add_edge``, in one pass."""
-        edge = (u, v) if u < v else (v, u)
-        edges = self.edges
-        key = (old_su, sv) if old_su <= sv else (sv, old_su)
-        bucket = edges.get(key)
-        if bucket is not None:
-            index = bucket._index
-            idx = index.pop(edge, None)
-            if idx is not None:
-                items = bucket._items
-                last = items.pop()
-                if idx < len(items):
-                    items[idx] = last
-                    index[last] = idx
-                elif not items:
-                    del edges[key]
-        key = (new_su, sv) if new_su <= sv else (sv, new_su)
-        if not self._classes.get(key, True):  # as in add_edge
-            return
-        bucket = edges.get(key)
-        if bucket is None:
-            bucket = edges[key] = IndexedSet()
-        index = bucket._index
-        if edge not in index:
-            index[edge] = len(bucket._items)
-            bucket._items.append(edge)
+        """Re-file the active edge ``(u, v)`` after ``u`` moved state, as
+        :meth:`move_node` re-files each edge of the node it moves."""
+        self.remove_edge(u, v, old_su, sv)
+        self.add_edge(u, v, new_su, sv)
 
     # ------------------------------------------------------------------
     # Weight maintenance
@@ -528,8 +608,8 @@ class PairClassIndex:
                 self.refresh_pair(a, b)
 
     # ------------------------------------------------------------------
-    # Sampling (the indexed walk inlines both draws; these methods draw
-    # exactly what it draws)
+    # Sampling (the walk inlines both draws; these methods draw exactly
+    # what it draws)
     # ------------------------------------------------------------------
     def sample_class(self, rng: random.Random) -> tuple[int, int, int]:
         """Draw a class with probability proportional to its pair count."""
@@ -610,3 +690,293 @@ class PairClassIndex:
             f"{table.state_of(other)!r}; declare every state the protocol "
             f"reaches in its `states`"
         )
+
+    # ------------------------------------------------------------------
+    # The indexed engine's walk
+    # ------------------------------------------------------------------
+    def walk(self, rng: random.Random, protocol: Protocol, publish, stabilized):
+        """The indexed engine's walk over this index and its configuration:
+        ``(advance, certificate, resize, wake)``.  The first two are the
+        :class:`~repro.core.simulator._Walk`'s; ``resize(joined)`` follows
+        a change of the alive population, and ``wake()`` ends a standing
+        certificate answer (a fault may change the census).
+
+        ``advance`` runs each effective interaction in one Python frame:
+        it draws the class and the pair itself, with the ``getrandbits``
+        loop of ``Random.randrange`` (:func:`randbelow`), reads the
+        compiled rule memo directly, moves each changed node with
+        :meth:`move_node` and recounts a memoized plan inline.  An edge
+        flip, a plan-key miss and a dense class's fallback enumeration
+        call the index's methods.  With no trace or bus attached
+        (``publish`` is ``None``), it builds no ``Event``.  A swap of two
+        nodes' states leaves both histograms as they were, bar the
+        end-of-dict move of a state whose count passes through zero,
+        which is what the two moves would do.
+
+        On a table that may swap two states
+        (:attr:`~repro.core.protocol.CompiledProtocol.swaps`),
+        ``certificate()`` asks ``stabilized`` through a view offering
+        only ``n``, ``n_active_edges`` and ``count_in_state``.  While
+        that answer is False, ``advance`` does not return after a swap
+        of two nodes' states over an edge left as it was (the line
+        leader's walk step), unless it changed the output graph or came
+        at a fault's step: the census, and so the answer, stands.  It
+        keeps ``log(1 - k/m)`` for as long as ``k`` is unchanged.
+        """
+        cfg = self.config
+        table = self.table
+        raw_of = self._raw
+        adj = cfg._adj
+        raw_states = cfg._states
+        raw_counts = cfg._counts
+        sid = self.sid
+        alive = cfg.n
+        m = alive * (alive - 1) // 2
+        log = math.log
+        getrandbits = rng.getrandbits
+        out = protocol.output_states
+        move_node = self.move_node
+
+        counts = self.counts
+        nodes = self.nodes
+        edges = self.edges
+        weights = self.weights
+        plans = table.plans
+        resolved = table._resolved
+        # While the certificate answers through ``view`` (reading the
+        # census alone), ``quiet`` says its last answer, False, stands:
+        # nothing has changed the census since.
+        view = _CountView(cfg) if table.swaps else None
+        quiet = False
+
+        def advance(steps, fault_next, max_steps):
+            nonlocal quiet
+            passed = passed_at = 0
+            logged = 0  # the k that log_miss is log(1 - k/m) of
+            while True:
+                k = self.total
+                if k == 0:
+                    return steps, _IDLE, 0, passed, passed_at
+                if k == m:
+                    skip = 0
+                else:
+                    # Number of failed (ineffective) picks before a success.
+                    if k != logged:
+                        logged = k
+                        log_miss = log(1.0 - k / m)
+                    skip = int(log(1.0 - rng.random()) / log_miss)
+                if fault_next is not None and steps + skip + 1 > fault_next:
+                    # A fault fires before the next effective pick; the
+                    # skip is memoryless, so jump to the fault and redraw.
+                    if max_steps is not None and fault_next > max_steps:
+                        return max_steps, _AT_BUDGET, 0, passed, passed_at
+                    return fault_next, _AT_FAULT, 0, passed, passed_at
+                if max_steps is not None and steps + skip + 1 > max_steps:
+                    return max_steps, _AT_BUDGET, 0, passed, passed_at
+                steps += skip + 1
+
+                # sample_class, then sample_pair, inlined with their
+                # draws (randbelow).
+                bits = k.bit_length()
+                r = getrandbits(bits)
+                while r >= k:
+                    r = getrandbits(bits)
+                for key, weight in weights.items():
+                    r -= weight
+                    if r < 0:
+                        break
+                else:
+                    raise AssertionError(
+                        "PairClassIndex weights out of sync with total"
+                    )
+                lo, hi, c = key
+                if c:
+                    items = edges[(lo, hi)]._items
+                    size = len(items)
+                    bits = size.bit_length()
+                    r = getrandbits(bits)
+                    while r >= size:
+                        r = getrandbits(bits)
+                    u, v = items[r]
+                else:
+                    try:
+                        a_items = nodes[lo]._items
+                        b_items = nodes[hi]._items
+                    except KeyError:
+                        raise self.unfiled(key) from None
+                    size_a = len(a_items)
+                    bits_a = size_a.bit_length()
+                    size_b = len(b_items)
+                    bits_b = size_b.bit_length()
+                    for _ in range(_REJECTION_CAP):
+                        r = getrandbits(bits_a)
+                        while r >= size_a:
+                            r = getrandbits(bits_a)
+                        u = a_items[r]
+                        r = getrandbits(bits_b)
+                        while r >= size_b:
+                            r = getrandbits(bits_b)
+                        v = b_items[r]
+                        if u != v and v not in adj[u]:
+                            break
+                    else:
+                        u, v = self.sample_dense(lo, hi, rng, cfg.edge_state)
+                su, sv = sid[u], sid[v]
+                rule = resolved.get((su, sv, c))
+                if rule is None:
+                    rule = table.resolved(su, sv, c)
+                dist, swapped = rule
+                if len(dist) == 1:
+                    outcome = dist[0][1]
+                else:
+                    roll = rng.random()
+                    acc = 0.0
+                    outcome = dist[-1][1]
+                    for prob, candidate in dist:
+                        acc += prob
+                        if roll < acc:
+                            outcome = candidate
+                            break
+                if swapped:
+                    new_u, new_v = outcome[1], outcome[0]
+                else:
+                    new_u, new_v = outcome[0], outcome[1]
+                if su == sv and new_u != new_v and rng.random() < 0.5:
+                    new_u, new_v = new_v, new_u
+                new_edge = outcome[2]
+                u_changed = new_u != su
+                v_changed = new_v != sv
+                edge_changed = new_edge != c
+                if not (u_changed or v_changed or edge_changed):
+                    # An effective class may sample an identity outcome
+                    # in a probabilistic rule; the step still elapsed.
+                    if fault_next is not None and fault_next <= steps:
+                        return steps, _AT_FAULT, 0, passed, passed_at
+                    continue
+
+                if u_changed and v_changed:
+                    if new_u == sv and new_v == su and cfg._nodes is None:
+                        # A swap (the line's walk): both histograms end
+                        # as they began, except that a state whose count
+                        # passes through zero (u's, when u is its only
+                        # node) moves to the end, as the two moves would
+                        # leave it.
+                        if counts[su] == 1:
+                            del counts[su]
+                            counts[su] = 1
+                        raw = raw_states[u]
+                        if raw_counts[raw] == 1:
+                            del raw_counts[raw]
+                            raw_counts[raw_of[su]] = 1
+                        move_node(u, su, new_u, True)
+                        move_node(v, sv, new_v, True)
+                    else:
+                        move_node(u, su, new_u)
+                        move_node(v, sv, new_v)
+                    # The dirty set's insertion order fixes its
+                    # iteration order, which the refresh visits in.
+                    dirty = {su, new_u, sv, new_v}
+                elif u_changed:
+                    move_node(u, su, new_u)
+                    dirty = {su, new_u}
+                elif v_changed:
+                    move_node(v, sv, new_v)
+                    dirty = {sv, new_v}
+                if edge_changed:
+                    cfg.set_edge(u, v, new_edge)
+                    if new_edge:
+                        self.add_edge(u, v, sid[u], sid[v])
+                    else:
+                        self.remove_edge(u, v, sid[u], sid[v])
+                if u_changed or v_changed:
+                    # refresh_involving, replaying a memoized plan inline
+                    # (_recount).
+                    plan = plans.get((*dirty, -1, *counts))
+                    if plan is None:
+                        self.refresh_involving(dirty)
+                    else:
+                        total = self.total
+                        for pair, classes in plan:
+                            x, y = pair
+                            na = counts.get(x, 0)
+                            if x == y:
+                                pairs = na * (na - 1) // 2
+                            else:
+                                pairs = na * counts.get(y, 0)
+                            bucket = edges.get(pair)
+                            n_edges = (
+                                len(bucket._items) if bucket is not None else 0
+                            )
+                            for cls in classes:
+                                weight = n_edges if cls[2] else pairs - n_edges
+                                was = weights.pop(cls, 0)
+                                if weight:
+                                    weights[cls] = weight
+                                total += weight - was
+                        self.total = total
+                else:
+                    self.refresh_pair(su, sv)
+
+                if publish is not None:
+                    publish.interaction(Event(
+                        steps, u, v,
+                        raw_of[su], raw_of[new_u],
+                        raw_of[sv], raw_of[new_v],
+                        c, new_edge,
+                    ), cfg)
+                # simulator._output_affected, without the Event it takes.
+                if out is None:
+                    if edge_changed:
+                        quiet = False
+                        return steps, _APPLIED_OUTPUT, 1, passed, passed_at
+                elif (
+                    (u_changed
+                     and (raw_of[su] in out) != (raw_of[new_u] in out))
+                    or (v_changed
+                        and (raw_of[sv] in out) != (raw_of[new_v] in out))
+                    or (edge_changed
+                        and raw_of[new_u] in out and raw_of[new_v] in out)
+                ):
+                    quiet = False
+                    return steps, _APPLIED_OUTPUT, 1, passed, passed_at
+                if quiet:
+                    if (
+                        not edge_changed and new_u == sv and new_v == su
+                        and su != sv
+                        and (fault_next is None or fault_next > steps)
+                    ):
+                        # A swap: the census, and so the certificate's
+                        # False, stands.  A change at a fault's step is
+                        # returned, so the loop drains the fault before
+                        # the next draw.
+                        passed += 1
+                        passed_at = steps
+                        continue
+                    quiet = False
+                return steps, _APPLIED, 1, passed, passed_at
+
+        def resize(joined: int) -> None:
+            nonlocal alive, m
+            alive += joined
+            m = alive * (alive - 1) // 2
+
+        def wake() -> None:
+            nonlocal quiet
+            quiet = False
+
+        if view is None:
+            return advance, partial(stabilized, cfg), resize, wake
+
+        def certificate():
+            nonlocal view, quiet
+            if view is not None:
+                try:
+                    held = stabilized(view)
+                except AttributeError:
+                    view = None  # it reads more than the census
+                else:
+                    quiet = not held
+                    return held
+            return stabilized(cfg)
+
+        return advance, certificate, resize, wake

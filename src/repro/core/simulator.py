@@ -52,9 +52,10 @@ its own state — a copied configuration, or a census:
   applied change, or stops it first at the next fault step, at the
   budget, or where no alive pair can change anything.  The sequential
   walk takes one scheduler pick at a time and applies it with
-  :func:`apply_interaction`; the indexed walk draws a geometric skip,
-  then a class, then a pair, and applies the compiled rule; the count
-  engine's census walk takes one tau-leap, which may apply many
+  :func:`apply_interaction`; the indexed walk
+  (:meth:`~repro.core.indexing.PairClassIndex.walk`) draws a geometric
+  skip, then a class, then a pair, and applies the compiled rule; the
+  count engine's census walk takes one tau-leap, which may apply many
   interactions or, when every firing was an identity, none.  The
   indexed walk may also run through changes that leave the census as
   it was while the certificate's False answer on it stands (see
@@ -118,7 +119,6 @@ can create effective pairs out of nothing).
 
 from __future__ import annotations
 
-import math
 import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass
@@ -128,7 +128,9 @@ from typing import Any, Callable, NamedTuple
 from repro.core.configuration import Configuration
 from repro.core.errors import ConvergenceError, SimulationError
 from repro.core.faults import DEAD, FaultModel, compile_fault_plan
-from repro.core.indexing import _REJECTION_CAP, IndexedSet, PairClassIndex
+from repro.core.indexing import (
+    _APPLIED, _APPLIED_OUTPUT, _AT_BUDGET, _AT_FAULT, _IDLE, _MOVED, PairClassIndex,
+)
 from repro.core.protocol import Protocol, resolve, sample_outcome
 from repro.core.scenario import DEFAULT_SCENARIO, resolve_engine
 from repro.core.scheduler import Scheduler, UniformRandomScheduler
@@ -263,14 +265,6 @@ def _output_affected(protocol: Protocol, event: Event) -> bool:
     )
 
 
-# Where a walk's ``advance`` stopped the clock: at an applied change
-# that may have changed the output graph, or one that cannot have; after
-# a census leap whose firings were all identities (the clock moved,
-# nothing changed); at the next fault step; at the budget; or with no
-# alive pair able to change anything.
-_APPLIED, _APPLIED_OUTPUT, _MOVED, _AT_FAULT, _AT_BUDGET, _IDLE = range(6)
-
-
 class _Walk(NamedTuple):
     """What an engine supplies to the shared run loop (see the module
     docstring)."""
@@ -296,11 +290,12 @@ class _Walk(NamedTuple):
 
 
 def _exact_walk(
-    cfg: Configuration, stabilized, dead: set[int],
+    cfg: Configuration, certificate, dead: set[int],
     advance, crash, cut, corrupt, arrive, revive,
 ) -> _Walk:
-    """An exact engine's walk over ``cfg``: its ``advance`` and one method
-    per fault kind behind the fault dispatch both exact engines share.
+    """An exact engine's walk over ``cfg``: its ``advance``, its
+    certificate and one method per fault kind behind the fault dispatch
+    both exact engines share.
 
     The dispatch passes the methods only alive nodes and edges active
     between alive nodes.  It keeps the crashed nodes in ``dead`` and,
@@ -352,31 +347,9 @@ def _exact_walk(
         return tuple(kinds) if changed else ()
 
     return _Walk(
-        advance, faults, partial(stabilized, cfg), cfg.state_counts,
+        advance, faults, certificate, cfg.state_counts,
         lambda: cfg.n_active_edges, lambda steps: cfg,
     )
-
-
-class _CountView:
-    """A read-only view of a live configuration that offers only what a
-    census-only certificate reads: ``n``, ``n_active_edges`` and
-    ``count_in_state``.  An answer given through it is a function of
-    the census alone; a certificate that reads more raises
-    ``AttributeError``."""
-
-    __slots__ = ("_config", "count_in_state")
-
-    def __init__(self, config: Configuration) -> None:
-        self._config = config
-        self.count_in_state = config.count_in_state
-
-    @property
-    def n(self) -> int:
-        return self._config.n
-
-    @property
-    def n_active_edges(self) -> int:
-        return self._config.n_active_edges
 
 
 class _ExactEngine:
@@ -415,8 +388,6 @@ class _ExactEngine:
             cfg = protocol.initial_configuration(n)
         else:
             cfg = config.copy() if copy_config else config
-        if cfg.n != n:
-            raise SimulationError(f"configuration has {cfg.n} nodes, expected {n}")
         return cfg, random.Random(self.seed)
 
     def _walk(
@@ -467,12 +438,23 @@ class _ExactEngine:
         :class:`ConvergenceError` when the budget runs out.
         ``copy_config=False`` evolves the caller's configuration in
         place (used when running several protocol phases over one
-        population).
+        population).  A run needs ``n`` >= 2 nodes; a given ``config``
+        must hold ``n`` nodes, none of them ``DEAD`` (the clock counts
+        picks among alive pairs from the first step; a fault crashes).
         """
         if type(check_interval) is not int or check_interval < 1:
             raise SimulationError(
                 f"check_interval must be an integer >= 1, "
                 f"got {check_interval!r}"
+            )
+        if n < 2:
+            raise SimulationError(f"need at least 2 nodes to interact, got {n}")
+        if config is not None and config.n != n:
+            raise SimulationError(f"configuration has {config.n} nodes, expected {n}")
+        if config is not None and config.count_in_state(DEAD):
+            raise SimulationError(
+                f"configuration holds {config.count_in_state(DEAD)} {DEAD} "
+                "node(s); start every node alive, crash nodes with a fault"
             )
         stabilized = stop if stop is not None else protocol.stabilized
         publish = merge_sinks(trace, bus)
@@ -682,8 +664,8 @@ class SequentialSimulator(_ExactEngine):
                 cfg.set_state(w, _join_state(protocol))
 
         return _exact_walk(
-            cfg, stabilized, dead, advance, crash, cut, cfg.set_state, arrive,
-            revive,
+            cfg, partial(stabilized, cfg), dead, advance, crash, cut,
+            cfg.set_state, arrive, revive,
         )
 
 
@@ -693,35 +675,10 @@ class IndexedSimulator(_ExactEngine):
     Distributionally identical to :class:`SequentialSimulator` under the
     uniform random scheduler: the step counter advances by a
     ``Geometric(k/m) - 1`` skip, and the two-stage class-then-pair draw
-    is exactly a uniform draw over the effective pairs.  Upkeep is
-    confined to the changed states: only the effective class weights
-    touching them are recomputed (by replaying a memoized visit plan),
-    and each changed node's state, state counts, node bucket and
-    O(degree) incident active edges are re-filed in one pass.  Nodes in
-    a count-only state (see :mod:`repro.core.indexing`) are counted but
-    not filed, so the line leader's walk between ``q2`` and ``w``
-    re-files only edges; and a swap of two nodes' states leaves both
-    histograms as they were, bar the end-of-dict move of a state whose
-    count passes through zero, which is what the two moves would do.
-
-    ``advance`` runs each effective interaction in one Python frame: it
-    draws the class and the pair itself, with the ``getrandbits`` loop
-    of ``Random.randrange`` (:func:`~repro.core.indexing.randbelow`),
-    reads the compiled rule memo directly and recounts a memoized plan
-    inline.  An edge flip, a plan-key miss, a dense class's fallback
-    enumeration and fault upkeep still call into
-    :class:`~repro.core.indexing.PairClassIndex`.  With no trace or bus
-    attached, an effective interaction builds no ``Event``.
-
-    On a table that may swap two states
-    (:attr:`~repro.core.protocol.CompiledProtocol.swaps`), the walk asks
-    the certificate through a view offering only ``n``,
-    ``n_active_edges`` and ``count_in_state``.  While that answer is
-    False, ``advance`` does not return after a swap of two nodes' states
-    over an edge left as it was (the line leader's walk step), unless
-    it changed the output graph or came at a fault's step: the census,
-    and so the answer, stands.  It keeps ``log(1 - k/m)`` for as long
-    as ``k`` is unchanged.
+    is exactly a uniform draw over the effective pairs.  The walk is
+    :meth:`~repro.core.indexing.PairClassIndex.walk`, over an index built
+    on the run's configuration; the fault upkeep here moves nodes through
+    the index's one mover, its ``move_node``.
     """
 
     engine_name = "indexed"
@@ -741,330 +698,13 @@ class IndexedSimulator(_ExactEngine):
         self, protocol, n, config, copy_config, publish, stabilized, max_steps
     ) -> _Walk:
         cfg, rng = self._start(protocol, n, config, copy_config)
-        if n < 2:
-            raise SimulationError("need at least 2 nodes")
-        compiled = protocol.compile()
-        intern = compiled.intern
-        # The table's id -> state list (what state_of reads; it only grows).
-        raw_of = compiled._states
-        # Engine-internal: the walk re-files these in place.
-        adj = cfg._adj
-        raw_states = cfg._states
-        raw_counts = cfg._counts
-        sid = compiled.intern_all(raw_states)
-
-        index = PairClassIndex(compiled)
-        index.add_nodes(sid)
-        for u, v in cfg.active_edges():
-            index.add_edge(u, v, sid[u], sid[v])
-        index.rebuild()
-        alive = n
-        m = n * (n - 1) // 2
-        log = math.log
-        getrandbits = rng.getrandbits
-        out = protocol.output_states
-
-        counts = index.counts
-        count_only = index.count_only
-        nodes = index.nodes
-        edges = index.edges
-        weights = index.weights
-        known = compiled.pair_classes
-        plans = compiled.plans
-        resolved = compiled._resolved
-        # While the certificate answers through ``view`` (reading the
-        # census alone), ``quiet`` says its last answer, False, stands:
-        # nothing has changed the census since.
-        view = _CountView(cfg) if compiled.swaps else None
-        quiet = False
-
-        def move_node(w: int, old: int, new: int, counted: bool = False) -> None:
-            """Move ``w`` from state id ``old`` to ``new`` in one pass:
-            ``cfg.set_state`` and the index's count, then
-            ``index.move_edge`` for each incident active edge and
-            ``index.move_node``'s bucket upkeep, inlined with their
-            swap-remove and append order.  ``counted``: the caller has
-            kept both histograms in step already."""
-            if counted:
-                raw_states[w] = raw_of[new]
-            else:
-                if cfg._nodes is None:
-                    raw = raw_states[w]
-                    left = raw_counts[raw] - 1
-                    if left:
-                        raw_counts[raw] = left
-                    else:
-                        del raw_counts[raw]
-                    raw = raw_states[w] = raw_of[new]
-                    raw_counts[raw] = raw_counts.get(raw, 0) + 1
-                else:
-                    # A certificate has asked for the per-state node
-                    # sets, which set_state keeps in step.
-                    cfg.set_state(w, raw_of[new])
-                left = counts[old] - 1
-                if left:
-                    counts[old] = left
-                else:
-                    del counts[old]
-                counts[new] = counts.get(new, 0) + 1
-            for x in adj[w]:
-                sx = sid[x]
-                edge = (w, x) if w < x else (x, w)
-                bucket = edges.get((old, sx) if old <= sx else (sx, old))
-                if bucket is not None:
-                    where = bucket._index
-                    idx = where.pop(edge, None)
-                    if idx is not None:
-                        items = bucket._items
-                        last = items.pop()
-                        if idx < len(items):
-                            items[idx] = last
-                            where[last] = idx
-                        elif not items:
-                            del edges[(old, sx) if old <= sx else (sx, old)]
-                key = (new, sx) if new <= sx else (sx, new)
-                if known.get(key, True):
-                    bucket = edges.get(key)
-                    if bucket is None:
-                        bucket = edges[key] = IndexedSet()
-                    where = bucket._index
-                    if edge not in where:
-                        items = bucket._items
-                        where[edge] = len(items)
-                        items.append(edge)
-            if old not in count_only:
-                bucket = nodes[old]
-                where = bucket._index
-                idx = where.pop(w, None)
-                if idx is not None:
-                    items = bucket._items
-                    last = items.pop()
-                    if idx < len(items):
-                        items[idx] = last
-                        where[last] = idx
-                    elif not items:
-                        del nodes[old]
-            if new not in count_only:
-                bucket = nodes.get(new)
-                if bucket is None:
-                    bucket = nodes[new] = IndexedSet()
-                where = bucket._index
-                if w not in where:
-                    items = bucket._items
-                    where[w] = len(items)
-                    items.append(w)
-            sid[w] = new
-
-        def advance(steps, fault_next, max_steps):
-            nonlocal quiet
-            passed = passed_at = 0
-            logged = 0  # the k that log_miss is log(1 - k/m) of
-            while True:
-                k = index.total
-                if k == 0:
-                    return steps, _IDLE, 0, passed, passed_at
-                if k == m:
-                    skip = 0
-                else:
-                    # Number of failed (ineffective) picks before a success.
-                    if k != logged:
-                        logged = k
-                        log_miss = log(1.0 - k / m)
-                    skip = int(log(1.0 - rng.random()) / log_miss)
-                if fault_next is not None and steps + skip + 1 > fault_next:
-                    # A fault fires before the next effective pick; the
-                    # skip is memoryless, so jump to the fault and redraw.
-                    if max_steps is not None and fault_next > max_steps:
-                        return max_steps, _AT_BUDGET, 0, passed, passed_at
-                    return fault_next, _AT_FAULT, 0, passed, passed_at
-                if max_steps is not None and steps + skip + 1 > max_steps:
-                    return max_steps, _AT_BUDGET, 0, passed, passed_at
-                steps += skip + 1
-
-                # index.sample_class, then index.sample_pair, inlined
-                # with their draws (indexing.randbelow).
-                bits = k.bit_length()
-                r = getrandbits(bits)
-                while r >= k:
-                    r = getrandbits(bits)
-                for key, weight in weights.items():
-                    r -= weight
-                    if r < 0:
-                        break
-                else:
-                    raise AssertionError(
-                        "PairClassIndex weights out of sync with total"
-                    )
-                lo, hi, c = key
-                if c:
-                    items = edges[(lo, hi)]._items
-                    size = len(items)
-                    bits = size.bit_length()
-                    r = getrandbits(bits)
-                    while r >= size:
-                        r = getrandbits(bits)
-                    u, v = items[r]
-                else:
-                    try:
-                        a_items = nodes[lo]._items
-                        b_items = nodes[hi]._items
-                    except KeyError:
-                        raise index.unfiled(key) from None
-                    size_a = len(a_items)
-                    bits_a = size_a.bit_length()
-                    size_b = len(b_items)
-                    bits_b = size_b.bit_length()
-                    for _ in range(_REJECTION_CAP):
-                        r = getrandbits(bits_a)
-                        while r >= size_a:
-                            r = getrandbits(bits_a)
-                        u = a_items[r]
-                        r = getrandbits(bits_b)
-                        while r >= size_b:
-                            r = getrandbits(bits_b)
-                        v = b_items[r]
-                        if u != v and v not in adj[u]:
-                            break
-                    else:
-                        u, v = index.sample_dense(lo, hi, rng, cfg.edge_state)
-                su, sv = sid[u], sid[v]
-                rule = resolved.get((su, sv, c))
-                if rule is None:
-                    rule = compiled.resolved(su, sv, c)
-                dist, swapped = rule
-                if len(dist) == 1:
-                    outcome = dist[0][1]
-                else:
-                    roll = rng.random()
-                    acc = 0.0
-                    outcome = dist[-1][1]
-                    for prob, candidate in dist:
-                        acc += prob
-                        if roll < acc:
-                            outcome = candidate
-                            break
-                if swapped:
-                    new_u, new_v = outcome[1], outcome[0]
-                else:
-                    new_u, new_v = outcome[0], outcome[1]
-                if su == sv and new_u != new_v and rng.random() < 0.5:
-                    new_u, new_v = new_v, new_u
-                new_edge = outcome[2]
-                u_changed = new_u != su
-                v_changed = new_v != sv
-                edge_changed = new_edge != c
-                if not (u_changed or v_changed or edge_changed):
-                    # An effective class may sample an identity outcome
-                    # in a probabilistic rule; the step still elapsed.
-                    if fault_next is not None and fault_next <= steps:
-                        return steps, _AT_FAULT, 0, passed, passed_at
-                    continue
-
-                if u_changed and v_changed:
-                    if new_u == sv and new_v == su and cfg._nodes is None:
-                        # A swap (the line's walk): both histograms end
-                        # as they began, except that a state whose count
-                        # passes through zero (u's, when u is its only
-                        # node) moves to the end, as the two moves would
-                        # leave it.
-                        if counts[su] == 1:
-                            del counts[su]
-                            counts[su] = 1
-                        raw = raw_states[u]
-                        if raw_counts[raw] == 1:
-                            del raw_counts[raw]
-                            raw_counts[raw_of[su]] = 1
-                        move_node(u, su, new_u, True)
-                        move_node(v, sv, new_v, True)
-                    else:
-                        move_node(u, su, new_u)
-                        move_node(v, sv, new_v)
-                    # The dirty set's insertion order fixes its
-                    # iteration order, which the refresh visits in.
-                    dirty = {su, new_u, sv, new_v}
-                elif u_changed:
-                    move_node(u, su, new_u)
-                    dirty = {su, new_u}
-                elif v_changed:
-                    move_node(v, sv, new_v)
-                    dirty = {sv, new_v}
-                if edge_changed:
-                    cfg.set_edge(u, v, new_edge)
-                    if new_edge:
-                        index.add_edge(u, v, sid[u], sid[v])
-                    else:
-                        index.remove_edge(u, v, sid[u], sid[v])
-                if u_changed or v_changed:
-                    # index.refresh_involving, replaying a memoized plan
-                    # inline (index._recount).
-                    plan = plans.get((*dirty, -1, *counts))
-                    if plan is None:
-                        index.refresh_involving(dirty)
-                    else:
-                        total = index.total
-                        for pair, classes in plan:
-                            x, y = pair
-                            na = counts.get(x, 0)
-                            if x == y:
-                                pairs = na * (na - 1) // 2
-                            else:
-                                pairs = na * counts.get(y, 0)
-                            bucket = edges.get(pair)
-                            n_edges = (
-                                len(bucket._items) if bucket is not None else 0
-                            )
-                            for cls in classes:
-                                weight = n_edges if cls[2] else pairs - n_edges
-                                was = weights.pop(cls, 0)
-                                if weight:
-                                    weights[cls] = weight
-                                total += weight - was
-                        index.total = total
-                else:
-                    index.refresh_pair(su, sv)
-
-                if publish is not None:
-                    publish.interaction(Event(
-                        steps, u, v,
-                        raw_of[su], raw_of[new_u],
-                        raw_of[sv], raw_of[new_v],
-                        c, new_edge,
-                    ), cfg)
-                # _output_affected, without the per-step Event it takes.
-                if out is None:
-                    if edge_changed:
-                        quiet = False
-                        return steps, _APPLIED_OUTPUT, 1, passed, passed_at
-                elif (
-                    (u_changed
-                     and (raw_of[su] in out) != (raw_of[new_u] in out))
-                    or (v_changed
-                        and (raw_of[sv] in out) != (raw_of[new_v] in out))
-                    or (edge_changed
-                        and raw_of[new_u] in out and raw_of[new_v] in out)
-                ):
-                    quiet = False
-                    return steps, _APPLIED_OUTPUT, 1, passed, passed_at
-                if quiet:
-                    if (
-                        not edge_changed and new_u == sv and new_v == su
-                        and su != sv
-                        and (fault_next is None or fault_next > steps)
-                    ):
-                        # A swap: the census, and so the certificate's
-                        # False, stands.  A change at a fault's step is
-                        # returned, so the loop drains the fault before
-                        # the next draw.
-                        passed += 1
-                        passed_at = steps
-                        continue
-                    quiet = False
-                return steps, _APPLIED, 1, passed, passed_at
-
-        def resize(joined: int) -> None:
-            nonlocal alive, m
-            alive += joined
-            m = alive * (alive - 1) // 2
+        index = PairClassIndex(protocol.compile(), cfg)
+        advance, certificate, resize, wake = index.walk(
+            rng, protocol, publish, stabilized
+        )
+        intern = index.table.intern
+        raw_of = index.table._states
+        sid = index.sid
 
         def renotify(x: int, new_state, dirty: set) -> None:
             if new_state is None:
@@ -1073,11 +713,11 @@ class IndexedSimulator(_ExactEngine):
             if new_id != sid[x]:
                 dirty.add(sid[x])
                 dirty.add(new_id)
-                move_node(x, sid[x], new_id)
+                index.move_node(x, sid[x], new_id)
 
         def crash(w: int) -> None:
             sw = sid[w]
-            nbrs = list(adj[w])
+            nbrs = list(cfg._adj[w])  # engine-internal: its set order
             for x in nbrs:
                 index.remove_edge(w, x, sw, sid[x])
                 cfg.set_edge(w, x, 0)
@@ -1101,7 +741,7 @@ class IndexedSimulator(_ExactEngine):
         def corrupt(w: int, claim) -> None:
             new_id = intern(claim)
             dirty = {sid[w], new_id}
-            move_node(w, sid[w], new_id)
+            index.move_node(w, sid[w], new_id)
             index.refresh_involving(dirty)
 
         def arrive(count: int) -> None:
@@ -1123,29 +763,14 @@ class IndexedSimulator(_ExactEngine):
             resize(len(nodes))
 
         walk = _exact_walk(
-            cfg, stabilized, set(), advance, crash, cut, corrupt, arrive, revive
+            cfg, certificate, set(), advance, crash, cut, corrupt, arrive, revive
         )
-        if view is None:
-            return walk
-
-        def certificate():
-            nonlocal view, quiet
-            if view is not None:
-                try:
-                    held = stabilized(view)
-                except AttributeError:
-                    view = None  # it reads more than the census
-                else:
-                    quiet = not held
-                    return held
-            return stabilized(cfg)
 
         def faults(plan, at: int) -> tuple[str, ...]:
-            nonlocal quiet
-            quiet = False  # a fault may change the census
+            wake()  # a fault may change the census
             return walk.faults(plan, at)
 
-        return walk._replace(certificate=certificate, faults=faults)
+        return walk._replace(faults=faults)
 
 
 #: Engine registry: name -> engine class taking ``seed=`` and

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 import statistics
+from collections import Counter
 
 import pytest
 
@@ -98,8 +99,8 @@ def indexes(monkeypatch):
     built = []
 
     class Recording(PairClassIndex):
-        def __init__(self, table):
-            super().__init__(table)
+        def __init__(self, table, config):
+            super().__init__(table, config)
             built.append(self)
 
     monkeypatch.setattr(simulator, "PairClassIndex", Recording)
@@ -155,11 +156,7 @@ class TestPairClassIndex:
         compiled = protocol.compile()
         n = 12
         cfg = protocol.initial_configuration(n)
-        sid = [compiled.intern(cfg.state(u)) for u in range(n)]
-        index = PairClassIndex(compiled)
-        for u in range(n):
-            index.add_node(u, sid[u])
-        index.rebuild()
+        index = PairClassIndex(compiled, cfg)
         assert index.total == self.brute_force(protocol, cfg) == n * (n - 1) // 2
 
         # Drive the real engine, then rebuild a census on the final
@@ -167,14 +164,7 @@ class TestPairClassIndex:
         # against brute force.
         result = IndexedSimulator(seed=5).run(protocol, n, None)
         final = result.config
-        index = PairClassIndex(compiled)
-        for u in range(n):
-            index.add_node(u, compiled.intern(final.state(u)))
-        for u, v in final.active_edges():
-            index.add_edge(
-                u, v, compiled.intern(final.state(u)), compiled.intern(final.state(v))
-            )
-        index.rebuild()
+        index = PairClassIndex(compiled, final)
         assert index.total == self.brute_force(protocol, final)
 
     def test_edge_class_reindexing_on_state_change(self):
@@ -182,17 +172,43 @@ class TestPairClassIndex:
             "t", "a", {("a", "b", 1): ("a", "a", 1)}
         ).compile()
         a, b = compiled.intern("a"), compiled.intern("b")
-        index = PairClassIndex(compiled)
-        index.add_node(0, a)
-        index.add_node(1, b)
-        index.add_edge(0, 1, a, b)
-        index.rebuild()
+        cfg = Configuration(["a", "b"], [(0, 1)])
+        index = PairClassIndex(compiled, cfg)
         assert index.total == 1
-        # Node 1 flips to 'a': the (a, b, 1) class empties.
-        index.move_edge(1, 0, b, a, a)
+        # Node 1 flips to 'a': the (a, b, 1) class empties, and the
+        # mover keeps the configuration in step.
         index.move_node(1, b, a)
         index.refresh_involving({b, a})
         assert index.total == 0
+        assert cfg.states() == ["a", "a"] and index.sid == [a, a]
+        # (a, a) has no effective class, so the edge is filed nowhere.
+        assert index.edges == {}
+
+    def test_move_edge_refiles_as_the_mover_does(self):
+        """``move_edge`` (``remove_edge`` then ``add_edge``) on each
+        incident edge leaves the edge buckets ``move_node`` leaves, in
+        the same item order: a global-star hub with four edges to each
+        state moves from ``c`` to ``p``."""
+        from repro.protocols import registry
+
+        protocol = registry.instantiate("global-star")
+        table = protocol.compile()
+        states = sorted(protocol.states, key=repr)
+        raw = [states[i % len(states)] for i in range(9)]
+        hub_old, hub_new = table.intern(raw[0]), table.intern(states[1])
+        assert hub_old != hub_new
+        star = [(0, v) for v in range(1, 9)]
+        moved = PairClassIndex(table, Configuration(raw, star))
+        refiled = PairClassIndex(table, Configuration(raw, star))
+        moved.move_node(0, hub_old, hub_new)
+        for v in list(refiled.config._adj[0]):
+            refiled.move_edge(0, v, hub_old, refiled.sid[v], hub_new)
+
+        def order(index):
+            return {key: list(bucket) for key, bucket in index.edges.items()}
+
+        assert order(moved) == order(refiled)
+        assert any(len(bucket) > 1 for bucket in moved.edges.values())
 
     def test_dense_class_fallback_samples_non_edges_uniformly(self, monkeypatch):
         """Past the rejection cap, ``sample_pair`` enumerates the class's
@@ -210,28 +226,21 @@ class TestPairClassIndex:
         active |= {(u, v) for u in a_nodes for v in b_nodes}
         active -= gaps[(0, 0, 0)] | gaps[(0, 1, 0)]
         state = {u: 0 for u in a_nodes} | {v: 1 for v in b_nodes}
+        cfg = Configuration(["ab"[state[u]] for u in sorted(state)], sorted(active))
         # Only the two non-edge classes under test are effective: ids
         # follow repr order, so "a" is 0 and "b" is 1.
         compiled = TableProtocol(
             "gaps", "a", {("a", "a", 0): ("a", "a", 1), ("a", "b", 0): ("a", "b", 1)}
         ).compile()
         assert [compiled.intern(s) for s in "ab"] == [0, 1]
-        index = PairClassIndex(compiled)
-        for u, s in state.items():
-            index.add_node(u, s)
-        for u, v in sorted(active):
-            index.add_edge(u, v, state[u], state[v])
-        index.rebuild()
+        index = PairClassIndex(compiled, cfg)
         assert index.weights == {(0, 0, 0): 3, (0, 1, 0): 3}
-
-        def edge_state(u, v):
-            return 1 if (min(u, v), max(u, v)) in active else 0
 
         rng = random.Random(11)
         for key, non_edges in gaps.items():
             hits = dict.fromkeys(non_edges, 0)
             for _ in range(3000):
-                u, v = index.sample_pair(key, rng, edge_state)
+                u, v = index.sample_pair(key, rng, cfg.edge_state)
                 assert (state[u], state[v]) == key[:2]
                 pair = (min(u, v), max(u, v))
                 assert pair in non_edges, (key, pair)
@@ -300,6 +309,19 @@ class TestPairClassIndex:
         assert visits[0] < 100
 
 
+#: Registered protocols that cannot run at n = 12, and those that
+#: declare no initial state for an arrival to join in.
+NOT_AT_12 = {"addressed-edge-ops"}
+NO_JOIN = {"line-tm", "tm-decider", "universal"}
+
+
+def _registered() -> list[str]:
+    from repro.protocols import registry
+
+    registry.ensure_populated()
+    return registry.names()
+
+
 class TestPairClassIndexUnderFaults:
     """The engine's own index equals a brute-force recount of the live
     configuration after every effective interaction and every fault.
@@ -352,6 +374,14 @@ class TestPairClassIndexUnderFaults:
         }
         assert index.weights == weights
         assert index.total == sum(weights.values())
+        assert all(index.sid[u] == s for u, s in sid.items())
+        # The mover keeps the configuration's histogram (and its
+        # per-state node sets, once built) in step with its states.
+        raw = Counter(cfg.states())
+        assert cfg.state_counts() == raw
+        if cfg._nodes is not None:
+            assert {s: len(b) for s, b in cfg._nodes.items()} == raw
+            assert all(cfg.state(u) == s for s, b in cfg._nodes.items() for u in b)
         for lo in nodes:
             for hi in nodes:
                 if lo <= hi and protocol.is_effective(
@@ -398,6 +428,102 @@ class TestPairClassIndexUnderFaults:
         check(indexes[-1], protocol, result.config)
         assert checks[0] >= result.effective_steps > 0
         assert fault in kinds
+
+    @pytest.mark.parametrize("name, fault", [
+        (name, fault)
+        for name in _registered()
+        if name not in NOT_AT_12
+        for fault in (None, "crash:count=1,at=30", "arrive:count=2,at=30")
+        if not (fault and fault.startswith("arrive") and name in NO_JOIN)
+    ])
+    def test_index_matches_recount_registry_wide(self, indexes, name, fault):
+        """Every registered protocol that runs at n = 12, checked after
+        every change through a structural stop, once as the run goes and
+        once with the configuration's per-state node sets built from the
+        start: the count-only swap shortcut, the mover's node-set path
+        and edge classes in the walk's own mover all meet the recount,
+        and so does the configuration's histogram.  The node sets turn
+        the swap shortcut off, so the two runs must be one run, down to
+        both histograms' orders after every change."""
+        from repro.core.scenario import Scenario
+        from repro.protocols import registry
+
+        check = self.check
+        protocol = registry.instantiate(name)
+        faults = Scenario(faults=(fault,)).make_faults() if fault else ()
+        runs = []
+        for sets in (False, True):
+            checks = [0]
+            orders = []
+
+            def stop(cfg):
+                if sets:
+                    cfg.nodes_in_state(cfg.state(0))
+                cfg.state(0)  # structural: never asked through the view
+                check(indexes[-1], protocol, cfg)
+                checks[0] += 1
+                orders.append((*indexes[-1].counts, *cfg.state_counts()))
+                return False
+
+            result = IndexedSimulator(seed=3, faults=faults).run(
+                protocol, 12, 3_000, stop=stop,
+            )
+            check(indexes[-1], protocol, result.config)
+            assert checks[0] >= result.effective_steps > 0
+            final = result.config
+            runs.append((
+                result.steps, result.effective_steps, result.last_change_step,
+                final.states(), sorted(final.active_edges()),
+                orders,
+            ))
+        assert runs[0] == runs[1]
+
+
+class TestWalkDrawsTheReference:
+    """The walk's inline class and pair draws take exactly what
+    ``sample_class`` and ``sample_pair`` take."""
+
+    TABLES = (
+        "simple-global-line", "global-star", "cycle-cover",
+        "one-way-epidemic", "global-ring", "maximum-matching",
+        "fast-global-line", "2rc", "node-cover", "spanning-network",
+    )
+
+    @pytest.mark.parametrize("cap", [64, 0])
+    @pytest.mark.parametrize("name", TABLES)
+    def test_walk_publishes_the_reference_pair(self, name, cap, monkeypatch):
+        """Before each applied change, draw on a clone of the walk's
+        generator what the walk draws: one ``random()`` for the skip
+        unless every alive pair is effective, then ``sample_class`` and
+        ``sample_pair``.  The pair the walk publishes is that pair, with
+        the rejection sampler and with the dense fallback alone
+        (``_REJECTION_CAP`` 0)."""
+        from repro.core import indexing
+        from repro.protocols import registry
+
+        monkeypatch.setattr(indexing, "_REJECTION_CAP", cap)
+        protocol = registry.instantiate(name)
+        n = 12
+        cfg = protocol.initial_configuration(n)
+        index = PairClassIndex(protocol.compile(), cfg)
+        trace = Trace()
+        rng = random.Random(7)
+        advance = index.walk(rng, protocol, trace, protocol.stabilized)[0]
+        steps = 0
+        for _ in range(150):
+            if not index.total:
+                break
+            clone = random.Random()
+            clone.setstate(rng.getstate())
+            if index.total != n * (n - 1) // 2:
+                clone.random()
+            key = index.sample_class(clone)
+            pair = index.sample_pair(key, clone, cfg.edge_state)
+            steps, _, applied, passed, _ = advance(steps, None, None)
+            assert (applied, passed) == (1, 0)
+            event = trace.events[-1]
+            assert (event.u, event.v) == pair, (name, event.step)
+        assert len(trace.events) >= 6
 
 
 class Misdeclared(Protocol):

@@ -66,6 +66,57 @@ class TestTinyPopulations:
         assert CycleCover().target_reached(result.config)
 
 
+class TestPopulationCheck:
+    """One check at the top of the run loop all three engines share
+    refuses what no engine can run: fewer than 2 nodes, a configuration
+    of the wrong size, and a configuration holding crashed nodes (the
+    clock counts picks among alive pairs from the first step, so a node
+    crashes through a fault, not through its start state)."""
+
+    @staticmethod
+    def engine(name):
+        from repro.core.counting import CountSimulator
+        from repro.core.simulator import make_engine
+
+        if name == "count-leap":  # the census walk, at any n
+            return CountSimulator(seed=1, leap_threshold=0)
+        return make_engine(name, 1)
+
+    ENGINES = ("sequential", "indexed", "count", "count-leap")
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("name", ["one-way-epidemic", "simple-global-line"])
+    def test_one_node_is_refused(self, engine, name):
+        from repro.protocols import registry
+
+        protocol = registry.instantiate(name)
+        with pytest.raises(SimulationError, match="need at least 2 nodes"):
+            self.engine(engine).run(protocol, 1, 100)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_wrongly_sized_configuration_is_refused(self, engine):
+        from repro.protocols import registry
+
+        protocol = registry.instantiate("one-way-epidemic")
+        config = protocol.initial_configuration(8)
+        with pytest.raises(SimulationError, match="8 nodes, expected 12"):
+            self.engine(engine).run(protocol, 12, 100, config=config)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_configuration_holding_dead_nodes_is_refused(self, engine):
+        from repro.core.faults import DEAD
+        from repro.core.scenario import Scenario
+        from repro.protocols import registry
+
+        protocol = registry.instantiate("one-to-one-elimination")
+        config = Scenario(init="doped:state=__dead__,count=4").build_initial(
+            protocol, 12
+        )
+        assert config.count_in_state(DEAD) == 4
+        with pytest.raises(SimulationError, match="holds 4 __dead__ node"):
+            self.engine(engine).run(protocol, 12, 10_000, config=config)
+
+
 class TestRunResult:
     def test_convergence_time_alias(self):
         result = run_to_convergence(GlobalStar(), 8, seed=3)
