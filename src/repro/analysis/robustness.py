@@ -63,7 +63,7 @@ from repro.analysis.runner import (
     _hashed_seed,
     cached_map,
     require_budget,
-    require_check_interval,
+    require_count,
     require_distinct,
 )
 from repro.core.scenario import DEFAULT_SCHEDULER, Scenario
@@ -199,10 +199,8 @@ class RobustnessSpec(Serializable):
             raise ExperimentError("spec needs at least one fault load")
         require_distinct("protocols", self.protocols)
         require_distinct("loads", self.loads)
-        if self.n < 2:
-            raise ExperimentError(f"population must be >= 2, got {self.n}")
-        if self.trials < 1:
-            raise ExperimentError(f"trials must be >= 1, got {self.trials}")
+        require_count("population", self.n, 2)
+        require_count("trials", self.trials, 1)
         if self.faults not in FAULT_FAMILIES:
             raise ExperimentError(
                 f"unknown fault family {self.faults!r}; "
@@ -223,7 +221,7 @@ class RobustnessSpec(Serializable):
                 "faulted run may never stabilize nor quiesce"
             )
         require_budget(self.max_steps)
-        require_check_interval(self.check_interval)
+        require_count("check_interval", self.check_interval, 1)
         # Validate every load eagerly (and thereby the family's domain).
         for load in self.loads:
             self.fault_spec(load)

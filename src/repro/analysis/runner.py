@@ -98,13 +98,15 @@ def require_budget(max_steps: object) -> None:
         )
 
 
-def require_check_interval(check_interval: object) -> None:
-    """Reject a certificate poll spacing no engine can run: one that is
-    not an ``int`` >= 1 (a ``bool`` is not one)."""
-    if type(check_interval) is not int or check_interval < 1:
-        raise ExperimentError(
-            f"check_interval must be an integer >= 1, got {check_interval!r}"
-        )
+def require_count(name: str, value: object, least: int) -> None:
+    """Reject a spec count (a population size, a trial count, a
+    certificate poll spacing) that is not an ``int`` >= ``least``.  A
+    ``bool``, a float and a numeric string are not ``int`` here: each
+    would run as some other count, or fail only once the sweep runs."""
+    if type(value) is not int:
+        raise ExperimentError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ExperimentError(f"{name} must be >= {least}, got {value!r}")
 
 
 # ----------------------------------------------------------------------
@@ -216,7 +218,7 @@ class ExperimentSpec(Serializable):
         object.__setattr__(
             self, "protocol", registry.canonical_spec(self.protocol)
         )
-        object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
+        object.__setattr__(self, "sizes", tuple(self.sizes))
         if isinstance(self.scenario, dict):
             object.__setattr__(
                 self, "scenario", Scenario.from_dict(self.scenario)
@@ -225,15 +227,12 @@ class ExperimentSpec(Serializable):
             object.__setattr__(self, "scenario", DEFAULT_SCENARIO)
         if not self.sizes:
             raise ExperimentError("spec needs at least one population size")
+        for n in self.sizes:
+            require_count("population sizes", n, 2)
         require_distinct("sizes", self.sizes)
-        if min(self.sizes) < 2:
-            raise ExperimentError(
-                f"population sizes must be >= 2, got {min(self.sizes)}"
-            )
-        if self.trials < 1:
-            raise ExperimentError(f"trials must be >= 1, got {self.trials}")
+        require_count("trials", self.trials, 1)
         require_budget(self.max_steps)
-        require_check_interval(self.check_interval)
+        require_count("check_interval", self.check_interval, 1)
         if self.engine not in ENGINES:
             raise ExperimentError(
                 f"unknown engine {self.engine!r}; choose from {sorted(ENGINES)}"

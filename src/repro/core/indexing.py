@@ -92,11 +92,21 @@ and the incremental bookkeeping on :class:`~repro.core.configuration.Configurati
 
   The index is built over the run's live configuration and runs the
   indexed engine's walk over it (:meth:`PairClassIndex.walk`), so this
-  module alone knows the filing order the seeded law depends on.  The
-  walk and the engine's fault upkeep move nodes through one mover,
-  :meth:`~PairClassIndex.move_node`; ``sample_class`` and
-  ``sample_pair`` draw exactly what the walk's inline draw draws, and
-  are the tests' reference for it.
+  module alone knows the filing order the seeded law depends on.  What
+  a change does is decided once per table: the walk reads it from the
+  table's transition record of the drawn triple
+  (:meth:`~repro.core.protocol.CompiledProtocol.transition`).  Only a
+  rule that draws its outcome (several outcomes, or the coin of an
+  ``(a, a, c)`` pair) is drawn per change, and what it drew is then
+  looked up (:meth:`~repro.core.protocol.CompiledProtocol.change`).
+  The walk and the engine's fault upkeep move nodes through one mover,
+  :meth:`~PairClassIndex.move_node`, except for a swap over an edge
+  both nodes keep (the line leader's walk step), which the walk moves
+  in one pass of its own that leaves every structure as the two moves
+  would, with pair keys from the table's
+  :attr:`~repro.core.protocol.CompiledProtocol.pair_keys`.
+  ``sample_class`` and ``sample_pair`` draw exactly what the walk's
+  inline draw draws, and are the tests' reference for it.
 
 States here are the dense integer ids produced by
 :meth:`repro.core.protocol.Protocol.compile`; the index reads raw state
@@ -111,7 +121,9 @@ import random
 import threading
 from collections import Counter
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Iterator
+from typing import (
+    TYPE_CHECKING, AbstractSet, Callable, Hashable, Iterable, Iterator,
+)
 
 from repro.core.errors import SimulationError
 from repro.core.trace import Event
@@ -213,9 +225,14 @@ _PLAN_CAP = 1 << 13
 #: ``_PLAN_CAP``.
 _PLAN_LOCK = threading.Lock()
 
-#: One visited state pair with an effective class: ``((lo, hi), keys)``,
-#: ``keys`` being the ``(lo, hi, c)`` of its effective classes.
-_Entry = tuple[tuple[int, int], tuple[tuple[int, int, int], ...]]
+#: One visited state pair with an effective class: ``(lo, hi, pair,
+#: k0, k1)``, ``pair`` being ``(lo, hi)`` and ``k0``/``k1`` the key
+#: ``(lo, hi, c)`` of its class at ``c = 0``/``1``, or ``None`` where
+#: that class is not effective.
+_Entry = tuple[
+    int, int, tuple[int, int],
+    tuple[int, int, int] | None, tuple[int, int, int] | None,
+]
 
 # Where a walk's ``advance`` stopped the clock: at an applied change
 # that may have changed the output graph, or one that cannot have; after
@@ -268,8 +285,9 @@ class PairClassIndex:
     config:
         The live configuration, every node alive.  The index interns its
         states into :attr:`sid`, files its nodes and active edges and
-        weighs every present pair; from then on :meth:`move_node` keeps
-        the configuration in step with the index.
+        weighs every present pair; from then on :meth:`move_node` and
+        the walk's swap step keep the configuration in step with the
+        index.
 
     Every present state has a node count in :attr:`counts`; only the
     states outside :attr:`count_only` have a node bucket in
@@ -355,40 +373,38 @@ class PairClassIndex:
                 bucket = self.nodes[state] = IndexedSet()
             bucket.add(u)
 
-    def move_node(self, u: int, old: int, new: int, counted: bool = False) -> None:
+    def move_node(self, u: int, old: int, new: int) -> None:
         """Move the alive node ``u`` from state id ``old`` to ``new`` in
         one pass: the configuration's state and state count (and its
         per-state node set, once a certificate has built those), the
         index's count, the bucket of every incident active edge, ``u``'s
         node bucket (drawable states only) and :attr:`sid`, with the
-        buckets' swap-remove and append order inlined.  ``counted``: the
-        caller has kept both histograms in step already."""
+        buckets' swap-remove and append order inlined.  The walk's swap
+        step does what two calls do in one pass of its own (see
+        :meth:`walk`)."""
         cfg = self.config
-        if counted:
-            cfg._states[u] = self._raw[new]
-        else:
-            if cfg._nodes is None:
-                states = cfg._states
-                hist = cfg._counts
-                raw = states[u]
-                left = hist[raw] - 1
-                if left:
-                    hist[raw] = left
-                else:
-                    del hist[raw]
-                raw = states[u] = self._raw[new]
-                hist[raw] = hist.get(raw, 0) + 1
-            else:
-                # A certificate has asked for the per-state node sets,
-                # which set_state keeps in step.
-                cfg.set_state(u, self._raw[new])
-            counts = self.counts
-            left = counts[old] - 1
+        if cfg._nodes is None:
+            states = cfg._states
+            hist = cfg._counts
+            raw = states[u]
+            left = hist[raw] - 1
             if left:
-                counts[old] = left
+                hist[raw] = left
             else:
-                del counts[old]
-            counts[new] = counts.get(new, 0) + 1
+                del hist[raw]
+            raw = states[u] = self._raw[new]
+            hist[raw] = hist.get(raw, 0) + 1
+        else:
+            # A certificate has asked for the per-state node sets,
+            # which set_state keeps in step.
+            cfg.set_state(u, self._raw[new])
+        counts = self.counts
+        left = counts[old] - 1
+        if left:
+            counts[old] = left
+        else:
+            del counts[old]
+        counts[new] = counts.get(new, 0) + 1
         sid = self.sid
         edges = self.edges
         # Re-file each incident edge as remove_edge, then add_edge, would.
@@ -499,16 +515,18 @@ class PairClassIndex:
         elif entry:
             self._recount((entry,))
 
-    def refresh_involving(self, states: set[int]) -> None:
+    def refresh_involving(self, states: AbstractSet[int]) -> None:
         """Recompute every effective class that involves one of ``states``.
 
         Called after node state changes: only classes touching an old or
         new state of a changed node can have gained or lost pairs.  The
         visit order (each of ``states`` against every present state and
         every one of ``states``, in set iteration order) is part of the
-        seeded law.  The visit plan is memoized under ``states`` in
-        iteration order plus the present states in ``counts`` order (see
-        the module docstring)."""
+        seeded law.  A transition record's ``dirty`` frozenset iterates,
+        and merges into the targets, as the set it copies would.  The
+        visit plan is memoized under ``states`` in iteration order plus
+        the present states in ``counts`` order (see the module
+        docstring)."""
         key = (*states, -1, *self.counts)
         plan = self._plans.get(key)
         if plan is None:
@@ -516,7 +534,7 @@ class PairClassIndex:
         self._recount(plan)
 
     def _memo_plan(
-        self, key: tuple[int, ...], states: set[int]
+        self, key: tuple[int, ...], states: AbstractSet[int]
     ) -> tuple[_Entry, ...]:
         """The plan of ``refresh_involving``'s ``key``, on a miss: taken
         from ``visits`` under its visit order (``states``, then the
@@ -565,37 +583,42 @@ class PairClassIndex:
                 entry = known.get(pair)
                 if entry is None:
                     lo, hi = pair
-                    classes = tuple(
-                        (lo, hi, c) for c in (0, 1) if self._eff(lo, hi, c)
+                    k0 = (lo, hi, 0) if self._eff(lo, hi, 0) else None
+                    k1 = (lo, hi, 1) if self._eff(lo, hi, 1) else None
+                    entry = known[pair] = (
+                        (lo, hi, pair, k0, k1) if k0 or k1 else ()
                     )
-                    entry = known[pair] = (pair, classes) if classes else ()
                 if entry:
                     plan.append(entry)
             done.add(x)
         return tuple(plan)
 
     def _recount(self, plan: tuple[_Entry, ...]) -> None:
-        """Recount every class of ``plan`` in order: pop it from
-        ``weights`` and re-insert it, changed weight or not."""
+        """Recount every class of ``plan`` in order, ``c = 0`` before
+        ``c = 1``: pop it from ``weights`` and re-insert it, changed
+        weight or not."""
         counts = self.counts
         edges = self.edges
         weights = self.weights
         total = self.total
-        for pair, classes in plan:
-            lo, hi = pair
+        for lo, hi, pair, k0, k1 in plan:
             na = counts.get(lo, 0)
-            if lo == hi:
-                pairs = na * (na - 1) // 2
-            else:
-                pairs = na * counts.get(hi, 0)
             bucket = edges.get(pair)
             n_edges = len(bucket._items) if bucket is not None else 0
-            for key in classes:
-                weight = n_edges if key[2] else pairs - n_edges
-                old = weights.pop(key, 0)
+            if k0 is not None:
+                if lo == hi:
+                    weight = na * (na - 1) // 2 - n_edges
+                else:
+                    weight = na * counts.get(hi, 0) - n_edges
+                old = weights.pop(k0, 0)
                 if weight:
-                    weights[key] = weight
+                    weights[k0] = weight
                 total += weight - old
+            if k1 is not None:
+                old = weights.pop(k1, 0)
+                if n_edges:
+                    weights[k1] = n_edges
+                total += n_edges - old
         self.total = total
 
     def rebuild(self) -> None:
@@ -703,15 +726,30 @@ class PairClassIndex:
 
         ``advance`` runs each effective interaction in one Python frame:
         it draws the class and the pair itself, with the ``getrandbits``
-        loop of ``Random.randrange`` (:func:`randbelow`), reads the
-        compiled rule memo directly, moves each changed node with
-        :meth:`move_node` and recounts a memoized plan inline.  An edge
-        flip, a plan-key miss and a dense class's fallback enumeration
-        call the index's methods.  With no trace or bus attached
-        (``publish`` is ``None``), it builds no ``Event``.  A swap of two
-        nodes' states leaves both histograms as they were, bar the
-        end-of-dict move of a state whose count passes through zero,
-        which is what the two moves would do.
+        loop of ``Random.randrange`` (:func:`randbelow`), reads the drawn
+        triple's transition record
+        (:meth:`~repro.core.protocol.CompiledProtocol.transition`: the
+        new states and edge, what changed, whether it is a swap, whether
+        the output graph may have changed, the dirty states), moves each
+        changed node with :meth:`move_node` and recounts a memoized plan
+        inline.  A rule without a record draws its outcome as it always
+        has, and reads the memoized
+        :meth:`~repro.core.protocol.CompiledProtocol.change` of what it
+        drew.  An edge flip, a plan-key miss and a
+        dense class's fallback enumeration call the index's methods.
+        With no trace or bus attached (``publish`` is ``None``), it
+        builds no ``Event``.
+
+        A swap over an edge both nodes keep, while the configuration
+        has no per-state node sets, does not call the mover: one pass
+        does what ``move_node(u, su, sv)`` then ``move_node(v, sv, su)``
+        do.  Both histograms stay as they were, bar the end-of-dict move
+        of a state whose count passes through zero; the incident edges
+        of ``u``, then of ``v``, are re-filed in the two moves' order,
+        with keys from the table's
+        :attr:`~repro.core.protocol.CompiledProtocol.pair_keys` (a lazily
+        interning table has none, and moves through the mover); and the
+        drawable node buckets end in the two moves' item order.
 
         On a table that may swap two states
         (:attr:`~repro.core.protocol.CompiledProtocol.swaps`),
@@ -734,15 +772,19 @@ class PairClassIndex:
         m = alive * (alive - 1) // 2
         log = math.log
         getrandbits = rng.getrandbits
-        out = protocol.output_states
         move_node = self.move_node
 
         counts = self.counts
         nodes = self.nodes
         edges = self.edges
         weights = self.weights
+        classes = self._classes
+        count_only = self.count_only
         plans = table.plans
+        transitions = table._transitions
         resolved = table._resolved
+        changes = table._changes
+        keys = table.pair_keys
         # While the certificate answers through ``view`` (reading the
         # census alone), ``quiet`` says its last answer, False, stands:
         # nothing has changed the census since.
@@ -821,74 +863,126 @@ class PairClassIndex:
                             break
                     else:
                         u, v = self.sample_dense(lo, hi, rng, cfg.edge_state)
-                su, sv = sid[u], sid[v]
-                rule = resolved.get((su, sv, c))
-                if rule is None:
-                    rule = table.resolved(su, sv, c)
-                dist, swapped = rule
-                if len(dist) == 1:
-                    outcome = dist[0][1]
-                else:
-                    roll = rng.random()
-                    acc = 0.0
-                    outcome = dist[-1][1]
-                    for prob, candidate in dist:
-                        acc += prob
-                        if roll < acc:
-                            outcome = candidate
-                            break
-                if swapped:
-                    new_u, new_v = outcome[1], outcome[0]
-                else:
-                    new_u, new_v = outcome[0], outcome[1]
-                if su == sv and new_u != new_v and rng.random() < 0.5:
-                    new_u, new_v = new_v, new_u
-                new_edge = outcome[2]
-                u_changed = new_u != su
-                v_changed = new_v != sv
-                edge_changed = new_edge != c
-                if not (u_changed or v_changed or edge_changed):
-                    # An effective class may sample an identity outcome
-                    # in a probabilistic rule; the step still elapsed.
-                    if fault_next is not None and fault_next <= steps:
-                        return steps, _AT_FAULT, 0, passed, passed_at
-                    continue
-
-                if u_changed and v_changed:
-                    if new_u == sv and new_v == su and cfg._nodes is None:
-                        # A swap (the line's walk): both histograms end
-                        # as they began, except that a state whose count
-                        # passes through zero (u's, when u is its only
-                        # node) moves to the end, as the two moves would
-                        # leave it.
-                        if counts[su] == 1:
-                            del counts[su]
-                            counts[su] = 1
-                        raw = raw_states[u]
-                        if raw_counts[raw] == 1:
-                            del raw_counts[raw]
-                            raw_counts[raw_of[su]] = 1
-                        move_node(u, su, new_u, True)
-                        move_node(v, sv, new_v, True)
+                su = sid[u]
+                sv = sid[v]
+                record = transitions.get((su, sv, c))
+                if record is None:
+                    record = table.transition(su, sv, c)
+                if not record:
+                    # The rule draws its outcome: several outcomes, or a
+                    # coin for which node of an (a, a, c) pair takes
+                    # which new state.
+                    dist, swapped = resolved[(su, sv, c)]
+                    if len(dist) == 1:
+                        outcome = dist[0][1]
                     else:
+                        roll = rng.random()
+                        acc = 0.0
+                        outcome = dist[-1][1]
+                        for prob, candidate in dist:
+                            acc += prob
+                            if roll < acc:
+                                outcome = candidate
+                                break
+                    if swapped:
+                        new_u, new_v = outcome[1], outcome[0]
+                    else:
+                        new_u, new_v = outcome[0], outcome[1]
+                    if su == sv and new_u != new_v and rng.random() < 0.5:
+                        new_u, new_v = new_v, new_u
+                    new_edge = outcome[2]
+                    if new_u == su and new_v == sv and new_edge == c:
+                        # An effective class may sample an identity
+                        # outcome in a probabilistic rule; the step still
+                        # elapsed.
+                        if fault_next is not None and fault_next <= steps:
+                            return steps, _AT_FAULT, 0, passed, passed_at
+                        continue
+                    record = changes.get((su, sv, c, new_u, new_v, new_edge))
+                    if record is None:
+                        record = table.change(su, sv, c, new_u, new_v, new_edge)
+                (new_u, new_v, new_edge, u_changed, v_changed, edge_changed,
+                 swap, output, dirty) = record
+
+                if swap and keys is not None and cfg._nodes is None:
+                    # What move_node(u, su, sv), then move_node(v, sv,
+                    # su) do, in one pass.  Both histograms end as they
+                    # began, except that a state whose count passes
+                    # through zero (u's, when u is its only node) moves
+                    # to the end, as the two moves leave it.
+                    if counts[su] == 1:
+                        del counts[su]
+                        counts[su] = 1
+                    raw = raw_of[su]
+                    if raw_counts[raw] == 1:
+                        del raw_counts[raw]
+                        raw_counts[raw] = 1
+                    raw_states[u] = raw_of[sv]
+                    raw_states[v] = raw
+                    # Each node's incident edges, u's first, re-filed as
+                    # its move re-files them: v's see u in its new state.
+                    for w, old, new in ((u, su, sv), (v, sv, su)):
+                        old_keys = keys[old]
+                        new_keys = keys[new]
+                        for x in adj[w]:
+                            sx = sid[x]
+                            edge = (w, x) if w < x else (x, w)
+                            key = old_keys[sx]
+                            bucket = edges.get(key)
+                            if bucket is not None:
+                                where = bucket._index
+                                idx = where.pop(edge, None)
+                                if idx is not None:
+                                    items = bucket._items
+                                    last = items.pop()
+                                    if idx < len(items):
+                                        items[idx] = last
+                                        where[last] = idx
+                                    elif not items:
+                                        del edges[key]
+                            key = new_keys[sx]
+                            if classes.get(key, True):
+                                bucket = edges.get(key)
+                                if bucket is None:
+                                    bucket = edges[key] = IndexedSet()
+                                where = bucket._index
+                                if edge not in where:
+                                    items = bucket._items
+                                    where[edge] = len(items)
+                                    items.append(edge)
+                        sid[w] = new
+                    # The node buckets the two moves leave: u leaves
+                    # su's and v joins its end; in sv's, u takes the
+                    # place v held.
+                    if su not in count_only:
+                        bucket = nodes[su]
+                        where = bucket._index
+                        items = bucket._items
+                        idx = where.pop(u)
+                        last = items.pop()
+                        if idx < len(items):
+                            items[idx] = last
+                            where[last] = idx
+                        where[v] = len(items)
+                        items.append(v)
+                    if sv not in count_only:
+                        bucket = nodes[sv]
+                        where = bucket._index
+                        idx = where.pop(v)
+                        bucket._items[idx] = u
+                        where[u] = idx
+                else:
+                    if u_changed:
                         move_node(u, su, new_u)
+                    if v_changed:
                         move_node(v, sv, new_v)
-                    # The dirty set's insertion order fixes its
-                    # iteration order, which the refresh visits in.
-                    dirty = {su, new_u, sv, new_v}
-                elif u_changed:
-                    move_node(u, su, new_u)
-                    dirty = {su, new_u}
-                elif v_changed:
-                    move_node(v, sv, new_v)
-                    dirty = {sv, new_v}
                 if edge_changed:
                     cfg.set_edge(u, v, new_edge)
                     if new_edge:
                         self.add_edge(u, v, sid[u], sid[v])
                     else:
                         self.remove_edge(u, v, sid[u], sid[v])
-                if u_changed or v_changed:
+                if dirty:
                     # refresh_involving, replaying a memoized plan inline
                     # (_recount).
                     plan = plans.get((*dirty, -1, *counts))
@@ -896,23 +990,26 @@ class PairClassIndex:
                         self.refresh_involving(dirty)
                     else:
                         total = self.total
-                        for pair, classes in plan:
-                            x, y = pair
+                        for x, y, pair, k0, k1 in plan:
                             na = counts.get(x, 0)
-                            if x == y:
-                                pairs = na * (na - 1) // 2
-                            else:
-                                pairs = na * counts.get(y, 0)
                             bucket = edges.get(pair)
                             n_edges = (
                                 len(bucket._items) if bucket is not None else 0
                             )
-                            for cls in classes:
-                                weight = n_edges if cls[2] else pairs - n_edges
-                                was = weights.pop(cls, 0)
+                            if k0 is not None:
+                                if x == y:
+                                    weight = na * (na - 1) // 2 - n_edges
+                                else:
+                                    weight = na * counts.get(y, 0) - n_edges
+                                was = weights.pop(k0, 0)
                                 if weight:
-                                    weights[cls] = weight
+                                    weights[k0] = weight
                                 total += weight - was
+                            if k1 is not None:
+                                was = weights.pop(k1, 0)
+                                if n_edges:
+                                    weights[k1] = n_edges
+                                total += n_edges - was
                         self.total = total
                 else:
                     self.refresh_pair(su, sv)
@@ -924,29 +1021,13 @@ class PairClassIndex:
                         raw_of[sv], raw_of[new_v],
                         c, new_edge,
                     ), cfg)
-                # simulator._output_affected, without the Event it takes.
-                if out is None:
-                    if edge_changed:
-                        quiet = False
-                        return steps, _APPLIED_OUTPUT, 1, passed, passed_at
-                elif (
-                    (u_changed
-                     and (raw_of[su] in out) != (raw_of[new_u] in out))
-                    or (v_changed
-                        and (raw_of[sv] in out) != (raw_of[new_v] in out))
-                    or (edge_changed
-                        and raw_of[new_u] in out and raw_of[new_v] in out)
-                ):
+                if output:
                     quiet = False
                     return steps, _APPLIED_OUTPUT, 1, passed, passed_at
                 if quiet:
-                    if (
-                        not edge_changed and new_u == sv and new_v == su
-                        and su != sv
-                        and (fault_next is None or fault_next > steps)
-                    ):
-                        # A swap: the census, and so the certificate's
-                        # False, stands.  A change at a fault's step is
+                    if swap and (fault_next is None or fault_next > steps):
+                        # The census, and so the certificate's False,
+                        # stands.  A change at a fault's step is
                         # returned, so the loop drains the fault before
                         # the next draw.
                         passed += 1

@@ -369,6 +369,12 @@ class TableProtocol(Protocol):
 #: A compiled distribution: ``(probability, (a_id, b_id, edge))`` tuples.
 CompiledDistribution = tuple[tuple[float, tuple[int, int, int]], ...]
 
+#: What one change does to an ordered pair in states ``(a, b)`` over an
+#: edge in state ``c`` (see :meth:`CompiledProtocol.change`):
+#: ``(new_a, new_b, new_edge, a_changed, b_changed, edge_changed, swap,
+#: output, dirty)``.
+Transition = tuple[int, int, int, bool, bool, bool, bool, bool, frozenset[int]]
+
 
 class CompiledProtocol:
     """Interned, memoized transition table over a :class:`Protocol`.
@@ -388,13 +394,15 @@ class CompiledProtocol:
     ``plans``, ``visits`` and their budgets ``plan_cells`` and
     ``key_cells`` (see :mod:`repro.core.indexing`), so every index built
     over one table shares them, the index's :attr:`count_only` states,
-    and whether the rules hold a state swap (:attr:`swaps`).
+    whether the rules hold a state swap (:attr:`swaps`), the indexed
+    walk's per-triple change records (:meth:`transition`) and, for an
+    eagerly interned table, its pair keys (:attr:`pair_keys`).
     """
 
     __slots__ = (
         "protocol", "_ids", "_states", "_resolved", "_effective", "_declared",
-        "_count_only", "_swaps", "pair_classes", "plans", "visits",
-        "plan_cells", "key_cells",
+        "_count_only", "_swaps", "_transitions", "_changes", "pair_keys",
+        "pair_classes", "plans", "visits", "plan_cells", "key_cells",
     )
 
     def __init__(self, protocol: Protocol) -> None:
@@ -405,6 +413,15 @@ class CompiledProtocol:
             tuple[int, int, int], tuple[CompiledDistribution, bool] | None
         ] = {}
         self._effective: dict[tuple[int, int, int], bool] = {}
+        self._transitions: dict[tuple[int, int, int], Transition | tuple[()]] = {}
+        self._changes: dict[tuple[int, int, int, int, int, int], Transition] = {}
+        #: ``pair_keys[a][b]`` is the id pair ``(min(a, b), max(a, b))``,
+        #: one shared tuple per pair, for every interned id; kept only for
+        #: an eagerly interned table (``None`` for a lazy one, whose ids
+        #: may run into the thousands)
+        self.pair_keys: list[list[tuple[int, int]]] | None = (
+            [] if protocol.states is not None else None
+        )
         #: (lo, hi) id pair -> PairClassIndex's entry for it
         self.pair_classes: dict[tuple[int, int], Any] = {}
         #: refresh_involving's key -> its memoized visit plan
@@ -436,12 +453,20 @@ class CompiledProtocol:
         return self._declared == len(self._states)
 
     def intern(self, state: State) -> int:
-        """The dense id of ``state``, assigning a fresh one if new."""
+        """The dense id of ``state``, assigning a fresh one if new (and,
+        on an eagerly interned table, its :attr:`pair_keys`)."""
         i = self._ids.get(state)
         if i is None:
             i = len(self._states)
             self._ids[state] = i
             self._states.append(state)
+            keys = self.pair_keys
+            if keys is not None:
+                row = [(a, i) for a in range(i)]
+                for known, key in zip(keys, row):
+                    known.append(key)
+                row.append((i, i))
+                keys.append(row)
         return i
 
     def intern_all(self, states: list[State]) -> list[int]:
@@ -535,6 +560,88 @@ class CompiledProtocol:
             )
         self._resolved[key] = compiled
         return compiled
+
+    def transition(
+        self, a: int, b: int, c: EdgeState
+    ) -> Transition | tuple[()]:
+        """The memoized :meth:`change` record of the effective ordered
+        triple ``(a, b, c)`` when its rule has one outcome and no
+        symmetric coin, so the record is all a change of it does; ``()``
+        when its rule draws (several outcomes, or ``a == b`` with
+        distinct new states): the walk then draws the outcome as it
+        always has, and looks up the :meth:`change` it drew."""
+        key = (a, b, c)
+        try:
+            return self._transitions[key]
+        except KeyError:
+            pass
+        rule = self.resolved(a, b, c)
+        record: Transition | tuple[()] = ()
+        if rule is not None and len(rule[0]) == 1:
+            dist, swapped = rule
+            new_a, new_b, new_edge = dist[0][1]
+            if swapped:
+                new_a, new_b = new_b, new_a
+            if a != b or new_a == new_b:
+                record = self.change(a, b, c, new_a, new_b, new_edge)
+        self._transitions[key] = record
+        return record
+
+    def change(
+        self, a: int, b: int, c: EdgeState, new_a: int, new_b: int,
+        new_edge: EdgeState,
+    ) -> Transition:
+        """Everything the indexed walk decides about one change of the
+        pair in states ``(a, b)`` over an edge in state ``c`` to ``(new_a,
+        new_b, new_edge)``, outcome oriented to the pair: the new states
+        and edge; which of the two nodes and the edge changed; whether
+        it is a *swap* (each node takes the other's state, and the edge
+        stays), which leaves every state count and the edge count as
+        they were; whether it may change the output graph, decided from
+        the protocol's ``output_states`` as
+        :func:`repro.core.simulator._output_affected` decides it; and
+        the *dirty* states, the old and new states of the changed nodes,
+        as the frozenset copy of the set of them, whose iteration order
+        is the order a refresh visits them in (empty when no node
+        changed).  Memoized per change, so a rule that draws its
+        outcome is described once per outcome it draws."""
+        key = (a, b, c, new_a, new_b, new_edge)
+        try:
+            return self._changes[key]
+        except KeyError:
+            pass
+        a_changed = new_a != a
+        b_changed = new_b != b
+        edge_changed = new_edge != c
+        swap = (
+            a_changed and b_changed and new_a == b and new_b == a
+            and not edge_changed
+        )
+        out = self.protocol.output_states
+        if out is None:
+            output = edge_changed
+        else:
+            raw = self._states
+            output = bool(
+                (a_changed and (raw[a] in out) != (raw[new_a] in out))
+                or (b_changed and (raw[b] in out) != (raw[new_b] in out))
+                or (edge_changed and raw[new_a] in out and raw[new_b] in out)
+            )
+        # A frozenset copied from the set keeps its table, so it iterates,
+        # and merges into a refresh's targets, exactly as the set would.
+        if a_changed and b_changed:
+            dirty = frozenset({a, new_a, b, new_b})
+        elif a_changed:
+            dirty = frozenset({a, new_a})
+        elif b_changed:
+            dirty = frozenset({b, new_b})
+        else:
+            dirty = frozenset()
+        record = self._changes[key] = (
+            new_a, new_b, new_edge, a_changed, b_changed, edge_changed, swap,
+            output, dirty,
+        )
+        return record
 
     def is_effective(self, a: int, b: int, c: EdgeState) -> bool:
         """Memoized effectiveness over interned ids (symmetric in a, b)."""

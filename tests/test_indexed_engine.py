@@ -90,6 +90,25 @@ class LazyEpidemic(TableProtocol):
         return config.count_in_state("a") == config.n
 
 
+class Exchanges(TableProtocol):
+    """Rules no registered table has: an exchange of states that also
+    flips the edge, an edge change between an output and a non-output
+    node, and a probabilistic rule."""
+
+    def __init__(self) -> None:
+        super().__init__(
+            name="Exchanges",
+            initial_state="a",
+            rules={
+                ("a", "b", 0): ("b", "a", 1),
+                ("x", "a", 1): ("x", "a", 0),
+                ("b", "b", 0): coin_flip(("a", "b", 1), ("b", "b", 1)),
+                ("a", "a", 1): ("x", "b", 1),
+            },
+            output_states=("a", "b"),
+        )
+
+
 @pytest.fixture
 def indexes(monkeypatch):
     """Every PairClassIndex the engine builds (each holds the compiled
@@ -320,6 +339,13 @@ def _registered() -> list[str]:
 
     registry.ensure_populated()
     return registry.names()
+
+
+def registry_closed(name: str) -> bool:
+    """Whether the registered protocol's compiled table is closed."""
+    from repro.protocols import registry
+
+    return registry.instantiate(name).compile().closed
 
 
 class TestPairClassIndexUnderFaults:
@@ -684,6 +710,126 @@ class TestCompiledProtocol:
         assert not compiled.is_effective(
             compiled.intern("a"), compiled.intern("b"), 0
         )
+
+    @staticmethod
+    def derived(table, a, b, c, new_a, new_b, new_edge):
+        """What the walk derived for each change from ``table.resolved``
+        and one oriented outcome before it read transition records: the
+        new states and edge, what changed, the swap its census shortcut
+        and its swap passing tested, whether the output graph may have
+        changed (``simulator._output_affected``), and the dirty set it
+        refreshed."""
+        from repro.core.simulator import _output_affected
+        from repro.core.trace import Event
+
+        a_changed, b_changed = new_a != a, new_b != b
+        edge_changed = new_edge != c
+        state = table.state_of
+        event = Event(
+            1, 0, 1, state(a), state(new_a), state(b), state(new_b),
+            c, new_edge,
+        )
+        if a_changed and b_changed:
+            dirty = {a, new_a, b, new_b}
+        elif a_changed:
+            dirty = {a, new_a}
+        elif b_changed:
+            dirty = {b, new_b}
+        else:
+            dirty = set()
+        return (
+            new_a, new_b, new_edge, a_changed, b_changed, edge_changed,
+            not edge_changed and new_a == b and new_b == a and a != b,
+            _output_affected(table.protocol, event), dirty,
+        )
+
+    def check_triple(self, table, a, b, c):
+        """The record of an effective triple, and the change of each
+        outcome its rule may draw, equal the walk's own derivation,
+        down to the dirty states' iteration order and how they merge
+        into a refresh's targets."""
+        rule = table.resolved(a, b, c)
+        if rule is None:
+            return  # ineffective: no class of it is ever drawn
+        dist, swapped = rule
+        outcomes = []
+        for _, (x, y, edge) in dist:
+            new_a, new_b = (y, x) if swapped else (x, y)
+            outcomes.append((new_a, new_b, edge))
+            if a == b and new_a != new_b:
+                outcomes.append((new_b, new_a, edge))  # the coin's face
+        record = table.transition(a, b, c)
+        changes = [table.change(a, b, c, *outcome) for outcome in outcomes]
+        if len(outcomes) == 1:
+            assert record == changes[0], (a, b, c)
+        else:
+            assert record == (), (a, b, c)
+        for outcome, change in zip(outcomes, changes):
+            *fields, dirty = change
+            *expected, want = self.derived(table, a, b, c, *outcome)
+            assert fields == expected, (a, b, c, outcome)
+            assert dirty == want and list(dirty) == list(want), (a, b, c)
+            for present in ({a, b}, set(range(table.n_states))):
+                merged, reference = set(present), set(present)
+                merged.update(dirty)
+                reference.update(want)
+                assert list(merged) == list(reference), (a, b, c, present)
+
+    @pytest.mark.parametrize("name", [
+        *(
+            name for name in _registered()
+            if registry_closed(name) or name in ("line-tm", "universal")
+        ),
+        "exchanges",
+    ])
+    def test_transition_records_match_the_walk_derivation(self, name):
+        """Every declared triple of a closed table; for line-tm and
+        universal, which intern lazily, every triple a short run
+        resolves."""
+        from repro.protocols import registry
+
+        protocol = (
+            Exchanges() if name == "exchanges" else registry.instantiate(name)
+        )
+        table = protocol.compile()
+        if table.closed:
+            triples = [
+                (a, b, c)
+                for a in range(table.n_states)
+                for b in range(table.n_states)
+                for c in (0, 1)
+            ]
+        else:
+            index = PairClassIndex(table, protocol.initial_configuration(12))
+            advance = index.walk(
+                random.Random(3), protocol, None, protocol.stabilized
+            )[0]
+            steps = 0
+            for _ in range(300):
+                if not index.total:
+                    break
+                steps = advance(steps, None, None)[0]
+            triples = [key for key, rule in table._resolved.items() if rule]
+            assert len(table._transitions) >= 5, name
+        for triple in triples:
+            self.check_triple(table, *triple)
+
+    def test_pair_keys_cover_every_interned_id(self):
+        """An eagerly interned table keys every id pair, an undeclared
+        state interned late included; a lazily interning one keeps no
+        key table."""
+        protocol = TableProtocol("t", "a", {("a", "b", 0): ("b", "b", 1)})
+        table = protocol.compile()
+
+        def expected():
+            ids = range(table.n_states)
+            return [[(min(a, b), max(a, b)) for b in ids] for a in ids]
+
+        assert table.pair_keys == expected()
+        table.intern("z")
+        assert table.n_states == 3
+        assert table.pair_keys == expected()
+        assert TokenCollector().compile().pair_keys is None
 
 
 class TestIndexedEngineBasics:

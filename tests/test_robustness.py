@@ -103,6 +103,20 @@ class TestRobustnessSpec:
             with pytest.raises(ExperimentError, match="check_interval"):
                 _small_spec(check_interval=interval)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n", 8.5), ("n", 14.0), ("n", "14"), ("trials", 2.5),
+         ("trials", True), ("trials", "4")],
+    )
+    def test_counts_must_be_integers(self, field, value):
+        """The population and the trial count are refused unless they
+        are integers, as ``check_interval`` is: ``n = 8.5`` would
+        otherwise fail only in ``expand`` and ``trials = True`` run one
+        trial."""
+        name = "population" if field == "n" else field
+        with pytest.raises(ExperimentError, match=f"{name} must be an integer"):
+            _small_spec(**{field: value})
+
     def test_families_registry(self):
         assert set(FAULT_FAMILIES) == {
             "crash", "edge-drop", "edge-rate", "churn", "byzantine",

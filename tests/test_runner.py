@@ -77,6 +77,27 @@ class TestExperimentSpec:
             ExperimentSpec(protocol="global-star", **kwargs)
 
     @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            *(
+                (dict(sizes=(8,), trials=bad), "trials must be an integer")
+                for bad in (2.5, True, "2")
+            ),
+            *(
+                (dict(sizes=bad, trials=1), "sizes must be an integer")
+                for bad in ((8.5,), ("8",), (8, 12.0))
+            ),
+        ],
+    )
+    def test_counts_must_be_integers(self, kwargs, match):
+        """A float, bool or string count is refused when the spec is
+        built, as a malformed ``check_interval`` is: it would otherwise
+        run as some other count (``True`` as one trial, 8.5 as n = 8)
+        or fail only once the sweep expands."""
+        with pytest.raises(ExperimentError, match=match):
+            ExperimentSpec(protocol="global-star", **kwargs)
+
+    @pytest.mark.parametrize(
         "build",
         [
             lambda: ExperimentSpec(

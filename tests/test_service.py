@@ -734,12 +734,31 @@ class TestHttpService(_ClientTests):
                     "check_interval": True,
                 },
             ),
+            ("sweep", {**SPEC.to_dict(), "trials": 2.5}),
+            ("sweep", {**SPEC.to_dict(), "trials": True}),
+            ("sweep", {**SPEC.to_dict(), "sizes": [8.5]}),
+            ("sweep", {**SPEC.to_dict(), "sizes": ["8"]}),
+            *(
+                (
+                    "robustness",
+                    {
+                        **RobustnessSpec(
+                            protocols=("cycle-cover",), loads=(0,), n=8,
+                            trials=1, max_steps=200_000,
+                        ).to_dict(),
+                        field: value,
+                    },
+                )
+                for field, value in (("n", 8.5), ("trials", True))
+            ),
         ],
         ids=[
             "nonsense", "no-engine", "sizes-int", "trials-str",
             "scenario-str", "unknown-field", "check-interval-str",
             "check-interval-zero", "robustness-no-n",
-            "robustness-check-interval-bool",
+            "robustness-check-interval-bool", "trials-float", "trials-bool",
+            "sizes-float", "sizes-str", "robustness-n-float",
+            "robustness-trials-bool",
         ],
     )
     def test_bad_spec_is_a_clean_400(self, live_service, kind, payload):

@@ -11,8 +11,11 @@ whose certificate is asked after every change.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from repro.core.indexing import PairClassIndex
 from repro.core.protocol import resolve
 from repro.core.scenario import Scenario
 from repro.core.simulator import IndexedSimulator, make_engine
@@ -142,3 +145,76 @@ def test_swaps_match_a_scan_of_the_declared_triples():
     assert not found & {
         "one-way-epidemic", "fast-global-line", "cycle-cover", "global-star",
     }
+
+
+#: Every registered closed table whose rules hold a swap.
+SWAP_TABLES = (
+    "simple-global-line", "global-ring", "2rc", "ft-global-line",
+    "graph-replication", "k-regular-connected",
+)
+
+
+def _index_state(index):
+    """What the seeded law and the configuration's readers see of an
+    index and its configuration, orders included (the order of the
+    ``nodes`` and ``edges`` dicts themselves is free)."""
+    cfg = index.config
+    return (
+        list(index.counts.items()), list(cfg._counts.items()),
+        {s: list(b._items) for s, b in index.nodes.items()},
+        {k: list(b._items) for k, b in index.edges.items()},
+        list(index.sid), list(cfg._states),
+        list(index.weights.items()), index.total,
+    )
+
+
+@pytest.mark.parametrize("name", SWAP_TABLES)
+def test_one_pass_swap_equals_two_moves(name):
+    """Two identical walks over n = 12 go step for step, their
+    generators kept in one state.  At each swap the first walk makes
+    (over an edge both nodes keep, the node sets not built), the
+    second instead calls ``move_node`` for each node and refreshes the
+    states, the reference the walk's one pass must match; after every
+    step both indexes and configurations agree: counts and
+    histogram in key order, node- and edge-bucket item orders, ``sid``
+    and the states, ``weights`` in item order and ``total``."""
+    walks = []
+    for _ in range(2):
+        # One table each: a pair memo shared between the two would file
+        # an edge for the first walk that the second, knowing its pair
+        # has no effective class, leaves unfiled.
+        protocol = registry.instantiate(name)
+        table = protocol.compile()
+        assert table.swaps
+        index = PairClassIndex(table, protocol.initial_configuration(12))
+        rng = random.Random(5)
+        trace = Trace()
+        advance = index.walk(rng, protocol, trace, protocol.stabilized)[0]
+        walks.append((index, rng, trace, advance))
+    (one, rng_one, trace, advance_one), (two, rng_two, _, advance_two) = walks
+    steps = swaps = 0
+    for _ in range(1_500):
+        if not one.total:
+            break
+        drawn = rng_one.getstate()
+        after, _, applied, _, _ = advance_one(steps, None, None)
+        assert applied == 1
+        event = trace.events[-1]
+        su = table.intern(event.u_before)
+        sv = table.intern(event.v_before)
+        if (
+            su != sv and event.u_after == event.v_before
+            and event.v_after == event.u_before
+            and event.edge_after == event.edge_before
+        ):
+            swaps += 1
+            two.move_node(event.u, su, sv)
+            two.move_node(event.v, sv, su)
+            two.refresh_involving({su, sv, sv, su})
+            rng_two.setstate(rng_one.getstate())
+        else:
+            rng_two.setstate(drawn)
+            assert advance_two(steps, None, None)[0] == after
+        steps = after
+        assert _index_state(one) == _index_state(two), (name, steps)
+    assert swaps >= 5, name
