@@ -201,6 +201,9 @@ class RobustnessSpec(Serializable):
         require_distinct("loads", self.loads)
         require_count("population", self.n, 2)
         require_count("trials", self.trials, 1)
+        require_count("base_seed", self.base_seed, None)
+        if self.at is not None:
+            require_count("at", self.at, 0)
         if self.faults not in FAULT_FAMILIES:
             raise ExperimentError(
                 f"unknown fault family {self.faults!r}; "

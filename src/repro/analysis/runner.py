@@ -98,14 +98,15 @@ def require_budget(max_steps: object) -> None:
         )
 
 
-def require_count(name: str, value: object, least: int) -> None:
-    """Reject a spec count (a population size, a trial count, a
-    certificate poll spacing) that is not an ``int`` >= ``least``.  A
-    ``bool``, a float and a numeric string are not ``int`` here: each
-    would run as some other count, or fail only once the sweep runs."""
+def require_count(name: str, value: object, least: int | None) -> None:
+    """Reject a spec integer (a population size, a trial count, a
+    certificate poll spacing, a seed) that is not an ``int``, or is
+    below ``least`` where one is given.  A ``bool``, a float, a numeric
+    string and ``None`` are not ``int`` here: each would run as some
+    other value, or fail only once the sweep runs."""
     if type(value) is not int:
         raise ExperimentError(f"{name} must be an integer, got {value!r}")
-    if value < least:
+    if least is not None and value < least:
         raise ExperimentError(f"{name} must be >= {least}, got {value!r}")
 
 
@@ -233,6 +234,7 @@ class ExperimentSpec(Serializable):
         require_count("trials", self.trials, 1)
         require_budget(self.max_steps)
         require_count("check_interval", self.check_interval, 1)
+        require_count("base_seed", self.base_seed, None)
         if self.engine not in ENGINES:
             raise ExperimentError(
                 f"unknown engine {self.engine!r}; choose from {sorted(ENGINES)}"

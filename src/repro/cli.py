@@ -959,16 +959,14 @@ def _cmd_conformance(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-#: Populations probed (in order) when ``verify`` is given no --n.
-VERIFY_POPULATIONS = (4, 5, 3, 2, 6)
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     from repro.verify import (
         DEFAULT_MAX_CONFIGS,
+        MODEL_POPULATIONS,
         VerifyCache,
         VerifyError,
         model_check,
+        model_population,
         protocol_digest,
         run_lints,
     )
@@ -999,18 +997,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             if not report.ok:
                 failures += 1
         if "model" in checks:
-            if args.n is not None:
-                candidates: tuple[int, ...] = (args.n,)
-            else:
-                candidates = VERIFY_POPULATIONS
-            n = None
-            for candidate in candidates:
-                try:
-                    protocol.initial_configuration(candidate)
-                except ReproError:
-                    continue
-                n = candidate
-                break
+            candidates = MODEL_POPULATIONS if args.n is None else (args.n,)
+            n = model_population(protocol, candidates)
             if n is None:
                 print(
                     f"{spec}: model SKIP (no accepted population in "

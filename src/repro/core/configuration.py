@@ -91,9 +91,7 @@ class Configuration:
     histogram (state -> count), kept incrementally.  Its keys keep
     first-appearance order: a state enters when its first node does and
     leaves with its last, so :meth:`state_counts` and :meth:`census`
-    list states in that order.  The nodes of each state are filed in
-    per-state ``set`` buckets only when :meth:`nodes_in_state` is first
-    called; from then on every mutation keeps them in step.  Costs:
+    list states in that order.  Nodes are not filed per state.  Costs:
 
     * O(1): :meth:`state`, :meth:`set_state`, :meth:`count_in_state`,
       :meth:`set_edge`, :meth:`edge_state`, :meth:`degree`,
@@ -103,11 +101,11 @@ class Configuration:
       no edge is active.
     * O(n) in C loops, with no Python-level loop and no container per
       node: :meth:`uniform`, :meth:`from_census` plus one
-      :meth:`set_edge` per edge, and the ``Configuration(states,
-      edges)`` constructor plus one :meth:`set_edge` per edge.
+      :meth:`set_edge` per edge, the ``Configuration(states, edges)``
+      constructor plus one :meth:`set_edge` per edge, and
+      :meth:`nodes_in_state`.
     * O(n) in one Python loop: :meth:`copy`, which copies only the sets
-      of nodes with an active edge, and the first
-      :meth:`nodes_in_state` call.
+      of nodes with an active edge.
 
     A node that has never had an active edge holds one shared empty
     ``frozenset``.  :meth:`set_edge` replaces it in place with a fresh
@@ -144,7 +142,7 @@ class Configuration:
         Iterable of node pairs that are initially active.
     """
 
-    __slots__ = ("_states", "_adj", "_n_active", "_counts", "_nodes")
+    __slots__ = ("_states", "_adj", "_n_active", "_counts")
 
     def __init__(
         self,
@@ -155,8 +153,6 @@ class Configuration:
         self._adj: list[set[int] | frozenset[int]] = [_NO_EDGES] * len(self._states)
         self._n_active = 0
         self._counts: dict[State, int] = dict(Counter(self._states))
-        #: Per-state node sets, built by the first nodes_in_state call.
-        self._nodes: dict[State, set[int]] | None = None
         for u, v in active_edges:
             self.set_edge(u, v, 1)
 
@@ -179,7 +175,6 @@ class Configuration:
         cfg._adj = [_NO_EDGES] * len(states)
         cfg._n_active = 0
         cfg._counts = counts
-        cfg._nodes = None
         return cfg
 
     @classmethod
@@ -250,7 +245,6 @@ class Configuration:
         clone._adj = [set(a) if a else _NO_EDGES for a in self._adj]
         clone._n_active = self._n_active
         clone._counts = dict(self._counts)
-        clone._nodes = None
         return clone
 
     def add_node(self, state: State) -> int:
@@ -263,13 +257,6 @@ class Configuration:
         self._states.append(state)
         self._adj.append(_NO_EDGES)
         self._counts[state] = self._counts.get(state, 0) + 1
-        nodes = self._nodes
-        if nodes is not None:
-            bucket = nodes.get(state)
-            if bucket is None:
-                nodes[state] = {u}
-            else:
-                bucket.add(u)
         return u
 
     # ------------------------------------------------------------------
@@ -295,17 +282,6 @@ class Configuration:
             del counts[old]
         counts[state] = counts.get(state, 0) + 1
         self._states[u] = state
-        nodes = self._nodes
-        if nodes is not None:
-            bucket = nodes[old]
-            bucket.discard(u)
-            if not bucket:
-                del nodes[old]
-            bucket = nodes.get(state)
-            if bucket is None:
-                nodes[state] = {u}
-            else:
-                bucket.add(u)
 
     def states(self) -> list[State]:
         """A copy of the node-state vector."""
@@ -320,28 +296,16 @@ class Configuration:
         return self._counts.get(state, 0)
 
     def nodes_in_state(self, state: State) -> list[int]:
-        """Nodes currently in ``state``, ascending.
-
-        The first call files every node in a per-state ``set``, O(n);
-        later calls cost O(k log k) for the ``k`` nodes returned, as
-        every mutation keeps the sets in step.  A :meth:`copy` starts
-        without them.
-        """
-        nodes = self._nodes
-        if nodes is None:
-            nodes = self._nodes = {}
-            for u, s in enumerate(self._states):
-                bucket = nodes.get(s)
-                if bucket is None:
-                    nodes[s] = {u}
-                else:
-                    bucket.add(u)
-        bucket = nodes.get(state)
-        return sorted(bucket) if bucket is not None else []
-
-    def nodes_where(self, predicate) -> list[int]:
-        """Nodes whose state satisfies ``predicate``."""
-        return [u for u, s in enumerate(self._states) if predicate(s)]
+        """Nodes currently in ``state``, ascending: O(n), one
+        ``list.index`` scan (in C) per node returned, the histogram
+        giving how many there are.  Nothing is filed per state."""
+        states = self._states
+        found: list[int] = []
+        u = -1
+        for _ in range(self._counts.get(state, 0)):
+            u = states.index(state, u + 1)
+            found.append(u)
+        return found
 
     # ------------------------------------------------------------------
     # Edge states

@@ -90,6 +90,7 @@ from repro.core.faults import (
     CrashFaults,
     RecoverFaults,
     census_sample_states,
+    join_state,
 )
 from repro.core.simulator import (
     _APPLIED,
@@ -101,7 +102,6 @@ from repro.core.simulator import (
     ENGINES,
     IndexedSimulator,
     _ExactEngine,
-    _join_state,
     _Walk,
 )
 from repro.core.trace import CensusFrame, TraceBus
@@ -223,12 +223,6 @@ class _CensusConfigView:
 
     def count_in_state(self, state) -> int:
         return self._counts.get(state, 0)
-
-    def states(self) -> list:
-        out: list = []
-        for s, c in self._counts.items():
-            out.extend([s] * c)
-        return out
 
     @property
     def n_active_edges(self) -> int:
@@ -574,7 +568,7 @@ class CountSimulator(IndexedSimulator):
                     dead_count += k
                     changed = True
                 elif action.kind == "arrive":
-                    join = intern(_join_state(protocol))
+                    join = intern(join_state(protocol))
                     counts[join] = counts.get(join, 0) + action.count
                     alive += action.count
                     changed = True
@@ -582,7 +576,7 @@ class CountSimulator(IndexedSimulator):
                     k = min(len(action.nodes), dead_count)
                     if k <= 0:
                         continue
-                    join = intern(_join_state(protocol))
+                    join = intern(join_state(protocol))
                     counts[join] = counts.get(join, 0) + k
                     dead_count -= k
                     alive += k

@@ -179,6 +179,17 @@ def compact_survivors(config: Configuration) -> Configuration:
     )
 
 
+def join_state(protocol: Protocol) -> State:
+    """The state in which arriving and recovering nodes join a run."""
+    state = protocol.initial_state
+    if state is None:
+        raise SimulationError(
+            f"{protocol.name} declares no initial_state; population events "
+            "(arrive/churn/recover) need one to initialize joining nodes"
+        )
+    return state
+
+
 def probability(raw: float | str) -> float:
     """Coerce a sustained-fault rate, requiring ``0 < rate < 1``.
 

@@ -91,19 +91,20 @@ and the incremental bookkeeping on :class:`~repro.core.configuration.Configurati
   unmemoized, and a new key finds its plan by visit order.
 
   The index is built over the run's live configuration and runs the
-  indexed engine's walk over it (:meth:`PairClassIndex.walk`), so this
-  module alone knows the filing order the seeded law depends on.  What
-  a change does is decided once per table: the walk reads it from the
-  table's transition record of the drawn triple
+  indexed engine's walk over it, fault upkeep included
+  (:meth:`PairClassIndex.walk`), so this module alone knows the filing
+  order the seeded law depends on and keeps the configuration in step
+  with it.  What a change does is decided once per table: the walk
+  reads it from the table's transition record of the drawn triple
   (:meth:`~repro.core.protocol.CompiledProtocol.transition`).  Only a
   rule that draws its outcome (several outcomes, or the coin of an
   ``(a, a, c)`` pair) is drawn per change, and what it drew is then
   looked up (:meth:`~repro.core.protocol.CompiledProtocol.change`).
-  The walk and the engine's fault upkeep move nodes through one mover,
+  The walk moves nodes, a fault's too, through one mover,
   :meth:`~PairClassIndex.move_node`, except for a swap over an edge
-  both nodes keep (the line leader's walk step), which the walk moves
-  in one pass of its own that leaves every structure as the two moves
-  would, with pair keys from the table's
+  both nodes keep (the line leader's walk step), which it moves in one
+  pass of its own that leaves every structure as the two moves would,
+  with pair keys from the table's
   :attr:`~repro.core.protocol.CompiledProtocol.pair_keys`.
   ``sample_class`` and ``sample_pair`` draw exactly what the walk's
   inline draw draws, and are the tests' reference for it.
@@ -126,11 +127,12 @@ from typing import (
 )
 
 from repro.core.errors import SimulationError
+from repro.core.faults import DEAD, join_state
 from repro.core.trace import Event
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.configuration import Configuration
-    from repro.core.protocol import CompiledProtocol, Protocol
+    from repro.core.protocol import CompiledProtocol
 
 
 class IndexedSet:
@@ -285,9 +287,9 @@ class PairClassIndex:
     config:
         The live configuration, every node alive.  The index interns its
         states into :attr:`sid`, files its nodes and active edges and
-        weighs every present pair; from then on :meth:`move_node` and
-        the walk's swap step keep the configuration in step with the
-        index.
+        weighs every present pair; from then on :meth:`move_node`, the
+        walk's swap step and its fault methods keep the configuration
+        in step with the index.
 
     Every present state has a node count in :attr:`counts`; only the
     states outside :attr:`count_only` have a node bucket in
@@ -375,29 +377,22 @@ class PairClassIndex:
 
     def move_node(self, u: int, old: int, new: int) -> None:
         """Move the alive node ``u`` from state id ``old`` to ``new`` in
-        one pass: the configuration's state and state count (and its
-        per-state node set, once a certificate has built those), the
-        index's count, the bucket of every incident active edge, ``u``'s
-        node bucket (drawable states only) and :attr:`sid`, with the
-        buckets' swap-remove and append order inlined.  The walk's swap
-        step does what two calls do in one pass of its own (see
-        :meth:`walk`)."""
+        one pass: the configuration's state and state count, the index's
+        count, the bucket of every incident active edge, ``u``'s node
+        bucket (drawable states only) and :attr:`sid`, with the buckets'
+        swap-remove and append order inlined.  The walk's swap step does
+        what two calls do in one pass of its own (see :meth:`walk`)."""
         cfg = self.config
-        if cfg._nodes is None:
-            states = cfg._states
-            hist = cfg._counts
-            raw = states[u]
-            left = hist[raw] - 1
-            if left:
-                hist[raw] = left
-            else:
-                del hist[raw]
-            raw = states[u] = self._raw[new]
-            hist[raw] = hist.get(raw, 0) + 1
+        states = cfg._states
+        hist = cfg._counts
+        raw = states[u]
+        left = hist[raw] - 1
+        if left:
+            hist[raw] = left
         else:
-            # A certificate has asked for the per-state node sets,
-            # which set_state keeps in step.
-            cfg.set_state(u, self._raw[new])
+            del hist[raw]
+        raw = states[u] = self._raw[new]
+        hist[raw] = hist.get(raw, 0) + 1
         counts = self.counts
         left = counts[old] - 1
         if left:
@@ -717,12 +712,11 @@ class PairClassIndex:
     # ------------------------------------------------------------------
     # The indexed engine's walk
     # ------------------------------------------------------------------
-    def walk(self, rng: random.Random, protocol: Protocol, publish, stabilized):
+    def walk(self, rng: random.Random, publish, stabilized):
         """The indexed engine's walk over this index and its configuration:
-        ``(advance, certificate, resize, wake)``.  The first two are the
-        :class:`~repro.core.simulator._Walk`'s; ``resize(joined)`` follows
-        a change of the alive population, and ``wake()`` ends a standing
-        certificate answer (a fault may change the census).
+        ``(advance, certificate, crash, cut, corrupt, arrive, revive)``,
+        the pieces :func:`~repro.core.simulator._exact_walk` takes after
+        its dead set.
 
         ``advance`` runs each effective interaction in one Python frame:
         it draws the class and the pair itself, with the ``getrandbits``
@@ -740,13 +734,12 @@ class PairClassIndex:
         With no trace or bus attached (``publish`` is ``None``), it
         builds no ``Event``.
 
-        A swap over an edge both nodes keep, while the configuration
-        has no per-state node sets, does not call the mover: one pass
-        does what ``move_node(u, su, sv)`` then ``move_node(v, sv, su)``
-        do.  Both histograms stay as they were, bar the end-of-dict move
-        of a state whose count passes through zero; the incident edges
-        of ``u``, then of ``v``, are re-filed in the two moves' order,
-        with keys from the table's
+        A swap over an edge both nodes keep does not call the mover:
+        one pass does what ``move_node(u, su, sv)`` then ``move_node(v,
+        sv, su)`` do.  Both histograms stay as they were, bar the
+        end-of-dict move of a state whose count passes through zero;
+        the incident edges of ``u``, then of ``v``, are re-filed in the
+        two moves' order, with keys from the table's
         :attr:`~repro.core.protocol.CompiledProtocol.pair_keys` (a lazily
         interning table has none, and moves through the mover); and the
         drawable node buckets end in the two moves' item order.
@@ -760,6 +753,16 @@ class PairClassIndex:
         leader's walk step), unless it changed the output graph or came
         at a fault's step: the census, and so the answer, stands.  It
         keeps ``log(1 - k/m)`` for as long as ``k`` is unchanged.
+
+        ``crash``, ``cut``, ``corrupt``, ``arrive`` and ``revive`` keep
+        the index and the configuration in step with a fault: they
+        re-file the nodes and edges it touches, move each node a
+        notification hook (``on_neighbor_crash``, ``on_edge_loss``, of
+        ``table.protocol``) changes through the mover, reweigh the
+        classes of the changed states, follow a change of the alive
+        population that ``advance`` counts its pairs over, and end a
+        standing certificate answer.  Their call order is part of the
+        seeded law.
         """
         cfg = self.config
         table = self.table
@@ -904,7 +907,7 @@ class PairClassIndex:
                 (new_u, new_v, new_edge, u_changed, v_changed, edge_changed,
                  swap, output, dirty) = record
 
-                if swap and keys is not None and cfg._nodes is None:
+                if swap and keys is not None:
                     # What move_node(u, su, sv), then move_node(v, sv,
                     # su) do, in one pass.  Both histograms end as they
                     # began, except that a state whose count passes
@@ -1036,28 +1039,86 @@ class PairClassIndex:
                     quiet = False
                 return steps, _APPLIED, 1, passed, passed_at
 
-        def resize(joined: int) -> None:
-            nonlocal alive, m
+        protocol = table.protocol
+        intern = table.intern
+
+        def renotify(x: int, new_state, dirty: set) -> None:
+            if new_state is None:
+                return
+            new_id = intern(new_state)
+            if new_id != sid[x]:
+                dirty.add(sid[x])
+                dirty.add(new_id)
+                move_node(x, sid[x], new_id)
+
+        def settle(dirty: set, joined: int = 0) -> None:
+            """Reweigh the classes of ``dirty`` after a fault, follow a
+            change of the alive population, and end a standing
+            certificate answer: a fault may change the census."""
+            nonlocal alive, m, quiet
+            self.refresh_involving(dirty)
             alive += joined
             m = alive * (alive - 1) // 2
-
-        def wake() -> None:
-            nonlocal quiet
             quiet = False
 
+        def crash(w: int) -> None:
+            sw = sid[w]
+            nbrs = list(adj[w])  # the set's order, which the law follows
+            for x in nbrs:
+                self.remove_edge(w, x, sw, sid[x])
+                cfg.set_edge(w, x, 0)
+            self.remove_node(w, sw)
+            cfg.set_state(w, DEAD)
+            dirty = {sw}
+            for x in nbrs:
+                renotify(x, protocol.on_neighbor_crash(raw_of[sid[x]]), dirty)
+            settle(dirty, -1)
+
+        def cut(a: int, b: int, silent: bool) -> None:
+            self.remove_edge(a, b, sid[a], sid[b])
+            cfg.set_edge(a, b, 0)
+            dirty = {sid[a], sid[b]}
+            if not silent:
+                for x in (a, b):
+                    renotify(x, protocol.on_edge_loss(raw_of[sid[x]]), dirty)
+            settle(dirty)
+
+        def corrupt(w: int, claim) -> None:
+            new_id = intern(claim)
+            dirty = {sid[w], new_id}
+            move_node(w, sid[w], new_id)
+            settle(dirty)
+
+        def arrive(count: int) -> None:
+            state = join_state(protocol)
+            s_join = intern(state)
+            for _ in range(count):
+                sid.append(s_join)
+                self.add_node(cfg.add_node(state), s_join)
+            settle({s_join}, count)
+
+        def revive(nodes: list) -> None:
+            state = join_state(protocol)
+            s_join = intern(state)
+            for w in nodes:
+                cfg.set_state(w, state)
+                sid[w] = s_join
+                self.add_node(w, s_join)
+            settle({s_join}, len(nodes))
+
         if view is None:
-            return advance, partial(stabilized, cfg), resize, wake
+            certificate = partial(stabilized, cfg)
+        else:
+            def certificate():
+                nonlocal view, quiet
+                if view is not None:
+                    try:
+                        held = stabilized(view)
+                    except AttributeError:
+                        view = None  # it reads more than the census
+                    else:
+                        quiet = not held
+                        return held
+                return stabilized(cfg)
 
-        def certificate():
-            nonlocal view, quiet
-            if view is not None:
-                try:
-                    held = stabilized(view)
-                except AttributeError:
-                    view = None  # it reads more than the census
-                else:
-                    quiet = not held
-                    return held
-            return stabilized(cfg)
-
-        return advance, certificate, resize, wake
+        return advance, certificate, crash, cut, corrupt, arrive, revive

@@ -202,10 +202,6 @@ class Scenario:
         return self.scheduler == DEFAULT_SCHEDULER
 
     @property
-    def has_faults(self) -> bool:
-        return bool(self.faults)
-
-    @property
     def has_unbounded_faults(self) -> bool:
         """True when a sustained fault model (e.g. ``edge-drop``) may
         perturb the run forever — such runs need a finite step budget."""

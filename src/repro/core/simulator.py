@@ -65,9 +65,10 @@ its own state — a copied configuration, or a census:
   exact walks share one dispatch (:func:`_exact_walk`): it keeps the
   dead nodes and the ascending alive list the plan draws victims from,
   and calls the walk's ``crash``, ``cut``, ``corrupt``, ``arrive`` and
-  ``revive``, which keep the engine's own view in step (the scheduler's
-  pair stream, or the class census).  The census walk applies crashes
-  and joins to its counts.
+  ``revive``, which keep the engine's own view in step: the scheduler's
+  pair stream, or the class census (the indexed walk returns its five
+  with its ``advance``).  The census walk applies crashes and joins to
+  its counts.
 * ``certificate()``, ``counts()``, ``active_edges()`` and
   ``final(steps)`` read the walk's state: whether the stabilization
   certificate holds, the census the frames carry, and the final
@@ -127,7 +128,7 @@ from typing import Any, Callable, NamedTuple
 
 from repro.core.configuration import Configuration
 from repro.core.errors import ConvergenceError, SimulationError
-from repro.core.faults import DEAD, FaultModel, compile_fault_plan
+from repro.core.faults import DEAD, FaultModel, compile_fault_plan, join_state
 from repro.core.indexing import (
     _APPLIED, _APPLIED_OUTPUT, _AT_BUDGET, _AT_FAULT, _IDLE, _MOVED, PairClassIndex,
 )
@@ -144,17 +145,6 @@ from repro.core.trace import (
 )
 
 StopPredicate = Callable[[Configuration], bool]
-
-
-def _join_state(protocol: Protocol):
-    """The state in which arriving/recovering nodes join the run."""
-    state = protocol.initial_state
-    if state is None:
-        raise SimulationError(
-            f"{protocol.name} declares no initial_state; population events "
-            "(arrive/churn/recover) need one to initialize joining nodes"
-        )
-    return state
 
 
 def apply_interaction(
@@ -290,18 +280,23 @@ class _Walk(NamedTuple):
 
 
 def _exact_walk(
-    cfg: Configuration, certificate, dead: set[int],
-    advance, crash, cut, corrupt, arrive, revive,
+    cfg: Configuration, dead: set[int],
+    advance, certificate, crash, cut, corrupt, arrive, revive,
 ) -> _Walk:
     """An exact engine's walk over ``cfg``: its ``advance``, its
     certificate and one method per fault kind behind the fault dispatch
     both exact engines share.
 
     The dispatch passes the methods only alive nodes and edges active
-    between alive nodes.  It keeps the crashed nodes in ``dead`` and,
-    from the first death on, the alive ids in one ascending list, which
-    the plan picks its victims from (a ``range`` while no node is dead):
-    a crash or a revival moves one id by bisection, an arrival appends.
+    between alive nodes, and calls one only where it changes something:
+    a crash of an alive node, a cut of an active edge, a corruption to
+    another state, an arrival, a revival of a dead node.  (The indexed
+    walk's methods end a standing certificate answer, so a fault step
+    that changes nothing leaves it standing.)  It keeps the crashed
+    nodes in ``dead`` and, from the first death on, the alive ids in one
+    ascending list, which the plan picks its victims from (a ``range``
+    while no node is dead): a crash or a revival moves one id by
+    bisection, an arrival appends.
     """
     alive: list[int] = []
 
@@ -656,15 +651,15 @@ class SequentialSimulator(_ExactEngine):
         def arrive(count: int) -> None:
             nonlocal stream
             for _ in range(count):
-                cfg.add_node(_join_state(protocol))
+                cfg.add_node(join_state(protocol))
             stream = None
 
         def revive(nodes: list) -> None:
             for w in nodes:
-                cfg.set_state(w, _join_state(protocol))
+                cfg.set_state(w, join_state(protocol))
 
         return _exact_walk(
-            cfg, partial(stabilized, cfg), dead, advance, crash, cut,
+            cfg, dead, advance, partial(stabilized, cfg), crash, cut,
             cfg.set_state, arrive, revive,
         )
 
@@ -675,10 +670,9 @@ class IndexedSimulator(_ExactEngine):
     Distributionally identical to :class:`SequentialSimulator` under the
     uniform random scheduler: the step counter advances by a
     ``Geometric(k/m) - 1`` skip, and the two-stage class-then-pair draw
-    is exactly a uniform draw over the effective pairs.  The walk is
-    :meth:`~repro.core.indexing.PairClassIndex.walk`, over an index built
-    on the run's configuration; the fault upkeep here moves nodes through
-    the index's one mover, its ``move_node``.
+    is exactly a uniform draw over the effective pairs.  The walk, its
+    fault methods included, is :meth:`~repro.core.indexing.PairClassIndex.walk`,
+    over an index built on the run's configuration.
     """
 
     engine_name = "indexed"
@@ -699,78 +693,7 @@ class IndexedSimulator(_ExactEngine):
     ) -> _Walk:
         cfg, rng = self._start(protocol, n, config, copy_config)
         index = PairClassIndex(protocol.compile(), cfg)
-        advance, certificate, resize, wake = index.walk(
-            rng, protocol, publish, stabilized
-        )
-        intern = index.table.intern
-        raw_of = index.table._states
-        sid = index.sid
-
-        def renotify(x: int, new_state, dirty: set) -> None:
-            if new_state is None:
-                return
-            new_id = intern(new_state)
-            if new_id != sid[x]:
-                dirty.add(sid[x])
-                dirty.add(new_id)
-                index.move_node(x, sid[x], new_id)
-
-        def crash(w: int) -> None:
-            sw = sid[w]
-            nbrs = list(cfg._adj[w])  # engine-internal: its set order
-            for x in nbrs:
-                index.remove_edge(w, x, sw, sid[x])
-                cfg.set_edge(w, x, 0)
-            index.remove_node(w, sw)
-            cfg.set_state(w, DEAD)
-            dirty = {sw}
-            for x in nbrs:
-                renotify(x, protocol.on_neighbor_crash(raw_of[sid[x]]), dirty)
-            index.refresh_involving(dirty)
-            resize(-1)
-
-        def cut(a: int, b: int, silent: bool) -> None:
-            index.remove_edge(a, b, sid[a], sid[b])
-            cfg.set_edge(a, b, 0)
-            dirty = {sid[a], sid[b]}
-            if not silent:
-                for x in (a, b):
-                    renotify(x, protocol.on_edge_loss(raw_of[sid[x]]), dirty)
-            index.refresh_involving(dirty)
-
-        def corrupt(w: int, claim) -> None:
-            new_id = intern(claim)
-            dirty = {sid[w], new_id}
-            index.move_node(w, sid[w], new_id)
-            index.refresh_involving(dirty)
-
-        def arrive(count: int) -> None:
-            s_join = intern(_join_state(protocol))
-            for _ in range(count):
-                u_new = cfg.add_node(_join_state(protocol))
-                sid.append(s_join)
-                index.add_node(u_new, s_join)
-            index.refresh_involving({s_join})
-            resize(count)
-
-        def revive(nodes: list) -> None:
-            s_join = intern(_join_state(protocol))
-            for w in nodes:
-                cfg.set_state(w, _join_state(protocol))
-                sid[w] = s_join
-                index.add_node(w, s_join)
-            index.refresh_involving({s_join})
-            resize(len(nodes))
-
-        walk = _exact_walk(
-            cfg, certificate, set(), advance, crash, cut, corrupt, arrive, revive
-        )
-
-        def faults(plan, at: int) -> tuple[str, ...]:
-            wake()  # a fault may change the census
-            return walk.faults(plan, at)
-
-        return walk._replace(faults=faults)
+        return _exact_walk(cfg, set(), *index.walk(rng, publish, stabilized))
 
 
 #: Engine registry: name -> engine class taking ``seed=`` and

@@ -43,13 +43,14 @@ class GlobalStar(TableProtocol):
         """The final configuration is quiescent, so the engine's
         quiescence detection suffices; the explicit certificate (single
         center, star-shaped output) is kept cheap for use as a stop
-        predicate under arbitrary schedulers."""
-        if config.count_in_state("c") != 1:
+        predicate under arbitrary schedulers: two O(1) counts first, and
+        the O(n) lookup of the center only once both hold."""
+        if config.count_in_state("c") != 1 or (
+            config.n_active_edges != config.n - 1
+        ):
             return False
         (center,) = config.nodes_in_state("c")
-        if config.degree(center) != config.n - 1:
-            return False
-        return config.n_active_edges == config.n - 1
+        return config.degree(center) == config.n - 1
 
     def target_reached(self, config: Configuration) -> bool:
         return is_spanning_star(config.output_graph())

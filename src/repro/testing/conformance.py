@@ -161,10 +161,6 @@ class ConformanceSettings:
     ks_alpha: float = 0.01
     #: Population sizes tried in order until the protocol accepts one.
     populations: tuple[int, ...] = (8, 12, 16, 9, 10, 4, 6, 7, 14, 15, 18, 20)
-    #: Population sizes tried in order for the exhaustive model check —
-    #: deliberately tiny (the canonical configuration graph grows
-    #: steeply in n); protocols accepting none of them skip the check.
-    model_populations: tuple[int, ...] = (4, 5, 3, 2, 6)
     #: Cap on canonical configurations explored per model-check cell.
     model_max_configs: int = 60_000
     #: (scheduler x fault) cells of the scenario matrix run per protocol
@@ -296,15 +292,6 @@ def _validate_distribution(dist) -> str | None:
     return None
 
 
-def _dist_key(dist, swapped: bool):
-    """Orientation-normalized comparable form of a resolved distribution."""
-    rounded = []
-    for prob, out in dist:
-        a, b = (out.b, out.a) if swapped else (out.a, out.b)
-        rounded.append((round(prob, 9), repr(a), repr(b), out.edge))
-    return tuple(sorted(rounded))
-
-
 # ----------------------------------------------------------------------
 # Checks
 # ----------------------------------------------------------------------
@@ -396,6 +383,8 @@ def _triples_for(protocol, spec, settings):
 
 def check_rule_table(protocol, spec, settings):
     """Rule-table totality and orientation symmetry of delta."""
+    from repro.verify import dist_key
+
     triples, source = _triples_for(protocol, spec, settings)
     checked = 0
     for a, b, c in triples:
@@ -418,7 +407,7 @@ def check_rule_table(protocol, spec, settings):
                 )
             checked += 1
         if forward is not None and backward is not None:
-            if _dist_key(forward, False) != _dist_key(backward, True):
+            if dist_key(forward, False) != dist_key(backward, True):
                 return _fail(
                     spec, "rule-table",
                     f"orientations disagree at ({a!r}, {b!r}, {c})",
@@ -922,24 +911,19 @@ def check_static_lints(protocol, spec, settings):
 def check_model_check(protocol, spec, settings):
     """Exhaustive symmetry-reduced model check at the smallest accepted
     population (see :mod:`repro.verify.model`)."""
-    from repro.verify import VerifyError, model_check
+    from repro.verify import (
+        MODEL_POPULATIONS, VerifyError, model_check, model_population,
+    )
 
     if protocol.states is None:
         return _skip(
             spec, "model-check", "structured state space (states=None)"
         )
-    n = None
-    for candidate in settings.model_populations:
-        try:
-            protocol.initial_configuration(candidate)
-        except ReproError:
-            continue
-        n = candidate
-        break
+    n = model_population(protocol)
     if n is None:
         return _skip(
             spec, "model-check",
-            f"no accepted population in {settings.model_populations}",
+            f"no accepted population in {MODEL_POPULATIONS}",
         )
     try:
         report = model_check(

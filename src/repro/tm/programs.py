@@ -34,7 +34,10 @@ def count_population_machine() -> TuringMachine:
 
     The counter value then equals the number of ``x`` cells, i.e.
     n minus the counter length minus the two endpoint markers — the
-    paper's "very good estimate" of n (Theorem 16).
+    paper's "very good estimate" of n (Theorem 16) — or one more, when
+    a carry crossed a power of two just as the free cells ran out and
+    its new MSB took the adjacent consumed cell.  Either way the cells
+    satisfy consumed + digits + 2 == n.
     """
     transitions = {
         # seek: from ^ move right over consumed cells to the next blank.
@@ -114,14 +117,3 @@ def read_counter(tape: list[str]) -> tuple[int, int]:
         return 0, 0
     bits = "".join(reversed(digits))
     return int(bits, 2), len(digits)
-
-
-def carry_edge_case_note() -> str:
-    """Boundary behaviour: when the count crosses a power of two at the
-    exact moment the free cells run out, the new MSB steals the adjacent
-    consumed cell, so the final counter value is #consumed or
-    #consumed + 1 — enforced by the property test suite."""
-    return (
-        "counter value is the number of consumed cells, +1 in the "
-        "exhausted-carry case; cells always satisfy consumed + digits + 2 == n"
-    )

@@ -43,17 +43,20 @@ from repro.verify.lints import (
     Finding,
     LintReport,
     VerifyError,
+    dist_key,
     reachable_abstraction,
     run_lints,
 )
 from repro.verify.model import (
     DEFAULT_MAX_CONFIGS,
+    MODEL_POPULATIONS,
     ModelCheckReport,
     StateGraph,
     Violation,
     canonicalize,
     explore,
     model_check,
+    model_population,
     strongly_connected_components,
 )
 
@@ -66,6 +69,7 @@ __all__ = [
     "HOOKS",
     "LINT_CODES",
     "LintReport",
+    "MODEL_POPULATIONS",
     "ModelCheckReport",
     "StateGraph",
     "VERIFY_CACHE_VERSION",
@@ -74,8 +78,10 @@ __all__ = [
     "Violation",
     "build_counterexample",
     "canonicalize",
+    "dist_key",
     "explore",
     "model_check",
+    "model_population",
     "protocol_digest",
     "reachable_abstraction",
     "replay_counterexample",

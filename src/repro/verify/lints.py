@@ -239,11 +239,14 @@ def _rule_subject(key: RuleKey) -> str:
     return f"({a!r}, {b!r}, {c})"
 
 
-def _dist_key(
+def dist_key(
     dist: Distribution, swapped: bool
 ) -> tuple[tuple[float, str, str, EdgeState], ...]:
-    """Orientation-normalized comparable form of a distribution (same
-    convention as the conformance kit's rule-table check)."""
+    """Orientation-normalized comparable form of a distribution: equal
+    for ``delta(a, b, c)`` (``swapped=False``) and ``delta(b, a, c)``
+    (``swapped=True``) when the two orientations agree.  The
+    orientation-conflict lint and the conformance kit's rule-table
+    check compare by it."""
     rounded = []
     for prob, out in dist:
         a, b = (out.b, out.a) if swapped else (out.a, out.b)
@@ -295,7 +298,7 @@ def run_lints(protocol: Protocol) -> LintReport:
                     ) from exc
                 if forward is None or backward is None:
                     continue
-                if _dist_key(forward, False) != _dist_key(backward, True):
+                if dist_key(forward, False) != dist_key(backward, True):
                     findings.append(Finding(
                         "orientation-conflict", _rule_subject((a, b, c)),
                         "delta is defined at both orientations and the "

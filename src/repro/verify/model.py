@@ -64,6 +64,26 @@ Label = tuple[int, int, int, int, int, int, tuple[int, ...]]
 #: Default cap on canonical configurations explored per (protocol, n).
 DEFAULT_MAX_CONFIGS = 200_000
 
+#: Population sizes tried in order when no size is given (``repro-net
+#: verify`` without ``--n``, and the ``model-check`` conformance cell):
+#: deliberately tiny, as the canonical configuration graph grows steeply
+#: in n.  A protocol accepting none of them skips the check.
+MODEL_POPULATIONS: tuple[int, ...] = (4, 5, 3, 2, 6)
+
+
+def model_population(
+    protocol: Protocol, candidates: tuple[int, ...] = MODEL_POPULATIONS
+) -> int | None:
+    """The first of ``candidates`` the protocol builds an initial
+    configuration for, or ``None`` if it refuses every one."""
+    for n in candidates:
+        try:
+            protocol.initial_configuration(n)
+        except ReproError:
+            continue
+        return n
+    return None
+
 
 @dataclass(frozen=True)
 class Violation:

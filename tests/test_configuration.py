@@ -43,10 +43,6 @@ class TestStates:
         config = Configuration(["a", "b", "a"])
         assert config.nodes_in_state("a") == [0, 2]
 
-    def test_nodes_where(self):
-        config = Configuration([("x", 1), ("y", 2), ("x", 3)])
-        assert config.nodes_where(lambda s: s[0] == "x") == [0, 2]
-
 
 class TestEdges:
     def test_activation_and_deactivation(self):
@@ -155,8 +151,8 @@ class TestHashability:
 
 
 class TestStateIndex:
-    """The incremental state histogram behind state_counts, and the
-    on-demand node sets behind nodes_in_state."""
+    """The incremental state histogram behind state_counts and
+    count_in_state, and the scan behind nodes_in_state."""
 
     def test_counts_track_mutations(self):
         config = Configuration.uniform(4, "a")
@@ -225,7 +221,7 @@ class TestMemory:
         assert census == Census({"b": n - 1, "a": 1}, {})
         assert result.state_counts() == {"a": n}
         assert peak < 4 * 10**6, peak
-        # The sets are built on demand and kept in step from then on.
+        # nodes_in_state scans the live states.
         assert config.nodes_in_state("a") == [0]
         config.set_state(1, "a")
         assert config.nodes_in_state("a") == [0, 1]
@@ -348,9 +344,7 @@ class ConfigurationMachine(RuleBasedStateMachine):
     configuration (the original and every copy) checked against its own
     reference model after every step.  A copy that shared mutable
     storage with its source, such as one adjacency set, would break the
-    other's model.  Node sets are built on the first ``nodes_in_state``
-    call, so a rule may mutate a configuration before or after its sets
-    exist."""
+    other's model."""
 
     def __init__(self):
         super().__init__()
@@ -411,9 +405,6 @@ class ConfigurationMachine(RuleBasedStateMachine):
 
     @rule(which=st.integers(0, 99), state=st.sampled_from(STATES))
     def nodes_in_state(self, which, state):
-        # The first call files the nodes in per-state sets, so later
-        # rules mutate a configuration whose sets exist; until a probe,
-        # they mutate one whose sets do not.
         cfg, model = self._pick(which)
         assert cfg.nodes_in_state(state) == model.nodes_in_state(state)
 
@@ -424,12 +415,9 @@ class ConfigurationMachine(RuleBasedStateMachine):
             assert cfg.n == n
             assert cfg.states() == model.states
             assert list(cfg.state_counts().items()) == list(model.counts.items())
-            # A fresh copy has no node sets yet: probing it leaves the
-            # machine's own configuration as the rules left it.
-            fresh = cfg.copy()
             for s in STATES:
                 assert cfg.count_in_state(s) == model.counts.get(s, 0)
-                assert fresh.nodes_in_state(s) == model.nodes_in_state(s)
+                assert cfg.nodes_in_state(s) == model.nodes_in_state(s)
             for u in range(n):
                 nbrs = {v for e in model.edges if u in e for v in e if v != u}
                 assert cfg.degree(u) == len(nbrs)

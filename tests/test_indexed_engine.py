@@ -401,13 +401,9 @@ class TestPairClassIndexUnderFaults:
         assert index.weights == weights
         assert index.total == sum(weights.values())
         assert all(index.sid[u] == s for u, s in sid.items())
-        # The mover keeps the configuration's histogram (and its
-        # per-state node sets, once built) in step with its states.
-        raw = Counter(cfg.states())
-        assert cfg.state_counts() == raw
-        if cfg._nodes is not None:
-            assert {s: len(b) for s, b in cfg._nodes.items()} == raw
-            assert all(cfg.state(u) == s for s, b in cfg._nodes.items() for u in b)
+        # The mover keeps the configuration's histogram in step with
+        # its states.
+        assert cfg.state_counts() == Counter(cfg.states())
         for lo in nodes:
             for hi in nodes:
                 if lo <= hi and protocol.is_effective(
@@ -459,50 +455,45 @@ class TestPairClassIndexUnderFaults:
         (name, fault)
         for name in _registered()
         if name not in NOT_AT_12
-        for fault in (None, "crash:count=1,at=30", "arrive:count=2,at=30")
-        if not (fault and fault.startswith("arrive") and name in NO_JOIN)
+        for fault in (
+            None, "crash:count=1,at=30", "arrive:count=2,at=30",
+            "edge-drop:rate=0.01", "byzantine:count=2,mode=replay,rate=0.01",
+            "crash:count=2,at=30 recover:count=2,at=300",
+        )
+        if not (name in NO_JOIN and fault
+                and ("arrive" in fault or "recover" in fault))
     ])
     def test_index_matches_recount_registry_wide(self, indexes, name, fault):
         """Every registered protocol that runs at n = 12, checked after
-        every change through a structural stop, once as the run goes and
-        once with the configuration's per-state node sets built from the
-        start: the count-only swap shortcut, the mover's node-set path
-        and edge classes in the walk's own mover all meet the recount,
-        and so does the configuration's histogram.  The node sets turn
-        the swap shortcut off, so the two runs must be one run, down to
-        both histograms' orders after every change."""
+        every change through a structural stop: with no fault, and
+        under each of the walk's fault methods (a crash, an arrival,
+        edge cuts, which ft- and rc-global-line repair through
+        ``on_edge_loss``, state corruptions, and revivals; ``fault``
+        holds one spec, or several separated by spaces).  The count-only
+        swap shortcut, the mover, the fault upkeep and edge classes in
+        the walk's own mover all meet the recount, and so does the
+        configuration's histogram."""
         from repro.core.scenario import Scenario
         from repro.protocols import registry
 
         check = self.check
         protocol = registry.instantiate(name)
-        faults = Scenario(faults=(fault,)).make_faults() if fault else ()
-        runs = []
-        for sets in (False, True):
-            checks = [0]
-            orders = []
+        faults = (
+            Scenario(faults=tuple(fault.split())).make_faults() if fault else ()
+        )
+        checks = [0]
 
-            def stop(cfg):
-                if sets:
-                    cfg.nodes_in_state(cfg.state(0))
-                cfg.state(0)  # structural: never asked through the view
-                check(indexes[-1], protocol, cfg)
-                checks[0] += 1
-                orders.append((*indexes[-1].counts, *cfg.state_counts()))
-                return False
+        def stop(cfg):
+            cfg.state(0)  # structural: never asked through the view
+            check(indexes[-1], protocol, cfg)
+            checks[0] += 1
+            return False
 
-            result = IndexedSimulator(seed=3, faults=faults).run(
-                protocol, 12, 3_000, stop=stop,
-            )
-            check(indexes[-1], protocol, result.config)
-            assert checks[0] >= result.effective_steps > 0
-            final = result.config
-            runs.append((
-                result.steps, result.effective_steps, result.last_change_step,
-                final.states(), sorted(final.active_edges()),
-                orders,
-            ))
-        assert runs[0] == runs[1]
+        result = IndexedSimulator(seed=3, faults=faults).run(
+            protocol, 12, 3_000, stop=stop,
+        )
+        check(indexes[-1], protocol, result.config)
+        assert checks[0] >= result.effective_steps > 0
 
 
 class TestWalkDrawsTheReference:
@@ -534,7 +525,7 @@ class TestWalkDrawsTheReference:
         index = PairClassIndex(protocol.compile(), cfg)
         trace = Trace()
         rng = random.Random(7)
-        advance = index.walk(rng, protocol, trace, protocol.stabilized)[0]
+        advance = index.walk(rng, trace, protocol.stabilized)[0]
         steps = 0
         for _ in range(150):
             if not index.total:
@@ -802,7 +793,7 @@ class TestCompiledProtocol:
         else:
             index = PairClassIndex(table, protocol.initial_configuration(12))
             advance = index.walk(
-                random.Random(3), protocol, None, protocol.stabilized
+                random.Random(3), None, protocol.stabilized
             )[0]
             steps = 0
             for _ in range(300):
@@ -918,12 +909,15 @@ class TestIndexedEngineBasics:
         ("arrive:count=3,at=200",),
         ("crash:count=2,at=100", "recover:count=2,at=100,delay=300"),
     ], ids=["none", "arrive", "crash-recover"])
-    def test_node_sets_built_mid_walk_stay_in_step(self, factory, n, faults):
-        """Both certificates call ``nodes_in_state`` once their last
-        phase starts, which files the nodes in per-state sets; from then
-        on the walk's re-file, crashes, revivals and arrivals must keep
-        the sets in step.  Across these seeds the faults land before
-        the sets exist in some runs and after in others."""
+    def test_nodes_in_state_mid_walk_matches_the_states(
+        self, factory, n, faults
+    ):
+        """Both certificates call ``nodes_in_state`` mid-walk (global-
+        star's once its two counts hold, cycle-cover's in its last
+        phase), which scans the states the walk keeps for as many nodes
+        as the histogram counts: the walk's moves, crashes, revivals and
+        arrivals must keep the two in step, and the final configuration
+        answers as a scan of its states does."""
         for seed in range(3):
             sim = IndexedSimulator(
                 seed=seed, faults=Scenario(faults=faults).make_faults()

@@ -117,6 +117,24 @@ class TestRobustnessSpec:
         with pytest.raises(ExperimentError, match=f"{name} must be an integer"):
             _small_spec(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("base_seed", True), ("base_seed", 2.5), ("base_seed", "x"),
+         ("base_seed", None), ("at", "100"), ("at", 100.0), ("at", True)],
+    )
+    def test_seed_and_fault_step_must_be_integers(self, field, value):
+        """A seed or a fault step that is not an ``int`` is refused:
+        ``at="100"`` would otherwise be kept as a string ``fault_at``."""
+        with pytest.raises(ExperimentError, match=f"{field} must be an integer"):
+            _small_spec(**{field: value})
+
+    def test_fault_step_is_at_least_zero_and_seeds_may_be_negative(self):
+        with pytest.raises(ExperimentError, match="at must be >= 0"):
+            _small_spec(at=-1)
+        assert _small_spec(at=0).fault_at == 0
+        assert _small_spec(at=None).fault_at == 14 * 14
+        assert _small_spec(base_seed=-7).base_seed == -7
+
     def test_families_registry(self):
         assert set(FAULT_FAMILIES) == {
             "crash", "edge-drop", "edge-rate", "churn", "byzantine",

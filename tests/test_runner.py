@@ -97,6 +97,26 @@ class TestExperimentSpec:
         with pytest.raises(ExperimentError, match=match):
             ExperimentSpec(protocol="global-star", **kwargs)
 
+    @pytest.mark.parametrize("policy", ["hashed", "legacy"])
+    @pytest.mark.parametrize("bad", [True, 2.5, "x", "3", None])
+    def test_base_seed_must_be_an_integer(self, policy, bad):
+        """A bool, float, string or ``None`` seed is refused when the
+        spec is built: under ``legacy`` a string fails only in
+        ``expand`` and 2.5 stores records seeded 2.5, and under
+        ``hashed`` each hashes as its text (``"None|..."``)."""
+        with pytest.raises(ExperimentError, match="base_seed must be an integer"):
+            ExperimentSpec(
+                protocol="global-star", sizes=(8,), trials=1,
+                seed_policy=policy, base_seed=bad,
+            )
+
+    def test_negative_base_seed_is_allowed(self):
+        spec = ExperimentSpec(
+            protocol="global-star", sizes=(8,), trials=2,
+            seed_policy="legacy", base_seed=-3,
+        )
+        assert [t.seed for t in spec.expand()] == [-3, -2]
+
     @pytest.mark.parametrize(
         "build",
         [

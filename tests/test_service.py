@@ -749,7 +749,15 @@ class TestHttpService(_ClientTests):
                         field: value,
                     },
                 )
-                for field, value in (("n", 8.5), ("trials", True))
+                for field, value in (
+                    ("n", 8.5), ("trials", True), ("base_seed", "x"),
+                    ("at", "100"),
+                )
+            ),
+            *(
+                ("sweep", {**SPEC.to_dict(), "seed_policy": "legacy",
+                           "base_seed": bad})
+                for bad in ("x", 2.5, None, True)
             ),
         ],
         ids=[
@@ -758,7 +766,9 @@ class TestHttpService(_ClientTests):
             "check-interval-zero", "robustness-no-n",
             "robustness-check-interval-bool", "trials-float", "trials-bool",
             "sizes-float", "sizes-str", "robustness-n-float",
-            "robustness-trials-bool",
+            "robustness-trials-bool", "robustness-seed-str",
+            "robustness-at-str", "legacy-seed-str", "legacy-seed-float",
+            "legacy-seed-null", "legacy-seed-bool",
         ],
     )
     def test_bad_spec_is_a_clean_400(self, live_service, kind, payload):

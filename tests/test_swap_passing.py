@@ -172,7 +172,7 @@ def _index_state(index):
 def test_one_pass_swap_equals_two_moves(name):
     """Two identical walks over n = 12 go step for step, their
     generators kept in one state.  At each swap the first walk makes
-    (over an edge both nodes keep, the node sets not built), the
+    (over an edge both nodes keep), the
     second instead calls ``move_node`` for each node and refreshes the
     states, the reference the walk's one pass must match; after every
     step both indexes and configurations agree: counts and
@@ -189,7 +189,7 @@ def test_one_pass_swap_equals_two_moves(name):
         index = PairClassIndex(table, protocol.initial_configuration(12))
         rng = random.Random(5)
         trace = Trace()
-        advance = index.walk(rng, protocol, trace, protocol.stabilized)[0]
+        advance = index.walk(rng, trace, protocol.stabilized)[0]
         walks.append((index, rng, trace, advance))
     (one, rng_one, trace, advance_one), (two, rng_two, _, advance_two) = walks
     steps = swaps = 0
