@@ -69,7 +69,8 @@ and the scenario layer falls back to the sequential reference)::
     repro-net list
     repro-net list --schedulers --faults --inits
     repro-net list --engines
-    repro-net run simple-global-line -n 100000 --engine count
+    repro-net sweep one-way-epidemic --sizes 100000 --engine count \\
+        --measure last_change
     repro-net describe k-regular-connected
     repro-net describe line-tm:program=parity
     repro-net describe crash:count=2,at=100

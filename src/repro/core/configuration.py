@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from repro.core.errors import SimulationError
 from repro.core.graphs import nx
@@ -82,6 +82,47 @@ class Census:
                     f"edge class {(a, b)!r} has {e} edges but only "
                     f"{self.class_pairs(a, b)} pairs"
                 )
+
+
+class CensusView:
+    """A read-only view of a census that offers only what a census-only
+    certificate reads: ``n``, ``n_active_edges``, ``count_in_state`` and
+    ``state_counts``.  ``counts`` is a state histogram (``DEAD``
+    included), read live, and ``active_edges()`` the number of active
+    edges.  An answer given through the view is a function of the
+    census alone; a certificate that reads more raises
+    ``AttributeError``.
+
+    >>> counts = {"a": 2, "b": 1}
+    >>> view = CensusView(counts, lambda: 0)
+    >>> view.n, view.count_in_state("a"), view.count_in_state("c")
+    (3, 2, 0)
+    >>> counts["c"] = 4
+    >>> view.n, view.state_counts()
+    (7, {'a': 2, 'b': 1, 'c': 4})
+    """
+
+    __slots__ = ("_counts", "_active_edges")
+
+    def __init__(
+        self, counts: dict[State, int], active_edges: Callable[[], int]
+    ) -> None:
+        self._counts = counts
+        self._active_edges = active_edges
+
+    @property
+    def n(self) -> int:
+        return sum(self._counts.values())
+
+    @property
+    def n_active_edges(self) -> int:
+        return self._active_edges()
+
+    def count_in_state(self, state: State) -> int:
+        return self._counts.get(state, 0)
+
+    def state_counts(self) -> dict[State, int]:
+        return dict(self._counts)
 
 
 class Configuration:

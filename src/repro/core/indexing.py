@@ -126,6 +126,7 @@ from typing import (
     TYPE_CHECKING, AbstractSet, Callable, Hashable, Iterable, Iterator,
 )
 
+from repro.core.configuration import CensusView
 from repro.core.errors import SimulationError
 from repro.core.faults import DEAD, join_state
 from repro.core.trace import Event
@@ -242,28 +243,6 @@ _Entry = tuple[
 # nothing changed); at the next fault step; at the budget; or with no
 # alive pair able to change anything.
 _APPLIED, _APPLIED_OUTPUT, _MOVED, _AT_FAULT, _AT_BUDGET, _IDLE = range(6)
-
-
-class _CountView:
-    """A read-only view of a live configuration that offers only what a
-    census-only certificate reads: ``n``, ``n_active_edges`` and
-    ``count_in_state``.  An answer given through it is a function of
-    the census alone; a certificate that reads more raises
-    ``AttributeError``."""
-
-    __slots__ = ("_config", "count_in_state")
-
-    def __init__(self, config: Configuration) -> None:
-        self._config = config
-        self.count_in_state = config.count_in_state
-
-    @property
-    def n(self) -> int:
-        return self._config.n
-
-    @property
-    def n_active_edges(self) -> int:
-        return self._config.n_active_edges
 
 
 class PairClassIndex:
@@ -746,13 +725,14 @@ class PairClassIndex:
 
         On a table that may swap two states
         (:attr:`~repro.core.protocol.CompiledProtocol.swaps`),
-        ``certificate()`` asks ``stabilized`` through a view offering
-        only ``n``, ``n_active_edges`` and ``count_in_state``.  While
-        that answer is False, ``advance`` does not return after a swap
-        of two nodes' states over an edge left as it was (the line
-        leader's walk step), unless it changed the output graph or came
-        at a fault's step: the census, and so the answer, stands.  It
-        keeps ``log(1 - k/m)`` for as long as ``k`` is unchanged.
+        ``certificate()`` asks ``stabilized`` through a
+        :class:`~repro.core.configuration.CensusView` of the
+        configuration's histogram.  While that answer is False,
+        ``advance`` does not return after a swap of two nodes' states
+        over an edge left as it was (the line leader's walk step),
+        unless it changed the output graph or came at a fault's step:
+        the census, and so the answer, stands.  It keeps
+        ``log(1 - k/m)`` for as long as ``k`` is unchanged.
 
         ``crash``, ``cut``, ``corrupt``, ``arrive`` and ``revive`` keep
         the index and the configuration in step with a fault: they
@@ -791,7 +771,10 @@ class PairClassIndex:
         # While the certificate answers through ``view`` (reading the
         # census alone), ``quiet`` says its last answer, False, stands:
         # nothing has changed the census since.
-        view = _CountView(cfg) if table.swaps else None
+        view = (
+            CensusView(raw_counts, lambda: cfg.n_active_edges)
+            if table.swaps else None
+        )
         quiet = False
 
         def advance(steps, fault_next, max_steps):

@@ -394,15 +394,17 @@ class CompiledProtocol:
     ``plans``, ``visits`` and their budgets ``plan_cells`` and
     ``key_cells`` (see :mod:`repro.core.indexing`), so every index built
     over one table shares them, the index's :attr:`count_only` states,
-    whether the rules hold a state swap (:attr:`swaps`), the indexed
-    walk's per-triple change records (:meth:`transition`) and, for an
-    eagerly interned table, its pair keys (:attr:`pair_keys`).
+    whether the rules hold a state swap (:attr:`swaps`) or can activate
+    an edge (:attr:`edge_free`), the indexed walk's per-triple change
+    records (:meth:`transition`) and, for an eagerly interned table, its
+    pair keys (:attr:`pair_keys`).
     """
 
     __slots__ = (
         "protocol", "_ids", "_states", "_resolved", "_effective", "_declared",
-        "_count_only", "_swaps", "_transitions", "_changes", "pair_keys",
-        "pair_classes", "plans", "visits", "plan_cells", "key_cells",
+        "_count_only", "_swaps", "_edge_free", "_transitions", "_changes",
+        "pair_keys", "pair_classes", "plans", "visits", "plan_cells",
+        "key_cells",
     )
 
     def __init__(self, protocol: Protocol) -> None:
@@ -435,6 +437,7 @@ class CompiledProtocol:
         self._declared: int | None = None
         self._count_only: frozenset[int] | None = None
         self._swaps: bool | None = None
+        self._edge_free: bool | None = None
         if protocol.states is not None:
             for state in sorted(protocol.states, key=repr):
                 self.intern(state)
@@ -531,6 +534,29 @@ class CompiledProtocol:
                 if a != b
                 for c in (0, 1)
                 for _, out in delta(a, b, c) or ()
+            )
+        return found
+
+    @property
+    def edge_free(self) -> bool:
+        """True when no rule between two declared states activates an
+        edge, ``(a, b, 0) -> (a', b', 1)``: from a start with no active
+        edge, no edge ever forms.  False while the table is not
+        :attr:`closed`.
+
+        Computed once, from the raw protocol's ``delta`` over the
+        declared states, so asking interns nothing."""
+        if not self.closed:
+            return False
+        found = self._edge_free
+        if found is None:
+            states = self._states
+            delta = self.protocol.delta
+            found = self._edge_free = not any(
+                out.edge == 1
+                for a in states
+                for b in states
+                for _, out in delta(a, b, 0) or ()
             )
         return found
 

@@ -27,9 +27,10 @@ Engine-selection guide
   interaction costs the effective classes touching the changed states
   plus the degree of the changed nodes — O(1) amortized for the paper's
   constant-state protocols — instead of O(n).
-* ``count`` (:class:`~repro.core.counting.CountSimulator`) — the indexed
-  engine below a population threshold, a census-only tau-leaping
-  sampler above it (see :mod:`repro.core.counting`).
+* ``count`` (:class:`~repro.core.counting.CountSimulator`) — a
+  census-only tau-leaping sampler from a population threshold on, for
+  tables on which no edge can form; the indexed engine for every other
+  run (see :mod:`repro.core.counting`).
 
 Use :func:`make_engine` over the :data:`ENGINES` registry
 (``"sequential"``, ``"indexed"``, ``"count"``) to select an engine by
@@ -422,10 +423,10 @@ class _ExactEngine:
         handed, and it is not asked again while the census it answered
         False on stands: the indexed walk over a table that may swap two
         states (:attr:`~repro.core.protocol.CompiledProtocol.swaps`)
-        asks it through a view offering only ``n``, ``n_active_edges``
-        and ``count_in_state``, and while that answer is False it runs
-        through each change that swaps two nodes' states over an edge
-        left as it was, without returning here.  Each such change counts
+        asks it through a :class:`~repro.core.configuration.CensusView`,
+        and while that answer is False it runs through each change that
+        swaps two nodes' states over an edge left as it was, without
+        returning here.  Each such change counts
         as an advance, and a poll due on it is skipped.  A certificate
         that reads more raises ``AttributeError`` on the view, and is
         asked on the configuration after every change for the rest of

@@ -1,11 +1,11 @@
 """The count engine: routing, regimes, and the equivalence gate.
 
 The count engine (:class:`repro.core.counting.CountSimulator`) is the
-anonymity-native fourth engine: a run is a ``(state -> count)`` census
-plus the annealed edge statistic, stepped in tau-leaped batches above
-``leap_threshold`` and run on the indexed engine's walk below it, both
-through the one run loop every engine shares.  This suite pins the
-contract from both sides:
+anonymity-native fourth engine: on a table where no edge can form, a
+run from ``leap_threshold`` nodes on is a ``(state -> count)`` census
+stepped in tau-leaped batches; every other run takes the indexed
+engine's walk, both through the one run loop every engine shares.
+This suite pins the contract from both sides:
 
 * **routing** — ``supports()`` declines exactly the identity-based
   scenarios (cut/byzantine faults, doped/graph inits, non-uniform
@@ -15,14 +15,17 @@ contract from both sides:
   the indexed engine, so the KS/CI-band distributional gates (faultless
   Figure-2 line, and crash / arrivals / churn / edge-rate scenarios)
   compare genuinely independent seed ranges of the same law;
+* **eligibility** — only the five edge-free tables leap
+  (``CompiledProtocol.edge_free``); every table that builds edges runs
+  the indexed walk bit for bit, ``leap_threshold=0`` or not;
 * **leap regime** — forced with ``leap_threshold=0``: close to the
   one-way epidemic's closed-form expectation at small n (it drifts
-  16-17% slow by n = 2000, so it is not exact), structurally convergent
-  on the line family up to n = 10^5, and invariant-preserving under
-  census-wise faults;
+  16-17% slow by n = 2000, so it is not exact), stabilizing the
+  epidemic and node cover up to n = 10^5, and invariant-preserving
+  under census-wise faults;
 * **census round-trip** — Hypothesis properties for
   ``Configuration.census`` / ``from_census`` conservation and for
-  :func:`derive_edge_census` / :func:`census_sample_states`.
+  :func:`census_sample_states`.
 """
 
 from __future__ import annotations
@@ -35,19 +38,15 @@ import time
 import tracemalloc
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import simulator
-from repro.core.configuration import Census, Configuration, census_pair_key
-from repro.core.counting import (
-    IDENTITY_FAULTS,
-    IDENTITY_INITS,
-    CountSimulator,
-    derive_edge_census,
-)
+from repro.core.configuration import Census, Configuration
+from repro.core.counting import IDENTITY_FAULTS, IDENTITY_INITS, CountSimulator
 from repro.core.errors import ConvergenceError, SimulationError
 from repro.core.faults import DEAD, census_sample_states
+from repro.core.protocol import resolve
 from repro.core.scenario import Scenario, resolve_engine
 from repro.core.simulator import (
     ENGINES,
@@ -56,8 +55,36 @@ from repro.core.simulator import (
     make_engine,
     run_to_convergence,
 )
-from repro.processes import OneWayEpidemic, one_way_epidemic_expectation
-from repro.protocols import FTGlobalLine, SimpleGlobalLine
+from repro.processes import (
+    NodeCover,
+    OneToOneElimination,
+    OneWayEpidemic,
+    one_way_epidemic_expectation,
+)
+from repro.protocols import FTGlobalLine, SimpleGlobalLine, registry
+
+#: The registered tables on which no edge can form: the only ones the
+#: census walk runs.
+EDGE_FREE = {
+    "one-way-epidemic", "one-to-one-elimination", "one-to-all-elimination",
+    "node-cover", "meet-everybody",
+}
+
+
+def _result_fields(result):
+    return (
+        result.converged, result.steps, result.effective_steps,
+        result.last_change_step, result.last_output_change_step,
+        result.stop_reason, result.config,
+    )
+
+
+def _leap_counter(sim):
+    """Attach a leap hook to ``sim``; the list it returns grows by one
+    ``(k, ends)`` per leap."""
+    leaps = []
+    sim.leap_hook = lambda steps, counts, ends, k: leaps.append((k, ends))
+    return leaps
 
 
 class TestEngineRouting:
@@ -166,22 +193,112 @@ class TestOneRunLoop:
         monkeypatch.setattr(CountSimulator, "_census_walk", recorded)
         with pytest.raises(ConvergenceError) as info:
             run_to_convergence(
-                SimpleGlobalLine(), 5000, engine="count", max_steps=10, seed=1
+                OneToOneElimination(), 5000, engine="count", max_steps=10,
+                seed=1,
             )
         assert info.value.steps == 10
         assert len(walks) == 1 and walks[0] is not None, "not a leap run"
 
 
+class TestLeapEligibility:
+    """The census walk runs only where no edge can form: on a table
+    that is ``edge_free``, from a start with no active edge."""
+
+    def test_edge_free_matches_a_scan_of_the_declared_triples(self):
+        """For every registered closed table, ``edge_free`` says that no
+        declared triple at ``c = 0``, resolved as an engine resolves it,
+        activates its edge.  It holds on exactly the five edge-free
+        tables, and on no lazily interning one."""
+        registry.ensure_populated()
+        found = set()
+        lazy = set()
+        for name in registry.names():
+            protocol = registry.instantiate(name)
+            table = protocol.compile()
+            if not table.closed:
+                assert not table.edge_free, name
+                lazy.add(name)
+                continue
+            states = sorted(protocol.states, key=repr)
+            activates = False
+            for i, a in enumerate(states):
+                for b in states[i:]:
+                    resolved = resolve(protocol, a, b, 0)
+                    if resolved is not None:
+                        activates |= any(out.edge for _, out in resolved[0])
+            assert table.edge_free == (not activates), name
+            assert table.n_states == len(states), name
+            if table.edge_free:
+                found.add(name)
+        assert found == EDGE_FREE
+        assert len(lazy) == 4, lazy
+
+    def test_edge_building_tables_take_the_indexed_walk(self):
+        """With ``leap_threshold=0``, no registered closed table that
+        builds edges takes a leap: each run at n = 12 equals the indexed
+        engine's with the same seed, field for field."""
+        registry.ensure_populated()
+        checked = []
+        for name in registry.names():
+            protocol = registry.instantiate(name)
+            table = protocol.compile()
+            if not table.closed or table.edge_free:
+                continue
+            sim = CountSimulator(seed=1, leap_threshold=0)
+            leaps = _leap_counter(sim)
+            result = sim.run(protocol, 12, 200_000)
+            exact = IndexedSimulator(seed=1).run(
+                registry.instantiate(name), 12, 200_000
+            )
+            assert not leaps, name
+            assert _result_fields(result) == _result_fields(exact), name
+            checked.append(name)
+        assert len(checked) == 19, checked
+
+    def test_a_start_with_an_edge_takes_the_indexed_walk(self):
+        start = Configuration(["a"] * 40, [(0, 1)])
+        sim = CountSimulator(seed=3, leap_threshold=0)
+        leaps = _leap_counter(sim)
+        result = sim.run(NodeCover(), 40, None, config=start)
+        exact = IndexedSimulator(seed=3).run(NodeCover(), 40, None, config=start)
+        assert not leaps
+        assert _result_fields(result) == _result_fields(exact)
+
+    def test_global_star_builds_its_star_past_the_threshold(self):
+        """Global-Star at n = 5,000 on the count engine's default
+        threshold runs the indexed walk and stabilizes on a spanning
+        star."""
+        protocol = registry.instantiate("global-star")
+        result = make_engine("count", seed=1).run(protocol, 5000, 10**9)
+        assert result.stop_reason == "stabilized"
+        assert result.config.count_in_state("c") == 1
+        assert result.config.n_active_edges == 4999
+
+    def test_census_certificate_errors_reach_the_caller(self):
+        """Only ``AttributeError`` says a certificate needs more than the
+        census; any other error it raises on the census view is the
+        caller's, not a reason to run the indexed walk instead."""
+
+        class Strict(OneWayEpidemic):
+            def stabilized(self, config):
+                if not isinstance(config, Configuration):
+                    raise ValueError("asked on a census view")
+                return super().stabilized(config)
+
+        with pytest.raises(ValueError, match="census view"):
+            CountSimulator(seed=0, leap_threshold=0).run(Strict(), 100)
+
+
 class TestLeapRegime:
-    """``leap_threshold=0`` forces the tau-leaped census path."""
+    """``leap_threshold=0`` forces the tau-leaped census path on an
+    edge-free table."""
 
     def test_leap_hook_observes_batched_steps(self):
         sim = CountSimulator(seed=1, leap_threshold=0)
-        leaps = []
-        sim.leap_hook = lambda steps, counts, ends, k: leaps.append(k)
-        result = sim.run(SimpleGlobalLine(), 64, 10_000_000)
+        leaps = _leap_counter(sim)
+        result = sim.run(OneToOneElimination(), 64, 10_000_000)
         assert result.converged
-        assert leaps and all(k >= 1 for k in leaps)
+        assert leaps and all(k >= 1 and ends == {} for k, ends in leaps)
         # Batching is the point: far fewer leaps than scheduler steps.
         assert len(leaps) < result.steps
 
@@ -211,26 +328,27 @@ class TestLeapRegime:
         assert result.steps > 0
         assert result.config.count_in_state("a") == 12
 
-    def test_line_family_converges_structurally(self):
-        for seed in range(5):
-            result = CountSimulator(seed=seed, leap_threshold=0).run(
-                SimpleGlobalLine(), 120, 10**11, require_convergence=False
-            )
-            assert result.converged, result.stop_reason
-            census = result.config.census()
-            census.validate()
-            # A spanning line: n-1 active edges over the alive nodes.
-            assert result.config.n_active_edges == 119
-
     @pytest.mark.parametrize("n", [10_000, 100_000])
-    def test_figure2_line_stabilizes_at_scale(self, n):
-        """The leap regime must finish the line construction at scale, in
-        seconds (0.2 s at n = 10^4 and about 1 s at 10^5 on a 2-CPU
-        host).  Its step counts follow a different law from the exact
-        engines', so only stabilization and wall clock are gated."""
+    @pytest.mark.parametrize(
+        ("protocol_class", "final_state"),
+        [(OneWayEpidemic, "a"), (NodeCover, "b")],
+        ids=["one-way-epidemic", "node-cover"],
+    )
+    def test_edge_free_tables_stabilize_at_scale(
+        self, protocol_class, final_state, n
+    ):
+        """The leap regime must finish an edge-free table at scale, in
+        seconds, with every node in the final state.  Its step counts
+        follow a different law from the exact engines' (see the module
+        docstring of core/counting.py), so only stabilization, the final
+        census and wall clock are gated."""
         start = time.perf_counter()
-        result = make_engine("count", seed=7).run(SimpleGlobalLine(), n, None)
+        sim = make_engine("count", seed=7)
+        leaps = _leap_counter(sim)
+        result = sim.run(protocol_class(), n, None)
         assert result.stop_reason == "stabilized"
+        assert result.config.census() == Census({final_state: n}, {})
+        assert leaps
         assert time.perf_counter() - start < 60.0
 
     def test_crash_faults_hold_census_invariants(self):
@@ -239,24 +357,26 @@ class TestLeapRegime:
             sim = CountSimulator(
                 seed=seed, faults=scenario.make_faults(), leap_threshold=0
             )
-            result = sim.run(
-                FTGlobalLine(), 60, 10**10, require_convergence=False
-            )
+            leaps = _leap_counter(sim)
+            result = sim.run(NodeCover(), 60, 10**10, require_convergence=False)
             config = result.config
             dead = [u for u in range(config.n) if config.state(u) == DEAD]
             assert len(dead) == 2
             assert all(not config.neighbors(u) for u in dead)
             config.census().validate()
+            assert leaps
 
     def test_arrivals_grow_the_census(self):
         scenario = Scenario(faults=("arrive:count=3,at=100",))
         sim = CountSimulator(
             seed=2, faults=scenario.make_faults(), leap_threshold=0
         )
+        leaps = _leap_counter(sim)
         result = sim.run(
-            SimpleGlobalLine(), 50, 10**10, require_convergence=False
+            OneToOneElimination(), 50, 10**10, require_convergence=False
         )
         assert result.config.n == 53
+        assert leaps
 
     def test_churn_events_cost_no_per_node_work(self, monkeypatch):
         """One-way epidemic at n = 10^5 under ``churn:rate=0.001``: each
@@ -442,28 +562,6 @@ class TestCensusRoundTrip:
         ) == cfg.n - census.counts.get(DEAD, 0)
         assert census.n_edges == cfg.n_active_edges
         assert Configuration.from_census(census).census() == census
-
-    @given(configurations())
-    # Complete on a:3, b:2: the capped expectations floor to 8 of 10
-    # edges and only the a-b class has room for the other two, more
-    # than the one extra edge per class a single largest-remainder pass
-    # hands out.
-    @example(Configuration(
-        ["a", "a", "a", "b", "b"], itertools.combinations(range(5), 2)
-    ))
-    @settings(max_examples=80, deadline=None)
-    def test_derive_edge_census_conserves_totals(self, cfg):
-        census = cfg.census()
-        counts = dict(census.counts)
-        ends: dict = {}
-        for (a, b), e in census.edges.items():
-            ends[a] = ends.get(a, 0) + e
-            ends[b] = ends.get(b, 0) + e
-        derived = derive_edge_census(counts, ends, census.n_edges)
-        assert sum(derived.values()) == census.n_edges
-        for (a, b), e in derived.items():
-            assert (a, b) == census_pair_key(a, b)
-            assert 0 <= e <= census.class_pairs(a, b)
 
     @given(
         st.dictionaries(

@@ -20,12 +20,11 @@ only makes an engine faster or smaller must leave every cell unchanged.
 
 The count engine's leap regime has its own fixture,
 ``tests/data/golden_count.json``: the cells of :data:`COUNT_CELLS`, each
-above the leap threshold, so the census leap loop and
+an edge-free table above the leap threshold, so the census leap loop and
 :meth:`~repro.core.configuration.Configuration.from_census` produce the
 result.  Besides the fields above, a leap cell stores a sha256 of the
-result's active edges in ``active_edges()`` iteration order, which pins
-how ``from_census`` lays the edges out and in which order each node's
-adjacency set receives them.
+result's active edges in ``active_edges()`` iteration order, the digest
+of an empty list on these tables.
 
 The paper-scale fixture, ``tests/data/golden_scale.json``, holds long
 indexed-engine runs at the sizes the benchmarks use (the cells of
@@ -100,14 +99,12 @@ SCHEDULER_FAULTS = ("none", "crash")
 COUNT_CELLS: dict[str, tuple[str, int, int | None, tuple[str, ...]]] = {
     "one-way-epidemic | n=5000": ("one-way-epidemic", 5000, None, ()),
     "one-way-epidemic | n=30000": ("one-way-epidemic", 30000, None, ()),
-    "simple-global-line | n=5000 | none": (
-        "simple-global-line", 5000, 2_000_000, (),
+    "node-cover | n=5000 | none": ("node-cover", 5000, 2_000_000, ()),
+    "node-cover | n=5000 | crash": (
+        "node-cover", 5000, 2_000_000, ("crash:count=50,at=20000",),
     ),
-    "simple-global-line | n=5000 | crash": (
-        "simple-global-line", 5000, 2_000_000, ("crash:count=50,at=20000",),
-    ),
-    "global-star | n=5000 | arrive": (
-        "global-star", 5000, 2_000_000, ("arrive:count=20,at=10000",),
+    "one-to-one-elimination | n=5000 | arrive": (
+        "one-to-one-elimination", 5000, None, ("arrive:count=20,at=10000",),
     ),
 }
 

@@ -50,7 +50,7 @@ from repro.core.trace import (
     TraceTruncationWarning,
     merge_sinks,
 )
-from repro.processes import OneWayEpidemic
+from repro.processes import OneToOneElimination, OneWayEpidemic
 from repro.protocols import SimpleGlobalLine
 
 
@@ -174,7 +174,7 @@ class TestLeapCensusStreaming:
         bus.subscribe(probe)
         sim = CountSimulator(seed=0, leap_threshold=0)
         result = sim.run(
-            protocol or SimpleGlobalLine(), n, budget, stop=stop, bus=bus
+            protocol or OneToOneElimination(), n, budget, stop=stop, bus=bus
         )
         return result, probe
 

@@ -22,7 +22,7 @@ from repro.core.simulator import IndexedSimulator, make_engine
 from repro.core.trace import Trace
 from repro.protocols import SimpleGlobalLine, registry
 
-PROTOCOLS = ("simple-global-line", "global-ring", "2rc")
+PROTOCOLS = ("simple-global-line", "global-ring", "2rc", "k-regular-connected")
 FAULTS = {
     "none": (),
     "churn": ("churn:rate=0.002",),
